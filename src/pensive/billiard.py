@@ -46,21 +46,47 @@ class StepRecord:
 
 
 class Trajectory:
-    """Iterated map states plus the impact/reflection points of each chord."""
+    """Iterated map states plus the chord geometry of each step.
+
+    Per step it stores the impact arc length, the slide and the chord
+    length. ``impacts`` (chord landings gamma(S_cl)) and ``reflects``
+    (post-slide launches gamma(S_cl + slide)) are read-only (n_steps, 2)
+    arrays, computed on demand in one ``curve.point`` call and cached
+    until the next ``append``.
+    """
 
     def __init__(self, curve, law, x0):
         self.curve = curve
         self.law = law
         self.points = [x0]
-        self.impacts = []       # chord landing gamma(S_cl), complex
-        self.reflects = []      # post-slide launch gamma(S_cl + slide)
+        self.s_impacts = []
+        self.slides = []
         self.chord_lengths = []
+        self._xy = None
 
     def append(self, rec):
         self.points.append(PhasePoint(rec.s_out, rec.theta_out))
-        self.impacts.append(point_xy(self.curve, rec.s_impact))
-        self.reflects.append(point_xy(self.curve, rec.s_out))
+        self.s_impacts.append(rec.s_impact)
+        self.slides.append(rec.slide)
         self.chord_lengths.append(rec.chord_length)
+        self._xy = None
+
+    def _impacts_reflects(self):
+        if self._xy is None:
+            s = np.array(self.s_impacts + [x.s for x in self.points[1:]],
+                         dtype=float)
+            xy = point_xy(self.curve, s)
+            xy.flags.writeable = False
+            self._xy = (xy[:self.n_steps], xy[self.n_steps:])
+        return self._xy
+
+    @property
+    def impacts(self):
+        return self._impacts_reflects()[0]
+
+    @property
+    def reflects(self):
+        return self._impacts_reflects()[1]
 
     def __len__(self):
         return len(self.points)
@@ -76,18 +102,15 @@ class Trajectory:
             "s": s,
             "theta": theta,
             "p": np.cos(theta),
-            "impact": np.array(self.impacts, dtype=float).reshape(-1, 2),
-            "reflect": np.array(self.reflects, dtype=float).reshape(-1, 2),
+            "impact": self.impacts,
+            "reflect": self.reflects,
             "chord_length": np.array(self.chord_lengths),
         }
 
 
 def point_xy(curve, s):
-    """Boundary point as an (x, y) array for smooth or polygon tables."""
-    z = curve.point(s)
-    if np.iscomplexobj(z):
-        return np.array([np.real(z), np.imag(z)], dtype=float)
-    return np.asarray(z, dtype=float)
+    """Boundary points as an (..., 2) array for smooth or polygon tables."""
+    return np.asarray(curve.point(s), dtype=float)
 
 
 def _pensive_raw(curve, law, s, theta):

@@ -212,19 +212,19 @@ def _cmd_phase(cfg):
     steps = _parse_int(cfg.get("phase", "steps", "300"), "steps")
     rng = np.random.default_rng(cfg.seed)
     P = curve.perimeter
-    rows = []
-    groups = []
-    for k in range(orbits):
-        s = rng.uniform(0.0, P)
-        theta = rng.uniform(0.2, math.pi - 0.2)
-        ss, ths = [s], [theta]
-        for _ in range(steps):
-            s_arr, th_arr = bil.pensive_batch(curve, law, ss[-1], ths[-1])
-            ss.append(float(np.asarray(s_arr).item()))
-            ths.append(float(np.asarray(th_arr).item()))
-        groups.append((k, ss, ths))
-        for j, (sv, tv) in enumerate(zip(ss, ths)):
-            rows.append([k, j, sv, tv])
+    # starts drawn orbit by orbit (s, then theta); then all orbits advance
+    # together, one batched step at a time
+    start = np.array([(rng.uniform(0.0, P), rng.uniform(0.2, math.pi - 0.2))
+                      for _ in range(orbits)]).reshape(-1, 2)
+    ss, ths = [start[:, 0]], [start[:, 1]]
+    for _ in range(steps):
+        s_arr, th_arr = bil.pensive_batch(curve, law, ss[-1], ths[-1])
+        ss.append(s_arr)
+        ths.append(th_arr)
+    groups = [(k, sk, tk) for k, (sk, tk)
+              in enumerate(zip(np.array(ss).T, np.array(ths).T))]
+    rows = [[k, j, sv, tv] for k, sk, tk in groups
+            for j, (sv, tv) in enumerate(zip(sk.tolist(), tk.tolist()))]
     _write_csv(_out(cfg, "phase.csv"),
                ["orbit", "step", "s", "theta"], rows)
     doc = svg_mod.render_phase_svg(groups, P)

@@ -285,11 +285,8 @@ def generalized_puck(metric):
     """DelayFunction backed by the metric quadratures."""
 
     def ell_p(p):
-        p = np.clip(np.asarray(p, dtype=float), -1 + 1e-12, 1 - 1e-12)
-        scalar = p.ndim == 0
-        pv = np.atleast_1d(p)
-        out = np.array([pi * _gp_quad(metric, float(pi), 1) for pi in pv])
-        return float(out[0]) if scalar else out
+        return generalized_puck_delay(
+            metric, np.clip(np.asarray(p, dtype=float), -1 + 1e-12, 1 - 1e-12))
 
     def dell(p):
         p = np.clip(np.asarray(p, dtype=float), -1 + 1e-12, 1 - 1e-12)

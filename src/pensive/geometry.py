@@ -203,9 +203,10 @@ class PolygonBoundary:
         return math.lcm(*[n for _, n in self.rational_angles])
 
     def edge_of(self, s):
-        s = float(np.mod(s, self.perimeter))
-        i = int(np.searchsorted(self.cum_s, s, side="right") - 1)
-        i = min(i, len(self.edge_len) - 1)
+        """(edge index, arc length along that edge) for scalar or array s."""
+        s = np.mod(np.asarray(s, dtype=float), self.perimeter)
+        i = np.searchsorted(self.cum_s, s, side="right") - 1
+        i = np.minimum(i, len(self.edge_len) - 1)
         return i, s - self.cum_s[i]
 
     def nearest_vertex_gap(self, s):
@@ -215,7 +216,7 @@ class PolygonBoundary:
 
     def point(self, s):
         i, u = self.edge_of(s)
-        return self.vertices[i] + u * self.edge_tan[i]
+        return self.vertices[i] + u[..., None] * self.edge_tan[i]
 
     def tangent(self, s):
         j, gap = self.nearest_vertex_gap(s)
@@ -361,6 +362,12 @@ def point_tangent_curvature(curve, s):
     return (np.stack([np.real(z), np.imag(z)], axis=-1),
             np.stack([np.real(tau), np.imag(tau)], axis=-1),
             curve.curvature_t(t))
+
+
+def _require_smooth(curve, what):
+    """Raise Unsupported when curve is a polygon; what names the operation."""
+    if isinstance(curve, PolygonBoundary):
+        raise Unsupported("%s needs a smooth table" % what)
 
 
 def curvature_bounds(curve):

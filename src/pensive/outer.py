@@ -23,11 +23,6 @@ from .variational import point_inside
 TWO_PI = 2.0 * math.pi
 
 
-def _require_smooth(curve):
-    if getattr(curve, "kind", "") == "polygon":
-        raise Unsupported("tangent coordinates need a smooth oval")
-
-
 def _as_xy(point):
     arr = np.asarray(point, dtype=float).ravel()
     if arr.size != 2 or not np.all(np.isfinite(arr)):
@@ -57,7 +52,7 @@ def tangent_coordinates(curve, X, side="right"):
     side="right" solves X = gamma(t) + r T(t) with r > 0 (the image of
     the forward tangent ray); side="left" solves X = gamma(t) - r T(t).
     """
-    _require_smooth(curve)
+    geo._require_smooth(curve, "the outer map")
     if side not in ("right", "left"):
         raise InvalidParameter("side is 'right' or 'left'")
     X = _as_xy(X)

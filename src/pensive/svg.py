@@ -101,12 +101,10 @@ def _table_xy(curve):
     return _boundary_xy(curve)
 
 
-def _slide_arc_xy(curve, s0, s1, n=24):
-    ss = np.linspace(s0, s1, n)
-    pts = [curve.point(s % curve.perimeter) for s in ss]
-    pts = [np.array([np.real(z), np.imag(z)]) if np.iscomplexobj(z) else z
-           for z in pts]
-    return np.asarray(pts, dtype=float)
+def _slide_arcs_xy(curve, s_end, slide, n=24):
+    """Arcs from s_end - slide to s_end, n samples each: (k, n, 2)."""
+    ss = np.linspace(s_end - slide, s_end, n, axis=-1)
+    return point_xy(curve, ss % curve.perimeter)
 
 
 LINE = 'fill="none" stroke="%s" stroke-width="%s"'
@@ -128,26 +126,23 @@ def render_trajectory_svg(traj, caustic=None):
     cv.group("boundary").append(
         ("polyline", (xy, LINE % ("#333333", 1.5))))
 
-    data = traj.as_arrays()
     chords = cv.group("chords")
-    starts = [point_xy(curve, traj.points[0].s)]
-    starts += [r for r in traj.reflects[:-1]]
+    starts = np.vstack([point_xy(curve, traj.points[0].s),
+                        traj.reflects[:-1]])
     for a, b in zip(starts, traj.impacts):
         chords.append(("polyline", (np.vstack([a, b]),
                                     LINE % ("#1f77b4", 1.0))))
     slides = cv.group("slides")
-    for k in range(traj.n_steps):
-        x_next = traj.points[k + 1]
-        slide = traj.law.ell_theta(x_next.theta)
-        if abs(slide) < 1e-14:
-            continue
-        arc = _slide_arc_xy(curve, x_next.s - slide, x_next.s)
+    slide = np.array(traj.slides)
+    drawn = np.abs(slide) >= 1e-14
+    s_end = np.array([x.s for x in traj.points[1:]])[drawn]
+    for arc in _slide_arcs_xy(curve, s_end, slide[drawn]):
         slides.append(("polyline", (arc, LINE % ("#d62728", 2.0))))
     marks = cv.group("markers")
-    for pt in data["impact"]:
+    for pt in traj.impacts:
         marks.append(("circle", (pt, 2.5,
                                  'fill="#1f77b4" stroke="none"')))
-    for pt in data["reflect"]:
+    for pt in traj.reflects:
         marks.append(("circle", (pt, 2.5,
                                  'fill="#d62728" stroke="none"')))
     if caustic is not None:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .errors import HypothesisFailed, Unsupported
+from .errors import HypothesisFailed
 
 
 @dataclass
@@ -42,14 +42,9 @@ class CBJacobian:
         return self.dS_ds * self.dTheta_dtheta - self.dS_dtheta * self.dTheta_ds
 
 
-def _require_smooth(curve):
-    if isinstance(curve, geo.PolygonBoundary):
-        raise Unsupported("twist analysis needs a smooth convex curve")
-
-
 def cb_jacobian(curve, s, theta):
     """Analytic Jacobian of the classical chord-and-reflect map."""
-    _require_smooth(curve)
+    geo._require_smooth(curve, "twist analysis")
     S, Th, d = geo.chord(curve, s, theta)
     k1 = float(curve.curvature(s))
     k2 = float(curve.curvature(S))
@@ -66,7 +61,7 @@ def cb_jacobian(curve, s, theta):
 
 def pensive_dS_dtheta(curve, law, s, theta):
     """d(arc image)/d(theta) of the slid map; its sign is the twist."""
-    _require_smooth(curve)
+    geo._require_smooth(curve, "twist analysis")
     s_arr = np.asarray(s, dtype=float)
     th_arr = np.asarray(theta, dtype=float)
     scalar = s_arr.ndim == 0 and th_arr.ndim == 0

@@ -13,14 +13,9 @@ from scipy.optimize import brentq
 
 from . import geometry as geo
 from .errors import (Ambiguous, InvalidParameter, InvalidPoint, NotFound,
-                     NotTransitive, Unsupported)
+                     NotTransitive)
 
 GRAD_TOL = 1e-9
-
-
-def _require_smooth(curve):
-    if isinstance(curve, geo.PolygonBoundary):
-        raise Unsupported("variational evaluations need a smooth table")
 
 
 def _as_complex(point):
@@ -62,7 +57,7 @@ def single_bounce_objective(curve, law, A, B, s):
     Returns (value, derivative); both broadcast over s. Critical points
     of the value are the parameters of genuine one-bounce trajectories.
     """
-    _require_smooth(curve)
+    geo._require_smooth(curve, "variational evaluation")
     za = _as_complex(A)
     zb = _as_complex(B)
     for z, name in ((za, "A"), (zb, "B")):
@@ -133,7 +128,7 @@ def p_star(curve, law, s, S, hint=None, advance_hint=None, n_grid=256):
     `advance_hint` in total arc advance, else nearest `hint` in p, else
     smallest |p|.
     """
-    _require_smooth(curve)
+    geo._require_smooth(curve, "variational evaluation")
     P = curve.perimeter
     s = float(s) % P
     S = float(S) % P
@@ -256,7 +251,7 @@ def periodic_orbit_search(curve, law, rotation, seeds=None,
     fallback. Seeds are rotation-number configurations started at the
     given base arcs (quarter-cell offsets by default).
     """
-    _require_smooth(curve)
+    geo._require_smooth(curve, "variational evaluation")
     winding, q = rotation
     if q < 2 or winding < 1 or math.gcd(winding, q) != 1:
         raise InvalidParameter("rotation type needs coprime p >= 1, q >= 2")

@@ -152,6 +152,27 @@ def test_trajectory_bookkeeping():
                            atol=1e-9)
 
 
+@pytest.mark.parametrize("curve, law", [
+    (geo.ellipse(1.2, 1.0), delay.vortex(1.1)),
+    (geo.neumann_oval(0.3), delay.puck(0.4)),
+    (geo.regular_polygon(5), delay.constant(0.3))])
+def test_trajectory_points_match_point_xy(curve, law):
+    traj = bil.iterate(curve, law, bil.PhasePoint(0.4, 1.3), 12)
+    recs = [bil.pensive_step_record(curve, law, x) for x in traj.points[:-1]]
+    assert traj.impacts.shape == traj.reflects.shape == (12, 2)
+    for k, rec in enumerate(recs):
+        assert np.allclose(traj.impacts[k], bil.point_xy(curve, rec.s_impact),
+                           rtol=0, atol=1e-15)
+        assert np.allclose(traj.reflects[k], bil.point_xy(curve, rec.s_out),
+                           rtol=0, atol=1e-15)
+    # the cached points follow a later append
+    traj.append(bil.pensive_step_record(curve, law, traj.points[-1]))
+    assert traj.impacts.shape == (13, 2)
+    assert np.allclose(traj.reflects[-1],
+                       bil.point_xy(curve, traj.points[-1].s),
+                       rtol=0, atol=1e-15)
+
+
 def test_iterate_zero_and_partial():
     c = geo.disk(1.0)
     traj = bil.iterate(c, delay.zero(), bil.PhasePoint(0.1, 1.0), 0)

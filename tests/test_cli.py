@@ -8,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from pensive import cli, geometry as geo
+from pensive import billiard as bil, cli, delay, geometry as geo
 
 
 def write_ini(path, text):
@@ -65,7 +65,8 @@ class TestSimulate:
             ini = write_ini(tmp_path / f"{name}.ini",
                             SIM_INI.format(out=out))
             assert cli.main(["simulate", ini]) == 0
-            outs.append((out / "trajectory.csv").read_bytes())
+            outs.append([(out / f).read_bytes()
+                         for f in ("trajectory.csv", "trajectory.svg")])
         assert outs[0] == outs[1]
 
     def test_env_outdir_override(self, tmp_path, monkeypatch):
@@ -164,10 +165,7 @@ t_final = 5.0
         assert "numeric failure" in capsys.readouterr().err
 
 
-class TestPhase:
-    def test_csv_and_svg(self, tmp_path):
-        out = tmp_path / "out"
-        ini = write_ini(tmp_path / "ph.ini", """
+PHASE_INI = """
 [run]
 command = phase
 seed = 3
@@ -185,13 +183,51 @@ h = 0.4
 [phase]
 orbits = 3
 steps = 50
-""".format(out=out))
+"""
+
+
+class TestPhase:
+    def test_csv_and_svg(self, tmp_path):
+        out = tmp_path / "out"
+        ini = write_ini(tmp_path / "ph.ini", PHASE_INI.format(out=out))
         assert cli.main(["phase", ini]) == 0
         rows = read_rows(out / "phase.csv")
         assert rows[0] == ["orbit", "step", "s", "theta"]
         assert len(rows) == 1 + 3 * 51
         assert {r[0] for r in rows[1:]} == {"0", "1", "2"}
         assert (out / "phase.svg").read_text().count("orbit-") == 3
+
+    def test_deterministic_bytes(self, tmp_path):
+        outs = []
+        for name in ("a", "b"):
+            out = tmp_path / name
+            ini = write_ini(tmp_path / f"{name}.ini",
+                            PHASE_INI.format(out=out))
+            assert cli.main(["phase", ini]) == 0
+            outs.append([(out / f).read_bytes()
+                         for f in ("phase.csv", "phase.svg")])
+        assert outs[0] == outs[1]
+
+    def test_matches_orbit_by_orbit_steps(self, tmp_path):
+        out = tmp_path / "out"
+        ini = write_ini(tmp_path / "ph.ini", PHASE_INI.format(out=out))
+        assert cli.main(["phase", ini]) == 0
+        got = np.array([[float(v) for v in r]
+                        for r in read_rows(out / "phase.csv")[1:]])
+        # reference: each orbit on its own, one single-row step at a time
+        curve = geo.ellipse(2.0, 1.0)
+        law = delay.puck(0.4)
+        rng = np.random.default_rng(3)
+        ref = []
+        for k in range(3):
+            s = rng.uniform(0.0, curve.perimeter)
+            th = rng.uniform(0.2, math.pi - 0.2)
+            for j in range(51):
+                ref.append([k, j, s, th])
+                s_arr, th_arr = bil.pensive_batch(curve, law, s, th)
+                s, th = s_arr.item(), th_arr.item()
+        ref = np.array([[float(cli._cell(v)) for v in r] for r in ref])
+        assert np.array_equal(got, ref)
 
 
 class TestOrbit:

@@ -264,6 +264,28 @@ def test_polygon_point_tangent_and_corners():
         geo.point_tangent_curvature(sq, 1.0)
 
 
+@pytest.mark.parametrize("name, tol", [("disk", 0.0), ("ellipse", 0.0),
+                                       ("pentagon", 0.0), ("oval", 1e-15)])
+def test_point_on_grid_matches_scalar_calls(name, tol):
+    curve = {"disk": geo.disk(1.0), "ellipse": geo.ellipse(1.2, 1.0),
+             "pentagon": geo.regular_polygon(5),
+             "oval": geo.neumann_oval(0.3)}[name]
+    P = curve.perimeter
+    rng = np.random.default_rng(RNG_SEED + 9)
+    grid = rng.uniform(-P, 2 * P, (7, 24))
+    # vertices of the pentagon (and s = 0, P on every table) sit on the
+    # edge lookup's boundaries
+    grid[0, :6] = np.arange(6) * P / 5
+    xy = curve.point(grid)
+    assert xy.shape == (7, 24, 2)
+    ref = np.array([[curve.point(float(s)) for s in row] for row in grid])
+    assert curve.point(float(grid[0, 1])).shape == (2,)
+    if tol == 0.0:
+        assert np.array_equal(xy, ref)
+    else:
+        assert np.max(np.abs(xy - ref)) <= tol
+
+
 def test_polygon_chord_square():
     sq = geo.PolygonBoundary(np.array([[0, 0], [1, 0], [1, 1], [0, 1.0]]))
     # straight up from the bottom edge midpoint
