@@ -195,7 +195,8 @@ def _cmd_simulate(cfg):
 
     caustic = None
     if str(cfg.get("simulate", "caustic", "false")).lower() == "true":
-        radius = curve.params.get("radius")
+        # polygons, like ovals without a radius, get no caustic
+        radius = getattr(curve, "params", {}).get("radius")
         if radius is not None:
             rc = bil.caustic_radius(float(radius), theta0)
             caustic = (rc, "caustic r = %.4f" % rc)

@@ -9,6 +9,7 @@ the inward normal is i*tangent in complex form.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass, field
 
@@ -273,40 +274,58 @@ def ellipse(a, b, nodes=None):
     )
 
 
+class NeumannMap:
+    """Conformal map z = F(Z) = a Z / (1 - lam^2 Z^2) of the unit disk onto
+    the Neumann oval of area pi, with F', F'' and the inverse.
+
+    F, Fp and Fpp take scalars or arrays; inv takes one complex point.
+    """
+
+    def __init__(self, lam):
+        if not 0 <= lam < 1:
+            raise InvalidParameter("lam must lie in [0, 1)")
+        self.lam = float(lam)
+        self.a = (1.0 - self.lam ** 4) / math.sqrt(1.0 + self.lam ** 4)
+        self.l2 = self.lam * self.lam
+
+    def F(self, Z):
+        return self.a * Z / (1.0 - self.l2 * Z * Z)
+
+    def Fp(self, Z):
+        return self.a * (1.0 + self.l2 * Z * Z) / (1.0 - self.l2 * Z * Z) ** 2
+
+    def Fpp(self, Z):
+        return (2.0 * self.a * self.l2 * Z * (3.0 + self.l2 * Z * Z) /
+                (1.0 - self.l2 * Z * Z) ** 3)
+
+    def inv(self, z):
+        """F^-1(z), the branch with F^-1(z) ~ z / a; the root of
+        l2 z Z^2 + a Z - z = 0 written without cancellation at small z."""
+        return 2.0 * z / (self.a + cmath.sqrt(self.a * self.a +
+                                              4.0 * self.l2 * z * z))
+
+
 def neumann_oval(lam, nodes=4096):
     """Image of the unit circle under z = a*Z/(1 - lam^2 Z^2), area pi.
 
     Convex for small lam, pinched toward an hourglass as lam grows; the
     map degenerates at lam = 1.
     """
-    if not 0 <= lam < 1:
-        raise InvalidParameter("lam must lie in [0, 1)")
-    lam = float(lam)
-    a = (1.0 - lam ** 4) / math.sqrt(1.0 + lam ** 4)
-    l2 = lam * lam
-
-    def F(Z):
-        return a * Z / (1.0 - l2 * Z * Z)
-
-    def Fp(Z):
-        return a * (1.0 + l2 * Z * Z) / (1.0 - l2 * Z * Z) ** 2
-
-    def Fpp(Z):
-        return 2.0 * a * l2 * Z * (3.0 + l2 * Z * Z) / (1.0 - l2 * Z * Z) ** 3
+    m = NeumannMap(lam)
 
     def zf(t):
-        return F(np.exp(1j * np.asarray(t, dtype=float)))
+        return m.F(np.exp(1j * np.asarray(t, dtype=float)))
 
     def dzf(t):
         Z = np.exp(1j * np.asarray(t, dtype=float))
-        return Fp(Z) * 1j * Z
+        return m.Fp(Z) * 1j * Z
 
     def d2zf(t):
         Z = np.exp(1j * np.asarray(t, dtype=float))
-        return -(Fpp(Z) * Z * Z + Fp(Z) * Z)
+        return -(m.Fpp(Z) * Z * Z + m.Fp(Z) * Z)
 
     return BoundaryCurve("neumann_oval", zf, dzf, d2zf,
-                         params={"lam": lam, "a": a}, nodes=nodes)
+                         params={"lam": m.lam, "a": m.a}, nodes=nodes)
 
 
 def curve_from_points(xy, nodes=4096):

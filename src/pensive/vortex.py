@@ -65,18 +65,44 @@ class HalfPlane:
         return z.imag
 
     def greens(self, z, w):
-        return (math.log(abs(z - np.conj(w))) -
+        return (math.log(abs(z - w.conjugate())) -
                 math.log(abs(z - w))) / TWO_PI
 
     def grad_greens(self, z, w):
-        d, dbar = z - w, z - np.conj(w)
-        return (-d / abs(d) ** 2 + dbar / abs(dbar) ** 2) / TWO_PI
+        return (1.0 / (z - w.conjugate()).conjugate() -
+                1.0 / (z - w).conjugate()) / TWO_PI
 
     def robin(self, z):
         return math.log(2.0 * z.imag) / TWO_PI
 
     def grad_robin(self, z):
         return 1j / (TWO_PI * z.imag)
+
+    def _velocities(self, z, gamma):
+        """Kirchhoff velocities for lists of complex positions and float
+        circulations; each pair is visited once and feeds both ends."""
+        n = len(z)
+        acc = [0j] * n
+        for i in range(n):
+            zi, gi = z[i], gamma[i]
+            for j in range(i + 1, n):
+                p = 1.0 / (zi - z[j]).conjugate()
+                q = 1.0 / (zi - z[j].conjugate())
+                acc[i] += gamma[j] * (q.conjugate() - p)
+                acc[j] += gi * (p - q)
+        return [(0.5 * gamma[i] / z[i].imag - 1j * acc[i]) / TWO_PI
+                for i in range(n)]
+
+    def _energy(self, z, gamma):
+        n = len(z)
+        H = 0.0
+        for i in range(n):
+            zi, gi = z[i], gamma[i]
+            H += 0.5 * gi * gi * math.log(2.0 * zi.imag)
+            for j in range(i + 1, n):
+                H += gi * gamma[j] * (math.log(abs(zi - z[j].conjugate())) -
+                                      math.log(abs(zi - z[j])))
+        return H / TWO_PI
 
     def curve(self):
         raise Unsupported("the half-plane has no closed boundary curve")
@@ -85,27 +111,73 @@ class HalfPlane:
         return "HalfPlane()"
 
 
-def _disk_greens(R, z, w):
-    return -(math.log(R * abs(z - w)) -
-             math.log(abs(R * R - z * np.conj(w)))) / TWO_PI
+class _ConformalDomain:
+    """Image of the unit disk under a conformal map z = F(Z).
+
+    Green's and Robin functions pull back through f = F^-1 to the unit
+    disk; subclasses supply the pull-back of one point as
+    _pull(z) = (Z, conj f'(z), conj(f''(z) / f'(z))).
+    """
+
+    def greens(self, z, w):
+        Z, W = self._pull(z)[0], self._pull(w)[0]
+        return (math.log(abs(1.0 - Z * W.conjugate())) -
+                math.log(abs(Z - W))) / TWO_PI
+
+    def grad_greens(self, z, w):
+        (Z, c, _), W = self._pull(z), self._pull(w)[0]
+        return -c * (1.0 / (Z - W).conjugate() +
+                     W * (1.0 / (1.0 - Z * W.conjugate())).conjugate()
+                     ) / TWO_PI
+
+    def robin(self, z):
+        Z, c, _ = self._pull(z)
+        return (math.log(1.0 - abs(Z) ** 2) - math.log(abs(c))) / TWO_PI
+
+    def grad_robin(self, z):
+        Z, c, r = self._pull(z)
+        return -(2.0 * c * Z / (1.0 - abs(Z) ** 2) + r) / TWO_PI
+
+    def _velocities(self, z, gamma):
+        """Kirchhoff velocities for lists of complex positions and float
+        circulations: each vortex is pulled back once, then each pair is
+        visited once and feeds both ends."""
+        n = len(z)
+        pulled = [self._pull(zk) for zk in z]
+        Z = [pk[0] for pk in pulled]
+        acc = [0j] * n
+        for i in range(n):
+            Zi, gi = Z[i], gamma[i]
+            for j in range(i + 1, n):
+                p = 1.0 / (Zi - Z[j]).conjugate()
+                e = 1.0 / (1.0 - Zi * Z[j].conjugate())
+                acc[i] += gamma[j] * (p + Z[j] * e.conjugate())
+                acc[j] += gi * (Zi * e - p)
+        out = []
+        for i, (Zi, c, r) in enumerate(pulled):
+            gi = gamma[i]
+            out.append(1j * (c * (acc[i] + gi * Zi / (1.0 - abs(Zi) ** 2)) +
+                             0.5 * gi * r) / TWO_PI)
+        return out
+
+    def _energy(self, z, gamma):
+        n = len(z)
+        pulled = [self._pull(zk) for zk in z]
+        H = 0.0
+        for i in range(n):
+            Zi, c, _ = pulled[i]
+            gi = gamma[i]
+            H += 0.5 * gi * gi * (math.log(1.0 - abs(Zi) ** 2) -
+                                  math.log(abs(c)))
+            for j in range(i + 1, n):
+                Zj = pulled[j][0]
+                H += gi * gamma[j] * (math.log(abs(1.0 - Zi * Zj.conjugate()))
+                                      - math.log(abs(Zi - Zj)))
+        return H / TWO_PI
 
 
-def _disk_grad_greens(R, z, w):
-    d = z - w
-    return -(d / abs(d) ** 2 +
-             w / np.conj(R * R - z * np.conj(w))) / TWO_PI
-
-
-def _disk_robin(R, z):
-    return math.log((R * R - abs(z) ** 2) / R) / TWO_PI
-
-
-def _disk_grad_robin(R, z):
-    return -2.0 * z / (TWO_PI * (R * R - abs(z) ** 2))
-
-
-class DiskDomain:
-    """Disk of radius R centered at the origin."""
+class DiskDomain(_ConformalDomain):
+    """Disk of radius R centered at the origin: F(Z) = R Z."""
 
     name = "disk"
 
@@ -114,24 +186,23 @@ class DiskDomain:
             raise InvalidParameter("radius must be positive")
         self.radius = float(radius)
         self.scale = self.radius
+        self._c = 1.0 / self.radius
+
+    def _pull(self, z):
+        return z * self._c, self._c, 0.0
 
     def inside(self, z):
         return abs(z) < self.radius
 
     def boundary_distance(self, z):
-        return self.radius - abs(z)
+        # hypot agrees bit for bit with abs() of one complex point; numpy's
+        # abs of a complex array does not always
+        return self.radius - np.hypot(z.real, z.imag)
 
-    def greens(self, z, w):
-        return _disk_greens(self.radius, z, w)
-
-    def grad_greens(self, z, w):
-        return _disk_grad_greens(self.radius, z, w)
-
-    def robin(self, z):
-        return _disk_robin(self.radius, z)
-
-    def grad_robin(self, z):
-        return _disk_grad_robin(self.radius, z)
+    # bound on each domain class itself, where method-level tracing
+    # (bench/spans.py) looks them up
+    grad_greens = _ConformalDomain.grad_greens
+    grad_robin = _ConformalDomain.grad_robin
 
     def curve(self):
         return geo.disk(self.radius)
@@ -140,7 +211,7 @@ class DiskDomain:
         return "DiskDomain(%g)" % self.radius
 
 
-class NeumannOvalDomain:
+class NeumannOvalDomain(_ConformalDomain):
     """Image of the unit disk under F(Z) = a Z / (1 - lam^2 Z^2).
 
     The Green's function pulls back conformally; the Robin function
@@ -150,63 +221,29 @@ class NeumannOvalDomain:
     name = "neumann_oval"
 
     def __init__(self, lam):
-        if not 0 <= lam < 1:
-            raise InvalidParameter("lam must lie in [0, 1)")
-        self.lam = float(lam)
-        self.a = (1.0 - lam ** 4) / math.sqrt(1.0 + lam ** 4)
-        self._l2 = self.lam * self.lam
+        self.map = geo.NeumannMap(lam)
+        self.lam = self.map.lam
         t = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
-        self._nodes = self._fwd(np.exp(1j * t))
+        self._nodes = self.map.F(np.exp(1j * t))
         self.scale = float(np.abs(self._nodes).max())
 
-    def _fwd(self, Z):
-        return self.a * Z / (1.0 - self._l2 * Z * Z)
-
-    def _fwd_d1(self, Z):
-        return self.a * (1.0 + self._l2 * Z * Z) / (
-            1.0 - self._l2 * Z * Z) ** 2
-
-    def _fwd_d2(self, Z):
-        return 2.0 * self.a * self._l2 * Z * (3.0 + self._l2 * Z * Z) / (
-            1.0 - self._l2 * Z * Z) ** 3
-
-    def inv(self, z):
-        """Inverse map onto the unit disk, branch fixed by f(z) ~ z/a."""
-        if self._l2 == 0.0:
-            return z / self.a
-        if abs(z) < 1e-12 * self.a:
-            return z / self.a
-        root = np.sqrt(self.a * self.a + 4.0 * self._l2 * z * z)
-        return (-self.a + root) / (2.0 * self._l2 * z)
-
-    def inv_d1(self, z):
-        return 1.0 / self._fwd_d1(self.inv(z))
-
-    def inv_d2(self, z):
-        Z = self.inv(z)
-        return -self._fwd_d2(Z) / self._fwd_d1(Z) ** 3
+    def _pull(self, z):
+        m = self.map
+        Z = m.inv(z)
+        fp = m.Fp(Z)
+        return Z, (1.0 / fp).conjugate(), (-m.Fpp(Z) / (fp * fp)).conjugate()
 
     def inside(self, z):
-        return abs(self.inv(z)) < 1.0
+        return abs(self.map.inv(z)) < 1.0
 
     def boundary_distance(self, z):
-        return float(np.min(np.abs(self._nodes - z)))
+        """Distance to the nearest of 4096 boundary nodes; z may be one
+        point or an array of points."""
+        d = np.abs(self._nodes - np.asarray(z)[..., None]).min(axis=-1)
+        return float(d) if d.ndim == 0 else d
 
-    def greens(self, z, w):
-        return _disk_greens(1.0, self.inv(z), self.inv(w))
-
-    def grad_greens(self, z, w):
-        return np.conj(self.inv_d1(z)) * _disk_grad_greens(
-            1.0, self.inv(z), self.inv(w))
-
-    def robin(self, z):
-        fp = self.inv_d1(z)
-        return _disk_robin(1.0, self.inv(z)) - math.log(abs(fp)) / TWO_PI
-
-    def grad_robin(self, z):
-        fp = self.inv_d1(z)
-        return (np.conj(fp) * _disk_grad_robin(1.0, self.inv(z)) -
-                np.conj(self.inv_d2(z) / fp) / TWO_PI)
+    grad_greens = _ConformalDomain.grad_greens
+    grad_robin = _ConformalDomain.grad_robin
 
     def curve(self):
         return geo.neumann_oval(self.lam)
@@ -289,22 +326,11 @@ class VortexConfiguration:
         return len(self.z)
 
 
-def _velocities(domain, z, gamma):
-    n = len(z)
-    out = np.zeros(n, dtype=complex)
-    for i in range(n):
-        g = 0.5 * gamma[i] * domain.grad_robin(complex(z[i]))
-        for j in range(n):
-            if j != i:
-                g += gamma[j] * domain.grad_greens(complex(z[i]),
-                                                   complex(z[j]))
-        out[i] = -1j * g
-    return out
-
-
 def vortex_rhs(config):
     """Velocities dz_i/dt of the regularized vortex system."""
-    return _velocities(config.domain, config.z, config.gamma)
+    return np.array(config.domain._velocities(config.z.tolist(),
+                                              config.gamma.tolist()),
+                    dtype=complex)
 
 
 def hamiltonian(config_or_domain, z=None, gamma=None):
@@ -314,14 +340,8 @@ def hamiltonian(config_or_domain, z=None, gamma=None):
                             config_or_domain.gamma)
     else:
         domain = config_or_domain
-    n = len(z)
-    H = 0.0
-    for i in range(n):
-        H += 0.5 * gamma[i] ** 2 * domain.robin(complex(z[i]))
-        for j in range(i + 1, n):
-            H += gamma[i] * gamma[j] * domain.greens(complex(z[i]),
-                                                     complex(z[j]))
-    return H
+    return domain._energy(np.asarray(z, dtype=complex).tolist(),
+                          np.asarray(gamma, dtype=float).tolist())
 
 
 def momentum(config):
@@ -362,31 +382,26 @@ def integrate(config, T, tol=1e-8, rtol=1e-11, n_eval=600, events=None):
         raise InvalidParameter("need positive horizon and tolerance")
     domain = config.domain
     gamma = config.gamma.copy()
+    gl = gamma.tolist()
     n = config.n
     y0 = np.empty(2 * n)
     y0[0::2] = np.real(config.z)
     y0[1::2] = np.imag(config.z)
 
     def rhs(t, y):
-        z = y[0::2] + 1j * y[1::2]
-        v = _velocities(domain, z, gamma)
-        out = np.empty_like(y)
-        out[0::2] = np.real(v)
-        out[1::2] = np.imag(v)
-        return out
+        v = domain._velocities(
+            list(map(complex, y[0::2].tolist(), y[1::2].tolist())), gl)
+        return np.array(v, dtype=complex).view(float)
 
     def ev_boundary(t, y):
         z = y[0::2] + 1j * y[1::2]
-        return min(domain.boundary_distance(complex(zk))
-                   for zk in z) - GUARD_DISTANCE
+        return float(np.min(domain.boundary_distance(z))) - GUARD_DISTANCE
 
     def ev_collide(t, y):
-        z = y[0::2] + 1j * y[1::2]
-        best = math.inf
-        for i in range(n):
-            for j in range(i + 1, n):
-                best = min(best, abs(z[i] - z[j]))
-        return best - GUARD_DISTANCE
+        z = (y[0::2] + 1j * y[1::2]).tolist()
+        return min((abs(z[i] - z[j]) for i in range(n)
+                    for j in range(i + 1, n)),
+                   default=math.inf) - GUARD_DISTANCE
 
     ev_boundary.terminal = True
     ev_collide.terminal = True
@@ -412,7 +427,7 @@ def integrate(config, T, tol=1e-8, rtol=1e-11, n_eval=600, events=None):
             z_ev = y_ev[0::2] + 1j * y_ev[1::2]
             tt = np.append(tt, t_ev)
             zz = np.vstack([zz, z_ev[None, :]])
-        Hs = np.array([hamiltonian(domain, zk, gamma) for zk in zz])
+        Hs = np.array([hamiltonian(domain, zk, gl) for zk in zz.tolist()])
         mom = np.array([float(np.sum(gamma * np.imag(zk))) for zk in zz])
         drift = float(np.max(np.abs(Hs - H0)) / max(abs(H0), 1e-300))
         if drift <= tol:
@@ -490,14 +505,26 @@ class FissionOutcome:
     y_minus: float
 
 
+def _fission_heights(c):
+    """Heights sqrt(1 + c^2) -/+ c of the split monopoles per unit
+    separation, c the cosine of the incidence angle, and sqrt(1 + c^2);
+    their speeds are v times the heights."""
+    m = math.sqrt(1.0 + c * c)
+    return m - c, m + c, m
+
+
+def _in_silver_window(ratio):
+    """The open fusion window chi^-2 < ratio < chi^2."""
+    return CHI ** -2 < ratio < CHI ** 2
+
+
 def fission_outcome(v, theta):
     """Monopole speeds and heights for a dipole hitting at angle theta."""
     if not 0.0 < theta < math.pi:
         raise InvalidAngle("incidence angle must lie in (0, pi)")
-    c = math.cos(theta)
-    m = math.sqrt(1.0 + c * c)
-    return FissionOutcome(v_plus=v * (m - c), v_minus=v * (m + c),
-                          y_plus=m - c, y_minus=m + c)
+    y_plus, y_minus, _ = _fission_heights(math.cos(theta))
+    return FissionOutcome(v_plus=v * y_plus, v_minus=v * y_minus,
+                          y_plus=y_plus, y_minus=y_minus)
 
 
 @dataclass(frozen=True)
@@ -525,7 +552,7 @@ def fusion_outcome(y_plus, y_minus, gamma, x_plus=0.0, x_minus=0.0):
     if y_plus <= 0 or y_minus <= 0:
         raise InvalidParameter("heights must be positive")
     ratio = y_plus / y_minus
-    if not CHI ** -2 < ratio < CHI ** 2:
+    if not _in_silver_window(ratio):
         return Pass(ratio=ratio)
     num = (y_plus - y_minus) ** 2
     den = -y_plus ** 2 + 6.0 * y_plus * y_minus - y_minus ** 2
@@ -539,9 +566,8 @@ def vortex_delay_from_fission(theta, L):
     """Re-meeting displacement 2L v+ / (v+ + v-) of the split monopoles."""
     if not 0.0 < theta < math.pi:
         raise InvalidAngle("incidence angle must lie in (0, pi)")
-    c = math.cos(theta)
-    m = math.sqrt(1.0 + c * c)
-    return L * (m - c) / m
+    y_plus, _, m = _fission_heights(math.cos(theta))
+    return L * y_plus / m
 
 
 def pair_classification(mu, same_sign):
@@ -653,7 +679,7 @@ def dipole_billiard_limit_check(domain, x0, theta0, eps, detect_radius=None):
     if traj.t[-1] >= horizon:
         raise ReportIncomplete("bounce did not complete in the horizon")
     zf = traj.z[-1]
-    vel = _velocities(domain, zf, traj.gamma)
+    vel = domain._velocities(zf.tolist(), traj.gamma.tolist())
     v_c = 0.5 * (vel[0] + vel[1])
     d_out = v_c / abs(v_c)
     zc = 0.5 * (zf[0] + zf[1])
@@ -801,9 +827,9 @@ def multi_dipole_simulate(dipoles, domain_or_curve, T):
             segments.append(FlightSeg(f.t0, f.t1, f.s_from, f.s_to,
                                       f.theta, f.speed, f.dipole))
             c = f.p_land
-            m = math.sqrt(1.0 + c * c)
-            up = f.speed * (m - c)
-            um = f.speed * (m + c)
+            y_plus, y_minus, _ = _fission_heights(c)
+            up = f.speed * y_plus
+            um = f.speed * y_minus
             monos.append(_Mono(f.dipole, +1, f.s_to, t_now, +up))
             monos.append(_Mono(f.dipole, -1, f.s_to, t_now, -um))
             events.append(MDEvent(t_now, "fission", f.s_to,
@@ -840,7 +866,7 @@ def multi_dipole_simulate(dipoles, domain_or_curve, T):
             plus, minus = (mi, mj) if mi.sign > 0 else (mj, mi)
             u_p, u_m = abs(plus.u), abs(minus.u)
             ratio = u_m / u_p  # height(+)/height(-)
-            if not CHI ** -2 < ratio < CHI ** 2:
+            if not _in_silver_window(ratio):
                 events.append(MDEvent(t_now, "pass", s_meet, math.nan,
                                       (u_p, u_m),
                                       (plus.dipole, minus.dipole)))

@@ -78,6 +78,18 @@ class TestSimulate:
         assert (env_out / "trajectory.csv").exists()
         assert not out.exists()
 
+    def test_caustic_on_polygon_is_skipped(self, tmp_path):
+        out = tmp_path / "out"
+        text = SIM_INI.format(out=out).replace(
+            "kind = disk\nradius = 1.0", "kind = regular_polygon\nsides = 5")
+        assert "regular_polygon" in text
+        ini = write_ini(tmp_path / "poly.ini", text)
+        assert cli.main(["simulate", ini]) == 0
+        assert len(read_rows(out / "trajectory.csv")) == 42
+        doc = (out / "trajectory.svg").read_text()
+        assert doc.startswith("<svg")
+        assert 'id="caustic"' not in doc
+
 
 class TestConfigErrors:
     def test_unknown_key_named(self, tmp_path, capsys):

@@ -118,7 +118,7 @@ def test_oval_robin_defining_limit():
         rich = 2.0 * v(d0 / 2) - v(d0)
         assert abs(vx.robin(ov, z0) - rich) < 1e-8
     # boundary decay of G through the conformal map
-    zb = ov._fwd(np.exp(0.3j)) * (1.0 - 1e-7)
+    zb = ov.map.F(np.exp(0.3j)) * (1.0 - 1e-7)
     assert abs(ov.greens(complex(zb), 0.1 + 0.05j)) < 1e-5
 
 
@@ -168,6 +168,57 @@ def test_free_dipole_translation():
     cd = vx.DipoleCoordinates.from_positions(zd[0], zd[1], gd[0])
     assert cd.theta == pytest.approx(math.pi / 2, abs=1e-12)
     assert cd.mu == pytest.approx(0.0, abs=1e-15)
+
+
+def _random_config(dom, n, rng):
+    z = []
+    while len(z) < n:
+        w = complex(*rng.uniform(-0.9, 0.9, 2)) * dom.scale
+        if dom.name == "half_plane":
+            w = complex(w.real, abs(w.imag) + 0.05)
+        if dom.inside(w) and dom.boundary_distance(w) > 0.02 and \
+                all(abs(w - u) > 0.02 for u in z):
+            z.append(w)
+    gamma = rng.choice([-1.0, 1.0], n) * rng.uniform(0.3, 2.0, n)
+    return vx.VortexConfiguration(np.array(z), gamma, dom)
+
+
+@pytest.mark.parametrize("dom", [vx.HalfPlane(), vx.DiskDomain(1.3),
+                                 vx.NeumannOvalDomain(0.3)],
+                         ids=lambda d: d.name)
+def test_rhs_and_hamiltonian_match_pairwise_kernels(dom):
+    # the one-pass pair sums against the public per-pair kernels; the
+    # tolerance is relative to the sum of the terms' magnitudes
+    rng = np.random.default_rng(20240823)
+    for n in (1, 2, 3, 8):
+        for _ in range(5):
+            cfg = _random_config(dom, n, rng)
+            z, g = [complex(zk) for zk in cfg.z], cfg.gamma
+            v = vx.vortex_rhs(cfg)
+            for i in range(n):
+                terms = [0.5 * g[i] * vx.grad_robin(dom, z[i])]
+                terms += [g[j] * vx.grad_greens(dom, z[i], z[j])
+                          for j in range(n) if j != i]
+                ref = -1j * sum(terms)
+                assert abs(v[i] - ref) <= 1e-12 * sum(map(abs, terms))
+            terms = [0.5 * g[i] ** 2 * vx.robin(dom, z[i])
+                     for i in range(n)]
+            terms += [g[i] * g[j] * vx.greens(dom, z[i], z[j])
+                      for i in range(n) for j in range(i + 1, n)]
+            H = vx.hamiltonian(cfg)
+            assert abs(H - sum(terms)) <= 1e-12 * sum(map(abs, terms))
+            assert vx.hamiltonian(dom, cfg.z, g) == H
+
+
+@pytest.mark.parametrize("dom", [vx.HalfPlane(), vx.DiskDomain(1.3),
+                                 vx.NeumannOvalDomain(0.3)],
+                         ids=lambda d: d.name)
+def test_boundary_distance_array_matches_scalar(dom):
+    cfg = _random_config(dom, 12, np.random.default_rng(20240824))
+    d = dom.boundary_distance(cfg.z)
+    assert d.shape == (12,)
+    assert np.array_equal(d, [dom.boundary_distance(complex(zk))
+                              for zk in cfg.z])
 
 
 def test_corotation_period():
