@@ -37,6 +37,10 @@ CORNER_TOL = 1e-9
 
 _GL_X, _GL_W = leggauss(12)
 
+# cells of the convex chord scan, and their ends as window fractions
+_SCAN_CELLS = 64
+_SCAN = np.linspace(0.0, 1.0, _SCAN_CELLS + 1)
+
 
 def _wrap(t):
     return np.mod(t, TWO_PI)
@@ -90,15 +94,27 @@ class BoundaryCurve:
         self._kmin = float(kap.min())
         self._kmax = float(kap.max())
         self.is_convex = self._kmin > 1e-12
-        # signed area by the periodic trapezoid rule (spectral accuracy)
         z = self._z_nodes
-        dz = self._dzf(t)
+        dz = self._dz_nodes = self._dzf(t)
+        # per scan cell: the tangent's largest turning rate (per unit of
+        # parameter) at the nodes of the cell and of its two neighbours
+        cell = np.maximum.reduceat(np.abs(kap * dz),
+                                   np.arange(_SCAN_CELLS) * m // _SCAN_CELLS)
+        self._turn_near = np.maximum(cell, np.maximum(np.roll(cell, 1),
+                                                      np.roll(cell, -1)))
+        self._zmax = float(np.abs(z).max())
+        # signed area by the periodic trapezoid rule (spectral accuracy)
         self.area = float(0.5 * np.mean(np.imag(np.conj(z) * dz)) * TWO_PI)
 
     # -- parameter-space evaluation ------------------------------------
 
     def zpoint_t(self, t):
         return self._zf(_wrap(np.asarray(t, dtype=float)))
+
+    def _zdiff(self, t, t0):
+        """z(t) - z(t0); factories that can write it without cancellation
+        set their own on the instance."""
+        return self.zpoint_t(t) - self.zpoint_t(t0)
 
     def speed_t(self, t):
         return np.abs(self._dzf(_wrap(np.asarray(t, dtype=float))))
@@ -238,7 +254,7 @@ def disk(radius=1.0):
     if radius <= 0:
         raise InvalidParameter("radius must be positive")
     r = float(radius)
-    return BoundaryCurve(
+    return _with_half_angle_diff(BoundaryCurve(
         "disk",
         lambda t: r * np.exp(1j * t),
         lambda t: 1j * r * np.exp(1j * t),
@@ -246,7 +262,16 @@ def disk(radius=1.0):
         params={"radius": r},
         nodes=1024,
         arclen_exact=lambda t: r * np.asarray(t, dtype=float),
-    )
+    ))
+
+
+def _with_half_angle_diff(curve):
+    """Give a curve made of cos t and sin t terms (disk, ellipse) its
+    exact chord vector z(t) - z(t0) = 2 sin((t - t0)/2) z'((t + t0)/2)."""
+    dzf = curve._dzf
+    curve._zdiff = lambda t, t0: (2.0 * np.sin(0.5 * (t - t0)) *
+                                  dzf(0.5 * (t + t0)))
+    return curve
 
 
 def ellipse(a, b, nodes=None):
@@ -263,7 +288,7 @@ def ellipse(a, b, nodes=None):
     aspect = max(a / b, b / a)
     if nodes is None:
         nodes = int(min(2 ** 18, max(2048, 64 * aspect)))
-    return BoundaryCurve(
+    return _with_half_angle_diff(BoundaryCurve(
         "ellipse",
         lambda t: a * np.cos(t) + 1j * b * np.sin(t),
         lambda t: -a * np.sin(t) + 1j * b * np.cos(t),
@@ -271,7 +296,7 @@ def ellipse(a, b, nodes=None):
         params={"a": a, "b": b},
         nodes=nodes,
         arclen_exact=arclen,
-    )
+    ))
 
 
 class NeumannMap:
@@ -410,12 +435,61 @@ def _check_angle(theta):
     return theta
 
 
-def _chord_seed_gap(curve, t0, theta):
-    """A parameter offset certainly before the chord endpoint."""
-    sp = float(curve.speed_t(t0))
-    kap = max(abs(float(curve.curvature_t(t0))), 1e-12)
-    est = 2.0 * math.sin(min(theta, math.pi - theta)) / (kap * sp)
-    return min(1e-4, 1e-3 * est)
+def _chord_residual(curve, t, t0, cd):
+    """Signed offset of z(t) from the ray leaving z(t0) along conj(cd):
+    negative before the landing parameter, positive after it."""
+    return np.imag(cd * curve._zdiff(t, t0))
+
+
+def _window(curve, t0, theta):
+    """Open parameter window (lo, hi) holding every boundary crossing of
+    the chord leaving t0 at angle theta, except t0 itself.
+
+    The chord from z(t0) to z(t) points along the mean tangent over
+    [t0, t], so it cannot reach angle theta before the tangent has
+    turned by theta; going back from t0 + 2 pi, by pi - theta. With w
+    bounding the turning rate within one scan cell h of t0, no crossing
+    lies within min(h, theta / w) after t0 or min(h, (pi - theta) / w)
+    before t0 + 2 pi: one rule at either grazing end, and the residual
+    of a convex oval is negative at lo and positive at hi.
+    """
+    h = TWO_PI / _SCAN_CELLS
+    w = 2.0 * curve._turn_near[(t0 // h).astype(int) % _SCAN_CELLS]
+    return (t0 + np.minimum(h, theta / w),
+            t0 + TWO_PI - np.minimum(h, (np.pi - theta) / w))
+
+
+def _require_resolved(curve, f_ends):
+    """Raise InvalidAngle unless the residuals at the window ends stand
+    clear of roundoff, so no cell next to them shows a false crossing."""
+    if np.abs(f_ends).min() <= 1e-14 * curve._zmax:
+        raise InvalidAngle("chord too close to tangency to resolve")
+
+
+def _convex_bracket(curve, t0, cd, theta):
+    """Per row, the scan cell [lo, hi] of the window that holds the
+    landing parameter on a convex oval, with the residuals at its ends."""
+    lo, hi = _window(curve, t0, theta)
+    grid = lo[:, None] + np.outer(hi - lo, _SCAN)
+    f = _chord_residual(curve, grid, t0[:, None], cd[:, None])
+    _require_resolved(curve, f[:, [0, -1]])
+    j = np.argmax(f > 0.0, axis=1)
+    rows = np.arange(len(t0))
+    return grid[rows, j - 1], grid[rows, j], f[rows, j - 1], f[rows, j]
+
+
+def _launch(curve, s, theta):
+    """Launch parameters t0 and conj of the ray directions."""
+    t0 = curve.t_of_s(s)
+    return t0, np.conj(curve.tangent_t(t0) * np.exp(1j * theta))
+
+
+def _landing(curve, t, t0, cd):
+    """(s2, theta2, length) of chords from t0 landing at parameters t."""
+    q = curve.tangent_t(t) * cd
+    s2 = np.mod(curve.arclen_t(_wrap(t)), curve.perimeter)
+    return (s2, np.arctan2(np.abs(q.imag), q.real),
+            np.abs(curve._zdiff(t, t0)))
 
 
 def chord(curve, s, theta):
@@ -426,141 +500,87 @@ def chord(curve, s, theta):
     """
     if isinstance(curve, PolygonBoundary):
         return _chord_polygon(curve, s, theta)
-    theta = float(_check_angle(theta))
-    t0 = float(curve.t_of_s(s))
-    z0 = complex(curve.zpoint_t(t0))
-    dhat = complex(curve.tangent_t(t0)) * np.exp(1j * theta)
-    cd = np.conj(dhat)
-
-    def f(t):
-        return np.imag(cd * (curve.zpoint_t(t) - z0))
-
+    theta = _check_angle(np.float64(theta))
+    t0, cd = _launch(curve, s, theta)
     if curve.is_convex:
-        n_scan = 256
-        off = np.linspace(0.0, TWO_PI, n_scan + 1)[1:]
-        vals = f(t0 + off)
-        pos = np.nonzero(vals > 0.0)[0]
-        if len(pos) == 0:
-            # endpoint sits inside the last scan cell (very short chord on
-            # the clockwise side); probe it at geometrically shrinking gaps
-            lo = t0 + off[-2]
-            hi = None
-            u = TWO_PI / n_scan
-            for _ in range(60):
-                u *= 0.5
-                if f(t0 + TWO_PI - u) > 0.0:
-                    hi = t0 + TWO_PI - u
-                    break
-            if hi is None:
-                raise InvalidAngle("no chord endpoint found; ray left the oval")
-        else:
-            j = int(pos[0])
-            lo = t0 + (off[j - 1] if j > 0
-                       else _chord_seed_gap(curve, t0, theta))
-            hi = t0 + off[j]
-        tstar = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+        lo, hi, _, _ = _convex_bracket(curve, *np.atleast_1d(t0, cd, theta))
+        tstar = brentq(lambda t: _chord_residual(curve, t, t0, cd),
+                       lo[0], hi[0], xtol=1e-15, rtol=8.9e-16)
     else:
-        tstar = _first_hit_polyline(curve, t0, z0, dhat, f)
-    zs = complex(curve.zpoint_t(tstar))
-    tau2 = complex(curve.tangent_t(tstar))
-    c2 = float(np.clip(np.real(np.conj(tau2) * dhat), -1.0, 1.0))
-    s2 = float(curve.arclen_t(_wrap(tstar))) % curve.perimeter
-    return s2, math.acos(c2), abs(zs - z0)
+        tstar = _ray_hit(curve, curve.zpoint_t(t0), np.conj(cd),
+                         _window(curve, t0, theta))
+    return tuple(float(x) for x in _landing(curve, tstar, t0, cd))
 
 
-def _first_hit_polyline(curve, t0, z0, dhat, f):
-    """First positive ray-polyline intersection, then a local polish."""
-    z = curve._z_nodes
-    zn = np.roll(z, -1)
-    a = z - z0
-    b = zn - z0
+def _ray_hit(curve, z, dhat, window=None):
+    """Parameter where the ray z + u * dhat, u > 0, first meets the curve.
+
+    Walks the polyline through the curve's nodes; for a chord, through
+    the nodes inside its window (lo, hi) from :func:`_window`, joined to
+    the window ends. In each cell where the curve turns parallel to the
+    ray, the point of tangency joins the polyline, so that no pair of
+    crossings hides in one cell. The crossing nearest along the ray is
+    polished in its cell.
+    """
+    h, m = curve._h, curve._M
+    k = (np.arange(m + 1) if window is None else
+         np.arange(math.floor(window[0] / h) + 1, math.ceil(window[1] / h)))
+    t, zt, dzt = k * h, curve._z_nodes[k % m], curve._dz_nodes[k % m]
+    if window is not None:
+        lo, hi = window
+        t = np.r_[lo, t, hi]
+        zt = np.r_[curve.zpoint_t(lo), zt, curve.zpoint_t(hi)]
+        dzt = np.r_[curve._dzf(lo), dzt, curve._dzf(hi)]
     cd = np.conj(dhat)
-    fa = np.imag(cd * a)
-    fb = np.imag(cd * b)
-    cross = (fa <= 0.0) != (fb <= 0.0)
-    if not np.any(cross):
-        raise InvalidAngle("ray does not meet the boundary again")
-    w = fa[cross] / (fa[cross] - fb[cross])
-    hit = a[cross] * (1 - w) + b[cross] * w
-    u = np.real(np.conj(dhat) * hit)
-    idx_all = np.nonzero(cross)[0]
-    scale = float(np.abs(z).max())
-    ok = u > 1e-9 * scale
-    # drop the trivial intersection at the launch point
-    gap = np.abs(wrap_to_half(curve._t_nodes[idx_all] - t0, TWO_PI))
-    ok &= (gap > 1.5 * curve._h) | (u > 1e-3 * scale)
-    if not np.any(ok):
-        raise InvalidAngle("ray does not re-enter the region")
-    k = int(idx_all[ok][np.argmin(u[ok])])
-    lo = curve._t_nodes[k]
-    hi = lo + curve._h
-    if f(lo) == 0.0:
-        return lo
-    if f(lo) * f(hi) > 0:
-        lo -= curve._h
-    return brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+    g = np.imag(cd * dzt)
+    c = np.nonzero((g[:-1] <= 0.0) != (g[1:] <= 0.0))[0]
+    tc = t[c] + (t[c + 1] - t[c]) * g[c] / (g[c] - g[c + 1])
+    t = np.insert(t, c + 1, tc)
+    v = cd * (np.insert(zt, c + 1, curve.zpoint_t(tc)) - z)
+    if window is not None:
+        _require_resolved(curve, v.imag[[0, -1]])
+    fa, fb = v.imag[:-1], v.imag[1:]
+    cell = np.nonzero((fa <= 0.0) != (fb <= 0.0))[0]
+    w = fa[cell] / (fa[cell] - fb[cell])
+    u = v.real[cell] * (1.0 - w) + v.real[cell + 1] * w
+    if not np.any(u > 0.0):
+        raise InvalidAngle("ray does not meet the boundary")
+    k = cell[u > 0.0][np.argmin(u[u > 0.0])]
+    return brentq(lambda x: np.imag(cd * (curve.zpoint_t([x]) - z))[0],
+                  t[k], t[k + 1], xtol=1e-15, rtol=8.9e-16)
 
 
 def chord_batch(curve, s, theta):
-    """Vectorized chord for convex smooth ovals.
+    """Vectorized chord: (s2, theta2, length) arrays.
 
-    Returns (s2, theta2, length) arrays. Scan plus bisection plus a few
-    Newton steps; accuracy near 1e-12 in the curve parameter.
+    On convex ovals the rows share the bracket of :func:`chord` and are
+    polished together by a safeguarded Newton iteration; other tables go
+    through :func:`chord` row by row.
     """
     if isinstance(curve, PolygonBoundary) or not curve.is_convex:
-        out = [chord(curve, float(si), float(thi))
-               for si, thi in zip(np.ravel(s), np.ravel(theta))]
-        arr = np.array(out, dtype=float)
-        return arr[:, 0], arr[:, 1], arr[:, 2]
+        return tuple(np.array([chord(curve, float(si), float(thi)) for si, thi
+                               in zip(np.ravel(s), np.ravel(theta))]).T)
     theta = _check_angle(np.asarray(theta, dtype=float)).ravel()
-    s = np.asarray(s, dtype=float).ravel()
-    t0 = curve.t_of_s(s)
-    z0 = curve.zpoint_t(t0)
-    dhat = curve.tangent_t(t0) * np.exp(1j * theta)
-    cd = np.conj(dhat)
-
-    n_scan = 256
-    off = np.linspace(0.0, TWO_PI, n_scan + 1)[1:]
-    fv = np.imag(cd[:, None] * (curve.zpoint_t(t0[:, None] + off[None, :])
-                                - z0[:, None]))
-    pos = fv > 0.0
-    j = np.argmax(pos, axis=1)
-    bad = ~pos[np.arange(len(s)), j]
-    if np.any(bad):
-        # rows the coarse scan misses get the scalar treatment
-        s2b = np.empty(len(s))
-        t2b = np.empty(len(s))
-        lnb = np.empty(len(s))
-        good = ~bad
-        if np.any(good):
-            g2, gt, gl = chord_batch(curve, s[good], theta[good])
-            s2b[good], t2b[good], lnb[good] = g2, gt, gl
-        for i in np.nonzero(bad)[0]:
-            s2b[i], t2b[i], lnb[i] = chord(curve, float(s[i]), float(theta[i]))
-        return s2b, t2b, lnb
-    sp = curve.speed_t(t0)
-    kap = np.maximum(np.abs(curve.curvature_t(t0)), 1e-12)
-    seed = np.minimum(1e-4, 2e-3 * np.sin(np.minimum(theta, np.pi - theta))
-                      / (kap * sp))
-    lo = t0 + np.where(j > 0, off[np.maximum(j - 1, 0)], seed)
-    hi = t0 + off[j]
-    for _ in range(52):
-        mid = 0.5 * (lo + hi)
-        fm = np.imag(cd * (curve.zpoint_t(mid) - z0))
-        neg = fm < 0.0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
-    t = 0.5 * (lo + hi)
-    for _ in range(2):
-        ft = np.imag(cd * (curve.zpoint_t(t) - z0))
-        dft = np.imag(cd * curve._dzf(_wrap(t)))
-        step = np.where(np.abs(dft) > 1e-300, ft / dft, 0.0)
-        t = np.clip(t - step, lo - curve._h, hi + curve._h)
-    zs = curve.zpoint_t(t)
-    tau2 = curve.tangent_t(t)
-    c2 = np.clip(np.real(np.conj(tau2) * dhat), -1.0, 1.0)
-    s2 = np.mod(curve.arclen_t(_wrap(t)), curve.perimeter)
-    return s2, np.arccos(c2), np.abs(zs - z0)
+    t0, cd = _launch(curve, np.asarray(s, dtype=float).ravel(), theta)
+    lo, hi, flo, fhi = _convex_bracket(curve, t0, cd, theta)
+    # start from the osculating circle's landing point 2 sin(theta) / kappa
+    # where it falls in the cell (the grazing ends), else by regula falsi
+    u = 2.0 * np.sin(theta) / (curve.curvature_t(t0) * curve.speed_t(t0))
+    t = np.where(theta < 0.5 * np.pi, t0 + u, t0 + TWO_PI - u)
+    t = np.where((t > lo) & (t < hi), t, lo - flo * (hi - lo) / (fhi - flo))
+    # rows stop after their first step under 1e-13: no row sees the others
+    live = np.ones(len(t), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(64):
+            ft = _chord_residual(curve, t, t0, cd)
+            lo = np.where(ft < 0.0, t, lo)
+            hi = np.where(ft > 0.0, t, hi)
+            tn = t - ft / np.imag(cd * curve._dzf(t))
+            tn = np.where((tn >= lo) & (tn <= hi), tn, 0.5 * (lo + hi))
+            t, live = np.where(live, tn, t), live & (np.abs(tn - t) > 1e-13)
+            if not live.any():
+                break
+    return _landing(curve, t, t0, cd)
 
 
 def _chord_polygon(poly, s, theta):

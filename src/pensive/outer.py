@@ -310,14 +310,7 @@ def spherical_cap(psi):
 
 def sphere_swept_area(sigma, s1, s2, theta):
     """Area swept by a tangent segment of angular length theta."""
-
-    def w(u):
-        g = sigma.point(u)
-        dg = sigma.deriv(u)
-        d2g = sigma.deriv2(u)
-        return abs(d2g @ np.cross(g, dg)) / (dg @ dg)
-
-    val, _ = quad(w, s1, s2, limit=400)
+    val, _ = quad(_sweep_weight(sigma), s1, s2, limit=400)
     return (1.0 - math.cos(theta)) * val
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.integrate import solve_ivp
-from scipy.optimize import brentq
 
 from . import delay as delay_mod
 from . import geometry as geo
@@ -175,6 +174,14 @@ class _ConformalDomain:
                                       - math.log(abs(Zi - Zj)))
         return H / TWO_PI
 
+    _curve = None
+
+    def curve(self):
+        """The boundary as a BoundaryCurve, built on the first call."""
+        if self._curve is None:
+            self._curve = self._make_curve()
+        return self._curve
+
 
 class DiskDomain(_ConformalDomain):
     """Disk of radius R centered at the origin: F(Z) = R Z."""
@@ -204,7 +211,7 @@ class DiskDomain(_ConformalDomain):
     grad_greens = _ConformalDomain.grad_greens
     grad_robin = _ConformalDomain.grad_robin
 
-    def curve(self):
+    def _make_curve(self):
         return geo.disk(self.radius)
 
     def __repr__(self):
@@ -245,7 +252,7 @@ class NeumannOvalDomain(_ConformalDomain):
     grad_greens = _ConformalDomain.grad_greens
     grad_robin = _ConformalDomain.grad_robin
 
-    def curve(self):
+    def _make_curve(self):
         return geo.neumann_oval(self.lam)
 
     def __repr__(self):
@@ -587,40 +594,6 @@ def pair_classification(mu, same_sign):
 # -- the zero-separation limit against the ODE -----------------------------
 
 
-def _ray_to_boundary(curve, z, direction):
-    """First boundary hit of the ray z + u * direction, u > 0."""
-    t = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
-    nodes = curve.zpoint_t(t)
-    cd = np.conj(direction)
-    f = np.imag(cd * (nodes - z))
-    fn = np.roll(f, -1)
-    cross = (f <= 0.0) != (fn <= 0.0)
-    if not np.any(cross):
-        raise InvalidPoint("ray misses the boundary")
-    best_u, best_t = math.inf, None
-    idx = np.nonzero(cross)[0]
-    dt = t[1] - t[0]
-    for k in idx:
-        w = f[k] / (f[k] - fn[k])
-        hit = nodes[k] * (1 - w) + nodes[(k + 1) % len(t)] * w
-        u = np.real(cd * (hit - z))
-        if 1e-12 < u < best_u:
-            best_u, best_t = u, t[k] + w * dt
-    if best_t is None:
-        raise InvalidPoint("ray does not leave the domain")
-
-    def g(tv):
-        return np.imag(cd * (curve.zpoint_t(tv) - z))
-
-    lo, hi = best_t - dt, best_t + dt
-    if g(lo) * g(hi) < 0:
-        tstar = brentq(g, lo, hi, xtol=1e-15)
-    else:
-        tstar = best_t
-    s = float(curve.arclen_t(tstar % TWO_PI)) % curve.perimeter
-    return s, complex(curve.zpoint_t(tstar))
-
-
 @dataclass(frozen=True)
 class LimitCheckReport:
     """One ODE bounce compared against one step of the limit map."""
@@ -683,8 +656,9 @@ def dipole_billiard_limit_check(domain, x0, theta0, eps, detect_radius=None):
     v_c = 0.5 * (vel[0] + vel[1])
     d_out = v_c / abs(v_c)
     zc = 0.5 * (zf[0] + zf[1])
-    s_ode, z_hit = _ray_to_boundary(curve, zc, -d_out)
-    tau = complex(curve.tangent_t(float(curve.t_of_s(s_ode))))
+    t_hit = geo._ray_hit(curve, zc, -d_out)
+    s_ode = float(curve.arclen_t(t_hit % TWO_PI)) % P
+    tau = complex(curve.tangent_t(t_hit))
     theta_ode = math.acos(max(-1.0, min(1.0,
                                         (np.conj(tau) * d_out).real)))
     ds = abs(geo.wrap_to_half(s_ode - model.s, P))

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pensive import geometry as geo
 from pensive.errors import (
@@ -16,16 +18,15 @@ from pensive.errors import (
     CornerUndefined,
     InvalidAngle,
     InvalidParameter,
+    PensiveError,
 )
 
 RNG_SEED = 20240817
 
 
-def polyline_chord_oracle(curve, s, theta, n=200_000):
-    """First ray-polyline hit on a dense polygonization of the curve."""
-    t0 = float(curve.t_of_s(s))
-    z0 = complex(curve.zpoint_t(t0))
-    dhat = complex(curve.tangent_t(t0)) * np.exp(1j * theta)
+def polyline_ray_oracle(curve, z0, dhat, skip=0.0, n=200_000):
+    """Nearest hit of the ray z0 + u * dhat on a dense polygonization of
+    the curve, ignoring hits with u up to skip times the curve's size."""
     t = np.linspace(0, 2 * np.pi, n, endpoint=False)
     z = curve.zpoint_t(t)
     a, b = z - z0, np.roll(z, -1) - z0
@@ -36,9 +37,17 @@ def polyline_chord_oracle(curve, s, theta, n=200_000):
     hit = a[cross] * (1 - w) + b[cross] * w
     u = np.real(np.conj(dhat) * hit)
     scale = np.abs(z).max()
-    u = u[u > 1e-6 * scale]
+    u = u[u > skip * scale]
     k = np.argmin(u)
     return z0 + u[k] * dhat, float(u[k])
+
+
+def polyline_chord_oracle(curve, s, theta, n=200_000):
+    """First ray-polyline hit on a dense polygonization of the curve."""
+    t0 = float(curve.t_of_s(s))
+    z0 = complex(curve.zpoint_t(t0))
+    dhat = complex(curve.tangent_t(t0)) * np.exp(1j * theta)
+    return polyline_ray_oracle(curve, z0, dhat, 1e-6, n)
 
 
 def shoelace_area(curve, n=400_000):
@@ -180,6 +189,21 @@ def test_chord_on_nonconvex_oval_first_hit():
         assert d == pytest.approx(u, abs=1e-7)
 
 
+@pytest.mark.parametrize("s, th", [(1.70139, math.pi - 1e-4),
+                                   (5.34525, 1e-4), (5.34525, math.pi - 1e-4),
+                                   (1.86653, 1e-4), (1.86653, math.pi - 1e-4)])
+def test_nonconvex_reversal_through_grazing_landing(s, th):
+    # grazing launches from concave points land steeply far away; the
+    # reversed chord passes the launch point at grazing incidence, where
+    # the line meets the boundary twice within one node cell
+    c = geo.neumann_oval(0.7)
+    assert c.curvature(s) < 0.0
+    s2, th2, d = geo.chord(c, s, th)
+    assert d == pytest.approx(polyline_chord_oracle(c, s, th)[1], abs=1e-7)
+    s3, _, _ = geo.chord(c, s2, math.pi - th2)
+    assert abs(geo.wrap_to_half(s3 - s, c.perimeter)) <= 1e-9
+
+
 def test_chord_reversibility(curves):
     # shooting back from the landing point retraces the chord
     rng = np.random.default_rng(RNG_SEED + 3)
@@ -208,11 +232,103 @@ def test_chord_batch_matches_scalar(curves):
             assert db[i] == pytest.approx(d, abs=1e-9)
 
 
+def test_chord_batch_rows_do_not_depend_on_each_other(curves):
+    # grazing and interior rows side by side, against one-row batches
+    rng = np.random.default_rng(RNG_SEED + 7)
+    th = np.concatenate([[1e-5, 1e-3, math.pi - 1e-3, math.pi - 1e-5],
+                         rng.uniform(0.02, math.pi - 0.02, 12)])
+    for name, c in curves.items():
+        s = rng.uniform(0, c.perimeter, len(th))
+        rows = np.array(geo.chord_batch(c, s, th))
+        one = np.array([geo.chord_batch(c, s[i:i + 1], th[i:i + 1])
+                        for i in range(len(th))])[:, :, 0].T
+        assert np.array_equal(rows, one), name
+
+
 def test_chord_rejects_tangential_angles(curves):
     c = curves["disk"]
     for bad in (0.0, 1e-9, math.pi - 1e-9, math.pi):
         with pytest.raises(InvalidAngle):
             geo.chord(c, 0.0, bad)
+
+
+def test_backward_grazing_repro_has_its_length():
+    # the launch point itself once came back: a length of 2e-16
+    s2, th2, d = geo.chord(geo.ellipse(1.2, 1.0), 0.24284207837756880,
+                           3.1404232239339818)
+    assert d == pytest.approx(0.00202, rel=0.01)
+    assert th2 == pytest.approx(3.1404232239339818, abs=1e-4)
+
+
+@pytest.mark.parametrize("gap", [1e-2, 1e-4])
+def test_chord_batch_near_backward_grazing(gap):
+    c = geo.neumann_oval(0.3)
+    s = np.linspace(0.0, c.perimeter, 200, endpoint=False)
+    s2, th2, d = geo.chord_batch(c, s, np.full(len(s), math.pi - gap))
+    assert np.all(d > 0.0)
+    osc = 2.0 * math.sin(gap) / c.curvature(s)
+    assert np.allclose(d, osc, rtol=0.1)
+
+
+# tables of the chord property test: convex, thin, and non-convex
+PROPERTY_TABLES = {
+    "disk": geo.disk(1.0),
+    "ellipse": geo.ellipse(1.2, 1.0),
+    "thin_ellipse": geo.ellipse(20.0, 0.05),
+    "oval": geo.neumann_oval(0.3),
+    "nonconvex_oval": geo.neumann_oval(0.7),
+}
+
+# interior angles, and gaps of 1e-6 to 1e-2 from 0 and from pi
+LAUNCH_ANGLES = st.one_of(
+    st.floats(1e-2, math.pi - 1e-2),
+    st.floats(-6.0, -2.0).map(lambda e: 10.0 ** e),
+    st.floats(-6.0, -2.0).map(lambda e: math.pi - 10.0 ** e))
+
+
+@pytest.mark.parametrize("name", PROPERTY_TABLES)
+@given(frac=st.floats(0.0, 1.0, exclude_max=True), theta=LAUNCH_ANGLES)
+def test_chord_property(name, frac, theta):
+    c = PROPERTY_TABLES[name]
+    s = frac * c.perimeter
+    try:
+        s2, th2, d = geo.chord(c, s, theta)
+    except PensiveError:
+        with pytest.raises(PensiveError):
+            geo.chord_batch(c, [s], [theta])
+        return
+    assert d > 0.0
+    s2b, th2b, db = geo.chord_batch(c, [s], [theta])
+    assert abs(geo.wrap_to_half(s2b[0] - s2, c.perimeter)) <= 1e-9
+    assert th2b[0] == pytest.approx(th2, abs=1e-9)
+    assert db[0] == pytest.approx(d, abs=1e-9)
+    gap = min(theta, math.pi - theta)
+    # the osculating circle misses by up to 13x on the thin ellipse
+    if name in ("disk", "ellipse", "oval") and gap <= 1e-3:
+        assert d == pytest.approx(2.0 * math.sin(theta) / c.curvature(s),
+                                  rel=0.1)
+    # the reversed chord lands at the launch angle, so both landings stay
+    # clear of tangency. Its landing point moves by d / sin(gap) per
+    # radian of launch direction, and rounding s2 (or its parameter) to
+    # a float turns that direction by kappa(s2) per unit of arc: near the
+    # thin ellipse's tips this alone can exceed 1e-9
+    if min(th2, math.pi - th2) >= 1e-5 and gap >= 1e-5:
+        s3, th3, _ = geo.chord(c, s2, math.pi - th2)
+        ds2 = (np.spacing(c.perimeter) +
+               c.speed_t(c.t_of_s(s2)) * np.spacing(geo.TWO_PI))
+        slack = 4 * ds2 * abs(c.curvature(s2)) * d / math.sin(gap)
+        assert abs(geo.wrap_to_half(s3 - s, c.perimeter)) <= max(1e-9, slack)
+
+
+@pytest.mark.parametrize("name", ["disk2", "ellipse", "oval"])
+def test_ray_hit_from_interior_point(curves, name):
+    c = curves[name]
+    rng = np.random.default_rng(RNG_SEED + 8)
+    for _ in range(10):
+        z0 = complex(*rng.uniform(-0.3, 0.3, 2))
+        dhat = complex(np.exp(1j * rng.uniform(0, 2 * np.pi)))
+        hit = complex(c.zpoint_t(geo._ray_hit(c, z0, dhat)))
+        assert abs(hit - polyline_ray_oracle(c, z0, dhat)[0]) < 1e-8
 
 
 def test_thin_ellipse_chords_are_sane():

@@ -380,6 +380,13 @@ def test_pair_classification_table():
 # -- the zero-separation limit --------------------------------------------
 
 
+@pytest.mark.parametrize("dom", [vx.DiskDomain(1.3),
+                                 vx.NeumannOvalDomain(0.3)],
+                         ids=["disk", "neumann_oval"])
+def test_domain_curve_is_built_once(dom):
+    assert dom.curve() is dom.curve()
+
+
 def test_limit_check_disk():
     rep = vx.dipole_billiard_limit_check(vx.DiskDomain(1.0), 0.3,
                                          math.pi / 3, 0.01)
