@@ -51,6 +51,31 @@ def wrap_to_half(x, period):
     return (x + 0.5 * period) % period - 0.5 * period
 
 
+def _periodic_zeros(f, grid, vals, period):
+    """Zeros of the period-periodic scalar function f, each once.
+
+    grid is one period of ascending scan points and vals = f(grid). A
+    zero on a node is returned as that node; each cell whose ends change
+    sign is polished by brentq. Where the scalar f disagrees in sign with
+    the scan at one end of such a cell (vectorized and scalar evaluation,
+    or f at both ends of the period, can differ by an ulp), the zero lies
+    within rounding of that end, and the end is returned.
+    """
+    zeros = []
+    ends = zip(grid, np.append(grid[1:], grid[0] + period),
+               vals, np.roll(vals, -1))
+    for a, b, fa, fb in ends:
+        if fa == 0.0:
+            zeros.append(a)
+        elif fa * fb < 0.0:
+            sa, sb = f(a), f(b)
+            if sa * sb <= 0.0:
+                zeros.append(brentq(f, a, b, xtol=1e-15, rtol=8.9e-16))
+            else:
+                zeros.append(b if sa * fa > 0.0 else a)
+    return zeros
+
+
 class BoundaryCurve:
     """Closed smooth oval given by an analytic parametrization.
 
@@ -102,6 +127,11 @@ class BoundaryCurve:
                                    np.arange(_SCAN_CELLS) * m // _SCAN_CELLS)
         self._turn_near = np.maximum(cell, np.maximum(np.roll(cell, 1),
                                                       np.roll(cell, -1)))
+        # unwrapped tangent bearing at the nodes, closed by the full turn at
+        # t = 2 pi: each node's own angle plus a whole number of turns
+        a = np.angle(np.append(dz, dz[0]))
+        self._bearing_nodes = a - TWO_PI * np.concatenate(
+            [[0.0], np.cumsum(np.round(np.diff(a) / TWO_PI))])
         self._zmax = float(np.abs(z).max())
         # signed area by the periodic trapezoid rule (spectral accuracy)
         self.area = float(0.5 * np.mean(np.imag(np.conj(z) * dz)) * TWO_PI)

@@ -8,6 +8,7 @@ the bearing advances by theta(r) = 2 a(r) / r^2 and reflects through
 the new tangency, preserving the area form mu = r dr ^ dalpha.
 """
 
+import cmath
 import math
 from dataclasses import dataclass
 
@@ -53,6 +54,8 @@ def tangent_coordinates(curve, X, side="right"):
     the forward tangent ray); side="left" solves X = gamma(t) - r T(t).
     """
     geo._require_smooth(curve, "the outer map")
+    if not curve.is_convex:
+        raise Unsupported("the outer map needs a strictly convex table")
     if side not in ("right", "left"):
         raise InvalidParameter("side is 'right' or 'left'")
     X = _as_xy(X)
@@ -62,37 +65,22 @@ def tangent_coordinates(curve, X, side="right"):
     except InvalidPoint:
         raise NotExterior("point lies on the oval")
     zx = complex(X[0], X[1])
-    n_scan = 512
-    ts = np.linspace(0.0, TWO_PI, n_scan, endpoint=False)
-    zc = curve.zpoint_t(ts)
-    tau = curve.tangent_t(ts)
-    rel = zx - zc
-    cross = np.imag(np.conj(tau) * rel)
     sgn = 1.0 if side == "right" else -1.0
 
     def f(t):
-        taut = curve.zpoint_t(t)
-        return float(np.imag(np.conj(curve.tangent_t(t)) * (zx - taut)))
+        return np.imag(np.conj(curve.tangent_t(t)) * (zx - curve.zpoint_t(t)))
 
-    best = None
-    for k in range(n_scan):
-        k2 = (k + 1) % n_scan
-        if cross[k] == 0.0 or cross[k] * cross[k2] > 0.0:
-            continue
-        lo, hi = ts[k], ts[k] + TWO_PI / n_scan
-        if f(lo) * f(hi) > 0:
-            continue
-        tstar = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
-        tauh = complex(curve.tangent_t(tstar))
-        proj = float(np.real(np.conj(tauh) * (zx - curve.zpoint_t(tstar))))
-        if sgn * proj > 0:
-            best = (tstar % TWO_PI, sgn * proj, tauh)
-    if best is None:
+    ts = np.linspace(0.0, TWO_PI, 512, endpoint=False)
+    for tstar in geo._periodic_zeros(f, ts, f(ts), TWO_PI):
+        tau = complex(curve.tangent_t(tstar))
+        r = sgn * float(np.real(np.conj(tau) * (zx - curve.zpoint_t(tstar))))
+        if r > 0:
+            break
+    else:
         raise NotExterior("no tangent ray reaches the point")
-    tstar, r, tauh = best
-    alpha = math.atan2(tauh.imag, tauh.real) % TWO_PI
+    alpha = math.atan2(tau.imag, tau.real) % TWO_PI
     return OuterPoint(x=float(X[0]), y=float(X[1]), alpha=alpha, r=r,
-                      t=tstar, side=side)
+                      t=tstar % TWO_PI, side=side)
 
 
 def outer_step(curve, X, side="right"):
@@ -129,41 +117,37 @@ class OuterDelay:
         return cls(theta=lambda r: 0.0, label="zero")
 
 
-_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(48)
+def _bearing(curve, t):
+    """Unwrapped tangent bearing at parameter t: the bearing of the node
+    cell holding t plus the tangent's turn from that node, exact while the
+    tangent turns by less than pi inside one cell."""
+    bear = curve._bearing_nodes
+    p, k = divmod(math.floor(t / curve._h), curve._M)
+    return bear[k] + p * (bear[-1] - bear[0]) + cmath.phase(
+        complex(curve.tangent_t(t)) * curve._dz_nodes[k].conjugate())
 
 
 def _turn_integral(curve, t0, t1):
-    """Tangent turning between parameters, by panelled Gauss--Legendre."""
-    if t1 == t0:
-        return 0.0
-    n_panel = max(1, int(math.ceil(abs(t1 - t0) / (math.pi / 2))))
-    edges = np.linspace(t0, t1, n_panel + 1)
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        ts = 0.5 * (b - a) * _GL_NODES + 0.5 * (a + b)
-        vals = curve.curvature_t(ts) * curve.speed_t(ts)
-        total += 0.5 * (b - a) * float(_GL_WEIGHTS @ vals)
-    return total
+    """Tangent turning between parameters, the integral of kappa |gamma'|."""
+    return _bearing(curve, t1) - _bearing(curve, t0)
 
 
 def _advance_tangency(curve, t0, turn):
-    """Parameter at which the tangent bearing has advanced by `turn`."""
-    if turn == 0.0:
-        return t0
-    k_full = math.floor(turn / TWO_PI)
-    rem = turn - TWO_PI * k_full
+    """Parameter at which the tangent bearing has advanced by `turn`.
 
-    def w(t):
-        return float(curve.curvature_t(t) * curve.speed_t(t))
-
-    if rem < 1e-12:
-        dt = rem / w(t0)
-    else:
-        dt = brentq(lambda d: _turn_integral(curve, t0, t0 + d) - rem,
-                    0.0, TWO_PI, xtol=1e-13)
-        for _ in range(2):
-            dt -= (_turn_integral(curve, t0, t0 + dt) - rem) / w(t0 + dt)
-    return t0 + dt + TWO_PI * k_full
+    The target bearing falls in one node cell k of one period; brentq
+    solves for it over cells k - 1 to k + 1. The bearing increases on a
+    convex table, so the bracket's ends keep clear signs even when the
+    target sits on a node, within the rounding of the table.
+    """
+    bear = curve._bearing_nodes
+    p, rem = divmod(_bearing(curve, t0) + turn - bear[0], bear[-1] - bear[0])
+    k = min(int(np.searchsorted(bear, bear[0] + rem, side="right")) - 1,
+            curve._M - 1)
+    tk = curve._t_nodes[k]
+    u = brentq(lambda u: _bearing(curve, u) - bear[0] - rem,
+               tk - curve._h, tk + 2.0 * curve._h, xtol=1e-15, rtol=8.9e-16)
+    return u + TWO_PI * p
 
 
 def pensive_outer_step(curve, odelay, X):
@@ -224,14 +208,14 @@ class SphericalCurve:
         norms = np.linalg.norm(pts, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-10:
             raise InvalidParameter("curve does not lie on the unit sphere")
-        self._us = us
         self._pts = pts
-        sp = np.array([np.linalg.norm(self.deriv(u)) for u in us])
-        ds = np.concatenate([[0.0], np.cumsum(
-            0.5 * (sp[1:] + sp[:-1]) * np.diff(us))])
-        total = ds[-1] + 0.5 * (sp[-1] + sp[0]) * (TWO_PI - us[-1])
-        self._s_tab = ds
-        self.length = float(total)
+        self._dual = None
+        # arc length by the trapezoid rule, closed by the period end u = 2 pi
+        self._us = np.append(us, TWO_PI)
+        sp = np.array([np.linalg.norm(self.deriv(u)) for u in self._us])
+        self._s_tab = np.concatenate([[0.0], np.cumsum(
+            0.5 * (sp[1:] + sp[:-1]) * np.diff(self._us))])
+        self.length = float(self._s_tab[-1])
 
     def point(self, u):
         return np.asarray(self._fun(u), dtype=float)
@@ -275,20 +259,23 @@ class SphericalCurve:
         return v
 
     def dual(self):
-        """Curve of poles of the tangent great circles."""
+        """Curve of poles of the tangent great circles, built on the first
+        call."""
+        if self._dual is None:
 
-        def dfun(u):
-            g = self.point(u)
-            dg = self.deriv(u)
-            d2g = self.deriv2(u)
-            v = np.cross(g, dg)
-            vp = np.cross(g, d2g)
-            nv = np.linalg.norm(v)
-            return vp / nv - v * (v @ vp) / nv ** 3
+            def dfun(u):
+                g = self.point(u)
+                dg = self.deriv(u)
+                d2g = self.deriv2(u)
+                v = np.cross(g, dg)
+                vp = np.cross(g, d2g)
+                nv = np.linalg.norm(v)
+                return vp / nv - v * (v @ vp) / nv ** 3
 
-        return SphericalCurve(
-            lambda u: _unit(np.cross(self.point(u), self.deriv(u))),
-            dfun=dfun)
+            self._dual = SphericalCurve(
+                lambda u: _unit(np.cross(self.point(u), self.deriv(u))),
+                dfun=dfun)
+        return self._dual
 
 
 def _unit(v):
@@ -333,35 +320,20 @@ def spherical_outer_step(sigma, area_of_r, X):
     the forward ray plays in the plane.
     """
     X = _unit(np.asarray(X, dtype=float))
-    n_scan = 512
-    us = np.linspace(0.0, TWO_PI, n_scan, endpoint=False)
 
     def g(u):
-        p = sigma.point(u)
-        tng = sigma.tangent(u)
-        return float(X @ _unit(np.cross(p, tng)))
+        return float(X @ _unit(np.cross(sigma.point(u), sigma.tangent(u))))
 
-    vals = np.array([g(u) for u in us])
-    best = None
-    for k in range(n_scan):
-        k2 = (k + 1) % n_scan
-        if vals[k] == 0.0 or vals[k] * vals[k2] > 0.0:
-            continue
-        lo, hi = us[k], us[k] + TWO_PI / n_scan
-        if g(lo) * g(hi) > 0:
-            continue
-        ustar = brentq(g, lo, hi, xtol=1e-14)
+    us = np.linspace(0.0, TWO_PI, 512, endpoint=False)
+    for ustar in geo._periodic_zeros(g, us, np.array([g(u) for u in us]),
+                                     TWO_PI):
         p = sigma.point(ustar)
         tng = sigma.tangent(ustar)
-        cr = max(-1.0, min(1.0, float(X @ p)))
-        r = math.acos(cr)
-        cand = math.cos(r) * p - math.sin(r) * tng
-        resid = np.linalg.norm(cand - X)
-        if resid < 1e-7:
-            best = (ustar, r)
-    if best is None:
+        r = math.acos(max(-1.0, min(1.0, float(X @ p))))
+        if np.linalg.norm(math.cos(r) * p - math.sin(r) * tng - X) < 1e-7:
+            break
+    else:
         raise NotExterior("no forward tangent circle through the point")
-    ustar, r = best
     target = float(area_of_r(r))
     w = _sweep_weight(sigma)
     fac = 1.0 - math.cos(r)

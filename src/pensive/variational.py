@@ -90,14 +90,7 @@ def single_bounce_critical_points(curve, law, A, B, n_scan=720):
     def dfun(x):
         return single_bounce_objective(curve, law, A, B, x)[1]
 
-    roots = []
-    for k in range(n_scan):
-        a, b = grid[k], grid[(k + 1) % n_scan] + (P if k == n_scan - 1 else 0)
-        fa, fb = d[k], d[(k + 1) % n_scan]
-        if fa == 0.0:
-            roots.append(a)
-        elif fa * fb < 0:
-            roots.append(brentq(dfun, a, b, xtol=1e-14))
+    roots = geo._periodic_zeros(dfun, grid, d, P)
     return np.array(sorted(r % P for r in roots))
 
 

@@ -615,11 +615,9 @@ def dipole_billiard_limit_check(domain, x0, theta0, eps, detect_radius=None):
     P = curve.perimeter
     s0 = float(x0) % P
     from . import billiard as bil
-    model = bil.pensive_step(curve, law, bil.PhasePoint(s0, theta0))
-
-    s_land, _, chord_len = geo.chord(curve, s0, theta0)
+    model = bil.pensive_step_record(curve, law, bil.PhasePoint(s0, theta0))
     za = complex(*curve.point(s0))
-    zb = complex(*curve.point(s_land))
+    zb = complex(*curve.point(model.s_impact))
     zmid = 0.5 * (za + zb)
     d_hat = (zb - za) / abs(zb - za)
     depth = domain.boundary_distance(zmid)
@@ -642,7 +640,7 @@ def dipole_billiard_limit_check(domain, x0, theta0, eps, detect_radius=None):
     ev_out.terminal = True
     ev_out.direction = 1.0
 
-    horizon = (0.5 * chord_len + abs(law.ell(-1.0)) + 6 * P) / 0.4
+    horizon = (0.5 * model.chord_length + abs(law.ell(-1.0)) + 6 * P) / 0.4
     try:
         traj = integrate(config, horizon, tol=1e-6, rtol=1e-10,
                          n_eval=400, events=[ev_out])
@@ -661,10 +659,10 @@ def dipole_billiard_limit_check(domain, x0, theta0, eps, detect_radius=None):
     tau = complex(curve.tangent_t(t_hit))
     theta_ode = math.acos(max(-1.0, min(1.0,
                                         (np.conj(tau) * d_out).real)))
-    ds = abs(geo.wrap_to_half(s_ode - model.s, P))
-    dth = abs(theta_ode - model.theta)
-    return LimitCheckReport(eps=eps, s_model=model.s,
-                            theta_model=model.theta, s_ode=s_ode,
+    ds = abs(geo.wrap_to_half(s_ode - model.s_out, P))
+    dth = abs(theta_ode - model.theta_out)
+    return LimitCheckReport(eps=eps, s_model=model.s_out,
+                            theta_model=model.theta_out, s_ode=s_ode,
                             theta_ode=theta_ode, delta_s=ds,
                             delta_theta=dth)
 

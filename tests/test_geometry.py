@@ -432,6 +432,26 @@ def test_polygon_chord_reversibility():
     assert done > 25
 
 
+def test_periodic_zeros_node_zero_once():
+    # sin vanishes on the node 0 and just past the node pi (sin(pi) is
+    # 1.2e-16 in floating point): each zero comes back once
+    grid = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+    assert grid[8] == math.pi
+    zeros = geo._periodic_zeros(math.sin, grid, np.sin(grid), 2.0 * math.pi)
+    assert len(zeros) == 2
+    assert zeros[0] == 0.0
+    assert zeros[1] == pytest.approx(math.pi, abs=1e-15)
+    # a scan that disagrees in sign with the scalar function at a node
+    # (here f(0) < 0 < vals[0]) still yields the zero there, once
+    vals = np.sin(grid)
+    vals[0] = 1e-300
+    zeros = geo._periodic_zeros(lambda x: math.sin(x) - 1e-300, grid, vals,
+                                2.0 * math.pi)
+    assert len(zeros) == 2
+    assert zeros[0] == pytest.approx(math.pi, abs=1e-15)
+    assert zeros[1] == 2.0 * math.pi
+
+
 def test_arc_advance_wraps():
     c = geo.disk(1.0)
     assert geo.arc_advance(c, 6.0, 1.0) == pytest.approx(

@@ -15,11 +15,39 @@ RNG = np.random.default_rng(20240823)
 TWO_PI = 2.0 * math.pi
 
 
-def square_oval(nodes=256):
-    """Square-like smooth oval: rounded 4-norm ball, strictly convex."""
+def square_points(nodes=256):
     phi = np.linspace(0, TWO_PI, nodes, endpoint=False)
     r = (0.75 + 0.22 * np.cos(4 * phi)) ** (-0.25)
-    return geo.curve_from_points(np.c_[r * np.cos(phi), r * np.sin(phi)])
+    return np.c_[r * np.cos(phi), r * np.sin(phi)]
+
+
+def square_oval(nodes=256):
+    """Square-like smooth oval: rounded 4-norm ball, strictly convex."""
+    return geo.curve_from_points(square_points(nodes))
+
+
+def square_knots(nodes=256):
+    """Spline knots of square_oval in its parameter: the cumulative chord
+    lengths through the sample points, scaled to one period."""
+    p = square_points(nodes)
+    seg = np.hypot(*np.diff(np.vstack([p, p[:1]]), axis=0).T)
+    return TWO_PI * np.cumsum(np.r_[0.0, seg[:-1]]) / seg.sum()
+
+
+def quad_turn(curve, t0, t1, breaks):
+    """Tangent turning by adaptive quad of kappa |gamma'|, split where the
+    integrand is not smooth: at breaks, one period of them, repeated."""
+    lo, hi = sorted((t0, t1))
+    k = np.arange(math.floor(lo / TWO_PI), math.ceil(hi / TWO_PI))
+    e = (breaks[None, :] + TWO_PI * k[:, None]).ravel()
+    e = np.r_[lo, e[(e > lo) & (e < hi)], hi]
+
+    def w(t):
+        return float(curve.curvature_t(t) * curve.speed_t(t))
+
+    total = sum(quad(w, a, b, epsabs=1e-13, epsrel=1e-13)[0]
+                for a, b in zip(e[:-1], e[1:]))
+    return total if t1 >= t0 else -total
 
 
 def wobble_curve():
@@ -221,6 +249,50 @@ class TestPensiveOuterStep:
                                                        abs=1e-10)
 
 
+EIGHTHS = np.linspace(0.0, TWO_PI, 8, endpoint=False)
+# each table with the breaks of its turning rate for the quadrature
+TURN_TABLES = {"ellipse": (lambda: geo.ellipse(2.0, 1.0), EIGHTHS),
+               "oval": (lambda: geo.neumann_oval(0.3), EIGHTHS),
+               "square": (square_oval, square_knots())}
+
+
+class TestBearing:
+    @pytest.mark.parametrize("name", TURN_TABLES)
+    def test_turn_matches_quadrature(self, name):
+        make, breaks = TURN_TABLES[name]
+        curve = make()
+        for t0, t1 in ((0.3, 1.9), (5.9, 6.5), (1.0, 8.5), (4.0, -3.3),
+                       (-2.0, 11.0)):
+            want = quad_turn(curve, t0, t1, breaks)
+            assert outer._turn_integral(curve, t0, t1) == pytest.approx(
+                want, abs=1e-11)
+
+    @pytest.mark.parametrize("name", TURN_TABLES)
+    def test_advance_round_trip(self, name):
+        curve = TURN_TABLES[name][0]()
+        h = curve._h
+        for t0 in (0.0, 0.7, 3.0 * h, 5.5):
+            for turn in (-7.5, -0.4, 0.0, 0.9, TWO_PI, 8.3, 15.0):
+                t1 = outer._advance_tangency(curve, t0, turn)
+                assert outer._turn_integral(curve, t0, t1) == pytest.approx(
+                    turn, abs=1e-12)
+            # and back, from node and off-node targets, whole periods too
+            for t1 in (t0 + 37 * h, t0 - 1000 * h, TWO_PI, -TWO_PI,
+                       2.0 * TWO_PI + 5 * h):
+                turn = outer._turn_integral(curve, t0, t1)
+                assert outer._advance_tangency(curve, t0, turn) == \
+                    pytest.approx(t1, abs=1e-12)
+
+    def test_nonconvex_unsupported(self):
+        oval = geo.neumann_oval(0.7)
+        assert not oval.is_convex
+        with pytest.raises(Unsupported):
+            outer.tangent_coordinates(oval, (3.0, 0.5))
+        with pytest.raises(Unsupported):
+            outer.pensive_outer_step(oval, outer.OuterDelay.zero(),
+                                     (3.0, 0.5))
+
+
 class TestAreaPreservation:
     def test_classical_circle(self):
         c = geo.disk(1.0)
@@ -307,6 +379,10 @@ class TestSphericalCurve:
             val = abs(d2 @ np.cross(dual_pt(s), d1)) / (d1 @ d1)
             assert val == pytest.approx(1.0, abs=1e-6)
 
+    def test_dual_built_once(self):
+        cap = outer.spherical_cap(0.8)
+        assert cap.dual() is cap.dual()
+
     def test_dual_identity_generic_parametrization(self):
         # parameter-free form: the dual sweep weight equals the speed
         crv = wobble_curve()
@@ -392,6 +468,20 @@ class TestSphereDuality:
         samples = [(s, th) for s in np.linspace(0.1, 6.0, 10)
                    for th in np.linspace(0.15, 1.5, 5)]
         rep = outer.sphere_duality_check(cap, delay.constant(0.35), samples)
+        assert rep["max_error"] < 1e-6
+
+    def test_constant_delay_duality_on_the_seam(self):
+        # the arc-length tables reach the period end: samples that launch
+        # just before s = L, or slide onto it, interpolate on the last panel
+        cap = outer.spherical_cap(0.9)
+        L = cap.length
+        assert cap.u_of_s(L - 1e-4) == pytest.approx(
+            TWO_PI - 1e-4 / math.sin(0.9), abs=1e-12)
+        law = delay.constant(0.35)
+        th = 0.6
+        samples = [(0.0, th), (L - 5e-5, th),
+                   ((L - law.ell_theta(th) - 5e-5) % L, th)]
+        rep = outer.sphere_duality_check(cap, law, samples)
         assert rep["max_error"] < 1e-6
 
     def test_quarter_turn_area_relation(self):
