@@ -245,10 +245,6 @@ class IETRealization:
     def chart(self, s, k):
         return self.chart_offsets[k] + math.sin(self.angles[k]) * (s % self.perimeter)
 
-    @property
-    def chart_length(self):
-        return self.chart_offsets[-1] + math.sin(self.angles[-1]) * self.perimeter
-
     def piece_of(self, s, k):
         s = s % self.perimeter
         for cand in (s, s + self.perimeter):

@@ -308,11 +308,6 @@ def generalized_puck(metric):
                          potential_p=pot)
 
 
-def from_callables(ell_p, dell_dp, tag="custom", params=None):
-    """Custom slide law; the derivative must be supplied explicitly."""
-    return DelayFunction(ell_p, dell_dp, tag=tag, params=params)
-
-
 def delay_from_config(cfg, curve=None):
     kind = str(cfg.get("kind", "zero")).strip().lower()
     if kind == "zero":

@@ -51,7 +51,7 @@ def wrap_to_half(x, period):
     return (x + 0.5 * period) % period - 0.5 * period
 
 
-def _periodic_zeros(f, grid, vals, period):
+def _periodic_zeros(f, grid, vals, period, direction=0):
     """Zeros of the period-periodic scalar function f, each once.
 
     grid is one period of ascending scan points and vals = f(grid). A
@@ -59,15 +59,18 @@ def _periodic_zeros(f, grid, vals, period):
     sign is polished by brentq. Where the scalar f disagrees in sign with
     the scan at one end of such a cell (vectorized and scalar evaluation,
     or f at both ends of the period, can differ by an ulp), the zero lies
-    within rounding of that end, and the end is returned.
+    within rounding of that end, and the end is returned. direction -1
+    keeps only the zeros where the scan falls (+ to -), +1 only those
+    where it rises, 0 every zero.
     """
     zeros = []
     ends = zip(grid, np.append(grid[1:], grid[0] + period),
-               vals, np.roll(vals, -1))
-    for a, b, fa, fb in ends:
+               np.roll(vals, 1), vals, np.roll(vals, -1))
+    for a, b, fp, fa, fb in ends:
         if fa == 0.0:
-            zeros.append(a)
-        elif fa * fb < 0.0:
+            if direction * (fb - fp) >= 0.0:
+                zeros.append(a)
+        elif fa * fb < 0.0 and direction * fb >= 0.0:
             sa, sb = f(a), f(b)
             if sa * sb <= 0.0:
                 zeros.append(brentq(f, a, b, xtol=1e-15, rtol=8.9e-16))

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.optimize import brentq
 
 from . import geometry as geo
@@ -70,8 +69,10 @@ def tangent_coordinates(curve, X, side="right"):
     def f(t):
         return np.imag(np.conj(curve.tangent_t(t)) * (zx - curve.zpoint_t(t)))
 
+    # the right tangency is where f falls through zero, the left where it
+    # rises
     ts = np.linspace(0.0, TWO_PI, 512, endpoint=False)
-    for tstar in geo._periodic_zeros(f, ts, f(ts), TWO_PI):
+    for tstar in geo._periodic_zeros(f, ts, f(ts), TWO_PI, direction=-sgn):
         tau = complex(curve.tangent_t(tstar))
         r = sgn * float(np.real(np.conj(tau) * (zx - curve.zpoint_t(tstar))))
         if r > 0:
@@ -195,7 +196,9 @@ class SphericalCurve:
     """Closed curve on the unit sphere, 2 pi periodic in its parameter.
 
     Derivatives default to high-order central differences; analytic
-    callables can be supplied for precision-critical curves.
+    callables can be supplied for precision-critical curves. Arc length
+    comes from one node table: the node speeds integrated spectrally,
+    with cubic Hermite interpolation between nodes in both directions.
     """
 
     def __init__(self, fun, dfun=None, d2fun=None, nodes=2048):
@@ -210,12 +213,24 @@ class SphericalCurve:
             raise InvalidParameter("curve does not lie on the unit sphere")
         self._pts = pts
         self._dual = None
-        # arc length by the trapezoid rule, closed by the period end u = 2 pi
+        # arc length at the nodes: the mean speed times u plus the periodic
+        # antiderivative of the rest, its Fourier terms over ik (the mean
+        # and, for an even node count, the Nyquist term dropped)
+        sp = np.array([np.linalg.norm(self.deriv(u)) for u in us])
+        c = np.fft.rfft(sp) / (1j * np.maximum(np.arange(nodes // 2 + 1), 1))
+        c[0] = 0.0
+        if nodes % 2 == 0:
+            c[-1] = 0.0
+        per = np.fft.irfft(c, nodes)
+        mean = sp.mean()
+        self.length = float(TWO_PI * mean)
+        # the tables close at the period end u = 2 pi, s = length
         self._us = np.append(us, TWO_PI)
-        sp = np.array([np.linalg.norm(self.deriv(u)) for u in self._us])
-        self._s_tab = np.concatenate([[0.0], np.cumsum(
-            0.5 * (sp[1:] + sp[:-1]) * np.diff(self._us))])
-        self.length = float(self._s_tab[-1])
+        self._s_tab = np.append(mean * us + per - per[0], self.length)
+        self._sp = np.append(sp, sp[0])
+        # the inverse needs a positive speed: a curve that stops (the dual
+        # of a great circle is a point) has no arc-length parameter
+        self._dus = 1.0 / self._sp if np.all(sp > 0.0) else None
 
     def point(self, u):
         return np.asarray(self._fun(u), dtype=float)
@@ -223,30 +238,31 @@ class SphericalCurve:
     def deriv(self, u):
         if self._dfun is not None:
             return np.asarray(self._dfun(u), dtype=float)
-        return _stencil1(lambda v: np.asarray(self._fun(v), dtype=float),
-                         u, self._h)
+        return _stencil1(self.point, u, self._h)
 
     def deriv2(self, u):
         if self._d2fun is not None:
             return np.asarray(self._d2fun(u), dtype=float)
         if self._dfun is not None:
-            return _stencil1(
-                lambda v: np.asarray(self._dfun(v), dtype=float),
-                u, self._h)
-        return _stencil2(lambda v: np.asarray(self._fun(v), dtype=float),
-                         u, self._h)
+            return _stencil1(self.deriv, u, self._h)
+        return _stencil2(self.point, u, self._h)
 
     def tangent(self, u):
         d = self.deriv(u)
         return d / np.linalg.norm(d)
 
     def u_of_s(self, s):
-        s = float(s) % self.length
-        return float(np.interp(s, self._s_tab, self._us))
+        """Parameter at arc length s from u = 0, unwrapped."""
+        if self._dus is None:
+            raise InvalidParameter("curve has zero speed: arc length does "
+                                   "not invert")
+        p, rem = divmod(float(s), self.length)
+        return _hermite(self._s_tab, self._us, self._dus, rem) + p * TWO_PI
 
     def s_of_u(self, u):
-        u = float(u) % TWO_PI
-        return float(np.interp(u, self._us, self._s_tab))
+        """Arc length from u = 0 to u, unwrapped: s_of_u(2 pi) = length."""
+        p, rem = divmod(float(u), TWO_PI)
+        return _hermite(self._us, self._s_tab, self._sp, rem) + p * self.length
 
     def hemisphere_axis(self):
         m = self._pts.mean(axis=0)
@@ -260,26 +276,42 @@ class SphericalCurve:
 
     def dual(self):
         """Curve of poles of the tangent great circles, built on the first
-        call."""
+        call. Its speed is this curve's tangent turning rate."""
         if self._dual is None:
 
             def dfun(u):
                 g = self.point(u)
                 dg = self.deriv(u)
                 d2g = self.deriv2(u)
-                v = np.cross(g, dg)
-                vp = np.cross(g, d2g)
+                v = _cross(g, dg)
+                vp = _cross(g, d2g)
                 nv = np.linalg.norm(v)
                 return vp / nv - v * (v @ vp) / nv ** 3
 
             self._dual = SphericalCurve(
-                lambda u: _unit(np.cross(self.point(u), self.deriv(u))),
+                lambda u: _unit(_cross(self.point(u), self.deriv(u))),
                 dfun=dfun)
         return self._dual
 
 
+def _hermite(x, y, dy, v):
+    """Cubic Hermite interpolant of the table (x, y) with slopes dy at v."""
+    k = min(int(np.searchsorted(x, v, side="right")) - 1, x.size - 2)
+    h, dl = x[k + 1] - x[k], y[k + 1] - y[k]
+    t = (v - x[k]) / h
+    d0, d1 = h * dy[k], h * dy[k + 1]
+    return float(y[k] + t * (d0 + t * (3.0 * dl - 2.0 * d0 - d1
+                                       + t * (d0 + d1 - 2.0 * dl))))
+
+
 def _unit(v):
     return v / np.linalg.norm(v)
+
+
+def _cross(a, b):
+    """Cross product of two 3-vectors, without np.cross's overhead."""
+    return np.array([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                     a[0] * b[1] - a[1] * b[0]])
 
 
 def spherical_cap(psi):
@@ -295,20 +327,12 @@ def spherical_cap(psi):
                                   0.0]))
 
 
-def sphere_swept_area(sigma, s1, s2, theta):
-    """Area swept by a tangent segment of angular length theta."""
-    val, _ = quad(_sweep_weight(sigma), s1, s2, limit=400)
-    return (1.0 - math.cos(theta)) * val
-
-
-def _sweep_weight(sigma):
-    def w(u):
-        g = sigma.point(u)
-        dg = sigma.deriv(u)
-        d2g = sigma.deriv2(u)
-        return abs(d2g @ np.cross(g, dg)) / (dg @ dg)
-
-    return w
+def sphere_swept_area(sigma, u1, u2, theta):
+    """Area swept by a tangent segment of angular length theta while its
+    tangency runs from u1 to u2: (1 - cos theta) times the tangent
+    turning, which is the arc length of the dual between u1 and u2."""
+    dual = sigma.dual()
+    return (1.0 - math.cos(theta)) * (dual.s_of_u(u2) - dual.s_of_u(u1))
 
 
 def spherical_outer_step(sigma, area_of_r, X):
@@ -317,16 +341,15 @@ def spherical_outer_step(sigma, area_of_r, X):
     X is reflected through the tangency of its trailing tangent great
     circle once that tangent segment has swept area_of_r(r). The dual
     chart reverses orientation, so the trailing ray here plays the role
-    the forward ray plays in the plane.
+    the forward ray plays in the plane. X lies on the tangent great
+    circle at u where X is orthogonal to the dual's point there, and the
+    swept area is (1 - cos r) times the dual's arc length: the scan and
+    the slide both run on the dual's node table.
     """
     X = _unit(np.asarray(X, dtype=float))
-
-    def g(u):
-        return float(X @ _unit(np.cross(sigma.point(u), sigma.tangent(u))))
-
-    us = np.linspace(0.0, TWO_PI, 512, endpoint=False)
-    for ustar in geo._periodic_zeros(g, us, np.array([g(u) for u in us]),
-                                     TWO_PI):
+    dual = sigma.dual()
+    for ustar in geo._periodic_zeros(lambda u: float(X @ dual.point(u)),
+                                     dual._us[:-1], dual._pts @ X, TWO_PI):
         p = sigma.point(ustar)
         tng = sigma.tangent(ustar)
         r = math.acos(max(-1.0, min(1.0, float(X @ p))))
@@ -335,31 +358,16 @@ def spherical_outer_step(sigma, area_of_r, X):
     else:
         raise NotExterior("no forward tangent circle through the point")
     target = float(area_of_r(r))
-    w = _sweep_weight(sigma)
     fac = 1.0 - math.cos(r)
-    if abs(target) < 1e-15 or fac < 1e-15:
-        uq = ustar
-    else:
-        span = target / fac
-
-        def acc(du):
-            val, _ = quad(w, ustar, ustar + du, limit=400)
-            return val - span
-
-        hi = TWO_PI / 8
-        while acc(hi) < 0 and hi < 8 * TWO_PI:
-            hi *= 2.0
-        if acc(hi) < 0:
-            raise InvalidParameter("swept-area target not reachable")
-        uq = ustar + brentq(acc, 0.0, hi, xtol=1e-13)
-    pq = sigma.point(uq)
-    tq = sigma.tangent(uq)
-    return math.cos(r) * pq + math.sin(r) * tq
+    uq = ustar
+    if abs(target) >= 1e-15 and fac >= 1e-15:
+        uq = dual.u_of_s(dual.s_of_u(ustar) + target / fac)
+    return math.cos(r) * sigma.point(uq) + math.sin(r) * sigma.tangent(uq)
 
 
 def pole_of_ray(p, d):
     """Pole of the oriented great circle through p with direction d."""
-    return _unit(np.cross(p, d))
+    return _unit(_cross(p, d))
 
 
 def spherical_pensive_poles(curve, law, s, theta):
@@ -370,20 +378,15 @@ def spherical_pensive_poles(curve, law, s, theta):
     """
     if not 0 < theta < math.pi:
         raise InvalidParameter("incidence angle must lie in (0, pi)")
-    u1 = curve.u_of_s(s)
-    p1 = curve.point(u1)
-    t1 = curve.tangent(u1)
-    n1 = np.cross(p1, t1)
-    d_in = math.cos(theta) * t1 - math.sin(theta) * n1
-    X = pole_of_ray(p1, d_in)
-    s2 = s + law.ell_theta(theta)
-    u2 = curve.u_of_s(s2)
-    p2 = curve.point(u2)
-    t2 = curve.tangent(u2)
-    n2 = np.cross(p2, t2)
-    d_out = math.cos(theta) * t2 + math.sin(theta) * n2
-    Y = pole_of_ray(p2, d_out)
-    return X, Y
+
+    def pole(s, side):
+        # ray at arclength s, turned by theta off the tangent to the side
+        u = curve.u_of_s(s)
+        p, t = curve.point(u), curve.tangent(u)
+        return pole_of_ray(p, math.cos(theta) * t
+                           + side * math.sin(theta) * _cross(p, t))
+
+    return pole(s, -1.0), pole(s + law.ell_theta(theta), 1.0)
 
 
 def sphere_duality_check(curve, law, samples):

@@ -452,6 +452,17 @@ def test_periodic_zeros_node_zero_once():
     assert zeros[1] == 2.0 * math.pi
 
 
+def test_periodic_zeros_direction():
+    # sin rises through the node 0 and falls through pi
+    grid = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
+    vals = np.sin(grid)
+    rising = geo._periodic_zeros(math.sin, grid, vals, 2.0 * math.pi, 1)
+    falling = geo._periodic_zeros(math.sin, grid, vals, 2.0 * math.pi, -1)
+    assert rising == [0.0]
+    assert len(falling) == 1
+    assert falling[0] == pytest.approx(math.pi, abs=1e-15)
+
+
 def test_arc_advance_wraps():
     c = geo.disk(1.0)
     assert geo.arc_advance(c, 6.0, 1.0) == pytest.approx(

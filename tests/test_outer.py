@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 
 from pensive import delay, geometry as geo, outer
 from pensive.errors import (InvalidParameter, NotExterior, Unsupported)
@@ -62,6 +62,24 @@ def wobble_curve():
     return outer.SphericalCurve(fun)
 
 
+def wobble_speed(u):
+    """Analytic speed of wobble_curve: |(psi', sin psi)|."""
+    psi = 0.8 + 0.1 * math.sin(2 * u)
+    return math.hypot(0.2 * math.cos(2 * u), math.sin(psi))
+
+
+def wobble_arc(u1, u2):
+    return quad(wobble_speed, u1, u2, epsabs=1e-13, epsrel=1e-13,
+                limit=200)[0]
+
+
+def equator():
+    return outer.SphericalCurve(
+        lambda u: np.array([math.cos(u), math.sin(u), 0.0]),
+        dfun=lambda u: np.array([-math.sin(u), math.cos(u), 0.0]),
+        d2fun=lambda u: np.array([-math.cos(u), -math.sin(u), 0.0]))
+
+
 class TestTangentCoordinates:
     def test_circle_example(self):
         c = geo.disk(1.0)
@@ -70,6 +88,20 @@ class TestTangentCoordinates:
         p = c.zpoint_t(op.t)
         assert p.real == pytest.approx(0.5, abs=1e-12)
         assert p.imag == pytest.approx(-math.sqrt(3.0) / 2, abs=1e-12)
+
+    def test_one_polish_per_side(self, monkeypatch):
+        # the scan's sign direction picks the side: one brentq per call
+        calls = []
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return brentq(*args, **kw)
+
+        monkeypatch.setattr(geo, "brentq", counted)
+        ell = geo.ellipse(2.0, 1.0)
+        for side in ("right", "left"):
+            outer.tangent_coordinates(ell, (1.7, 1.9), side=side)
+        assert len(calls) == 2
 
     def test_circle_tangent_lengths(self):
         c = geo.disk(1.0)
@@ -379,27 +411,61 @@ class TestSphericalCurve:
             val = abs(d2 @ np.cross(dual_pt(s), d1)) / (d1 @ d1)
             assert val == pytest.approx(1.0, abs=1e-6)
 
+    def test_cross_matches_numpy(self):
+        a, b = np.random.default_rng(3).normal(size=(2, 3))
+        assert np.array_equal(outer._cross(a, b), np.cross(a, b))
+
     def test_dual_built_once(self):
         cap = outer.spherical_cap(0.8)
         assert cap.dual() is cap.dual()
 
     def test_dual_identity_generic_parametrization(self):
-        # parameter-free form: the dual sweep weight equals the speed
+        # parameter-free form: the dual's turning rate, which is the speed
+        # of its own dual, equals the speed
         crv = wobble_curve()
-        dual = crv.dual()
-        w = outer._sweep_weight(dual)
+        ddual = crv.dual().dual()
         for u in (0.3, 1.7, 4.4):
             speed = np.linalg.norm(crv.deriv(u))
-            assert w(u) == pytest.approx(speed, rel=1e-6)
+            assert np.linalg.norm(ddual.deriv(u)) == pytest.approx(
+                speed, rel=1e-6)
+
+    def test_arc_length_table_matches_quadrature(self):
+        # the node table between nodes, in both directions, against
+        # adaptive quad of the analytic speed
+        crv = wobble_curve()
+        for u in np.linspace(0.0, TWO_PI, 39)[1:-1]:
+            s = wobble_arc(0.0, u)
+            assert abs(crv.s_of_u(u) - s) < 1e-10
+            assert abs(crv.u_of_s(s) - u) < 1e-10
+
+    def test_arc_length_unwrapped(self):
+        cap = outer.spherical_cap(0.9)
+        assert cap.s_of_u(TWO_PI) == cap.length
+        assert cap.u_of_s(cap.length) == TWO_PI
+        assert cap.s_of_u(-1.0) == pytest.approx(-math.sin(0.9), abs=1e-12)
+        assert cap.u_of_s(-1.0) == pytest.approx(-1.0 / math.sin(0.9),
+                                                 abs=1e-12)
+
+    def test_zero_speed_does_not_invert(self):
+        # the equator's dual is a pole: it has length 0 and no inverse
+        dual = equator().dual()
+        assert dual.length == pytest.approx(0.0, abs=1e-12)
+        with pytest.raises(InvalidParameter):
+            dual.u_of_s(0.1)
 
 
 class TestSphereSweptArea:
     def test_equator_degenerate(self):
-        eq = outer.SphericalCurve(
-            lambda u: np.array([math.cos(u), math.sin(u), 0.0]),
-            dfun=lambda u: np.array([-math.sin(u), math.cos(u), 0.0]),
-            d2fun=lambda u: np.array([-math.cos(u), -math.sin(u), 0.0]))
+        eq = equator()
         assert abs(outer.sphere_swept_area(eq, 0.0, TWO_PI, 0.9)) < 1e-12
+
+    def test_wobble_dual_swept_area(self):
+        # the wobble is the dual of its dual: the area its dual's tangent
+        # sweeps is (1 - cos theta) times the wobble's arc length
+        crv = wobble_curve()
+        area = outer.sphere_swept_area(crv.dual(), 0.4, 2.9, 0.9)
+        want = (1.0 - math.cos(0.9)) * wobble_arc(0.4, 2.9)
+        assert abs(area - want) < 1e-10
 
     def test_archimedes_zones(self):
         for _ in range(20):
@@ -483,6 +549,18 @@ class TestSphereDuality:
                    ((L - law.ell_theta(th) - 5e-5) % L, th)]
         rep = outer.sphere_duality_check(cap, law, samples)
         assert rep["max_error"] < 1e-6
+
+    def test_negative_slide_duality_cap(self):
+        cap = outer.spherical_cap(0.9)
+        rep = outer.sphere_duality_check(cap, delay.constant(-0.35),
+                                         [(1.0, 0.7)])
+        assert rep["max_error"] < 1e-6
+
+    def test_equator_step_zero_length_dual(self):
+        # a great circle's dual is a point: no slide reaches the target
+        with pytest.raises(InvalidParameter):
+            outer.spherical_outer_step(equator(), lambda r: 0.1,
+                                       (math.cos(1.0), math.sin(1.0), 0.0))
 
     def test_quarter_turn_area_relation(self):
         law = delay.constant(0.35)
