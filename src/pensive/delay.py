@@ -299,8 +299,8 @@ def generalized_puck(metric):
         p = np.clip(np.asarray(p, dtype=float), -1 + 1e-12, 1 - 1e-12)
         scalar = p.ndim == 0
         pv = np.atleast_1d(p)
-        v0 = generalized_puck_potential(metric, 0.0)
-        out = generalized_puck_potential(metric, pv) - v0
+        # the p = 0 geodesic crosses the unit-width strip straight, in time 1
+        out = generalized_puck_potential(metric, pv) - 1.0
         return float(out[0]) if scalar else out
 
     return DelayFunction(ell_p, dell, tag="generalized_puck",

@@ -182,70 +182,77 @@ def area_preservation_check(curve, odelay, points, h=None):
 # -- spherical curves and the duality --------------------------------------
 
 
-def _stencil1(fun, u, h):
-    return (fun(u - 2 * h) - 8 * fun(u - h) + 8 * fun(u + h)
-            - fun(u + 2 * h)) / (12 * h)
-
-
-def _stencil2(fun, u, h):
-    return (-fun(u - 2 * h) + 16 * fun(u - h) - 30 * fun(u)
-            + 16 * fun(u + h) - fun(u + 2 * h)) / (12 * h * h)
+_NODES = 2048
+_US = np.linspace(0.0, TWO_PI, _NODES, endpoint=False)
+# Fourier coefficients of a node table below this fraction of the largest
+# are roundoff. Kept, they put noise of size k eps into the k-th term of
+# the derivative, and each dual differentiates its curve's noise again.
+_CHOP = 1e-14
 
 
 class SphericalCurve:
     """Closed curve on the unit sphere, 2 pi periodic in its parameter.
 
-    Derivatives default to high-order central differences; analytic
-    callables can be supplied for precision-critical curves. Arc length
-    comes from one node table: the node speeds integrated spectrally,
-    with cubic Hermite interpolation between nodes in both directions.
+    The curve is its table of points at 2048 equispaced nodes. Points and
+    derivatives anywhere are sums of the table's Fourier series with its
+    roundoff tail dropped (spectral differentiation: Trefethen, *Spectral
+    Methods in MATLAB*, SIAM 2000, ch. 3). Arc length comes from one node
+    table: the node speeds integrated spectrally, with cubic Hermite
+    interpolation between nodes in both directions.
     """
 
-    def __init__(self, fun, dfun=None, d2fun=None, nodes=2048):
-        self._fun = fun
-        self._dfun = dfun
-        self._d2fun = d2fun
-        self._h = 1e-3
-        us = np.linspace(0.0, TWO_PI, nodes, endpoint=False)
-        pts = np.array([fun(u) for u in us])
+    def __init__(self, fun):
+        self._set_table(np.array([fun(u) for u in _US], dtype=float))
+
+    @classmethod
+    def _from_table(cls, pts):
+        crv = cls.__new__(cls)
+        crv._set_table(pts)
+        return crv
+
+    def _set_table(self, pts):
         norms = np.linalg.norm(pts, axis=1)
         if np.max(np.abs(norms - 1.0)) > 1e-10:
             raise InvalidParameter("curve does not lie on the unit sphere")
         self._pts = pts
         self._dual = None
+        # the series without its tail and without the Nyquist term, which
+        # has no derivative (the node count is even)
+        f = np.fft.rfft(pts, axis=0)
+        f[np.abs(f) < _CHOP * np.abs(f).max()] = 0.0
+        f[-1] = 0.0
+        k = np.arange(_NODES // 2 + 1)
+        df = 1j * k[:, None] * f
+        self._d1 = np.fft.irfft(df, _NODES, axis=0)
+        # point(u) and deriv(u) sum the kept terms, each conjugate pair
+        # folded into one term of weight 2
+        kept = np.flatnonzero(f.any(axis=1))
+        w = np.where(kept == 0, 1.0, 2.0)[:, None] / _NODES
+        self._k = kept
+        self._c = f[kept] * w
+        self._dc = df[kept] * w
         # arc length at the nodes: the mean speed times u plus the periodic
         # antiderivative of the rest, its Fourier terms over ik (the mean
-        # and, for an even node count, the Nyquist term dropped)
-        sp = np.array([np.linalg.norm(self.deriv(u)) for u in us])
-        c = np.fft.rfft(sp) / (1j * np.maximum(np.arange(nodes // 2 + 1), 1))
-        c[0] = 0.0
-        if nodes % 2 == 0:
-            c[-1] = 0.0
-        per = np.fft.irfft(c, nodes)
+        # and the Nyquist term dropped)
+        sp = np.linalg.norm(self._d1, axis=1)
+        c = np.fft.rfft(sp) / (1j * np.maximum(k, 1))
+        c[0] = c[-1] = 0.0
+        per = np.fft.irfft(c, _NODES)
         mean = sp.mean()
         self.length = float(TWO_PI * mean)
         # the tables close at the period end u = 2 pi, s = length
-        self._us = np.append(us, TWO_PI)
-        self._s_tab = np.append(mean * us + per - per[0], self.length)
+        self._us = np.append(_US, TWO_PI)
+        self._s_tab = np.append(mean * _US + per - per[0], self.length)
         self._sp = np.append(sp, sp[0])
         # the inverse needs a positive speed: a curve that stops (the dual
         # of a great circle is a point) has no arc-length parameter
         self._dus = 1.0 / self._sp if np.all(sp > 0.0) else None
 
     def point(self, u):
-        return np.asarray(self._fun(u), dtype=float)
+        return (np.exp(1j * u * self._k) @ self._c).real
 
     def deriv(self, u):
-        if self._dfun is not None:
-            return np.asarray(self._dfun(u), dtype=float)
-        return _stencil1(self.point, u, self._h)
-
-    def deriv2(self, u):
-        if self._d2fun is not None:
-            return np.asarray(self._d2fun(u), dtype=float)
-        if self._dfun is not None:
-            return _stencil1(self.deriv, u, self._h)
-        return _stencil2(self.point, u, self._h)
+        return (np.exp(1j * u * self._k) @ self._dc).real
 
     def tangent(self, u):
         d = self.deriv(u)
@@ -276,21 +283,12 @@ class SphericalCurve:
 
     def dual(self):
         """Curve of poles of the tangent great circles, built on the first
-        call. Its speed is this curve's tangent turning rate."""
+        call from the node points and derivatives. Its speed is this
+        curve's tangent turning rate."""
         if self._dual is None:
-
-            def dfun(u):
-                g = self.point(u)
-                dg = self.deriv(u)
-                d2g = self.deriv2(u)
-                v = _cross(g, dg)
-                vp = _cross(g, d2g)
-                nv = np.linalg.norm(v)
-                return vp / nv - v * (v @ vp) / nv ** 3
-
-            self._dual = SphericalCurve(
-                lambda u: _unit(_cross(self.point(u), self.deriv(u))),
-                dfun=dfun)
+            v = np.cross(self._pts, self._d1)
+            self._dual = SphericalCurve._from_table(
+                v / np.linalg.norm(v, axis=1)[:, None])
         return self._dual
 
 
@@ -320,11 +318,7 @@ def spherical_cap(psi):
         raise InvalidParameter("cap angle must lie in (0, pi/2)")
     sp, cp = math.sin(psi), math.cos(psi)
     return SphericalCurve(
-        lambda u: np.array([sp * math.cos(u), sp * math.sin(u), cp]),
-        dfun=lambda u: np.array([-sp * math.sin(u), sp * math.cos(u),
-                                 0.0]),
-        d2fun=lambda u: np.array([-sp * math.cos(u), -sp * math.sin(u),
-                                  0.0]))
+        lambda u: np.array([sp * math.cos(u), sp * math.sin(u), cp]))
 
 
 def sphere_swept_area(sigma, u1, u2, theta):
@@ -342,14 +336,17 @@ def spherical_outer_step(sigma, area_of_r, X):
     circle once that tangent segment has swept area_of_r(r). The dual
     chart reverses orientation, so the trailing ray here plays the role
     the forward ray plays in the plane. X lies on the tangent great
-    circle at u where X is orthogonal to the dual's point there, and the
-    swept area is (1 - cos r) times the dual's arc length: the scan and
-    the slide both run on the dual's node table.
+    circle at u where X is orthogonal to the dual's point there; of the
+    two such tangencies the trailing one is where X . dual(u) rises, so
+    only that one is polished. The swept area is (1 - cos r) times the
+    dual's arc length: the scan and the slide both run on the dual's
+    node table.
     """
     X = _unit(np.asarray(X, dtype=float))
     dual = sigma.dual()
     for ustar in geo._periodic_zeros(lambda u: float(X @ dual.point(u)),
-                                     dual._us[:-1], dual._pts @ X, TWO_PI):
+                                     dual._us[:-1], dual._pts @ X, TWO_PI,
+                                     direction=+1):
         p = sigma.point(ustar)
         tng = sigma.tangent(ustar)
         r = math.acos(max(-1.0, min(1.0, float(X @ p))))

@@ -187,6 +187,20 @@ def test_quadrature_vs_geodesic_shooting(profile, amp):
             t_exit, abs=1e-6)
 
 
+def test_generalized_puck_potential_one_quad_per_momentum(monkeypatch):
+    # T(0) = 1 needs no quadrature of its own
+    law = delay.generalized_puck(delay.PuckMetric.named("bump", amp=0.5))
+    calls = []
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return quad(*args, **kw)
+
+    monkeypatch.setattr(delay, "quad", counted)
+    law.potential(np.array([-0.6, 0.2, 0.7]))
+    assert len(calls) == 3
+
+
 def test_generalized_puck_law_consistency():
     metric = delay.PuckMetric.named("bump", amp=0.5)
     law = delay.generalized_puck(metric)

@@ -50,16 +50,28 @@ def quad_turn(curve, t0, t1, breaks):
     return total if t1 >= t0 else -total
 
 
+def wobble_point(u):
+    """Convex spherical curve with varying geodesic curvature: the
+    colatitude psi = 0.8 + 0.1 sin 2u at longitude u."""
+    psi = 0.8 + 0.1 * math.sin(2 * u)
+    return np.array([math.sin(psi) * math.cos(u),
+                     math.sin(psi) * math.sin(u),
+                     math.cos(psi)])
+
+
+def wobble_deriv(u):
+    """Analytic derivative of wobble_point."""
+    psi = 0.8 + 0.1 * math.sin(2 * u)
+    dpsi = 0.2 * math.cos(2 * u)
+    return np.array([math.cos(psi) * dpsi * math.cos(u)
+                     - math.sin(psi) * math.sin(u),
+                     math.cos(psi) * dpsi * math.sin(u)
+                     + math.sin(psi) * math.cos(u),
+                     -math.sin(psi) * dpsi])
+
+
 def wobble_curve():
-    """Convex spherical curve with varying geodesic curvature."""
-
-    def fun(u):
-        psi = 0.8 + 0.1 * math.sin(2 * u)
-        return np.array([math.sin(psi) * math.cos(u),
-                         math.sin(psi) * math.sin(u),
-                         math.cos(psi)])
-
-    return outer.SphericalCurve(fun)
+    return outer.SphericalCurve(wobble_point)
 
 
 def wobble_speed(u):
@@ -75,9 +87,7 @@ def wobble_arc(u1, u2):
 
 def equator():
     return outer.SphericalCurve(
-        lambda u: np.array([math.cos(u), math.sin(u), 0.0]),
-        dfun=lambda u: np.array([-math.sin(u), math.cos(u), 0.0]),
-        d2fun=lambda u: np.array([-math.cos(u), -math.sin(u), 0.0]))
+        lambda u: np.array([math.cos(u), math.sin(u), 0.0]))
 
 
 class TestTangentCoordinates:
@@ -429,6 +439,15 @@ class TestSphericalCurve:
             assert np.linalg.norm(ddual.deriv(u)) == pytest.approx(
                 speed, rel=1e-6)
 
+    def test_series_between_nodes(self):
+        # midway between nodes the series gives the wobble's points, and
+        # the dual's dual its analytic derivative
+        crv = wobble_curve()
+        ddual = crv.dual().dual()
+        for u in TWO_PI * (170 * np.arange(12) + 0.5) / 2048:
+            assert np.linalg.norm(crv.point(u) - wobble_point(u)) < 1e-13
+            assert np.linalg.norm(ddual.deriv(u) - wobble_deriv(u)) < 1e-9
+
     def test_arc_length_table_matches_quadrature(self):
         # the node table between nodes, in both directions, against
         # adaptive quad of the analytic speed
@@ -575,6 +594,23 @@ class TestSphereDuality:
         rep2 = outer.sphere_duality_check(crv, delay.vortex(0.5),
                                           [(1.3, 0.8), (3.9, 1.2)])
         assert rep2["max_error"] < 1e-6
+
+    def test_one_polish_per_step(self, monkeypatch):
+        # the scan's rising sign change is the trailing tangency: one
+        # brentq per step
+        calls = []
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return brentq(*args, **kw)
+
+        monkeypatch.setattr(geo, "brentq", counted)
+        samples = [(1.1, 0.5), (3.3, 0.9), (5.2, 1.3)]
+        for crv in (outer.spherical_cap(0.9), wobble_curve()):
+            rep = outer.sphere_duality_check(crv, delay.constant(0.35),
+                                             samples)
+            assert rep["max_error"] < 1e-6
+        assert len(calls) == 6
 
     def test_non_hemispherical_unsupported(self):
         eq = outer.SphericalCurve(
