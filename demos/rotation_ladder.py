@@ -34,11 +34,13 @@ def main():
         print("%8.4f %12.6f %12.6f" % (theta, adv, adv / (2 * math.pi)))
 
     print("\nperiodic orbits found from the action principle")
-    print("%6s %10s %12s %12s" % ("p/q", "theta", "action", "residual"))
+    print("%6s %10s %12s %12s %12s"
+          % ("p/q", "theta", "action", "residual", "residue"))
     for p, q in ((1, 3), (2, 5), (1, 2), (5, 4), (7, 6)):
         orbit = var.periodic_orbit_search(curve, law, (p, q))
-        print("%3d/%-2d %10.6f %12.6f %12.2e"
-              % (p, q, orbit.theta[0], orbit.action, orbit.residual))
+        print("%3d/%-2d %10.6f %12.6f %12.2e %12.2e"
+              % (p, q, orbit.theta[0], orbit.action, orbit.residual,
+                 orbit.residue))
 
     theta0 = 1.1
     traj = bil.iterate(curve, law, bil.PhasePoint(0.0, theta0), 40)

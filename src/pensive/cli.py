@@ -242,9 +242,11 @@ def _cmd_orbit(cfg):
     orb = var_mod.periodic_orbit_search(curve, law, (p, q))
     rows = []
     for i, (sv, tv) in enumerate(zip(orb.s, orb.theta)):
-        rows.append([i, sv, tv, "%d/%d" % (p, q), orb.action, orb.residual])
+        rows.append([i, sv, tv, "%d/%d" % (p, q), orb.action, orb.residual,
+                     orb.residue])
     _write_csv(_out(cfg, "orbit.csv"),
-               ["i", "s", "theta", "type", "action", "residual"], rows)
+               ["i", "s", "theta", "type", "action", "residual", "residue"],
+               rows)
     return 0
 
 

@@ -175,13 +175,20 @@ class BoundaryCurve:
         return self._s_nodes[idx] + (sp @ _GL_W) * half
 
     def t_of_s(self, s):
-        """Invert arc length; Newton polish from the table guess."""
+        """Invert arc length: up to 8 Newton passes from the table guess.
+
+        The passes stop early once one leaves every entry unchanged: each
+        later pass would repeat it, so the result is bit for bit that of
+        all 8 passes, and no entry depends on the others in the array.
+        """
         s = np.mod(np.asarray(s, dtype=float), self.perimeter)
         t = np.interp(s, self._s_nodes, np.append(self._t_nodes, TWO_PI))
         for _ in range(8):
             f = self.arclen_t(np.clip(t, 0.0, TWO_PI)) - s
-            t = t - f / np.abs(self._dzf(_wrap(t)))
-            t = np.clip(t, 0.0, TWO_PI)
+            tn = np.clip(t - f / np.abs(self._dzf(_wrap(t))), 0.0, TWO_PI)
+            t, fixed = tn, np.array_equal(tn, t)
+            if fixed:
+                break
         return t
 
     # -- arc-length evaluation -----------------------------------------

@@ -42,21 +42,34 @@ class CBJacobian:
         return self.dS_ds * self.dTheta_dtheta - self.dS_dtheta * self.dTheta_ds
 
 
+def _chord_partials(d, st, sT, k1, k2, slope):
+    """Derivatives of one chord's landing, from the chord's data.
+
+    d is the chord length, st and sT the sines of the launch and landing
+    angles, k1 and k2 the curvatures at the launch and landing points,
+    slope the slide's l~'(Theta) at the landing angle; all broadcast.
+    Returns dS/ds, dS/dtheta, dTheta/ds, dTheta/dtheta of the classical
+    chord-and-reflect map, then dS/dtheta of the slid map.
+    """
+    return ((k1 * d - st) / sT,
+            d / sT,
+            (k2 * k1 * d - k2 * st - k1 * sT) / sT,
+            (k2 * d - sT) / sT,
+            (d + slope * (k2 * d - sT)) / sT)
+
+
 def cb_jacobian(curve, s, theta):
     """Analytic Jacobian of the classical chord-and-reflect map."""
     geo._require_smooth(curve, "twist analysis")
     S, Th, d = geo.chord(curve, s, theta)
     k1 = float(curve.curvature(s))
     k2 = float(curve.curvature(S))
-    st, sT = math.sin(theta), math.sin(Th)
+    dS_ds, dS_dth, dTh_ds, dTh_dth, _ = _chord_partials(
+        d, math.sin(theta), math.sin(Th), k1, k2, 0.0)
     return CBJacobian(
         s=s, theta=theta, s_land=S, theta_land=Th, d=d,
-        kappa_s=k1, kappa_land=k2,
-        dS_ds=(k1 * d - st) / sT,
-        dS_dtheta=d / sT,
-        dTheta_ds=(k2 * k1 * d - k2 * st - k1 * sT) / sT,
-        dTheta_dtheta=(k2 * d - sT) / sT,
-    )
+        kappa_s=k1, kappa_land=k2, dS_ds=dS_ds, dS_dtheta=dS_dth,
+        dTheta_ds=dTh_ds, dTheta_dtheta=dTh_dth)
 
 
 def pensive_dS_dtheta(curve, law, s, theta):
@@ -73,9 +86,9 @@ def pensive_dS_dtheta(curve, law, s, theta):
     else:
         s_arr, th_arr = np.broadcast_arrays(s_arr, th_arr)
         S, Th, d = geo.chord_batch(curve, s_arr, th_arr)
-    sT = np.sin(Th)
-    kap = curve.curvature(S)
-    out = (d + law.dtheta(Th) * (kap * d - sT)) / sT
+    out = _chord_partials(d, np.sin(th_arr.ravel()), np.sin(Th),
+                          curve.curvature(s_arr.ravel()), curve.curvature(S),
+                          law.dtheta(Th))[4]
     return float(out) if scalar else out
 
 

@@ -9,9 +9,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import geometry as geo
+from . import twist
 from .errors import (Ambiguous, InvalidParameter, InvalidPoint, NotFound,
                      NotTransitive)
 
@@ -105,21 +105,14 @@ class TransitSolve:
     advance: float
 
 
-def _transit_parts(curve, law, s, p):
-    th = math.acos(max(-1.0, min(1.0, p)))
-    S_cl, Th, d = geo.chord(curve, s, th)
-    P_land = math.cos(Th)
-    adv = (S_cl - s) % curve.perimeter + law.ell(P_land)
-    return S_cl, P_land, d, adv
-
-
 def p_star(curve, law, s, S, hint=None, advance_hint=None, n_grid=256):
     """Solve the transit equation S_cl(s, p) + l(P_cl(s, p)) = S (mod P).
 
     Scans a momentum grid, brackets sign changes of the wrapped
-    residual, and polishes each with brentq. Root selection: nearest
-    `advance_hint` in total arc advance, else nearest `hint` in p, else
-    smallest |p|.
+    residual, and polishes all bracketed cells together by safeguarded
+    Newton steps in p over one `chord_batch` per pass. Root selection:
+    nearest `advance_hint` in total arc advance, else nearest `hint` in
+    p, else smallest |p|.
     """
     geo._require_smooth(curve, "variational evaluation")
     P = curve.perimeter
@@ -130,31 +123,21 @@ def p_star(curve, law, s, S, hint=None, advance_hint=None, n_grid=256):
     tail = 1.0 - np.geomspace(1e-5, 1.0 - pg[-1], 8)[:-1]
     pg = np.concatenate([-tail[::-1], pg, tail])
     pg.sort()
-    n_grid = len(pg)
-    th = np.arccos(pg)
-    S_cl, Th, _ = geo.chord_batch(curve, np.full(n_grid, s), th)
-    adv = (S_cl - s) % P + law.ell(np.cos(Th))
-    res = geo.wrap_to_half(adv + s - S, P)
-
-    def rfun(p):
-        _, _, _, a = _transit_parts(curve, law, s, p)
-        return geo.wrap_to_half(a + s - S, P)
-
-    roots = []
-    for k in range(n_grid - 1):
-        ra, rb = res[k], res[k + 1]
-        if ra == 0.0:
-            roots.append(pg[k])
-            continue
-        if ra * rb >= 0:
-            continue
-        if abs(ra) + abs(rb) > 0.5 * P:
-            continue  # wrap jump, not a root
-        roots.append(brentq(rfun, pg[k], pg[k + 1], xtol=1e-15))
+    res = _transit_residual(curve, law, s, S, pg)[0]
+    ra, rb = res[:-1], res[1:]
+    on_node = ra == 0.0
+    # a sign change bigger than half a perimeter is a wrap jump, not a root
+    cell = (ra * rb < 0.0) & (np.abs(ra) + np.abs(rb) <= 0.5 * P)
+    roots = pg[:-1].copy()
+    roots[cell] = _polish(curve, law, s, S, pg[:-1][cell], pg[1:][cell],
+                          ra[cell], rb[cell])
+    roots = roots[on_node | cell]
     good = []
-    for r in roots:
-        if abs(rfun(r)) < 1e-10 and all(abs(r - g[0]) > 1e-9 for g in good):
-            good.append((r, _transit_parts(curve, law, s, r)[3]))
+    if roots.size:
+        res, adv = _transit_residual(curve, law, s, S, roots)[:2]
+        for r, rr, a in zip(roots, res, adv):
+            if abs(rr) < 1e-10 and all(abs(r - g[0]) > 1e-9 for g in good):
+                good.append((r, a))
     if not good:
         raise NotTransitive(
             "no transit direction from s=%.6g to S=%.6g" % (s, S))
@@ -172,9 +155,52 @@ def p_star(curve, law, s, S, hint=None, advance_hint=None, n_grid=256):
                         p=float(rootv[j]), advance=float(advv[j]))
 
 
+def _transit_residual(curve, law, s, S, p):
+    """Wrapped transit residual and total arc advance of the launches
+    p from s, by one `chord_batch`, with the chords (S_cl, Theta, d)."""
+    P = curve.perimeter
+    S_cl, Th, d = geo.chord_batch(curve, np.full(len(p), s), np.arccos(p))
+    adv = (S_cl - s) % P + law.ell(np.cos(Th))
+    return geo.wrap_to_half(adv + s - S, P), adv, S_cl, Th, d
+
+
+def _polish(curve, law, s, S, a, b, ra, rb):
+    """Transit roots in the cells [a, b] of p whose ends have residuals
+    ra, rb of opposite signs, all cells together.
+
+    Newton in p from the regula falsi point, with dr/dp =
+    -F_theta / sin(theta) where F_theta is the slid dS/dtheta. A step
+    that is not finite or leaves the bracket bisects it instead; a row
+    stops after a step under 1e-15 or on an exact zero, so no row sees
+    the others.
+    """
+    x = a - ra * (b - a) / (rb - ra)
+    k1 = curve.curvature(s)
+    live = np.ones(len(x), dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(64):
+            if not live.any():
+                break
+            xl, al, bl = x[live], a[live], b[live]
+            r, _, S_cl, Th, d = _transit_residual(curve, law, s, S, xl)
+            al = np.where(r * ra[live] > 0.0, xl, al)
+            bl = np.where(r * rb[live] > 0.0, xl, bl)
+            st = np.sqrt((1.0 - xl) * (1.0 + xl))
+            F_th = twist._chord_partials(d, st, np.sin(Th), k1,
+                                         curve.curvature(S_cl),
+                                         law.dtheta(Th))[4]
+            xn = xl + r * st / F_th
+            xn = np.where((xn >= al) & (xn <= bl), xn, 0.5 * (al + bl))
+            xn = np.where(r == 0.0, xl, xn)
+            a[live], b[live], x[live] = al, bl, xn
+            live[live] = (r != 0.0) & (np.abs(xn - xl) >= 1e-15)
+    return x
+
+
 @dataclass(frozen=True)
 class GeneratingFunctionEval:
-    """One-step action H(s, S) together with its exact partials."""
+    """One-step action H(s, S) together with its exact first and second
+    partials."""
 
     s: float
     S: float
@@ -182,67 +208,109 @@ class GeneratingFunctionEval:
     H: float
     dH_ds: float
     dH_dS: float
+    d2H_ds2: float
+    d2H_dsdS: float
+    d2H_dS2: float
 
 
 def generating_function(curve, law, s, S, hint=None, advance_hint=None):
     """H(s, S) = chord length to the pre-slide point plus the potential.
 
     The partials are exact: dH/ds = -p*, dH/dS = P at the pre-slide
-    landing point (the slide contributes no work).
+    landing point (the slide contributes no work). The second partials
+    follow from the transit equation F(s, theta) = S_cl + l(P) - S = 0:
+    theta_S = 1 / F_theta and theta_s = -F_s / F_theta, with F_theta the
+    slid dS/dtheta and F_s = dS/ds + l~'(Theta) dTheta/ds.
     """
+    P = curve.perimeter
     sol = p_star(curve, law, s, S, hint=hint, advance_hint=advance_hint)
-    _, P_land, d, _ = _transit_parts(curve, law, float(s) % curve.perimeter,
-                                     sol.p)
-    H = d + law.potential(P_land)
-    return GeneratingFunctionEval(s=float(s), S=float(S), p_star=sol.p,
-                                  H=H, dH_ds=-sol.p, dH_dS=P_land)
+    s0 = float(s) % P
+    th = math.acos(sol.p)
+    S_cl, Th, d = geo.chord(curve, s0, th)
+    P_land = math.cos(Th)
+    st, sT = math.sin(th), math.sin(Th)
+    slope = float(law.dtheta(Th))
+    dS_ds, _, dTh_ds, dTh_dth, F_th = twist._chord_partials(
+        d, st, sT, float(curve.curvature(s0)), float(curve.curvature(S_cl)),
+        slope)
+    th_S = 1.0 / F_th
+    th_s = -(dS_ds + slope * dTh_ds) * th_S
+    return GeneratingFunctionEval(
+        s=float(s), S=float(S), p_star=sol.p, H=d + law.potential(P_land),
+        dH_ds=-sol.p, dH_dS=P_land, d2H_ds2=st * th_s, d2H_dsdS=st * th_S,
+        d2H_dS2=-sT * dTh_dth * th_S)
 
 
 @dataclass(frozen=True)
 class PeriodicOrbit:
-    """A critical cycle of the action sum."""
+    """A critical cycle of the action sum.
+
+    residue is Greene's residue (2 - tr M) / 4 of the orbit's monodromy
+    M: 0 < residue < 1 for an elliptic orbit, below 0 or above 1 for a
+    hyperbolic one.
+    """
 
     s: np.ndarray
     theta: np.ndarray
     rotation: tuple
     action: float
     residual: float
+    residue: float
 
     @property
     def period(self):
         return len(self.s)
 
 
+@dataclass(frozen=True)
+class _ActionEval:
+    """The cyclic action at one configuration, with its gradient and its
+    periodic Jacobi Hessian; b holds the couplings H12 of the segments,
+    p_launch their launch momenta (the hints of nearby evaluations)."""
+
+    grad: np.ndarray
+    hess: np.ndarray
+    b: np.ndarray
+    p_launch: np.ndarray
+    action: float
+
+
 def _orbit_eval(curve, law, sv, winding, hints):
-    """Gradient of the cyclic action and the per-segment directions."""
+    """Action, gradient and analytic Hessian of the cyclic action sum.
+
+    dW/ds_i = P_land(i-1) - p(i). The Hessian has diagonal
+    H22(i-1) + H11(i) and off-diagonals H12(i) between i and i+1, summed
+    where they meet (q = 2).
+    """
     q = len(sv)
     P = curve.perimeter
     target = winding * P / q
-    p_launch = np.empty(q)
-    P_land = np.empty(q)
-    action = 0.0
-    new_hints = []
+    gfs = []
     for i in range(q):
         hint = hints[i] if hints is not None else None
-        gf = generating_function(
+        gfs.append(generating_function(
             curve, law, sv[i] % P, sv[(i + 1) % q] % P,
-            hint=hint, advance_hint=None if hint is not None else target)
-        p_launch[i] = gf.p_star
-        P_land[i] = gf.dH_dS
-        action += gf.H
-        new_hints.append(gf.p_star)
-    grad = np.roll(P_land, 1) - p_launch
-    return grad, p_launch, P_land, action, new_hints
+            hint=hint, advance_hint=None if hint is not None else target))
+    p_launch, P_land, H11, b, H22 = np.array(
+        [(gf.p_star, gf.dH_dS, gf.d2H_ds2, gf.d2H_dsdS, gf.d2H_dS2)
+         for gf in gfs]).T
+    hess = np.diag(H11 + np.roll(H22, 1))
+    i = np.arange(q)
+    hess[i, (i + 1) % q] += b
+    hess[(i + 1) % q, i] += b
+    return _ActionEval(grad=np.roll(P_land, 1) - p_launch, hess=hess, b=b,
+                       p_launch=p_launch, action=sum(gf.H for gf in gfs))
 
 
 def periodic_orbit_search(curve, law, rotation, seeds=None,
                           grad_tol=GRAD_TOL, max_iter=40):
     """Find a (p, q) periodic orbit as a critical point of the action.
 
-    Newton iteration on the gradient with a symmetric-difference
-    Hessian; a Gauss-Newton style damped step on |grad|^2 is the
-    fallback. Seeds are rotation-number configurations started at the
-    given base arcs (quarter-cell offsets by default).
+    Newton iteration on the gradient with the analytic cyclic
+    tridiagonal Hessian; a damped descent on |grad|^2 is the fallback.
+    Seeds are rotation-number configurations started at the given base
+    arcs (quarter-cell offsets by default). The orbit's residue comes
+    from the Hessian at the solution, R = -det(hess) / (4 prod(-H12)).
     """
     geo._require_smooth(curve, "variational evaluation")
     winding, q = rotation
@@ -269,25 +337,16 @@ def periodic_orbit_search(curve, law, rotation, seeds=None,
 
 def _newton_orbit(curve, law, sv, winding, q, grad_tol, max_iter):
     P = curve.perimeter
-    hints = None
-    h = 1e-6 * max(1.0, P)
-    g, p_l, P_l, action, hints = _orbit_eval(curve, law, sv, winding, hints)
+    ev = _orbit_eval(curve, law, sv, winding, None)
     for _ in range(max_iter):
-        gn = float(np.max(np.abs(g)))
+        gn = float(np.max(np.abs(ev.grad)))
         if gn < grad_tol:
-            theta = np.arccos(np.clip(p_l, -1.0, 1.0))
+            theta = np.arccos(np.clip(ev.p_launch, -1.0, 1.0))
+            residue = -np.linalg.det(ev.hess) / (4.0 * np.prod(-ev.b))
             return PeriodicOrbit(s=sv % P, theta=theta,
-                                 rotation=(winding, q),
-                                 action=action, residual=gn)
-        hess = np.empty((q, q))
-        for k in range(q):
-            e = np.zeros(q)
-            e[k] = h
-            gp = _orbit_eval(curve, law, sv + e, winding, hints)[0]
-            gm = _orbit_eval(curve, law, sv - e, winding, hints)[0]
-            hess[:, k] = (gp - gm) / (2 * h)
-        hess = 0.5 * (hess + hess.T)
-        step = np.linalg.lstsq(hess, -g, rcond=None)[0]
+                                 rotation=(winding, q), action=ev.action,
+                                 residual=gn, residue=float(residue))
+        step = np.linalg.lstsq(ev.hess, -ev.grad, rcond=None)[0]
         cap = 0.15 * P / q
         peak = np.max(np.abs(step))
         if peak > cap:
@@ -296,29 +355,27 @@ def _newton_orbit(curve, law, sv, winding, q, grad_tol, max_iter):
         for lam in 2.0 ** -np.arange(7):
             cand = sv + lam * step
             try:
-                g2, p2, P2, a2, h2 = _orbit_eval(curve, law, cand,
-                                                 winding, hints)
+                ev2 = _orbit_eval(curve, law, cand, winding, ev.p_launch)
             except NotTransitive:
                 continue
-            if np.max(np.abs(g2)) < gn:
-                sv, g, p_l, P_l, action, hints = cand, g2, p2, P2, a2, h2
+            if np.max(np.abs(ev2.grad)) < gn:
+                sv, ev = cand, ev2
                 improved = True
                 break
         if not improved:
-            # descend on |grad|^2 instead; its gradient is hess @ g
-            direction = hess @ g
+            # descend on |grad|^2 instead; its gradient is hess @ grad
+            direction = ev.hess @ ev.grad
             nd = np.linalg.norm(direction)
             if nd < 1e-15:
                 return None
             for lam in 2.0 ** -np.arange(10):
                 cand = sv - lam * (0.1 * P / q) * direction / nd
                 try:
-                    g2, p2, P2, a2, h2 = _orbit_eval(curve, law, cand,
-                                                     winding, hints)
+                    ev2 = _orbit_eval(curve, law, cand, winding, ev.p_launch)
                 except NotTransitive:
                     continue
-                if np.max(np.abs(g2)) < gn:
-                    sv, g, p_l, P_l, action, hints = cand, g2, p2, P2, a2, h2
+                if np.max(np.abs(ev2.grad)) < gn:
+                    sv, ev = cand, ev2
                     improved = True
                     break
             if not improved:

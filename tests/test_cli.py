@@ -263,7 +263,8 @@ q = 4
 """.format(out=out))
         assert cli.main(["orbit", ini]) == 0
         rows = read_rows(out / "orbit.csv")
-        assert rows[0] == ["i", "s", "theta", "type", "action", "residual"]
+        assert rows[0] == ["i", "s", "theta", "type", "action", "residual",
+                           "residue"]
         assert len(rows) == 5
         assert rows[1][3] == "1/4"
         assert float(rows[1][5]) < 1e-7

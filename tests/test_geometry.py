@@ -356,6 +356,41 @@ def test_generic_curve_roundtrip():
     assert th2 == pytest.approx(th2r, abs=5e-6)
 
 
+def t_of_s_eight_passes(curve, s):
+    """Arc-length inversion by all 8 Newton passes, none skipped."""
+    s = np.mod(np.asarray(s, dtype=float), curve.perimeter)
+    t = np.interp(s, curve._s_nodes, np.append(curve._t_nodes, geo.TWO_PI))
+    for _ in range(8):
+        f = curve.arclen_t(np.clip(t, 0.0, geo.TWO_PI)) - s
+        t = t - f / np.abs(curve._dzf(geo._wrap(t)))
+        t = np.clip(t, 0.0, geo.TWO_PI)
+    return t
+
+
+def _sampled_oval():
+    t = np.linspace(0, 2 * np.pi, 64, endpoint=False)
+    r = 1.0 + 0.1 * np.cos(3 * t)
+    return geo.curve_from_points(np.stack([1.3 * r * np.cos(t),
+                                           r * np.sin(t)], axis=1))
+
+
+@pytest.mark.parametrize("make", [lambda: geo.ellipse(1.2, 1.0),
+                                  lambda: geo.ellipse(20.0, 0.05),
+                                  lambda: geo.neumann_oval(0.3),
+                                  _sampled_oval],
+                         ids=["ellipse", "thin_ellipse", "oval", "table"])
+def test_t_of_s_is_the_eight_pass_inversion(make):
+    # the early stop keeps every bit, for each entry alone and in arrays
+    c = make()
+    rng = np.random.default_rng(RNG_SEED + 9)
+    P = c.perimeter
+    s = np.concatenate([[0.0, np.spacing(P), P - np.spacing(P), P, -0.3,
+                         P + 0.4], rng.uniform(0.0, P, 40), c._s_nodes[:5]])
+    assert np.array_equal(c.t_of_s(s), t_of_s_eight_passes(c, s))
+    for x in s[::5]:
+        assert np.array_equal(c.t_of_s(x), t_of_s_eight_passes(c, x))
+
+
 def test_polygon_construction_and_angles():
     tri = geo.regular_polygon(3)
     assert np.allclose(tri.interior_angles, math.pi / 3, atol=1e-12)

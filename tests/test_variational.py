@@ -4,13 +4,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from pensive import billiard as bil
 from pensive import delay
 from pensive import geometry as geo
+from pensive import twist
 from pensive import variational as var
-from pensive.errors import InvalidPoint, NotTransitive, Unsupported
+from pensive.errors import (InvalidPoint, NotTransitive, PensiveError,
+                            Unsupported)
 
 RNG = np.random.default_rng(20240821)
 
@@ -280,3 +284,232 @@ def test_ellipse_vortex_orbit_closes():
         x = bil.pensive_step(c, law, x)
     assert abs(geo.wrap_to_half(x.s - orb.s[0], c.perimeter)) < 1e-7
     assert abs(x.theta - orb.theta[0]) < 1e-7
+
+
+# -- exact derivatives of the action ---------------------------------------
+
+HESSIAN_CASES = {
+    "ellipse-vortex-1/3": (lambda: geo.ellipse(1.2, 1.0),
+                           lambda: delay.vortex(0.5), (1, 3)),
+    "oval-vortex-1/2": (lambda: geo.neumann_oval(0.3),
+                        lambda: delay.vortex(0.5), (1, 2)),
+    "disk-vortex-2/5": (lambda: geo.disk(1.0),
+                        lambda: delay.vortex(math.pi), (2, 5)),
+    "ellipse-puck-1/3": (lambda: geo.ellipse(1.2, 1.0),
+                         lambda: delay.puck(0.7), (1, 3)),
+    "ellipse-zero-1/4": (lambda: geo.ellipse(1.2, 1.0),
+                         delay.zero, (1, 4)),
+}
+
+
+@pytest.mark.parametrize("name", HESSIAN_CASES)
+def test_analytic_hessian_matches_gradient_differences(name):
+    make_curve, make_law, (winding, q) = HESSIAN_CASES[name]
+    c, law = make_curve(), make_law()
+    P = c.perimeter
+    rng = np.random.default_rng(len(name))
+    # a rotation-type configuration off its critical point
+    sv = (0.3 + np.arange(q) * winding * P / q
+          + rng.uniform(-0.05, 0.05, q) * P / q)
+    ev = var._orbit_eval(c, law, sv, winding, None)
+    assert np.array_equal(ev.hess, ev.hess.T)
+    h = 1e-6 * P
+    fd = np.empty((q, q))
+    for k in range(q):
+        e = np.zeros(q)
+        e[k] = h
+        gp = var._orbit_eval(c, law, sv + e, winding, ev.p_launch).grad
+        gm = var._orbit_eval(c, law, sv - e, winding, ev.p_launch).grad
+        fd[:, k] = (gp - gm) / (2 * h)
+    assert np.max(np.abs(ev.hess - fd)) < 1e-8
+
+
+def _monodromy_residue(c, law, orbit, h=1e-6):
+    """(2 - tr M) / 4 with M the central-difference Jacobian in (s, p) of
+    q map steps from the orbit's first point."""
+    P = c.perimeter
+    x0 = np.array([orbit.s[0], math.cos(orbit.theta[0])])
+
+    def steps(x):
+        s, th = np.array([x[0]]), np.array([math.acos(x[1])])
+        for _ in range(orbit.period):
+            s, th = bil.pensive_batch(c, law, s, th)
+        return np.array([s[0], math.cos(th[0])])
+
+    M = np.empty((2, 2))
+    for k in range(2):
+        e = np.zeros(2)
+        e[k] = h
+        d = steps(x0 + e) - steps(x0 - e)
+        d[0] = geo.wrap_to_half(d[0], P)
+        M[:, k] = d / (2 * h)
+    return (2.0 - np.trace(M)) / 4.0
+
+
+@pytest.mark.parametrize("c, law, rotation, expect", [
+    (geo.ellipse(1.2, 1.0), delay.vortex(0.5), (1, 3), -0.0296085),
+    (geo.ellipse(1.2, 1.0), delay.vortex(0.5), (1, 2), -3.21865),
+    (geo.neumann_oval(0.3), delay.vortex(0.5), (1, 2), -2.13877),
+], ids=["ellipse-1/3", "ellipse-1/2", "oval-1/2"])
+def test_residue_matches_monodromy(c, law, rotation, expect):
+    orbit = var.periodic_orbit_search(c, law, rotation)
+    assert orbit.residue == pytest.approx(expect, abs=1e-5)
+    assert abs(orbit.residue - _monodromy_residue(c, law, orbit)) < 1e-6
+
+
+def test_residue_vanishes_on_the_disk():
+    # each incidence angle is invariant on the disk: tr M = 2
+    orbit = var.periodic_orbit_search(geo.disk(1.0), delay.vortex(math.pi),
+                                      (2, 5))
+    assert abs(orbit.residue) < 1e-8
+
+
+def test_orbit_search_p_star_budget(monkeypatch):
+    calls = []
+    p_star = var.p_star
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return p_star(*args, **kwargs)
+
+    monkeypatch.setattr(var, "p_star", counted)
+    orbit = var.periodic_orbit_search(geo.ellipse(1.2, 1.0),
+                                      delay.vortex(0.5), (1, 3))
+    assert orbit.residual < 1e-9
+    assert len(calls) <= 75
+
+
+# -- transit roots against brentq --------------------------------------------
+
+
+def _transit_residual(c, law, s, S, p):
+    """The wrapped transit residual through one scalar chord."""
+    P = c.perimeter
+    S_cl, Th, _ = geo.chord(c, s, math.acos(p))
+    return float(geo.wrap_to_half((S_cl - s) % P + law.ell(math.cos(Th))
+                                  + s - S, P))
+
+
+def _scan_cells(c, law, s, S, n_grid=256):
+    """The cells (a, b) that p_star's scan brackets, in order, a == b for
+    a zero on a node, each with whether 65 samples show it to hold one
+    root and no wrap jump."""
+    P = c.perimeter
+    pg = np.linspace(-1.0, 1.0, n_grid + 2)[1:-1]
+    tail = 1.0 - np.geomspace(1e-5, 1.0 - pg[-1], 8)[:-1]
+    pg = np.sort(np.concatenate([-tail[::-1], pg, tail]))
+
+    def scan(p):
+        S_cl, Th, _ = geo.chord_batch(c, np.full(len(p), s), np.arccos(p))
+        return geo.wrap_to_half((S_cl - s) % P + law.ell(np.cos(Th))
+                                + s - S, P)
+
+    res = scan(pg)
+    cells = []
+    for a, b, ra, rb in zip(pg[:-1], pg[1:], res[:-1], res[1:]):
+        if ra == 0.0:
+            cells.append((a, a, False))
+        elif ra * rb < 0.0 and abs(ra) + abs(rb) <= 0.5 * P:
+            r = scan(np.linspace(a, b, 65))
+            cells.append((a, b, np.count_nonzero(r[:-1] * r[1:] <= 0.0) == 1
+                          and np.abs(np.diff(r)).max() < 0.25 * P))
+    return cells
+
+
+def _brentq_root(c, law, s, S, a, b):
+    """brentq (xtol 1e-15) on the scalar residual over [a, b]; None where
+    the scalar residual does not change sign there."""
+    if a == b:
+        return a
+
+    def f(p):
+        return _transit_residual(c, law, s, S, p)
+
+    if f(a) * f(b) > 0.0:
+        return None
+    return brentq(f, a, b, xtol=1e-15)
+
+
+def _brentq_roots(c, law, s, S):
+    """p_star's roots as polished one by one: brentq, |residual| < 1e-10,
+    1e-9 apart."""
+    good = []
+    for a, b, _ in _scan_cells(c, law, s, S):
+        r = _brentq_root(c, law, s, S, a, b)
+        if abs(_transit_residual(c, law, s, S, r)) < 1e-10 and all(
+                abs(r - g) > 1e-9 for g in good):
+            good.append(r)
+    return np.sort(good)
+
+
+@pytest.mark.parametrize("c, law, s, S", [
+    (geo.ellipse(1.2, 1.0), delay.vortex(0.5), 0.4, 2.9),
+    (geo.ellipse(1.2, 1.0), delay.vortex(0.5), 5.0, 1.2),
+    (geo.neumann_oval(0.3), delay.vortex(0.5), 1.1, 4.0),
+    (geo.disk(1.0), delay.vortex(2 * math.pi), 0.0, 3.0),
+], ids=["ellipse", "ellipse-wrapped", "oval", "disk-ambiguous"])
+def test_p_star_polishes_without_scalar_chords(monkeypatch, c, law, s, S):
+    chords = []
+    chord = geo.chord
+
+    def counted(*args):
+        chords.append(args)
+        return chord(*args)
+
+    monkeypatch.setattr(geo, "chord", counted)
+    sol = var.p_star(c, law, s, S)
+    assert chords == []
+    monkeypatch.undo()
+    ref = _brentq_roots(c, law, s, S)
+    assert len(sol.roots) == len(ref)
+    assert np.max(np.abs(sol.roots - ref)) < 1e-13
+
+
+EDGE_TABLES = (geo.ellipse(1.2, 1.0), geo.neumann_oval(0.3),
+               geo.ellipse(20.0, 0.05))
+EDGE_LAWS = (delay.vortex(0.5), delay.puck(0.7))
+
+
+@settings(max_examples=60)
+@given(table=st.integers(0, 2), law=st.integers(0, 1),
+       s_frac=st.floats(0.0, 1.0, exclude_max=True),
+       target=st.one_of(
+           st.floats(0.0, 1.0, exclude_max=True),
+           st.tuples(st.sampled_from([-1.0, 1.0]),
+                     st.floats(-5.0, -1.0).map(lambda e: 10.0 ** e))))
+def test_p_star_property_at_the_edges(table, law, s_frac, target):
+    """Every root p_star returns solves the transit equation, and matches
+    brentq wherever the scan cell holds one well-conditioned root."""
+    c, law = EDGE_TABLES[table], EDGE_LAWS[law]
+    P = c.perimeter
+    s = s_frac * P
+    eps = np.finfo(float).eps
+    if isinstance(target, tuple):
+        # the landing arc of a launch in the geometric tail, |p| -> 1
+        sign, gap = target
+        try:
+            S = float(bil.pensive_batch(c, law, [s],
+                                        [math.acos(sign * (1.0 - gap))])[0][0])
+        except PensiveError:
+            return
+    else:
+        S = target * P
+    try:
+        roots = var.p_star(c, law, s, S).roots
+    except PensiveError:
+        return
+
+    def slope(p):
+        # |d residual / dp|: the residual's error at the float nearest a
+        # root, and the root's error from a residual known to 8 ulps of P
+        th = math.acos(p)
+        return abs(twist.pensive_dS_dtheta(c, law, s, th)) / math.sin(th)
+
+    for r in roots:
+        assert abs(_transit_residual(c, law, s, S, r)) < (
+            1e-10 + 4 * eps * slope(r))
+    for a, b, single in _scan_cells(c, law, s, S):
+        ref = _brentq_root(c, law, s, S, a, b) if single else None
+        if ref is not None and 4 * eps * slope(ref) < 1e-11:
+            assert np.min(np.abs(roots - ref)) < (
+                1e-13 + 8 * np.spacing(P) / slope(ref))
