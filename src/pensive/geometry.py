@@ -177,18 +177,24 @@ class BoundaryCurve:
     def t_of_s(self, s):
         """Invert arc length: up to 8 Newton passes from the table guess.
 
-        The passes stop early once one leaves every entry unchanged: each
-        later pass would repeat it, so the result is bit for bit that of
-        all 8 passes, and no entry depends on the others in the array.
+        The passes stop early once one leaves every entry unchanged, or
+        returns every entry to its value of two passes before: later
+        passes would repeat that fixed point or 2-cycle, so the result is
+        bit for bit that of all 8 passes, and no entry depends on the
+        others in the array.
         """
         s = np.mod(np.asarray(s, dtype=float), self.perimeter)
         t = np.interp(s, self._s_nodes, np.append(self._t_nodes, TWO_PI))
-        for _ in range(8):
+        prev = None
+        for k in range(1, 9):
             f = self.arclen_t(np.clip(t, 0.0, TWO_PI)) - s
             tn = np.clip(t - f / np.abs(self._dzf(_wrap(t))), 0.0, TWO_PI)
-            t, fixed = tn, np.array_equal(tn, t)
-            if fixed:
-                break
+            if np.array_equal(tn, t):
+                return tn
+            if prev is not None and np.array_equal(tn, prev):
+                # a 2-cycle: pass 8 lands on tn when 8 - k is even
+                return tn if k % 2 == 0 else t
+            prev, t = t, tn
         return t
 
     # -- arc-length evaluation -----------------------------------------
@@ -343,7 +349,7 @@ class NeumannMap:
     """Conformal map z = F(Z) = a Z / (1 - lam^2 Z^2) of the unit disk onto
     the Neumann oval of area pi, with F', F'' and the inverse.
 
-    F, Fp and Fpp take scalars or arrays; inv takes one complex point.
+    F, Fp, Fpp and inv take scalars or arrays.
     """
 
     def __init__(self, lam):
@@ -365,9 +371,12 @@ class NeumannMap:
 
     def inv(self, z):
         """F^-1(z), the branch with F^-1(z) ~ z / a; the root of
-        l2 z Z^2 + a Z - z = 0 written without cancellation at small z."""
-        return 2.0 * z / (self.a + cmath.sqrt(self.a * self.a +
-                                              4.0 * self.l2 * z * z))
+        l2 z Z^2 + a Z - z = 0 written without cancellation at small z.
+        Arrays take np.sqrt; one complex point takes cmath.sqrt, the
+        cheaper call on the vortex velocities' scalar path."""
+        sqrt = np.sqrt if isinstance(z, np.ndarray) else cmath.sqrt
+        return 2.0 * z / (self.a + sqrt(self.a * self.a +
+                                        4.0 * self.l2 * z * z))
 
 
 def neumann_oval(lam, nodes=4096):

@@ -391,6 +391,29 @@ def test_t_of_s_is_the_eight_pass_inversion(make):
         assert np.array_equal(c.t_of_s(x), t_of_s_eight_passes(c, x))
 
 
+def test_t_of_s_two_cycle_exit_keeps_every_bit(monkeypatch):
+    # passes that alternate between two neighbouring floats stop at the
+    # repeat; pass 8's value is read off by parity
+    rng = np.random.default_rng(RNG_SEED + 10)
+    early_cycles = 0
+    for c in (geo.ellipse(1.2, 1.0), geo.neumann_oval(0.3),
+              geo.ellipse(20.0, 0.05)):
+        s = rng.uniform(0.0, c.perimeter, 2000)
+        assert np.array_equal(c.t_of_s(s), t_of_s_eight_passes(c, s))
+        passes = []
+        arclen_t = c.arclen_t
+        monkeypatch.setattr(c, "arclen_t",
+                            lambda t: passes.append(1) or arclen_t(t))
+        for x in s:
+            passes.clear()
+            t = c.t_of_s(x)
+            if len(passes) < 8:
+                f = arclen_t(np.clip(t, 0.0, geo.TWO_PI)) - x
+                early_cycles += t - f / abs(c._dzf(geo._wrap(t))) != t
+            assert np.array_equal(t, t_of_s_eight_passes(c, x))
+    assert early_cycles > 0
+
+
 def test_polygon_construction_and_angles():
     tri = geo.regular_polygon(3)
     assert np.allclose(tri.interior_angles, math.pi / 3, atol=1e-12)

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from pensive import billiard as bil
 from pensive import delay
@@ -183,31 +185,68 @@ def _random_config(dom, n, rng):
     return vx.VortexConfiguration(np.array(z), gamma, dom)
 
 
-@pytest.mark.parametrize("dom", [vx.HalfPlane(), vx.DiskDomain(1.3),
-                                 vx.NeumannOvalDomain(0.3)],
-                         ids=lambda d: d.name)
-def test_rhs_and_hamiltonian_match_pairwise_kernels(dom):
+def _check_pairwise_kernels(cfg):
     # the one-pass pair sums against the public per-pair kernels; the
     # tolerance is relative to the sum of the terms' magnitudes
+    dom, n = cfg.domain, cfg.n
+    z, g = [complex(zk) for zk in cfg.z], cfg.gamma
+    v = vx.vortex_rhs(cfg)
+    for i in range(n):
+        terms = [0.5 * g[i] * vx.grad_robin(dom, z[i])]
+        terms += [g[j] * vx.grad_greens(dom, z[i], z[j])
+                  for j in range(n) if j != i]
+        ref = -1j * sum(terms)
+        assert abs(v[i] - ref) <= 1e-12 * sum(map(abs, terms))
+    terms = [0.5 * g[i] ** 2 * vx.robin(dom, z[i]) for i in range(n)]
+    terms += [g[i] * g[j] * vx.greens(dom, z[i], z[j])
+              for i in range(n) for j in range(i + 1, n)]
+    H = vx.hamiltonian(cfg)
+    assert abs(H - sum(terms)) <= 1e-12 * sum(map(abs, terms))
+    assert vx.hamiltonian(dom, cfg.z, g) == H
+
+
+DOMAINS = [vx.HalfPlane(), vx.DiskDomain(1.3), vx.NeumannOvalDomain(0.3)]
+
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: d.name)
+def test_rhs_and_hamiltonian_match_pairwise_kernels(dom):
     rng = np.random.default_rng(20240823)
     for n in (1, 2, 3, 8):
         for _ in range(5):
-            cfg = _random_config(dom, n, rng)
-            z, g = [complex(zk) for zk in cfg.z], cfg.gamma
-            v = vx.vortex_rhs(cfg)
-            for i in range(n):
-                terms = [0.5 * g[i] * vx.grad_robin(dom, z[i])]
-                terms += [g[j] * vx.grad_greens(dom, z[i], z[j])
-                          for j in range(n) if j != i]
-                ref = -1j * sum(terms)
-                assert abs(v[i] - ref) <= 1e-12 * sum(map(abs, terms))
-            terms = [0.5 * g[i] ** 2 * vx.robin(dom, z[i])
-                     for i in range(n)]
-            terms += [g[i] * g[j] * vx.greens(dom, z[i], z[j])
-                      for i in range(n) for j in range(i + 1, n)]
-            H = vx.hamiltonian(cfg)
-            assert abs(H - sum(terms)) <= 1e-12 * sum(map(abs, terms))
-            assert vx.hamiltonian(dom, cfg.z, g) == H
+            _check_pairwise_kernels(_random_config(dom, n, rng))
+
+
+def _off_wall(dom, u, d):
+    """The point at distance about d inside the wall, at fraction u of the
+    way along it (of [-5, 5] on the half-plane's)."""
+    if dom.name == "half_plane":
+        return complex(10.0 * u - 5.0, d)
+    Z = complex(np.exp(1j * TWO_PI * u))
+    if dom.name == "disk":
+        return (dom.radius - d) * Z
+    inward = -Z * dom.map.Fp(Z)
+    return dom.map.F(Z) + d * inward / abs(inward)
+
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: d.name)
+@given(u=st.floats(0.0, 1.0, exclude_max=True),
+       d=st.floats(1e-9, 1e-6), sep=st.floats(1e-9, 1e-6),
+       phi=st.floats(0.0, TWO_PI), n=st.integers(2, 4),
+       gammas=st.lists(st.floats(0.3, 2.0), min_size=4, max_size=4),
+       signs=st.lists(st.sampled_from([-1.0, 1.0]), min_size=4,
+                      max_size=4))
+def test_rhs_and_hamiltonian_match_pairwise_kernels_near_singularities(
+        dom, u, d, sep, phi, n, gammas, signs):
+    # a pair within 1e-6 of each other and of the wall, then a third
+    # vortex within 1e-6 of the wall elsewhere and a fourth in the bulk
+    a = _off_wall(dom, u, d)
+    z = [a, a + sep * complex(math.cos(phi), math.sin(phi)),
+         _off_wall(dom, (u + 0.5) % 1.0, d),
+         _off_wall(dom, (u + 0.25) % 1.0, 0.2 * dom.scale)][:n]
+    assume(dom.inside(z[1]) and
+           dom.boundary_distance(z[1]) > 1e-11 * dom.scale)
+    g = np.multiply(gammas, signs)[:n]
+    _check_pairwise_kernels(vx.VortexConfiguration(np.array(z), g, dom))
 
 
 @pytest.mark.parametrize("dom", [vx.HalfPlane(), vx.DiskDomain(1.3),
@@ -280,6 +319,44 @@ def test_headon_swap_symmetry():
     assert np.max(np.abs(ra - rb)) < 1e-6
     # and t=0 is the minimum of |z| along the doubled window
     assert ra.min() >= ra[0] - 1e-9
+
+
+@pytest.mark.parametrize("dom", DOMAINS, ids=lambda d: d.name)
+def test_samples_match_hamiltonian_and_momentum(dom):
+    # integrate evaluates all its samples in one array pass; each sample
+    # is bit for bit the one-configuration value
+    rng = np.random.default_rng(20240825)
+    for n in (1, 2, 8):
+        cfg = _random_config(dom, n, rng)
+        traj = vx.integrate(cfg, 0.2, n_eval=40)
+        for k, zk in enumerate(traj.z):
+            assert traj.hamiltonian[k] == vx.hamiltonian(dom, zk, cfg.gamma)
+            assert traj.momentum[k] == vx.momentum(
+                vx.VortexConfiguration(zk, cfg.gamma, dom))
+
+
+def test_integration_succeeds_on_the_first_try(monkeypatch):
+    # a drift retry would cost a second full integration
+    attempts, trajs = [], []
+    solve_ivp, integrate = vx.solve_ivp, vx.integrate
+
+    def counted(*args, **kw):
+        attempts.append(1)
+        return solve_ivp(*args, **kw)
+
+    def recorded(*args, **kw):
+        trajs.append(integrate(*args, **kw))
+        return trajs[-1]
+
+    monkeypatch.setattr(vx, "solve_ivp", counted)
+    monkeypatch.setattr(vx, "integrate", recorded)
+    cfg = _random_config(vx.NeumannOvalDomain(0.3), 8,
+                         np.random.default_rng(5))
+    vx.integrate(cfg, 0.5)
+    vx.dipole_billiard_limit_check(vx.DiskDomain(1.0), 0.3, math.pi / 3,
+                                   0.01)
+    assert len(attempts) == len(trajs) == 2
+    assert all(tr.drift <= 1e-8 for tr in trajs)
 
 
 def test_eventstop_on_boundary_approach():
