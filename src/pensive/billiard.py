@@ -270,36 +270,34 @@ def _slice_probe(polygon, law, theta, angles):
     return probe
 
 
-def _same_piece(probe, a, b, va, vb, period):
-    if va[1] != vb[1]:
-        return False
-    m = 0.5 * (a + b)
-    try:
-        vm = probe(m)
-    except PensiveError:
-        return False
-    if vm[1] != va[1]:
-        return False
-    pred = vb[0] + 0.5 * geo.wrap_to_half(va[0] - vb[0], period)
-    return abs(geo.wrap_to_half(vm[0] - pred, period)) < 1e-6 * period
+def _vertex_shadows(polygon, theta):
+    """Launch arc lengths whose chord at angle theta runs into a vertex.
+
+    From v_i + w*e_i on edge i the ray d_i (e_i turned by theta) meets
+    vertex j where v_i + w*e_i + u*d_i = v_j; the denominator
+    cross(e_i, d_i) is sin(theta). Kept: 0 < w < l_i and u > 0.
+    """
+    e = polygon.edge_tan
+    c, sn = math.cos(theta), math.sin(theta)
+    d = np.stack([c * e[:, 0] - sn * e[:, 1], c * e[:, 1] + sn * e[:, 0]], axis=1)
+    r = polygon.vertices[None, :, :] - polygon.vertices[:, None, :]
+    w = (r[..., 0] * d[:, None, 1] - r[..., 1] * d[:, None, 0]) / sn
+    u = (e[:, None, 0] * r[..., 1] - e[:, None, 1] * r[..., 0]) / sn
+    keep = (w > 0) & (w < polygon.edge_len[:, None]) & (u > 0)
+    return (polygon.cum_s[:-1, None] + w)[keep]
 
 
-def _bisect_break(probe, a, b, va, vb, period, tol):
-    while b - a > tol:
-        m = 0.5 * (a + b)
-        try:
-            vm = probe(m)
-        except PensiveError:
-            return m
-        if _same_piece(probe, a, m, va, vm, period):
-            a, va = m, vm
-        else:
-            b, vb = m, vm
-    return 0.5 * (a + b)
+def iet_realize(polygon, theta0, law=None):
+    """Accessible-angle slices of a rational polygon as interval exchanges.
 
-
-def iet_realize(polygon, theta0, law=None, n_scan=4096):
-    """Accessible-angle slices of a rational polygon as interval exchanges."""
+    With interior angles 2*pi*m/n the step lattice is 2*pi/N for N the
+    lcm of the n, doubled when an exterior angle pi*(n - 2m)/n is not a
+    multiple of 2*pi/N (edges then turn by odd multiples of pi/N, as on
+    the hexagon). A slice breaks only where the launch point crosses a
+    vertex or the chord runs into one, so its cuts are the vertices plus
+    their shadows; each piece between cuts is affine and is read off two
+    probes at its quarter points, then checked at its midpoint.
+    """
     if not isinstance(polygon, geo.PolygonBoundary):
         raise Unsupported("interval-exchange slices need a polygon table")
     if polygon.rational_angles is None:
@@ -307,6 +305,8 @@ def iet_realize(polygon, theta0, law=None, n_scan=4096):
     geo._check_angle(theta0)
     law = law if law is not None else delay_mod.zero()
     N = polygon.angle_lcm
+    if any(N * (n - 2 * m) % (2 * n) for m, n in polygon.rational_angles):
+        N *= 2
     base = TWO_PI / N
     P = polygon.perimeter
 
@@ -324,49 +324,18 @@ def iet_realize(polygon, theta0, law=None, n_scan=4096):
             merged.append(t)
     angles = np.array(merged)
 
-    pieces_by_slice = {}
+    pieces = []
     start = int(np.argmin(np.abs(angles - theta0)))
-    vertex_s = np.sort(np.mod(polygon.cum_s, P))
 
-    for k in range(len(angles)):
-        theta = float(angles[k])
+    for k, theta in enumerate(angles.tolist()):
         probe = _slice_probe(polygon, law, theta, angles)
-        grid = (np.arange(n_scan) + 0.5) * (P / n_scan)
-        vals = []
-        for s in grid:
-            v = None
-            for nudge in (0.0, 1e-4, -1e-4):
-                try:
-                    v = probe(s + nudge * P / n_scan)
-                    break
-                except PensiveError:
-                    continue
-            if v is None:
-                raise InvalidParameter("could not probe slice near s=%g" % s)
-            vals.append(v)
-
-        brk = set(float(v) for v in vertex_s)
-        for i in range(n_scan):
-            a, b = grid[i], grid[(i + 1) % n_scan]
-            if i + 1 == n_scan:
-                b = grid[0] + P
-            va, vb = vals[i], vals[(i + 1) % n_scan]
-            lo_v = np.searchsorted(vertex_s, a + 1e-12)
-            hi_v = np.searchsorted(vertex_s, b - 1e-12)
-            if lo_v != hi_v:
-                continue  # a vertex already separates them
-            if not _same_piece(probe, a, b, va, vb, P):
-                brk.add(_bisect_break(probe, a, b, va, vb, P, 1e-11 * P) % P)
-
-        cuts = np.sort(np.array(sorted(brk)))
+        cuts = np.unique(np.r_[polygon.cum_s[:-1],
+                               _vertex_shadows(polygon, theta)])
         slice_pieces = []
-        for j in range(len(cuts)):
-            lo = cuts[j]
-            hi = cuts[(j + 1) % len(cuts)] if j + 1 < len(cuts) else cuts[0] + P
+        for lo, hi in zip(cuts, np.r_[cuts[1:], cuts[0] + P]):
             if hi - lo < 1e-9 * P:
                 continue
-            eps = min(1e-7 * P, 0.2 * (hi - lo))
-            a, c = lo + eps, hi - eps
+            a, c = lo + (hi - lo) / 4, hi - (hi - lo) / 4
             va, vc = probe(a), probe(c)
             if va[1] != vc[1]:
                 raise InvalidParameter("piece (%g, %g) is not coherent" % (lo, hi))
@@ -377,20 +346,19 @@ def iet_realize(polygon, theta0, law=None, n_scan=4096):
                 raise InvalidParameter("piece (%g, %g) is not affine" % (lo, hi))
             th_img = float(angles[va[1]])
             chart_slope = slope * math.sin(th_img) / math.sin(theta)
-            roof_lo = va[2] - (va[2] - vc[2]) / (c - a) * (a - lo)
-            roof_hi = vc[2] + (vc[2] - va[2]) / (c - a) * (hi - c)
+            roof_slope = (vc[2] - va[2]) / (c - a)
             slice_pieces.append(IETPiece(
                 angle_index=k, lo=float(lo % P), hi=float(lo % P + (hi - lo)),
                 image_index=va[1], raw_slope=float(slope),
                 image_at_lo=float((va[0] - slope * (a - lo)) % P),
                 chart_slope=float(chart_slope),
-                roof_lo=float(roof_lo), roof_hi=float(roof_hi)))
+                roof_lo=float(va[2] - roof_slope * (a - lo)),
+                roof_hi=float(vc[2] + roof_slope * (hi - c))))
         total = sum(pc.hi - pc.lo for pc in slice_pieces)
         if abs(total - P) > 1e-6 * P:
             raise InvalidParameter("slice %d pieces cover %g of %g" % (k, total, P))
-        pieces_by_slice[k] = slice_pieces
+        pieces.append(slice_pieces)
 
-    pieces = [pieces_by_slice[k] for k in range(len(angles))]
     reached = np.zeros(len(angles), dtype=bool)
     stack = [start]
     while stack:

@@ -649,6 +649,8 @@ def _chord_polygon(poly, s, theta):
     tol = 1e-12 * max(1.0, poly.perimeter)
     okay = (np.abs(den) > 1e-300) & (u > tol) & (w >= -1e-12) & \
         (w <= poly.edge_len + 1e-12)
+    # a ray into the table never meets its launch edge again
+    okay[poly.edge_of(s)[0]] = False
     if not np.any(okay):
         raise InvalidAngle("ray does not meet the polygon again")
     cand = np.nonzero(okay)[0]

@@ -242,7 +242,7 @@ def test_iet_requires_rational_polygon():
 
 def test_iet_square_classical():
     sq = geo.regular_polygon(4, circumradius=math.sqrt(0.5))
-    iet = bil.iet_realize(sq, math.pi / 4, delay.zero(), n_scan=1024)
+    iet = bil.iet_realize(sq, math.pi / 4, delay.zero())
     assert np.allclose(iet.angles, [math.pi / 4, 3 * math.pi / 4], atol=1e-12)
     # classical 45-degree orbits keep their angle; the partner slice is
     # part of the invariant set but not visited from pi/4
@@ -266,7 +266,7 @@ def test_iet_triangle_constant_delay():
     tri = geo.regular_polygon(3)
     theta0 = 0.4
     law = delay.constant(0.2)
-    iet = bil.iet_realize(tri, theta0, law, n_scan=2048)
+    iet = bil.iet_realize(tri, theta0, law)
     N = tri.angle_lcm
     assert N == 6
     assert len(iet.angles) <= 2 * N
@@ -311,9 +311,51 @@ def test_iet_angle_orbit_finite():
         assert min(r1, base - r1, r2, base - r2) < 1e-9
 
 
+def l_shape():
+    v = np.array([[0, 0], [2, 0], [2, 1], [1, 1], [1, 2], [0, 2.0]])
+    return geo.PolygonBoundary(v, rational_angles=[(1, 4)] * 3 + [(3, 4)]
+                               + [(1, 4)] * 2)
+
+
+# regular tables under each slide kind; slices with shadows a hair from
+# a vertex; a non-convex table, whose blocked shadows add harmless cuts
+IET_CASES = [(k, th, law) for k, th in ((3, 0.4), (4, 0.3), (5, 0.5), (6, 0.2))
+             for law in (delay.constant(0.2), delay.zero(), delay.vortex(2.0))]
+IET_CASES += [(4, math.pi / 4 + 1e-4, delay.zero()),
+              (5, 0.8 * math.pi - 1e-3, delay.zero()),
+              (5, 0.8 * math.pi - 1e-5, delay.zero()),
+              ("L", 0.4, delay.constant(0.2)), ("L", 0.9, delay.zero())]
+
+
+@pytest.mark.parametrize("k_sides,theta0,law", IET_CASES,
+                         ids=lambda v: getattr(v, "tag", None))
+def test_iet_reproduces_the_map_step(k_sides, theta0, law):
+    poly = l_shape() if k_sides == "L" else geo.regular_polygon(k_sides)
+    iet = bil.iet_realize(poly, theta0, law)
+    rng = np.random.default_rng(20240820)
+    done = 0
+    for _ in range(300):
+        k = int(rng.integers(len(iet.angles)))
+        s = rng.uniform(0.0, poly.perimeter)
+        try:
+            rec = bil.pensive_step_record(
+                poly, law, bil.PhasePoint(s, iet.angles[k]))
+        except CornerHit:
+            continue
+        S, k2 = iet.step(s, k)
+        assert abs(geo.wrap_to_half(S - rec.s_out, poly.perimeter)) < 1e-8
+        assert k2 == iet.angle_index(rec.theta_out)
+        pc, s_adj = iet.piece_of(s, k)
+        roof = pc.roof_lo + (pc.roof_hi - pc.roof_lo) * (s_adj - pc.lo) / (
+            pc.hi - pc.lo)
+        assert roof == pytest.approx(rec.chord_length, abs=1e-8)
+        done += 1
+    assert done > 250
+
+
 def test_iet_chart_is_isometry():
     tri = geo.regular_polygon(3)
-    iet = bil.iet_realize(tri, 0.4, delay.constant(0.2), n_scan=1024)
+    iet = bil.iet_realize(tri, 0.4, delay.constant(0.2))
     for row in iet.pieces:
         for pc in row:
             k, k2 = pc.angle_index, pc.image_index

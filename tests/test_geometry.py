@@ -490,6 +490,21 @@ def test_polygon_chord_reversibility():
     assert done > 25
 
 
+@given(k=st.integers(3, 8), frac=st.floats(0.0, 1.0, exclude_max=True),
+       gap=st.floats(math.log10(1.1e-6), -2.0).map(lambda e: 10.0 ** e),
+       backward=st.booleans())
+def test_polygon_grazing_chord_leaves_its_edge(k, frac, gap, backward):
+    # a rounded hit back on the launch edge once gave a chord of 1e-11
+    poly = geo.regular_polygon(k)
+    s = frac * poly.perimeter
+    try:
+        s2, _, d = geo.chord(poly, s, math.pi - gap if backward else gap)
+    except (CornerHit, CornerUndefined):
+        return
+    assert poly.edge_of(s2)[0] != poly.edge_of(s)[0]
+    assert d > 1e-9
+
+
 def test_periodic_zeros_node_zero_once():
     # sin vanishes on the node 0 and just past the node pi (sin(pi) is
     # 1.2e-16 in floating point): each zero comes back once
