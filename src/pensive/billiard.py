@@ -113,13 +113,22 @@ def point_xy(curve, s):
     return np.asarray(curve.point(s), dtype=float)
 
 
+def _slide(curve, s_cl, slide):
+    """Arc lengths after sliding from s_cl; on a polygon, a landing within
+    CORNER_TOL of any vertex raises CornerHit."""
+    s_out = np.mod(s_cl + slide, curve.perimeter)
+    if isinstance(curve, geo.PolygonBoundary):
+        gap = geo.wrap_to_half(np.asarray(s_out)[..., None] - curve.cum_s[:-1],
+                               curve.perimeter)
+        if np.any(np.abs(gap) < geo.CORNER_TOL):
+            raise CornerHit("slide landed on a vertex")
+    return s_out
+
+
 def _pensive_raw(curve, law, s, theta):
     s_cl, theta_out, length = geo.chord(curve, s, theta)
     slide = float(law.ell_theta(theta_out))
-    s_out = geo.arc_advance(curve, s_cl, slide)
-    if isinstance(curve, geo.PolygonBoundary):
-        if curve.nearest_vertex_gap(s_out)[1] < geo.CORNER_TOL:
-            raise CornerHit("slide landed on a vertex")
+    s_out = float(_slide(curve, s_cl, slide))
     return StepRecord(s, theta, s_cl, theta_out, s_out, length, slide)
 
 
@@ -152,15 +161,18 @@ def iterate(curve, law, x0, n):
 
 
 def pensive_batch(curve, law, s, theta):
-    """Vectorized step for arrays of phase points on a smooth convex curve."""
+    """Vectorized step for arrays of phase points.
+
+    On a polygon, a row whose slide lands on a vertex raises CornerHit,
+    as the scalar step does.
+    """
     s = np.asarray(s, dtype=float)
     theta = np.asarray(theta, dtype=float)
     s_cl, theta_out, _ = geo.chord_batch(curve, s, theta)
-    s_out = np.mod(s_cl + law.ell_theta(theta_out), curve.perimeter)
-    return s_out, theta_out
+    return _slide(curve, s_cl, law.ell_theta(theta_out)), theta_out
 
 
-def measure_jacobian_det(curve, law, s, p, h=1e-6):
+def measure_jacobian_det(curve, law, s, p):
     """Central-difference Jacobian determinant of the step in (s, p).
 
     Invariance of sin(theta) dtheta ^ ds means the determinant is 1 in
@@ -169,6 +181,7 @@ def measure_jacobian_det(curve, law, s, p, h=1e-6):
     s = np.atleast_1d(np.asarray(s, dtype=float))
     p = np.atleast_1d(np.asarray(p, dtype=float))
     P = curve.perimeter
+    h = 1e-6
 
     def push(sv, pv):
         S, Th = pensive_batch(curve, law, sv, np.arccos(np.clip(pv, -1, 1)))

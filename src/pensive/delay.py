@@ -74,15 +74,15 @@ class DelayFunction:
         eps = 1e-9
         return (float(self.ell(1.0 - eps)), float(self.ell(-1.0 + eps)))
 
-    def dtheta_range(self, n=1024):
+    def dtheta_range(self):
         """(inf, sup) of d l~/d theta over (0, pi).
 
-        Closed-form for built-in tags; otherwise a dense sample, so the
-        bound is only as good as the grid.
+        Closed-form for built-in tags; otherwise a sample at 1024
+        interior points, so the bound is only as good as the grid.
         """
         if self._dtheta_range is not None:
             return self._dtheta_range
-        th = np.linspace(0.0, math.pi, n + 2)[1:-1]
+        th = np.linspace(0.0, math.pi, 1026)[1:-1]
         v = self.dtheta(th)
         return float(np.min(v)), float(np.max(v))
 

@@ -162,11 +162,10 @@ def pensive_outer_step(curve, odelay, X):
     return np.array([float(np.real(y)), float(np.imag(y))])
 
 
-def area_preservation_check(curve, odelay, points, h=None):
+def area_preservation_check(curve, odelay, points):
     """Max |det - 1| of the finite-difference Jacobian of the map."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if h is None:
-        h = 1e-6 * max(1.0, curve.perimeter / TWO_PI)
+    h = 1e-6 * max(1.0, curve.perimeter / TWO_PI)
     worst = 0.0
     for p in pts:
         cols = []

@@ -112,7 +112,7 @@ class TwistCertificate:
                            self.right_bound, self.left_bound, self.verdict))
 
 
-def twist_certificate(curve, law, n=1024):
+def twist_certificate(curve, law):
     """One-sided twist test from curvature pinching.
 
     With osculating radii r = 1/kappa_max and R = 1/kappa_min and
@@ -129,7 +129,7 @@ def twist_certificate(curve, law, n=1024):
     if r <= R / 2:
         raise HypothesisFailed(
             "curvature ratio too large: r=%.6g <= R/2=%.6g" % (r, R / 2))
-    lo, hi = law.dtheta_range(n)
+    lo, hi = law.dtheta_range()
     right_bound = -2.0 * r / (2.0 * (R / r) - 1.0)
     left_bound = -2.0 * R / (2.0 * (r / R) - 1.0)
     if lo > right_bound:

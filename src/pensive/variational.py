@@ -81,10 +81,10 @@ def single_bounce_objective(curve, law, A, B, s):
     return value, deriv
 
 
-def single_bounce_critical_points(curve, law, A, B, n_scan=720):
+def single_bounce_critical_points(curve, law, A, B):
     """Roots of the objective's derivative, one per bracketed sign change."""
     P = curve.perimeter
-    grid = np.linspace(0.0, P, n_scan, endpoint=False)
+    grid = np.linspace(0.0, P, 720, endpoint=False)
     _, d = single_bounce_objective(curve, law, A, B, grid)
 
     def dfun(x):
@@ -105,7 +105,7 @@ class TransitSolve:
     advance: float
 
 
-def p_star(curve, law, s, S, hint=None, advance_hint=None, n_grid=256):
+def p_star(curve, law, s, S, hint=None, advance_hint=None):
     """Solve the transit equation S_cl(s, p) + l(P_cl(s, p)) = S (mod P).
 
     Scans a momentum grid, brackets sign changes of the wrapped
@@ -118,7 +118,7 @@ def p_star(curve, law, s, S, hint=None, advance_hint=None, n_grid=256):
     P = curve.perimeter
     s = float(s) % P
     S = float(S) % P
-    pg = np.linspace(-1.0, 1.0, n_grid + 2)[1:-1]
+    pg = np.linspace(-1.0, 1.0, 258)[1:-1]   # 256 interior momenta
     # geometric tails so near-grazing transits still get bracketed
     tail = 1.0 - np.geomspace(1e-5, 1.0 - pg[-1], 8)[:-1]
     pg = np.concatenate([-tail[::-1], pg, tail])
@@ -302,8 +302,7 @@ def _orbit_eval(curve, law, sv, winding, hints):
                        p_launch=p_launch, action=sum(gf.H for gf in gfs))
 
 
-def periodic_orbit_search(curve, law, rotation, seeds=None,
-                          grad_tol=GRAD_TOL, max_iter=40):
+def periodic_orbit_search(curve, law, rotation, seeds=None):
     """Find a (p, q) periodic orbit as a critical point of the action.
 
     Newton iteration on the gradient with the analytic cyclic
@@ -323,8 +322,7 @@ def periodic_orbit_search(curve, law, rotation, seeds=None,
     for s0 in np.atleast_1d(seeds):
         sv = float(s0) + np.arange(q) * (winding * P / q)
         try:
-            orbit = _newton_orbit(curve, law, sv, winding, q,
-                                  grad_tol, max_iter)
+            orbit = _newton_orbit(curve, law, sv, winding, q)
         except (NotTransitive, geo.InvalidAngle, Ambiguous) as err:
             last_err = err
             continue
@@ -335,12 +333,12 @@ def periodic_orbit_search(curve, law, rotation, seeds=None,
                       "; last error: %s" % last_err if last_err else ""))
 
 
-def _newton_orbit(curve, law, sv, winding, q, grad_tol, max_iter):
+def _newton_orbit(curve, law, sv, winding, q):
     P = curve.perimeter
     ev = _orbit_eval(curve, law, sv, winding, None)
-    for _ in range(max_iter):
+    for _ in range(40):
         gn = float(np.max(np.abs(ev.grad)))
-        if gn < grad_tol:
+        if gn < GRAD_TOL:
             theta = np.arccos(np.clip(ev.p_launch, -1.0, 1.0))
             residue = -np.linalg.det(ev.hess) / (4.0 * np.prod(-ev.b))
             return PeriodicOrbit(s=sv % P, theta=theta,

@@ -613,7 +613,7 @@ class LimitCheckReport:
     delta_theta: float
 
 
-def dipole_billiard_limit_check(domain, x0, theta0, eps, detect_radius=None):
+def dipole_billiard_limit_check(domain, x0, theta0, eps):
     """Integrate a tight dipole through one bounce and compare with the
     vortex-billiard step at the same launch data."""
     curve = domain.curve()
@@ -627,8 +627,7 @@ def dipole_billiard_limit_check(domain, x0, theta0, eps, detect_radius=None):
     zmid = 0.5 * (za + zb)
     d_hat = (zb - za) / abs(zb - za)
     depth = domain.boundary_distance(zmid)
-    if detect_radius is None:
-        detect_radius = 0.6 * depth
+    detect_radius = 0.6 * depth
     if detect_radius < 8 * eps:
         raise ReportIncomplete("separation too coarse for this chord")
     z, g = make_dipole(zmid, d_hat, eps)

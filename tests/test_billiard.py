@@ -188,6 +188,19 @@ def test_iterate_zero_and_partial():
     assert len(exc.value.partial) >= 1
 
 
+def test_pensive_batch_stops_on_a_vertex():
+    # the batch twin of the square above: the row sliding onto a vertex
+    # raises as the scalar step does, even beside a row that does not
+    sq = geo.regular_polygon(4, circumradius=math.sqrt(0.5))
+    law = delay.constant(0.5)
+    with pytest.raises(CornerHit):
+        bil.pensive_batch(sq, law, [0.5], [math.pi / 2])
+    with pytest.raises(CornerHit):
+        bil.pensive_batch(sq, law, [0.3, 0.5], [1.0, math.pi / 2])
+    S, _ = bil.pensive_batch(sq, law, [0.3], [1.0])
+    assert S[0] == bil._pensive_raw(sq, law, 0.3, 1.0).s_out
+
+
 def test_pensive_batch_matches_scalar():
     c = geo.ellipse(2.0, 1.0)
     law = delay.vortex(1.5)
