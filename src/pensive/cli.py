@@ -420,7 +420,8 @@ def _cmd_outer(cfg):
         op = outer_mod.tangent_coordinates(curve, X)
         rows = [[0, X[0], X[1], op.alpha, op.r]]
         for k in range(1, steps + 1):
-            X = outer_mod.pensive_outer_step(curve, od, X)
+            # the row's tangency is the step's: solve it once
+            X = outer_mod._slide_and_reflect(curve, od, op)
             op = outer_mod.tangent_coordinates(curve, X)
             rows.append([k, X[0], X[1], op.alpha, op.r])
         _write_csv(_out(cfg, "outer.csv"),

@@ -52,30 +52,35 @@ def wrap_to_half(x, period):
 
 
 def _periodic_zeros(f, grid, vals, period, direction=0):
-    """Zeros of the period-periodic scalar function f, each once.
+    """Zeros of the period-periodic scalar function f, each once, ascending
+    by scan cell.
 
     grid is one period of ascending scan points and vals = f(grid). A
     zero on a node is returned as that node; each cell whose ends change
-    sign is polished by brentq. Where the scalar f disagrees in sign with
-    the scan at one end of such a cell (vectorized and scalar evaluation,
-    or f at both ends of the period, can differ by an ulp), the zero lies
-    within rounding of that end, and the end is returned. direction -1
-    keeps only the zeros where the scan falls (+ to -), +1 only those
-    where it rises, 0 every zero.
+    sign is polished by brentq. The nodes and cells are picked in one
+    array pass over the scan, so f is evaluated only in the picked cells.
+    Where the scalar f disagrees in sign with the scan at one end of such
+    a cell (vectorized and scalar evaluation, or f at both ends of the
+    period, can differ by an ulp), the zero lies within rounding of that
+    end, and the end is returned. direction -1 keeps only the zeros where
+    the scan falls (+ to -), +1 only those where it rises, 0 every zero.
     """
+    nxt = np.roll(vals, -1)
+    on_node = (vals == 0.0) & (direction * (nxt - np.roll(vals, 1)) >= 0.0)
+    crossing = (vals * nxt < 0.0) & (direction * nxt >= 0.0)
+    ends = np.append(grid[1:], grid[0] + period)
     zeros = []
-    ends = zip(grid, np.append(grid[1:], grid[0] + period),
-               np.roll(vals, 1), vals, np.roll(vals, -1))
-    for a, b, fp, fa, fb in ends:
-        if fa == 0.0:
-            if direction * (fb - fp) >= 0.0:
-                zeros.append(a)
-        elif fa * fb < 0.0 and direction * fb >= 0.0:
-            sa, sb = f(a), f(b)
-            if sa * sb <= 0.0:
-                zeros.append(brentq(f, a, b, xtol=1e-15, rtol=8.9e-16))
-            else:
-                zeros.append(b if sa * fa > 0.0 else a)
+    for i in np.flatnonzero(on_node | crossing):
+        a = grid[i]
+        if on_node[i]:
+            zeros.append(a)
+            continue
+        b = ends[i]
+        sa, sb = f(a), f(b)
+        if sa * sb <= 0.0:
+            zeros.append(brentq(f, a, b, xtol=1e-15, rtol=8.9e-16))
+        else:
+            zeros.append(b if sa * vals[i] > 0.0 else a)
     return zeros
 
 

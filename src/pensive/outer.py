@@ -18,9 +18,12 @@ from scipy.optimize import brentq
 from . import geometry as geo
 from .errors import (InvalidParameter, InvalidPoint, NotExterior,
                      Unsupported)
-from .variational import point_inside
 
 TWO_PI = 2.0 * math.pi
+
+# a tangent length below this times |X| + |gamma| is the rounding of
+# Re(conj T (X - gamma)): X then lies on the oval within rounding
+_R_ROUND = 4.0 * np.finfo(float).eps
 
 
 def _as_xy(point):
@@ -51,6 +54,12 @@ def tangent_coordinates(curve, X, side="right"):
 
     side="right" solves X = gamma(t) + r T(t) with r > 0 (the image of
     the forward tangent ray); side="left" solves X = gamma(t) - r T(t).
+
+    f(t) = Im(conj T(t) (X - gamma(t))) is the signed distance from X to
+    the tangent line at t, positive on the table's side. On a strictly
+    convex table it is positive at every t for an interior point, so a
+    scan with no sign change, or no tangency whose r clears the rounding
+    of r, means X lies inside the oval or on it, within rounding.
     """
     geo._require_smooth(curve, "the outer map")
     if not curve.is_convex:
@@ -58,11 +67,6 @@ def tangent_coordinates(curve, X, side="right"):
     if side not in ("right", "left"):
         raise InvalidParameter("side is 'right' or 'left'")
     X = _as_xy(X)
-    try:
-        if point_inside(curve, X):
-            raise NotExterior("point lies inside the oval")
-    except InvalidPoint:
-        raise NotExterior("point lies on the oval")
     zx = complex(X[0], X[1])
     sgn = 1.0 if side == "right" else -1.0
 
@@ -74,11 +78,13 @@ def tangent_coordinates(curve, X, side="right"):
     ts = np.linspace(0.0, TWO_PI, 512, endpoint=False)
     for tstar in geo._periodic_zeros(f, ts, f(ts), TWO_PI, direction=-sgn):
         tau = complex(curve.tangent_t(tstar))
-        r = sgn * float(np.real(np.conj(tau) * (zx - curve.zpoint_t(tstar))))
-        if r > 0:
+        p = complex(curve.zpoint_t(tstar))
+        r = sgn * float(np.real(np.conj(tau) * (zx - p)))
+        if r > _R_ROUND * (abs(zx) + abs(p)):
             break
     else:
-        raise NotExterior("no tangent ray reaches the point")
+        raise NotExterior("point lies inside or on the oval: no tangent "
+                          "ray reaches it")
     alpha = math.atan2(tau.imag, tau.real) % TWO_PI
     return OuterPoint(x=float(X[0]), y=float(X[1]), alpha=alpha, r=r,
                       t=tstar % TWO_PI, side=side)
@@ -153,7 +159,13 @@ def _advance_tangency(curve, t0, turn):
 
 def pensive_outer_step(curve, odelay, X):
     """Slide the tangency through the bearing shift, then reflect."""
-    op = tangent_coordinates(curve, X, side="right")
+    return _slide_and_reflect(curve, odelay,
+                              tangent_coordinates(curve, X, side="right"))
+
+
+def _slide_and_reflect(curve, odelay, op):
+    """The pensive outer image of the point with right-tangent
+    coordinates op."""
     turn = odelay.shift(op.r)
     tq = _advance_tangency(curve, op.t, turn)
     q = curve.zpoint_t(tq)

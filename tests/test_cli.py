@@ -2,13 +2,14 @@
 exit codes."""
 
 import csv
+import hashlib
 import math
 import os
 
 import numpy as np
 import pytest
 
-from pensive import billiard as bil, cli, delay, geometry as geo
+from pensive import billiard as bil, cli, delay, geometry as geo, outer
 
 
 def write_ini(path, text):
@@ -429,6 +430,88 @@ steps = 12
         # right-chart tangent length is an exact orbit invariant
         rvals = [float(r[4]) for r in rows[1:]]
         assert max(rvals) - min(rvals) < 1e-9
+
+    def test_one_tangency_per_row(self, tmp_path, monkeypatch):
+        # each row's tangency is also the next step's
+        calls = []
+        solve = outer.tangent_coordinates
+
+        def counted(*args, **kw):
+            calls.append(1)
+            return solve(*args, **kw)
+
+        monkeypatch.setattr(outer, "tangent_coordinates", counted)
+        ini = write_ini(tmp_path / "op.ini", """
+[run]
+command = outer
+outdir = {out}
+
+[curve]
+kind = ellipse
+a = 2
+b = 1
+
+[outer]
+akind = power
+steps = 7
+""".format(out=tmp_path / "out"))
+        assert cli.main(["outer", ini]) == 0
+        assert len(calls) == 8
+
+    # planar orbits on two tables and the sphere duality table, each
+    # config with the sha256 of the file it writes
+    PINNED = {
+        "ellipse-power": ("""
+[curve]
+kind = ellipse
+a = 2
+b = 1
+
+[outer]
+akind = power
+coeff = 1
+exponent = 3
+x0 = 3
+y0 = 1
+steps = 40
+""", "outer.csv",
+            "1d275ff51a621ae17b7d5d9c5accb3297448a98fcb8ab0b19da1c50ef4b46062"),
+        "oval-theta_const": ("""
+[curve]
+kind = neumann_oval
+lam = 0.3
+
+[outer]
+akind = theta_const
+value = 0.35
+x0 = 2.5
+y0 = 0.5
+steps = 40
+""", "outer.csv",
+            "1c3fb4b074c22a0243384147d65a264618f31834970f533b733edfdb8abaf049"),
+        "sphere-constant": ("""
+[delay]
+kind = constant
+c = 0.35
+
+[outer]
+mode = sphere
+psi = 0.9
+n_samples = 8
+""", "duality.csv",
+            "0d7d8749d3a0cab5e2ec2b1432e0ed28b81975ee5788102de9ffb014eed782b5"),
+    }
+
+    @pytest.mark.parametrize("name", PINNED)
+    def test_outer_bytes_are_pinned(self, tmp_path, name):
+        body, fname, digest = self.PINNED[name]
+        out = tmp_path / "out"
+        ini = write_ini(tmp_path / "pin.ini",
+                        "[run]\ncommand = outer\nseed = 1\noutdir = %s\n%s"
+                        % (out, body))
+        assert cli.main(["outer", ini]) == 0
+        data = (out / fname).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == digest
 
     def test_sphere_report(self, tmp_path):
         out = tmp_path / "out"

@@ -9,8 +9,9 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
+from scipy.optimize import brentq
 
 from pensive import geometry as geo
 from pensive.errors import (
@@ -534,6 +535,80 @@ def test_periodic_zeros_direction():
     assert rising == [0.0]
     assert len(falling) == 1
     assert falling[0] == pytest.approx(math.pi, abs=1e-15)
+
+
+def cell_loop_zeros(f, grid, vals, period, direction=0):
+    """The per-cell loop that `_periodic_zeros` replaced, kept as the
+    oracle of its array pass."""
+    zeros = []
+    ends = zip(grid, np.append(grid[1:], grid[0] + period),
+               np.roll(vals, 1), vals, np.roll(vals, -1))
+    for a, b, fp, fa, fb in ends:
+        if fa == 0.0:
+            if direction * (fb - fp) >= 0.0:
+                zeros.append(a)
+        elif fa * fb < 0.0 and direction * fb >= 0.0:
+            sa, sb = f(a), f(b)
+            if sa * sb <= 0.0:
+                zeros.append(brentq(f, a, b, xtol=1e-15, rtol=8.9e-16))
+            else:
+                zeros.append(b if sa * fa > 0.0 else a)
+    return zeros
+
+
+# exact zeros of both signs, the smallest subnormals (an ulp or two from
+# zero, or from a value of the other sign) and ordinary values
+SCAN_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.0, -1.0]),
+    st.floats(-2.0, 2.0, allow_nan=False))
+# how the scalar f departs from the scan at a node: one ulp down, none, one
+# ulp up, or the opposite sign (a near-zero value rounded the other way)
+NEG = "neg"
+ULPS = st.lists(st.sampled_from([-1, 0, 0, 1, NEG]), min_size=25,
+                max_size=25)
+
+
+@given(vals=st.lists(SCAN_VALUES, min_size=2, max_size=24),
+       ulps=ULPS,
+       t0=st.floats(-4.0, 4.0), period=st.floats(0.5, 8.0),
+       seam=st.booleans(), direction=st.sampled_from([-1, 0, 1]))
+# adjacent zero nodes; a sign flip at the seam; a scalar f off the scan
+# at a cell end: a zero turned negative, and a subnormal whose sign the
+# scalar f and the scan, or f at the two ends of the period, disagree on
+@example(vals=[1.0, 0.0, 0.0, -1.0, 0.5, 0.0], ulps=[0] * 25, t0=0.0,
+         period=6.0, seam=False, direction=0)
+@example(vals=[0.5, 1.0, -1.0, -0.25], ulps=[0] * 25, t0=1.0, period=2.0,
+         seam=True, direction=1)
+@example(vals=[1.0, 0.0, -1.0, 0.5], ulps=[0, -1] + [0] * 23, t0=0.0,
+         period=4.0, seam=False, direction=-1)
+@example(vals=[5e-324, 1.0, -1.0, -1.0], ulps=[NEG] + [0] * 24, t0=0.0,
+         period=4.0, seam=False, direction=0)
+@example(vals=[5e-324, 1.0, -1.0, -1.0], ulps=[0] * 24 + [NEG], t0=0.0,
+         period=4.0, seam=False, direction=1)
+def test_periodic_zeros_matches_cell_loop(vals, ulps, t0, period, seam,
+                                          direction):
+    n = len(vals)
+    vals = np.array(vals)
+    if seam:
+        vals[0], vals[-1] = abs(vals[0]) or 1.0, -abs(vals[-1]) or -1.0
+    grid = t0 + period * np.arange(n) / n
+    ends = np.append(grid, grid[0] + period)
+    # the scalar f: the scan at the nodes and at the period end (the scan's
+    # first value), departing from it where ulps says, linear in between
+    fe = [float(-v if u == NEG else np.nextafter(v, u * math.inf) if u
+                else v)
+          for v, u in zip(np.append(vals, vals[0]), ulps[:n] + ulps[-1:])]
+
+    def f(t):
+        k = min(int(np.searchsorted(ends, t, side="right")) - 1, n)
+        if t == ends[k]:
+            return fe[k]
+        w = (t - ends[k]) / (ends[k + 1] - ends[k])
+        return fe[k] + w * (fe[k + 1] - fe[k])
+
+    got = geo._periodic_zeros(f, grid, vals, period, direction)
+    want = cell_loop_zeros(f, grid, vals, period, direction)
+    assert [float(z).hex() for z in got] == [float(z).hex() for z in want]
 
 
 def test_arc_advance_wraps():

@@ -163,6 +163,43 @@ class TestTangentCoordinates:
         with pytest.raises(NotExterior):
             outer.tangent_coordinates(c, (1.0, 0.0))
 
+    # the 512 scan nodes, where the scan sees the point's own tangency,
+    # and 64 parameters between them
+    EDGE_T = np.r_[np.linspace(0.0, TWO_PI, 512, endpoint=False),
+                   np.random.default_rng(5).uniform(0.0, TWO_PI, 64)]
+
+    @pytest.mark.parametrize("make", [lambda: geo.ellipse(2.0, 1.0),
+                                      lambda: geo.neumann_oval(0.3)],
+                             ids=["ellipse", "oval"])
+    def test_not_exterior_at_the_oval(self, make):
+        # on the oval, and 1e-12 inside it along the inward normal, no
+        # tangent ray reaches the point; 1e-9 outside, a returned r must
+        # rebuild the point
+        curve = make()
+        answered = 0
+        # a point on the oval from an array evaluation, as the scan's, has
+        # f = 0 exactly at its node
+        for t, z_arr in zip(self.EDGE_T, curve.zpoint_t(self.EDGE_T)):
+            z = complex(curve.zpoint_t(t))
+            inward = 1j * complex(curve.tangent_t(t))
+            for side, sgn in (("right", 1.0), ("left", -1.0)):
+                for X in (z, complex(z_arr), z + 1e-12 * inward):
+                    with pytest.raises(NotExterior):
+                        outer.tangent_coordinates(curve, (X.real, X.imag),
+                                                  side=side)
+                X = z - 1e-9 * inward
+                try:
+                    op = outer.tangent_coordinates(curve, (X.real, X.imag),
+                                                   side=side)
+                except NotExterior:
+                    continue
+                answered += 1
+                tau = complex(math.cos(op.alpha), math.sin(op.alpha))
+                rebuilt = complex(curve.zpoint_t(op.t)) + sgn * op.r * tau
+                assert abs(rebuilt - X) < 1e-10
+        # the scan catches the tangencies of points just off its nodes
+        assert answered >= 2 * 512
+
     def test_polygon_unsupported(self):
         with pytest.raises(Unsupported):
             outer.tangent_coordinates(geo.regular_polygon(4), (3.0, 0.0))
