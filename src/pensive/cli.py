@@ -24,7 +24,8 @@ from . import svg as svg_mod
 from . import twist as twist_mod
 from . import variational as var_mod
 from . import vortex as vx
-from .errors import ConfigError, HypothesisFailed, PensiveError
+from .errors import (ConfigError, HypothesisFailed, InvalidParameter,
+                     PensiveError, config_float)
 
 COMMANDS = ("simulate", "phase", "orbit", "twist", "vortex",
             "multidipole", "outer")
@@ -109,11 +110,20 @@ def _parse_int(text, key):
                           % (key, text))
 
 
+def _parse_count(text, key):
+    n = _parse_int(text, key)
+    if n < 1:
+        raise ConfigError("key %r: expected a positive count, got %r"
+                          % (key, text))
+    return n
+
+
 def _parse_float(text, key):
     try:
-        return float(str(text))
-    except (TypeError, ValueError):
-        raise ConfigError("key %r: expected a number, got %r" % (key, text))
+        return config_float(str(text), key)
+    except (ValueError, InvalidParameter):
+        raise ConfigError("key %r: expected a finite number, got %r"
+                          % (key, text))
 
 
 def _need(cfg, section, key):
@@ -174,7 +184,7 @@ def _cmd_simulate(cfg):
     s0 = _parse_float(cfg.get("simulate", "s0", "0"), "s0")
     theta0 = _parse_float(cfg.get("simulate", "theta0",
                                   repr(math.pi / 3)), "theta0")
-    steps = _parse_int(cfg.get("simulate", "steps", "200"), "steps")
+    steps = _parse_count(cfg.get("simulate", "steps", "200"), "steps")
     try:
         x0 = bil.PhasePoint(s0, theta0)
     except PensiveError as err:
@@ -209,8 +219,8 @@ def _cmd_simulate(cfg):
 def _cmd_phase(cfg):
     curve = _build_curve(cfg)
     law = _build_delay(cfg, curve)
-    orbits = _parse_int(cfg.get("phase", "orbits", "8"), "orbits")
-    steps = _parse_int(cfg.get("phase", "steps", "300"), "steps")
+    orbits = _parse_count(cfg.get("phase", "orbits", "8"), "orbits")
+    steps = _parse_count(cfg.get("phase", "steps", "300"), "steps")
     rng = np.random.default_rng(cfg.seed)
     P = curve.perimeter
     # starts drawn orbit by orbit (s, then theta); then all orbits advance
@@ -257,7 +267,7 @@ def _cmd_twist(cfg):
     if "h_min" in body or "h_max" in body or "count" in body:
         h_min = _parse_float(_need(cfg, "twist", "h_min"), "h_min")
         h_max = _parse_float(_need(cfg, "twist", "h_max"), "h_max")
-        count = _parse_int(cfg.get("twist", "count", "11"), "count")
+        count = _parse_count(cfg.get("twist", "count", "11"), "count")
         values = np.linspace(h_min, h_max, count)
         laws = [("%.12g" % h, delay_mod.puck(float(h))) for h in values]
     else:
@@ -283,12 +293,10 @@ def _vortex_domain(cfg):
     if kind == "halfplane":
         return vx.HalfPlane()
     if kind == "disk":
-        return vx.DiskDomain(float(body.get("radius", 1.0)))
+        return vx.DiskDomain(_parse_float(body.get("radius", 1.0), "radius"))
     if kind == "neumann_oval":
-        try:
-            return vx.NeumannOvalDomain(float(body["lam"]))
-        except KeyError:
-            raise ConfigError("key 'lam' is required for neumann_oval")
+        return vx.NeumannOvalDomain(_parse_float(_need(cfg, "curve", "lam"),
+                                                 "lam"))
     raise ConfigError("key 'kind': vortex domains are halfplane, disk, "
                       "or neumann_oval, got %r" % kind)
 
@@ -336,7 +344,7 @@ def _cmd_vortex(cfg):
         raise ConfigError("key 'gammas': expected %d values, got %d"
                           % (len(z0), len(gammas)))
     t_final = _parse_float(cfg.get("vortex", "t_final", "1.0"), "t_final")
-    n_eval = _parse_int(cfg.get("vortex", "n_eval", "400"), "n_eval")
+    n_eval = _parse_count(cfg.get("vortex", "n_eval", "400"), "n_eval")
     try:
         conf = vx.VortexConfiguration(np.array(z0, dtype=complex),
                                       np.array(gammas, dtype=float), domain)
@@ -415,7 +423,7 @@ def _cmd_outer(cfg):
         od = _outer_delay_from(cfg)
         x0 = _parse_float(cfg.get("outer", "x0", "3"), "x0")
         y0 = _parse_float(cfg.get("outer", "y0", "0"), "y0")
-        steps = _parse_int(cfg.get("outer", "steps", "50"), "steps")
+        steps = _parse_count(cfg.get("outer", "steps", "50"), "steps")
         X = np.array([x0, y0])
         op = outer_mod.tangent_coordinates(curve, X)
         rows = [[0, X[0], X[1], op.alpha, op.r]]
@@ -431,7 +439,7 @@ def _cmd_outer(cfg):
         raise ConfigError("key 'mode': outer modes are planar or sphere, "
                           "got %r" % mode)
     psi = _parse_float(cfg.get("outer", "psi", "0.9"), "psi")
-    n = _parse_int(cfg.get("outer", "n_samples", "25"), "n_samples")
+    n = _parse_count(cfg.get("outer", "n_samples", "25"), "n_samples")
     curve = outer_mod.spherical_cap(psi)
     law = _build_delay(cfg)
     rng = np.random.default_rng(cfg.seed)

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
-from .errors import InvalidParameter, OutOfRange
+from .errors import InvalidParameter, OutOfRange, config_float
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -93,13 +93,9 @@ class DelayFunction:
         p = self._checked_p(p)
         if self._potential_p is not None:
             return self._potential_p(p)
-        scalar = np.ndim(p) == 0
-        pv = np.atleast_1d(p)
-        out = np.empty_like(pv)
-        for i, pi in enumerate(pv):
-            out[i] = quad(lambda q: q * self._dell_dp(q), 0.0, pi,
-                          epsabs=1e-10, epsrel=1e-10, limit=200)[0]
-        return float(out[0]) if scalar else out
+        return _per_momentum(
+            lambda pi: quad(lambda q: q * self._dell_dp(q), 0.0, pi,
+                            epsabs=1e-10, epsrel=1e-10, limit=200)[0], p)
 
     def __repr__(self):
         inner = ", ".join("%s=%g" % kv for kv in self.params.items())
@@ -234,7 +230,15 @@ class PuckMetric:
         raise InvalidParameter("unknown profile %r" % name)
 
 
-def _gp_quad(metric, p, power):
+def _per_momentum(fn, p):
+    """fn of each momentum in p: a float for a scalar p, else an array."""
+    out = np.array([fn(float(pi)) for pi in np.atleast_1d(p)])
+    return float(out[0]) if np.ndim(p) == 0 else out
+
+
+def _gp_quad(metric, p, f_pow, r_pow):
+    """Integral over the strip of f^-f_pow (1 - p^2/f)^(-r_pow/2) dy:
+    l(p)/p at (1, 1), l'(p) at (1, 3), the crossing time at (0, 1)."""
     f = metric.f
 
     def integrand(y):
@@ -242,70 +246,44 @@ def _gp_quad(metric, p, power):
         root = 1.0 - p * p / fy
         if root <= 0:
             return math.inf
-        return fy ** (-1.0) * root ** (-0.5 * power)
+        return fy ** -f_pow * root ** (-0.5 * r_pow)
 
     val, _ = quad(integrand, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=500)
     return val
 
 
-def generalized_puck_delay(metric, p):
-    """l(p) for the geodesic crossing of the cylinder with metric f."""
+def _crossing(p):
     p = np.asarray(p, dtype=float)
     if np.any(np.abs(p) >= 1.0):
         raise OutOfRange("need |p| < 1 for a crossing geodesic")
-    scalar = p.ndim == 0
-    pv = np.atleast_1d(p)
-    out = np.array([pi * _gp_quad(metric, float(pi), 1) for pi in pv])
-    return float(out[0]) if scalar else out
+    return p
+
+
+def generalized_puck_delay(metric, p):
+    """l(p) for the geodesic crossing of the cylinder with metric f."""
+    return _per_momentum(lambda q: q * _gp_quad(metric, q, 1.0, 1.0),
+                         _crossing(p))
 
 
 def generalized_puck_potential(metric, p):
     """Crossing time (unnormalized potential) of the same geodesic."""
-    p = np.asarray(p, dtype=float)
-    if np.any(np.abs(p) >= 1.0):
-        raise OutOfRange("need |p| < 1 for a crossing geodesic")
-    scalar = p.ndim == 0
-
-    def one(pi):
-        def integrand(y):
-            fy = float(metric.f(np.asarray(y)))
-            root = 1.0 - pi * pi / fy
-            if root <= 0:
-                return math.inf
-            return root ** -0.5
-
-        return quad(integrand, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10,
-                    limit=500)[0]
-
-    out = np.array([one(float(pi)) for pi in np.atleast_1d(p)])
-    return float(out[0]) if scalar else out
+    return _per_momentum(lambda q: _gp_quad(metric, q, 0.0, 1.0),
+                         _crossing(p))
 
 
 def generalized_puck(metric):
     """DelayFunction backed by the metric quadratures."""
 
-    def ell_p(p):
-        return generalized_puck_delay(
-            metric, np.clip(np.asarray(p, dtype=float), -1 + 1e-12, 1 - 1e-12))
+    def clip(p):
+        return np.clip(np.asarray(p, dtype=float), -1 + 1e-12, 1 - 1e-12)
 
-    def dell(p):
-        p = np.clip(np.asarray(p, dtype=float), -1 + 1e-12, 1 - 1e-12)
-        scalar = p.ndim == 0
-        pv = np.atleast_1d(p)
-        out = np.array([_gp_quad(metric, float(pi), 3) for pi in pv])
-        return float(out[0]) if scalar else out
-
-    def pot(p):
-        p = np.clip(np.asarray(p, dtype=float), -1 + 1e-12, 1 - 1e-12)
-        scalar = p.ndim == 0
-        pv = np.atleast_1d(p)
+    return DelayFunction(
+        lambda p: generalized_puck_delay(metric, clip(p)),
+        lambda p: _per_momentum(lambda q: _gp_quad(metric, q, 1.0, 3.0),
+                                clip(p)),
+        tag="generalized_puck", params={"profile": metric.name},
         # the p = 0 geodesic crosses the unit-width strip straight, in time 1
-        out = generalized_puck_potential(metric, pv) - 1.0
-        return float(out[0]) if scalar else out
-
-    return DelayFunction(ell_p, dell, tag="generalized_puck",
-                         params={"profile": metric.name},
-                         potential_p=pot)
+        potential_p=lambda p: generalized_puck_potential(metric, clip(p)) - 1.0)
 
 
 def delay_from_config(cfg, curve=None):
@@ -313,14 +291,14 @@ def delay_from_config(cfg, curve=None):
     if kind == "zero":
         return zero()
     if kind == "constant":
-        return constant(float(cfg["c"]))
+        return constant(config_float(cfg["c"], "c"))
     if kind == "linear":
-        return linear(float(cfg["slope"]))
+        return linear(config_float(cfg["slope"], "slope"))
     if kind == "puck":
-        return puck(float(cfg["h"]))
+        return puck(config_float(cfg["h"], "h"))
     if kind == "vortex":
         if "l" in cfg:
-            return vortex(float(cfg["l"]))
+            return vortex(config_float(cfg["l"], "l"))
         if curve is None:
             raise InvalidParameter("vortex delay needs L or a curve")
         return vortex_for(curve)
@@ -330,6 +308,7 @@ def delay_from_config(cfg, curve=None):
             metric = PuckMetric.from_table(tab[:, 0], tab[:, 1])
         else:
             metric = PuckMetric.named(str(cfg.get("profile", "bump")),
-                                      amp=float(cfg.get("amp", 0.5)))
+                                      amp=config_float(cfg.get("amp", 0.5),
+                                                       "amp"))
         return generalized_puck(metric)
     raise InvalidParameter("unknown delay kind %r" % kind)

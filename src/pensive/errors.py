@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check that a
+number read from a configuration is finite."""
+
+import math
 
 
 class PensiveError(Exception):
@@ -87,3 +90,13 @@ class ReportIncomplete(PensiveError):
 
 class ConfigError(PensiveError):
     """Malformed or inconsistent run configuration."""
+
+
+def config_float(value, key):
+    """float(value) of the configuration key `key`; ValueError if it is
+    not a number, InvalidParameter unless it is finite."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise InvalidParameter("key %r: expected a finite number, got %r"
+                               % (key, value))
+    return x

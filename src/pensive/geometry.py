@@ -25,6 +25,7 @@ from .errors import (
     InvalidAngle,
     InvalidParameter,
     Unsupported,
+    config_float,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -325,7 +326,7 @@ def _with_half_angle_diff(curve):
     return curve
 
 
-def ellipse(a, b, nodes=None):
+def ellipse(a, b):
     if a <= 0 or b <= 0:
         raise InvalidParameter("semi-axes must be positive")
     a = float(a)
@@ -337,15 +338,13 @@ def ellipse(a, b, nodes=None):
         return b * ellipeinc(np.asarray(t, dtype=float), m)
 
     aspect = max(a / b, b / a)
-    if nodes is None:
-        nodes = int(min(2 ** 18, max(2048, 64 * aspect)))
     return _with_half_angle_diff(BoundaryCurve(
         "ellipse",
         lambda t: a * np.cos(t) + 1j * b * np.sin(t),
         lambda t: -a * np.sin(t) + 1j * b * np.cos(t),
         lambda t: -a * np.cos(t) - 1j * b * np.sin(t),
         params={"a": a, "b": b},
-        nodes=nodes,
+        nodes=int(min(2 ** 18, max(2048, 64 * aspect))),
         arclen_exact=arclen,
     ))
 
@@ -384,7 +383,7 @@ class NeumannMap:
                                         4.0 * self.l2 * z * z))
 
 
-def neumann_oval(lam, nodes=4096):
+def neumann_oval(lam):
     """Image of the unit circle under z = a*Z/(1 - lam^2 Z^2), area pi.
 
     Convex for small lam, pinched toward an hourglass as lam grows; the
@@ -404,10 +403,10 @@ def neumann_oval(lam, nodes=4096):
         return -(m.Fpp(Z) * Z * Z + m.Fp(Z) * Z)
 
     return BoundaryCurve("neumann_oval", zf, dzf, d2zf,
-                         params={"lam": m.lam, "a": m.a}, nodes=nodes)
+                         params={"lam": m.lam, "a": m.a}, nodes=4096)
 
 
-def curve_from_points(xy, nodes=4096):
+def curve_from_points(xy):
     """Closed generic oval through sample points (k, 2), counterclockwise."""
     p = np.asarray(xy, dtype=float)
     if p.ndim != 2 or p.shape[1] != 2 or len(p) < 8:
@@ -432,7 +431,7 @@ def curve_from_points(xy, nodes=4096):
             return v[..., 0] + 1j * v[..., 1]
         return g
 
-    return BoundaryCurve("generic", mk(spl), mk(d1), mk(d2), nodes=nodes)
+    return BoundaryCurve("generic", mk(spl), mk(d1), mk(d2), nodes=4096)
 
 
 def regular_polygon(k, circumradius=1.0):
@@ -516,7 +515,7 @@ def _window(curve, t0, theta):
 def _require_resolved(curve, f_ends):
     """Raise InvalidAngle unless the residuals at the window ends stand
     clear of roundoff, so no cell next to them shows a false crossing."""
-    if np.abs(f_ends).min() <= 1e-14 * curve._zmax:
+    if np.any(np.abs(f_ends) <= 1e-14 * curve._zmax):
         raise InvalidAngle("chord too close to tangency to resolve")
 
 
@@ -613,7 +612,8 @@ def chord_batch(curve, s, theta):
     """
     if isinstance(curve, PolygonBoundary) or not curve.is_convex:
         return tuple(np.array([chord(curve, float(si), float(thi)) for si, thi
-                               in zip(np.ravel(s), np.ravel(theta))]).T)
+                               in zip(np.ravel(s), np.ravel(theta))]
+                              ).reshape(-1, 3).T)
     theta = _check_angle(np.asarray(theta, dtype=float)).ravel()
     t0, cd = _launch(curve, np.asarray(s, dtype=float).ravel(), theta)
     lo, hi, flo, fhi = _convex_bracket(curve, t0, cd, theta)
@@ -677,22 +677,25 @@ def curve_from_config(cfg):
     """Build a curve from a flat mapping (CLI section contents)."""
     kind = str(cfg.get("kind", "")).strip().lower()
     if kind == "disk":
-        return disk(float(cfg.get("radius", 1.0)))
+        return disk(config_float(cfg.get("radius", 1.0), "radius"))
     if kind == "ellipse":
-        return ellipse(float(cfg["a"]), float(cfg["b"]))
+        return ellipse(config_float(cfg["a"], "a"),
+                       config_float(cfg["b"], "b"))
     if kind == "neumann_oval":
-        return neumann_oval(float(cfg["lam"]))
+        return neumann_oval(config_float(cfg["lam"], "lam"))
     if kind == "csv":
         pts = np.loadtxt(cfg["path"], delimiter=",", ndmin=2)
         return curve_from_points(pts)
     if kind == "polygon":
         if "vertices" in cfg:
             rows = [r for r in str(cfg["vertices"]).split(";") if r.strip()]
-            pts = np.array([[float(x) for x in r.split(",")] for r in rows])
+            pts = np.array([[config_float(x, "vertices") for x in r.split(",")]
+                            for r in rows])
         else:
             pts = np.loadtxt(cfg["path"], delimiter=",", ndmin=2)
         return PolygonBoundary(pts)
     if kind == "regular_polygon":
         return regular_polygon(int(cfg["sides"]),
-                               float(cfg.get("circumradius", 1.0)))
+                               config_float(cfg.get("circumradius", 1.0),
+                                            "circumradius"))
     raise InvalidParameter("unknown curve kind %r" % kind)

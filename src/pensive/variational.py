@@ -349,33 +349,27 @@ def _newton_orbit(curve, law, sv, winding, q):
         peak = np.max(np.abs(step))
         if peak > cap:
             step *= cap / peak
-        improved = False
-        for lam in 2.0 ** -np.arange(7):
-            cand = sv + lam * step
+        for cand in _candidates(sv, ev, step, 0.1 * P / q):
             try:
                 ev2 = _orbit_eval(curve, law, cand, winding, ev.p_launch)
             except NotTransitive:
                 continue
             if np.max(np.abs(ev2.grad)) < gn:
                 sv, ev = cand, ev2
-                improved = True
                 break
-        if not improved:
-            # descend on |grad|^2 instead; its gradient is hess @ grad
-            direction = ev.hess @ ev.grad
-            nd = np.linalg.norm(direction)
-            if nd < 1e-15:
-                return None
-            for lam in 2.0 ** -np.arange(10):
-                cand = sv - lam * (0.1 * P / q) * direction / nd
-                try:
-                    ev2 = _orbit_eval(curve, law, cand, winding, ev.p_launch)
-                except NotTransitive:
-                    continue
-                if np.max(np.abs(ev2.grad)) < gn:
-                    sv, ev = cand, ev2
-                    improved = True
-                    break
-            if not improved:
-                return None
+        else:
+            return None
     return None
+
+
+def _candidates(sv, ev, step, reach):
+    """The line search of one Newton iteration: the step halved 7 times,
+    then 10 halvings of a descent on |grad|^2 (its gradient is
+    hess @ grad) out to reach, unless that direction vanishes."""
+    for lam in 2.0 ** -np.arange(7):
+        yield sv + lam * step
+    direction = ev.hess @ ev.grad
+    nd = np.linalg.norm(direction)
+    if not nd < 1e-15:
+        for lam in 2.0 ** -np.arange(10):
+            yield sv - lam * reach * direction / nd

@@ -12,7 +12,7 @@ during integration.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
@@ -43,12 +43,12 @@ METALLIC = MetallicConstants()
 def _as_z(point):
     if isinstance(point, complex):
         return point
-    arr = np.asarray(point, dtype=float).ravel()
+    arr = np.asarray(point).ravel()
     if arr.size == 1:
-        return complex(arr[0])
+        return complex(arr[0])      # a complex entry keeps its imaginary part
     if arr.size != 2:
         raise InvalidPoint("points are (x, y) pairs or complex numbers")
-    return complex(arr[0], arr[1])
+    return complex(float(arr[0]), float(arr[1]))
 
 
 def _log_abs(w):
@@ -391,8 +391,9 @@ def integrate(config, T, tol=1e-8, rtol=1e-11, n_eval=600, events=None):
     approaches to the boundary or between vortices stop the run with
     EventStop carrying the partial trajectory.
     """
-    if tol <= 0 or T <= 0:
-        raise InvalidParameter("need positive horizon and tolerance")
+    if not (0 < T < math.inf and 0 < tol < math.inf and n_eval >= 1):
+        raise InvalidParameter("need a finite positive horizon and "
+                               "tolerance, and n_eval >= 1")
     domain = config.domain
     gamma = config.gamma.copy()
     gl = gamma.tolist()
@@ -700,36 +701,15 @@ class FlightSeg:
 
 @dataclass(frozen=True)
 class ArcSeg:
+    """Monopole sliding at signed speed u from s0 at t0; t1 is None
+    while it is still on the boundary."""
+
     t0: float
     t1: float
     s0: float
     u: float
     sign: int
     dipole: int
-
-
-@dataclass
-class _Flight:
-    dipole: int
-    s_from: float
-    theta: float
-    speed: float
-    t0: float
-    t1: float
-    s_to: float
-    p_land: float
-
-
-@dataclass
-class _Mono:
-    dipole: int
-    sign: int
-    s_ref: float
-    t_ref: float
-    u: float
-
-    def pos(self, t, P):
-        return (self.s_ref + self.u * (t - self.t_ref)) % P
 
 
 @dataclass
@@ -745,19 +725,23 @@ class MultiDipoleResult:
 
 
 def _launch(curve, dipole_id, s, theta, speed, t0):
-    s2, th2, length = geo.chord(curve, s % curve.perimeter, theta)
-    return _Flight(dipole=dipole_id, s_from=s % curve.perimeter,
-                   theta=theta, speed=speed, t0=t0,
-                   t1=t0 + length / speed, s_to=s2,
-                   p_land=math.cos(th2))
+    """An open flight: its FlightSeg and the landing momentum."""
+    s = s % curve.perimeter
+    s2, th2, length = geo.chord(curve, s, theta)
+    return (FlightSeg(t0, t0 + length / speed, s, s2, theta, speed,
+                      dipole_id), math.cos(th2))
+
+
+def _arc_at(m, t):
+    """Unwrapped arc position of the monopole m at time t."""
+    return m.s0 + m.u * (t - m.t0)
 
 
 def _next_meeting(m1, m2, t_now, P):
     du = m1.u - m2.u
     if abs(du) < 1e-15:
         return None
-    c = ((m1.s_ref + m1.u * (t_now - m1.t_ref)) -
-         (m2.s_ref + m2.u * (t_now - m2.t_ref)))
+    c = _arc_at(m1, t_now) - _arc_at(m2, t_now)
     k0 = math.floor(c / P)
     best = None
     for k in (k0 - 1, k0, k0 + 1, k0 + 2):
@@ -770,6 +754,8 @@ def _next_meeting(m1, m2, t_now, P):
 def multi_dipole_simulate(dipoles, domain_or_curve, T):
     """Run the zero-separation limit model: chords inside, monopole
     pairs along the boundary, silver-window fusions at meetings."""
+    if not 0 <= T < math.inf:
+        raise InvalidParameter("need a finite horizon T >= 0")
     curve = (domain_or_curve if hasattr(domain_or_curve, "perimeter")
              else domain_or_curve.curve())
     P = curve.perimeter
@@ -786,7 +772,7 @@ def multi_dipole_simulate(dipoles, domain_or_curve, T):
 
     t_now = 0.0
     while True:
-        t_fl = min((f.t1 for f in flights), default=math.inf)
+        t_fl = min((f.t1 for f, _ in flights), default=math.inf)
         meets = []
         for i in range(len(monos)):
             for j in range(i + 1, len(monos)):
@@ -798,17 +784,15 @@ def multi_dipole_simulate(dipoles, domain_or_curve, T):
         if t_next > T:
             break
         if t_fl <= t_meet:
-            f = min(flights, key=lambda fl: fl.t1)
-            flights.remove(f)
+            f, c = flight = min(flights, key=lambda fl: fl[0].t1)
+            flights.remove(flight)
             t_now = f.t1
-            segments.append(FlightSeg(f.t0, f.t1, f.s_from, f.s_to,
-                                      f.theta, f.speed, f.dipole))
-            c = f.p_land
+            segments.append(f)
             y_plus, y_minus, _ = _fission_heights(c)
             up = f.speed * y_plus
             um = f.speed * y_minus
-            monos.append(_Mono(f.dipole, +1, f.s_to, t_now, +up))
-            monos.append(_Mono(f.dipole, -1, f.s_to, t_now, -um))
+            monos.append(ArcSeg(t_now, None, f.s_to, +up, +1, f.dipole))
+            monos.append(ArcSeg(t_now, None, f.s_to, -um, -1, f.dipole))
             events.append(MDEvent(t_now, "fission", f.s_to,
                                   math.acos(max(-1.0, min(1.0, c))),
                                   (up, um), (f.dipole,)))
@@ -822,12 +806,12 @@ def multi_dipole_simulate(dipoles, domain_or_curve, T):
         for _, mi, mj in batch:
             if mi not in monos or mj not in monos:
                 continue
-            s_meet = mi.pos(t_now, P)
+            s_meet = _arc_at(mi, t_now) % P
             for other in monos:
                 if other is mi or other is mj:
                     continue
-                gap = abs(geo.wrap_to_half(other.pos(t_now, P) - s_meet,
-                                           P))
+                gap = abs(geo.wrap_to_half(_arc_at(other, t_now) % P
+                                           - s_meet, P))
                 if gap < 1e-9:
                     err = AmbiguousEvent(
                         "three monopoles within 1e-9 arc at t=%.6g"
@@ -851,9 +835,7 @@ def multi_dipole_simulate(dipoles, domain_or_curve, T):
             p_new = 0.5 * (math.sqrt(ratio) - 1.0 / math.sqrt(ratio))
             theta_new = math.acos(max(-1.0, min(1.0, p_new)))
             speed_new = math.sqrt(u_p * u_m)
-            for m in (plus, minus):
-                segments.append(ArcSeg(m.t_ref, t_now, m.s_ref, m.u,
-                                       m.sign, m.dipole))
+            segments += [replace(m, t1=t_now) for m in (plus, minus)]
             monos = [m for m in monos if m is not mi and m is not mj]
             events.append(MDEvent(t_now, "fusion", s_meet, theta_new,
                                   (u_p, u_m),
@@ -862,12 +844,9 @@ def multi_dipole_simulate(dipoles, domain_or_curve, T):
                                    speed_new, t_now))
             next_id += 1
 
-    for f in flights:
-        # chord endpoint kept; t1 = T marks the flight as truncated
-        segments.append(FlightSeg(f.t0, T, f.s_from, f.s_to, f.theta,
-                                  f.speed, f.dipole))
-    for m in monos:
-        segments.append(ArcSeg(m.t_ref, T, m.s_ref, m.u, m.sign, m.dipole))
+    # chord endpoint kept; t1 = T marks the flight as truncated
+    segments += [replace(f, t1=T) for f, _ in flights]
+    segments += [replace(m, t1=T) for m in monos]
     return MultiDipoleResult(events=events, segments=segments, T=T,
                              curve=curve, flights_left=len(flights),
                              monopoles_left=len(monos))

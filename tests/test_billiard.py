@@ -214,6 +214,18 @@ def test_pensive_batch_matches_scalar():
         assert Th[i] == pytest.approx(rec.theta_out, abs=1e-9)
 
 
+@pytest.mark.parametrize("curve", [
+    geo.disk(1.0), geo.ellipse(2.0, 1.0), geo.neumann_oval(0.3),
+    geo.regular_polygon(5), geo.neumann_oval(0.7)],
+    ids=["disk", "ellipse", "oval", "polygon", "nonconvex-oval"])
+def test_empty_batches(curve):
+    empty = np.empty(0)
+    s2, th2, length = geo.chord_batch(curve, empty, empty)
+    S, Th = bil.pensive_batch(curve, delay.constant(0.2), empty, empty)
+    for a in (s2, th2, length, S, Th):
+        assert isinstance(a, np.ndarray) and a.shape == (0,)
+
+
 def test_measure_jacobian_det():
     c = geo.ellipse(1.8, 1.0)
     for law in (delay.puck(0.7), delay.linear(1.0), delay.vortex(1.2)):

@@ -145,17 +145,30 @@ kind = wavegon
         assert cli.main(["simulate", str(tmp_path / "absent.ini")]) == 2
 
     def test_bad_number(self, tmp_path):
-        ini = write_ini(tmp_path / "bad.ini", """
-[run]
-command = simulate
-
-[curve]
-kind = disk
-
-[simulate]
-steps = many
-""")
-        assert cli.main(["simulate", ini]) == 2
+        # numbers must parse and be finite, counts must be positive
+        cases = [
+            ("simulate", "[curve]\nkind = disk\n[simulate]\nsteps = many"),
+            ("simulate", "[curve]\nkind = disk\n[simulate]\nsteps = 0"),
+            ("simulate", "[curve]\nkind = ellipse\na = nan\nb = 1"),
+            ("simulate", "[curve]\nkind = disk\n[delay]\nkind = puck\n"
+                         "h = nan"),
+            ("simulate", "[curve]\nkind = disk\n[delay]\nkind = constant\n"
+                         "c = inf"),
+            ("phase", "[curve]\nkind = disk\n[phase]\norbits = 0"),
+            ("vortex", "[curve]\nkind = disk\n[vortex]\n"
+                       "positions = 0.2,0; -0.2,0\ngammas = 1, -1\n"
+                       "t_final = nan"),
+            ("vortex", "[curve]\nkind = disk\n[vortex]\n"
+                       "positions = 0.2,0; -0.2,0\ngammas = 1, -1\n"
+                       "n_eval = 0"),
+            ("multidipole", "[curve]\nkind = disk\n[multidipole]\n"
+                            "dipoles = 0.3,1.0,1.0\nt_final = inf"),
+        ]
+        for k, (command, body) in enumerate(cases):
+            ini = write_ini(tmp_path / ("bad%d.ini" % k),
+                            "[run]\ncommand = %s\noutdir = %s\n%s\n"
+                            % (command, tmp_path / "out", body))
+            assert cli.main([command, ini]) == 2, body
 
 
 class TestNumericFailure:

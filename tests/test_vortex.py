@@ -13,7 +13,8 @@ from pensive import delay
 from pensive import geometry as geo
 from pensive import vortex as vx
 from pensive.errors import (AmbiguousEvent, BoundarySingularity,
-                            DiagonalSingularity, InvalidAngle)
+                            DiagonalSingularity, InvalidAngle,
+                            InvalidParameter)
 
 RNG = np.random.default_rng(20240822)
 TWO_PI = 2.0 * math.pi
@@ -92,6 +93,14 @@ def test_singularity_guards():
         vx.robin(dk, 1.2 + 0j)
     with pytest.raises(BoundarySingularity):
         vx.robin(vx.HalfPlane(), 0.5 - 0.1j)
+
+
+def test_complex_array_point_keeps_imaginary_part():
+    dk = vx.DiskDomain(1.0)
+    assert vx.greens(dk, np.array([0.3 + 0.4j]), 0.1 - 0.2j) == vx.greens(
+        dk, 0.3 + 0.4j, 0.1 - 0.2j)
+    z, g = vx.make_dipole(np.array([0.5j]), 1, 0.05)
+    np.testing.assert_array_equal(z, vx.make_dipole(0.5j, 1, 0.05)[0])
 
 
 def test_oval_reduces_to_disk_at_zero():
@@ -372,6 +381,16 @@ def test_eventstop_on_boundary_approach():
     assert exc.value.t is not None
 
 
+@pytest.mark.parametrize("kw", [
+    {"T": math.nan}, {"T": math.inf}, {"T": 0.0}, {"T": 1.0, "tol": math.nan},
+    {"T": 1.0, "tol": math.inf}, {"T": 1.0, "n_eval": 0}],
+    ids=["T-nan", "T-inf", "T-zero", "tol-nan", "tol-inf", "n_eval-zero"])
+def test_integrate_rejects_bad_horizons(kw):
+    z, g = vx.make_dipole(0.2j, 1, 0.05)
+    with pytest.raises(InvalidParameter):
+        vx.integrate(vx.VortexConfiguration(z, g, vx.DiskDomain(1.0)), **kw)
+
+
 # -- fission / fusion ------------------------------------------------------
 
 
@@ -559,6 +578,12 @@ def test_multi_dipole_ratio_one_merge():
     assert fus
     assert fus[0].speeds[0] == pytest.approx(fus[0].speeds[1], rel=1e-12)
     assert fus[0].theta == pytest.approx(math.pi / 2, abs=1e-12)
+
+
+@pytest.mark.parametrize("T", [math.nan, math.inf, -1.0])
+def test_multi_dipole_rejects_bad_horizons(T):
+    with pytest.raises(InvalidParameter):
+        vx.multi_dipole_simulate([(0.3, 1.0)], geo.disk(1.0), T)
 
 
 def test_multi_dipole_ambiguous_triple():
