@@ -25,7 +25,7 @@ from . import twist as twist_mod
 from . import variational as var_mod
 from . import vortex as vx
 from .errors import (ConfigError, HypothesisFailed, InvalidParameter,
-                     PensiveError, config_float)
+                     PensiveError, finite_float)
 
 COMMANDS = ("simulate", "phase", "orbit", "twist", "vortex",
             "multidipole", "outer")
@@ -96,6 +96,9 @@ def parse_config(path, command=None, outdir=None, seed=None):
 
     if seed is None:
         seed = _parse_int(run.get("seed", "0"), "seed")
+    if seed < 0:
+        raise ConfigError("key 'seed': expected a non-negative integer, "
+                          "got %r" % seed)
     if outdir is None:
         outdir = run.get("outdir", ".")
     outdir = os.environ.get("PENSIVE_OUTDIR", outdir)
@@ -120,7 +123,7 @@ def _parse_count(text, key):
 
 def _parse_float(text, key):
     try:
-        return config_float(str(text), key)
+        return finite_float(str(text), key)
     except (ValueError, InvalidParameter):
         raise ConfigError("key %r: expected a finite number, got %r"
                           % (key, text))

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.interpolate import CubicSpline
 
-from .errors import InvalidParameter, OutOfRange, config_float
+from .errors import InvalidParameter, OutOfRange, finite_float
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -119,7 +119,7 @@ def zero():
 
 
 def constant(c):
-    c = float(c)
+    c = finite_float(c, "c")
     return DelayFunction(
         lambda p: np.full_like(np.asarray(p, dtype=float), c),
         lambda p: np.zeros_like(np.asarray(p, dtype=float)),
@@ -133,7 +133,7 @@ def constant(c):
 
 def linear(slope):
     """l~(theta) = slope * theta."""
-    c = float(slope)
+    c = finite_float(slope, "slope")
     return DelayFunction(
         lambda p: c * np.arccos(np.clip(p, -1, 1)),
         lambda p: -c / np.sqrt(np.maximum(1.0 - p * p, 1e-300)),
@@ -147,7 +147,7 @@ def linear(slope):
 
 def puck(h):
     """Slide of a finite puck of height h on a cylinder: l~ = h*cot(theta)."""
-    h = float(h)
+    h = finite_float(h, "h")
     if h <= 0:
         raise InvalidParameter("puck height must be positive")
     return DelayFunction(
@@ -163,7 +163,7 @@ def puck(h):
 
 def vortex(length):
     """Slide of the dipole split-and-rejoin cycle, L = half perimeter."""
-    L = float(length)
+    L = finite_float(length, "length")
     if L <= 0:
         raise InvalidParameter("half-perimeter must be positive")
 
@@ -213,6 +213,7 @@ class PuckMetric:
 
     @classmethod
     def named(cls, name, amp=0.5):
+        amp = finite_float(amp, "amp")
         if name == "flat":
             return cls(lambda y: np.ones_like(np.asarray(y, dtype=float)),
                        name="flat")
@@ -291,14 +292,14 @@ def delay_from_config(cfg, curve=None):
     if kind == "zero":
         return zero()
     if kind == "constant":
-        return constant(config_float(cfg["c"], "c"))
+        return constant(cfg["c"])
     if kind == "linear":
-        return linear(config_float(cfg["slope"], "slope"))
+        return linear(cfg["slope"])
     if kind == "puck":
-        return puck(config_float(cfg["h"], "h"))
+        return puck(cfg["h"])
     if kind == "vortex":
         if "l" in cfg:
-            return vortex(config_float(cfg["l"], "l"))
+            return vortex(finite_float(cfg["l"], "l"))
         if curve is None:
             raise InvalidParameter("vortex delay needs L or a curve")
         return vortex_for(curve)
@@ -308,7 +309,6 @@ def delay_from_config(cfg, curve=None):
             metric = PuckMetric.from_table(tab[:, 0], tab[:, 1])
         else:
             metric = PuckMetric.named(str(cfg.get("profile", "bump")),
-                                      amp=config_float(cfg.get("amp", 0.5),
-                                                       "amp"))
+                                      amp=cfg.get("amp", 0.5))
         return generalized_puck(metric)
     raise InvalidParameter("unknown delay kind %r" % kind)

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and the check that a
-number read from a configuration is finite."""
+number given to a constructor or read from a configuration is finite."""
 
 import math
 
@@ -92,11 +92,12 @@ class ConfigError(PensiveError):
     """Malformed or inconsistent run configuration."""
 
 
-def config_float(value, key):
-    """float(value) of the configuration key `key`; ValueError if it is
-    not a number, InvalidParameter unless it is finite."""
+def finite_float(value, name):
+    """float(value) of the parameter or configuration key `name`;
+    ValueError if it is not a number, InvalidParameter unless it is
+    finite."""
     x = float(value)
     if not math.isfinite(x):
-        raise InvalidParameter("key %r: expected a finite number, got %r"
-                               % (key, value))
+        raise InvalidParameter("%s: expected a finite number, got %r"
+                               % (name, value))
     return x

@@ -25,7 +25,7 @@ from .errors import (
     InvalidAngle,
     InvalidParameter,
     Unsupported,
-    config_float,
+    finite_float,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -238,6 +238,8 @@ class PolygonBoundary:
         v = np.asarray(self.vertices, dtype=float)
         if v.ndim != 2 or v.shape[1] != 2 or len(v) < 3:
             raise InvalidParameter("polygon needs at least 3 planar vertices")
+        if not np.all(np.isfinite(v)):
+            raise InvalidParameter("polygon vertices must be finite")
         area = 0.5 * float(np.sum(v[:, 0] * np.roll(v[:, 1], -1)
                                   - v[:, 1] * np.roll(v[:, 0], -1)))
         if area <= 0:
@@ -303,9 +305,9 @@ class PolygonBoundary:
 
 
 def disk(radius=1.0):
-    if radius <= 0:
+    r = finite_float(radius, "radius")
+    if r <= 0:
         raise InvalidParameter("radius must be positive")
-    r = float(radius)
     return _with_half_angle_diff(BoundaryCurve(
         "disk",
         lambda t: r * np.exp(1j * t),
@@ -327,10 +329,9 @@ def _with_half_angle_diff(curve):
 
 
 def ellipse(a, b):
+    a, b = finite_float(a, "a"), finite_float(b, "b")
     if a <= 0 or b <= 0:
         raise InvalidParameter("semi-axes must be positive")
-    a = float(a)
-    b = float(b)
     # arc length in closed form: |z'| = b*sqrt(1 - m sin^2 t), m = 1 - (a/b)^2
     m = 1.0 - (a / b) ** 2
 
@@ -677,25 +678,24 @@ def curve_from_config(cfg):
     """Build a curve from a flat mapping (CLI section contents)."""
     kind = str(cfg.get("kind", "")).strip().lower()
     if kind == "disk":
-        return disk(config_float(cfg.get("radius", 1.0), "radius"))
+        return disk(cfg.get("radius", 1.0))
     if kind == "ellipse":
-        return ellipse(config_float(cfg["a"], "a"),
-                       config_float(cfg["b"], "b"))
+        return ellipse(cfg["a"], cfg["b"])
     if kind == "neumann_oval":
-        return neumann_oval(config_float(cfg["lam"], "lam"))
+        return neumann_oval(finite_float(cfg["lam"], "lam"))
     if kind == "csv":
         pts = np.loadtxt(cfg["path"], delimiter=",", ndmin=2)
         return curve_from_points(pts)
     if kind == "polygon":
         if "vertices" in cfg:
             rows = [r for r in str(cfg["vertices"]).split(";") if r.strip()]
-            pts = np.array([[config_float(x, "vertices") for x in r.split(",")]
+            pts = np.array([[finite_float(x, "vertices") for x in r.split(",")]
                             for r in rows])
         else:
             pts = np.loadtxt(cfg["path"], delimiter=",", ndmin=2)
         return PolygonBoundary(pts)
     if kind == "regular_polygon":
         return regular_polygon(int(cfg["sides"]),
-                               config_float(cfg.get("circumradius", 1.0),
+                               finite_float(cfg.get("circumradius", 1.0),
                                             "circumradius"))
     raise InvalidParameter("unknown curve kind %r" % kind)

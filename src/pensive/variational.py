@@ -12,8 +12,7 @@ import numpy as np
 
 from . import geometry as geo
 from . import twist
-from .errors import (Ambiguous, InvalidParameter, InvalidPoint, NotFound,
-                     NotTransitive)
+from .errors import InvalidParameter, InvalidPoint, NotFound, NotTransitive
 
 GRAD_TOL = 1e-9
 
@@ -113,60 +112,90 @@ def p_star(curve, law, s, S, hint=None, advance_hint=None):
     Newton steps in p over one `chord_batch` per pass. Root selection:
     nearest `advance_hint` in total arc advance, else nearest `hint` in
     p, else smallest |p|.
+
+    s and S may also be equal-length 1-d arrays, one entry per segment,
+    with hint and advance_hint each None or an array of that length.
+    Then the scan, every polish pass and the validation are one
+    `chord_batch` each over the rows of all segments, and a list with
+    one TransitSolve per segment comes back. No row sees the others, so
+    each entry is bit for bit the scalar call on its segment; the first
+    segment, in order, without a root raises NotTransitive.
     """
     geo._require_smooth(curve, "variational evaluation")
     P = curve.perimeter
-    s = float(s) % P
-    S = float(S) % P
-    pg = np.linspace(-1.0, 1.0, 258)[1:-1]   # 256 interior momenta
-    # geometric tails so near-grazing transits still get bracketed
-    tail = 1.0 - np.geomspace(1e-5, 1.0 - pg[-1], 8)[:-1]
-    pg = np.concatenate([-tail[::-1], pg, tail])
-    pg.sort()
-    res = _transit_residual(curve, law, s, S, pg)[0]
-    ra, rb = res[:-1], res[1:]
+    if np.ndim(s) > 1 or any(np.shape(x) != np.shape(s) for x in
+                             (S, hint, advance_hint) if x is not None):
+        raise InvalidParameter("s, S and hints need one entry per segment")
+    scalar = np.ndim(s) == 0
+    s = np.atleast_1d(np.asarray(s, dtype=float)) % P
+    S = np.atleast_1d(np.asarray(S, dtype=float)) % P
+    n = len(s)
+    hint, advance_hint = ([None] * n if x is None else np.atleast_1d(x)
+                          for x in (hint, advance_hint))
+    m = len(_P_GRID)
+    res = _transit_residual(curve, law, np.repeat(s, m), np.repeat(S, m),
+                            np.tile(_P_GRID, n))[0].reshape(n, m)
+    ra, rb = res[:, :-1], res[:, 1:]
     on_node = ra == 0.0
     # a sign change bigger than half a perimeter is a wrap jump, not a root
     cell = (ra * rb < 0.0) & (np.abs(ra) + np.abs(rb) <= 0.5 * P)
-    roots = pg[:-1].copy()
-    roots[cell] = _polish(curve, law, s, S, pg[:-1][cell], pg[1:][cell],
-                          ra[cell], rb[cell])
-    roots = roots[on_node | cell]
-    good = []
-    if roots.size:
-        res, adv = _transit_residual(curve, law, s, S, roots)[:2]
-        for r, rr, a in zip(roots, res, adv):
+    roots = np.tile(_P_GRID[:-1], (n, 1))
+    seg, col = np.nonzero(cell)
+    roots[cell] = _polish(curve, law, s[seg], S[seg], curve.curvature(s)[seg],
+                          _P_GRID[col], _P_GRID[col + 1], ra[cell], rb[cell])
+    owner, col = np.nonzero(on_node | cell)
+    roots = roots[owner, col]
+    res, adv = (_transit_residual(curve, law, s[owner], S[owner], roots)[:2]
+                if roots.size else (roots, roots))
+    sols = []
+    for i in range(n):
+        good = []
+        mine = owner == i
+        for r, rr, a in zip(roots[mine], res[mine], adv[mine]):
             if abs(rr) < 1e-10 and all(abs(r - g[0]) > 1e-9 for g in good):
                 good.append((r, a))
-    if not good:
-        raise NotTransitive(
-            "no transit direction from s=%.6g to S=%.6g" % (s, S))
-    arr = np.array(good)
-    order = np.argsort(arr[:, 0])
-    rootv, advv = arr[order, 0], arr[order, 1]
-    if advance_hint is not None:
-        j = int(np.argmin(np.abs(advv - advance_hint)))
-    elif hint is not None:
-        j = int(np.argmin(np.abs(rootv - hint)))
-    else:
-        j = int(np.argmin(np.abs(rootv)))
-    return TransitSolve(roots=rootv, advances=advv,
-                        ambiguous=len(rootv) > 1,
-                        p=float(rootv[j]), advance=float(advv[j]))
+        if not good:
+            raise NotTransitive(
+                "no transit direction from s=%.6g to S=%.6g" % (s[i], S[i]))
+        arr = np.array(good)
+        order = np.argsort(arr[:, 0])
+        rootv, advv = arr[order, 0], arr[order, 1]
+        if advance_hint[i] is not None:
+            j = int(np.argmin(np.abs(advv - advance_hint[i])))
+        elif hint[i] is not None:
+            j = int(np.argmin(np.abs(rootv - hint[i])))
+        else:
+            j = int(np.argmin(np.abs(rootv)))
+        sols.append(TransitSolve(roots=rootv, advances=advv,
+                                 ambiguous=len(rootv) > 1,
+                                 p=float(rootv[j]), advance=float(advv[j])))
+    return sols[0] if scalar else sols
+
+
+def _momentum_grid():
+    pg = np.linspace(-1.0, 1.0, 258)[1:-1]   # 256 interior momenta
+    # geometric tails so near-grazing transits still get bracketed
+    tail = 1.0 - np.geomspace(1e-5, 1.0 - pg[-1], 8)[:-1]
+    return np.sort(np.concatenate([-tail[::-1], pg, tail]))
+
+
+_P_GRID = _momentum_grid()
 
 
 def _transit_residual(curve, law, s, S, p):
     """Wrapped transit residual and total arc advance of the launches
-    p from s, by one `chord_batch`, with the chords (S_cl, Theta, d)."""
+    p from the arcs s to the arcs S (one of each per row), by one
+    `chord_batch`, with the chords (S_cl, Theta, d)."""
     P = curve.perimeter
-    S_cl, Th, d = geo.chord_batch(curve, np.full(len(p), s), np.arccos(p))
+    S_cl, Th, d = geo.chord_batch(curve, s, np.arccos(p))
     adv = (S_cl - s) % P + law.ell(np.cos(Th))
     return geo.wrap_to_half(adv + s - S, P), adv, S_cl, Th, d
 
 
-def _polish(curve, law, s, S, a, b, ra, rb):
+def _polish(curve, law, s, S, k1, a, b, ra, rb):
     """Transit roots in the cells [a, b] of p whose ends have residuals
-    ra, rb of opposite signs, all cells together.
+    ra, rb of opposite signs, all cells together; each row has its own
+    launch arc s, target S and launch curvature k1.
 
     Newton in p from the regula falsi point, with dr/dp =
     -F_theta / sin(theta) where F_theta is the slid dS/dtheta. A step
@@ -175,18 +204,18 @@ def _polish(curve, law, s, S, a, b, ra, rb):
     the others.
     """
     x = a - ra * (b - a) / (rb - ra)
-    k1 = curve.curvature(s)
     live = np.ones(len(x), dtype=bool)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(64):
             if not live.any():
                 break
             xl, al, bl = x[live], a[live], b[live]
-            r, _, S_cl, Th, d = _transit_residual(curve, law, s, S, xl)
+            r, _, S_cl, Th, d = _transit_residual(curve, law, s[live],
+                                                  S[live], xl)
             al = np.where(r * ra[live] > 0.0, xl, al)
             bl = np.where(r * rb[live] > 0.0, xl, bl)
             st = np.sqrt((1.0 - xl) * (1.0 + xl))
-            F_th = twist._chord_partials(d, st, np.sin(Th), k1,
+            F_th = twist._chord_partials(d, st, np.sin(Th), k1[live],
                                          curve.curvature(S_cl),
                                          law.dtheta(Th))[4]
             xn = xl + r * st / F_th
@@ -222,10 +251,15 @@ def generating_function(curve, law, s, S, hint=None, advance_hint=None):
     theta_S = 1 / F_theta and theta_s = -F_s / F_theta, with F_theta the
     slid dS/dtheta and F_s = dS/ds + l~'(Theta) dTheta/ds.
     """
-    P = curve.perimeter
-    sol = p_star(curve, law, s, S, hint=hint, advance_hint=advance_hint)
-    s0 = float(s) % P
-    th = math.acos(sol.p)
+    return _action_partials(curve, law, s, S, p_star(
+        curve, law, s, S, hint=hint, advance_hint=advance_hint).p)
+
+
+def _action_partials(curve, law, s, S, p):
+    """H(s, S) and its partials for the transit s -> S launched at
+    momentum p, a root that `p_star` selected; one scalar chord."""
+    s0 = float(s) % curve.perimeter
+    th = math.acos(p)
     S_cl, Th, d = geo.chord(curve, s0, th)
     P_land = math.cos(Th)
     st, sT = math.sin(th), math.sin(Th)
@@ -236,8 +270,8 @@ def generating_function(curve, law, s, S, hint=None, advance_hint=None):
     th_S = 1.0 / F_th
     th_s = -(dS_ds + slope * dTh_ds) * th_S
     return GeneratingFunctionEval(
-        s=float(s), S=float(S), p_star=sol.p, H=d + law.potential(P_land),
-        dH_ds=-sol.p, dH_dS=P_land, d2H_ds2=st * th_s, d2H_dsdS=st * th_S,
+        s=float(s), S=float(S), p_star=p, H=d + law.potential(P_land),
+        dH_ds=-p, dH_dS=P_land, d2H_ds2=st * th_s, d2H_dsdS=st * th_S,
         d2H_dS2=-sT * dTh_dth * th_S)
 
 
@@ -284,13 +318,11 @@ def _orbit_eval(curve, law, sv, winding, hints):
     """
     q = len(sv)
     P = curve.perimeter
-    target = winding * P / q
-    gfs = []
-    for i in range(q):
-        hint = hints[i] if hints is not None else None
-        gfs.append(generating_function(
-            curve, law, sv[i] % P, sv[(i + 1) % q] % P,
-            hint=hint, advance_hint=None if hint is not None else target))
+    s, S = sv % P, np.roll(sv, -1) % P
+    sols = p_star(curve, law, s, S, hint=hints, advance_hint=None
+                  if hints is not None else np.full(q, winding * P / q))
+    gfs = [_action_partials(curve, law, a, b, sol.p)
+           for a, b, sol in zip(s, S, sols)]
     p_launch, P_land, H11, b, H22 = np.array(
         [(gf.p_star, gf.dH_dS, gf.d2H_ds2, gf.d2H_dsdS, gf.d2H_dS2)
          for gf in gfs]).T
@@ -323,7 +355,7 @@ def periodic_orbit_search(curve, law, rotation, seeds=None):
         sv = float(s0) + np.arange(q) * (winding * P / q)
         try:
             orbit = _newton_orbit(curve, law, sv, winding, q)
-        except (NotTransitive, geo.InvalidAngle, Ambiguous) as err:
+        except (NotTransitive, geo.InvalidAngle) as err:
             last_err = err
             continue
         if orbit is not None:

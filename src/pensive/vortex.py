@@ -22,7 +22,7 @@ from . import geometry as geo
 from .errors import (AmbiguousEvent, BoundarySingularity,
                      DiagonalSingularity, EventStop, InvalidAngle,
                      InvalidParameter, InvalidPoint, ReportIncomplete,
-                     Unsupported)
+                     Unsupported, finite_float)
 
 TWO_PI = 2.0 * math.pi
 CHI = 1.0 + math.sqrt(2.0)
@@ -194,9 +194,9 @@ class DiskDomain(_ConformalDomain):
     name = "disk"
 
     def __init__(self, radius=1.0):
-        if radius <= 0:
+        self.radius = finite_float(radius, "radius")
+        if self.radius <= 0:
             raise InvalidParameter("radius must be positive")
-        self.radius = float(radius)
         self.scale = self.radius
         self._c = 1.0 / self.radius
 

@@ -163,12 +163,15 @@ kind = wavegon
                        "n_eval = 0"),
             ("multidipole", "[curve]\nkind = disk\n[multidipole]\n"
                             "dipoles = 0.3,1.0,1.0\nt_final = inf"),
+            # a seed must be non-negative, in the [run] section or the flag
+            ("phase", "seed = -1\n[curve]\nkind = disk"),
+            ("phase", "[curve]\nkind = disk", "--seed", "-1"),
         ]
-        for k, (command, body) in enumerate(cases):
+        for k, (command, body, *flags) in enumerate(cases):
             ini = write_ini(tmp_path / ("bad%d.ini" % k),
                             "[run]\ncommand = %s\noutdir = %s\n%s\n"
                             % (command, tmp_path / "out", body))
-            assert cli.main([command, ini]) == 2, body
+            assert cli.main([command, ini, *flags]) == 2, body
 
 
 class TestNumericFailure:

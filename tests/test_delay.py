@@ -8,6 +8,8 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 
 from pensive import delay
+from pensive import geometry as geo
+from pensive import vortex as vx
 from pensive.errors import InvalidParameter, OutOfRange
 
 RNG = np.random.default_rng(20240818)
@@ -153,6 +155,28 @@ def test_metric_validation():
         delay.PuckMetric.named("no_such_profile")
     m = delay.PuckMetric.named("bump", amp=0.4)
     assert float(m.f(np.asarray(0.5))) == pytest.approx(1.4)
+
+
+NAN, INF = float("nan"), float("inf")
+NON_FINITE = {
+    "disk": geo.disk,
+    "ellipse_a": lambda x: geo.ellipse(x, 1.0),
+    "ellipse_b": lambda x: geo.ellipse(1.0, x),
+    "puck": delay.puck,
+    "constant": delay.constant,
+    "linear": delay.linear,
+    "vortex": delay.vortex,
+    "bump_amp": lambda x: delay.PuckMetric.named("bump", amp=x),
+    "polygon": lambda x: geo.regular_polygon(5, x),
+    "disk_domain": vx.DiskDomain,
+}
+
+
+@pytest.mark.parametrize("value", [NAN, INF, -INF], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("name", NON_FINITE)
+def test_constructors_reject_non_finite_parameters(name, value):
+    with pytest.raises(InvalidParameter, match="finite"):
+        NON_FINITE[name](value)
 
 
 def test_metric_from_table_matches_formula():

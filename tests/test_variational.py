@@ -13,8 +13,8 @@ from pensive import delay
 from pensive import geometry as geo
 from pensive import twist
 from pensive import variational as var
-from pensive.errors import (InvalidPoint, NotTransitive, PensiveError,
-                            Unsupported)
+from pensive.errors import (InvalidParameter, InvalidPoint, NotTransitive,
+                            PensiveError, Unsupported)
 
 RNG = np.random.default_rng(20240821)
 
@@ -365,18 +365,27 @@ def test_residue_vanishes_on_the_disk():
 
 
 def test_orbit_search_p_star_budget(monkeypatch):
-    calls = []
-    p_star = var.p_star
+    calls = {"p_star": [], "_orbit_eval": [], "chord_batch": []}
 
-    def counted(*args, **kwargs):
-        calls.append(args)
-        return p_star(*args, **kwargs)
+    def counted(module, name):
+        fn = getattr(module, name)
 
-    monkeypatch.setattr(var, "p_star", counted)
+        def wrapper(*args, **kwargs):
+            calls[name].append(args)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(var, "p_star")
+    counted(var, "_orbit_eval")
+    counted(geo, "chord_batch")
     orbit = var.periodic_orbit_search(geo.ellipse(1.2, 1.0),
                                       delay.vortex(0.5), (1, 3))
     assert orbit.residual < 1e-9
-    assert len(calls) <= 75
+    # transits solved, one per segment of each action evaluation
+    assert sum(np.size(args[2]) for args in calls["p_star"]) <= 75
+    # the segments of one evaluation share the scan, polish and validation
+    assert len(calls["chord_batch"]) <= 6 * len(calls["_orbit_eval"])
 
 
 # -- transit roots against brentq --------------------------------------------
@@ -513,3 +522,71 @@ def test_p_star_property_at_the_edges(table, law, s_frac, target):
         if ref is not None and 4 * eps * slope(ref) < 1e-11:
             assert np.min(np.abs(roots - ref)) < (
                 1e-13 + 8 * np.spacing(P) / slope(ref))
+
+
+# -- p_star on arrays of segments -------------------------------------------
+
+ARRAY_TABLES = (geo.disk(1.0),) + EDGE_TABLES
+
+
+def _same_solve(a, b):
+    return (a.roots.tobytes() == b.roots.tobytes()
+            and a.advances.tobytes() == b.advances.tobytes()
+            and a.ambiguous == b.ambiguous and a.p.hex() == b.p.hex()
+            and a.advance.hex() == b.advance.hex())
+
+
+@settings(max_examples=40, deadline=None)
+@given(table=st.integers(0, 3), law=st.integers(0, 1),
+       hints=st.sampled_from([None, "hint", "advance_hint"]),
+       ends=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                               st.floats(0.0, 1.0, exclude_max=True),
+                               st.floats(-1.0, 1.0)), min_size=1, max_size=8))
+def test_p_star_array_matches_scalar_calls(table, law, hints, ends):
+    """p_star on an array of segments returns each segment's scalar solve
+    bit for bit, and raises what the first failing scalar call raises."""
+    c, law = ARRAY_TABLES[table], EDGE_LAWS[law]
+    P = c.perimeter
+    s, S, h = (np.array(col) for col in zip(*ends))
+    s, S = s * P, S * P
+    kw = {}
+    if hints == "hint":
+        kw = {"hint": h}
+    elif hints == "advance_hint":
+        kw = {"advance_hint": (h + 1.0) * P}
+    ref, err = [], None
+    try:
+        for i in range(len(s)):
+            ref.append(var.p_star(c, law, s[i], S[i],
+                                  **{k: v[i] for k, v in kw.items()}))
+    except NotTransitive as e:
+        err = str(e)
+    if err is not None:
+        with pytest.raises(NotTransitive) as got:
+            var.p_star(c, law, s, S, **kw)
+        assert str(got.value) == err
+        return
+    got = var.p_star(c, law, s, S, **kw)
+    assert len(got) == len(ref)
+    assert all(_same_solve(a, b) for a, b in zip(got, ref))
+
+
+def test_p_star_array_shapes():
+    c, law = geo.ellipse(1.2, 1.0), delay.vortex(0.5)
+    assert var.p_star(c, law, [], []) == []
+    for s, S, kw in (([0.1, 0.2], [1.0], {}), ([0.1], 1.0, {}),
+                     (0.1, [1.0], {}), ([[0.1]], [[1.0]], {}),
+                     ([0.1, 0.2], [1.0, 2.0], {"hint": [0.3]}),
+                     ([0.1, 0.2], [1.0, 2.0], {"advance_hint": [1, 2, 3]})):
+        with pytest.raises(InvalidParameter):
+            var.p_star(c, law, s, S, **kw)
+    # the first rootless segment, behind a solvable one, names its ends
+    thin = geo.ellipse(20.0, 0.05)
+    P = thin.perimeter
+    s, S = np.array([0.0, 0.1, 0.0]) * P, np.array([0.05, 0.3, 0.5]) * P
+    with pytest.raises(NotTransitive) as got:
+        var.p_star(thin, law, s, S)
+    var.p_star(thin, law, s[0], S[0])
+    with pytest.raises(NotTransitive) as ref:
+        var.p_star(thin, law, s[1], S[1])
+    assert str(got.value) == str(ref.value)
