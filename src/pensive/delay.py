@@ -232,9 +232,9 @@ class PuckMetric:
 
 
 def _per_momentum(fn, p):
-    """fn of each momentum in p: a float for a scalar p, else an array."""
-    out = np.array([fn(float(pi)) for pi in np.atleast_1d(p)])
-    return float(out[0]) if np.ndim(p) == 0 else out
+    """fn of each momentum in p: a float for a scalar p, else p's shape."""
+    out = np.array([fn(float(pi)) for pi in np.ravel(p)]).reshape(np.shape(p))
+    return float(out) if np.ndim(p) == 0 else out
 
 
 def _gp_quad(metric, p, f_pow, r_pow):

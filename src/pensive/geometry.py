@@ -112,9 +112,10 @@ class BoundaryCurve:
         self._h = TWO_PI / m
         t = np.arange(m) * self._h
         self._t_nodes = t
+        self._t_closed = np.append(t, TWO_PI)
         self._z_nodes = self._zf(t)
         if self._arclen_exact is not None:
-            s = self._arclen_exact(np.append(t, TWO_PI))
+            s = self._arclen_exact(self._t_closed)
         else:
             # cumulative arc length by 12-point Gauss-Legendre per panel
             mid = t + 0.5 * self._h
@@ -173,12 +174,12 @@ class BoundaryCurve:
         t = np.asarray(t, dtype=float)
         if self._arclen_exact is not None:
             return self._arclen_exact(t)
-        idx = np.clip((t / self._h).astype(int), 0, self._M - 1)
-        t0 = idx * self._h
+        k = np.minimum(np.maximum((t / self._h).astype(int), 0), self._M - 1)
+        t0 = k * self._h
         half = 0.5 * (t - t0)
         tq = (t0 + half)[..., None] + half[..., None] * _GL_X
         sp = np.abs(self._dzf(_wrap(tq.reshape(-1)))).reshape(tq.shape)
-        return self._s_nodes[idx] + (sp @ _GL_W) * half
+        return self._s_nodes[k] + (sp @ _GL_W) * half
 
     def t_of_s(self, s):
         """Invert arc length: up to 8 Newton passes from the table guess.
@@ -190,14 +191,15 @@ class BoundaryCurve:
         others in the array.
         """
         s = np.mod(np.asarray(s, dtype=float), self.perimeter)
-        t = np.interp(s, self._s_nodes, np.append(self._t_nodes, TWO_PI))
+        t = np.interp(s, self._s_nodes, self._t_closed)
         prev = None
         for k in range(1, 9):
-            f = self.arclen_t(np.clip(t, 0.0, TWO_PI)) - s
-            tn = np.clip(t - f / np.abs(self._dzf(_wrap(t))), 0.0, TWO_PI)
-            if np.array_equal(tn, t):
+            f = self.arclen_t(t) - s
+            tn = np.minimum(np.maximum(t - f / np.abs(self._dzf(_wrap(t))),
+                                       0.0), TWO_PI)
+            if (tn == t).all():
                 return tn
-            if prev is not None and np.array_equal(tn, prev):
+            if prev is not None and (tn == prev).all():
                 # a 2-cycle: pass 8 lands on tn when 8 - k is even
                 return tn if k % 2 == 0 else t
             prev, t = t, tn
@@ -483,7 +485,7 @@ def arc_advance(curve, s, delta):
 
 def _check_angle(theta):
     theta = np.asarray(theta, dtype=float)
-    if np.any(theta < ANGLE_TOL) or np.any(theta > np.pi - ANGLE_TOL):
+    if (theta < ANGLE_TOL).any() or (theta > np.pi - ANGLE_TOL).any():
         raise InvalidAngle("incidence angle must lie in (%g, pi - %g)"
                            % (ANGLE_TOL, ANGLE_TOL))
     return theta
@@ -516,20 +518,29 @@ def _window(curve, t0, theta):
 def _require_resolved(curve, f_ends):
     """Raise InvalidAngle unless the residuals at the window ends stand
     clear of roundoff, so no cell next to them shows a false crossing."""
-    if np.any(np.abs(f_ends) <= 1e-14 * curve._zmax):
+    if (np.abs(f_ends) <= 1e-14 * curve._zmax).any():
         raise InvalidAngle("chord too close to tangency to resolve")
 
 
 def _convex_bracket(curve, t0, cd, theta):
     """Per row, the scan cell [lo, hi] of the window that holds the
-    landing parameter on a convex oval, with the residuals at its ends."""
+    landing parameter on a convex oval, with the residuals at its ends,
+    read from every eighth scan node and then the nine of one coarse cell."""
     lo, hi = _window(curve, t0, theta)
-    grid = lo[:, None] + np.outer(hi - lo, _SCAN)
-    f = _chord_residual(curve, grid, t0[:, None], cd[:, None])
+    lo, w, t0, cd = lo[:, None], (hi - lo)[:, None], t0[:, None], cd[:, None]
+
+    def first_positive(frac):
+        t = lo + w * frac
+        f = _chord_residual(curve, t, t0, cd)
+        return t, f, np.argmax(f > 0.0, axis=1)
+
+    _, f, k = first_positive(_SCAN[::8])
     _require_resolved(curve, f[:, [0, -1]])
-    j = np.argmax(f > 0.0, axis=1)
-    rows = np.arange(len(t0))
-    return grid[rows, j - 1], grid[rows, j], f[rows, j - 1], f[rows, j]
+    if (k == 0).any():
+        raise InvalidAngle("chord landing not bracketed in its window")
+    t, f, j = first_positive(_SCAN[8 * k[:, None] + np.arange(-8, 1)])
+    rows = np.arange(len(j))
+    return t[rows, j - 1], t[rows, j], f[rows, j - 1], f[rows, j]
 
 
 def _launch(curve, s, theta):
@@ -605,37 +616,47 @@ def _ray_hit(curve, z, dhat, window=None):
 
 
 def chord_batch(curve, s, theta):
-    """Vectorized chord: (s2, theta2, length) arrays.
+    """Vectorized chord: (s2, theta2, length) arrays of the shape s and
+    theta broadcast to, at least 1-d.
 
-    On convex ovals the rows share the bracket of :func:`chord` and are
-    polished together by a safeguarded Newton iteration; other tables go
-    through :func:`chord` row by row.
+    On convex ovals each launch is built at the shape of s, and the rows
+    share the bracket of :func:`chord` and a safeguarded Newton polish;
+    other tables go through :func:`chord` row by row.
     """
+    s, theta = np.atleast_1d(np.asarray(s, dtype=float),
+                             np.asarray(theta, dtype=float))
+    shape = np.broadcast_shapes(s.shape, theta.shape)
     if isinstance(curve, PolygonBoundary) or not curve.is_convex:
-        return tuple(np.array([chord(curve, float(si), float(thi)) for si, thi
-                               in zip(np.ravel(s), np.ravel(theta))]
-                              ).reshape(-1, 3).T)
-    theta = _check_angle(np.asarray(theta, dtype=float)).ravel()
-    t0, cd = _launch(curve, np.asarray(s, dtype=float).ravel(), theta)
-    lo, hi, flo, fhi = _convex_bracket(curve, t0, cd, theta)
+        rows = [chord(curve, float(si), float(thi)) for si, thi
+                in np.broadcast(s, theta)]
+        return tuple(np.reshape(rows, (-1, 3)).T.reshape((3,) + shape))
+    theta = _check_angle(theta)
+    t0, cd = _launch(curve, s, theta)
     # start from the osculating circle's landing point 2 sin(theta) / kappa
     # where it falls in the cell (the grazing ends), else by regula falsi
     u = 2.0 * np.sin(theta) / (curve.curvature_t(t0) * curve.speed_t(t0))
+    t0, theta, cd, u = (x.ravel() for x in
+                        np.broadcast_arrays(t0, theta, cd, u))
+    lo, hi, flo, fhi = _convex_bracket(curve, t0, cd, theta)
     t = np.where(theta < 0.5 * np.pi, t0 + u, t0 + TWO_PI - u)
     t = np.where((t > lo) & (t < hi), t, lo - flo * (hi - lo) / (fhi - flo))
-    # rows stop after their first step under 1e-13: no row sees the others
-    live = np.ones(len(t), dtype=bool)
+    # rows leave the live arrays after their first step under 1e-13: no
+    # row sees the others
+    rows, tl, t0l, cdl = np.arange(len(t)), t.copy(), t0, cd
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(64):
-            ft = _chord_residual(curve, t, t0, cd)
-            lo = np.where(ft < 0.0, t, lo)
-            hi = np.where(ft > 0.0, t, hi)
-            tn = t - ft / np.imag(cd * curve._dzf(t))
+            ft = _chord_residual(curve, tl, t0l, cdl)
+            lo = np.where(ft < 0.0, tl, lo)
+            hi = np.where(ft > 0.0, tl, hi)
+            tn = tl - ft / np.imag(cdl * curve._dzf(tl))
             tn = np.where((tn >= lo) & (tn <= hi), tn, 0.5 * (lo + hi))
-            t, live = np.where(live, tn, t), live & (np.abs(tn - t) > 1e-13)
-            if not live.any():
+            live = np.abs(tn - tl) > 1e-13
+            t[rows] = tn
+            rows, tl, lo, hi, t0l, cdl = (
+                x[live] for x in (rows, tn, lo, hi, t0l, cdl))
+            if not rows.size:
                 break
-    return _landing(curve, t, t0, cd)
+    return tuple(x.reshape(shape) for x in _landing(curve, t, t0, cd))
 
 
 def _chord_polygon(poly, s, theta):

@@ -84,10 +84,9 @@ def pensive_dS_dtheta(curve, law, s, theta):
         Th = np.asarray(Th)
         d = np.asarray(d)
     else:
-        s_arr, th_arr = np.broadcast_arrays(s_arr, th_arr)
         S, Th, d = geo.chord_batch(curve, s_arr, th_arr)
-    out = _chord_partials(d, np.sin(th_arr.ravel()), np.sin(Th),
-                          curve.curvature(s_arr.ravel()), curve.curvature(S),
+    out = _chord_partials(d, np.sin(th_arr), np.sin(Th),
+                          curve.curvature(s_arr), curve.curvature(S),
                           law.dtheta(Th))[4]
     return float(out) if scalar else out
 

@@ -132,9 +132,8 @@ def p_star(curve, law, s, S, hint=None, advance_hint=None):
     n = len(s)
     hint, advance_hint = ([None] * n if x is None else np.atleast_1d(x)
                           for x in (hint, advance_hint))
-    m = len(_P_GRID)
-    res = _transit_residual(curve, law, np.repeat(s, m), np.repeat(S, m),
-                            np.tile(_P_GRID, n))[0].reshape(n, m)
+    res = _transit_residual(curve, law, s[:, None], S[:, None],
+                            _P_GRID[None, :])[0]
     ra, rb = res[:, :-1], res[:, 1:]
     on_node = ra == 0.0
     # a sign change bigger than half a perimeter is a wrap jump, not a root

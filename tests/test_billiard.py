@@ -214,6 +214,18 @@ def test_pensive_batch_matches_scalar():
         assert Th[i] == pytest.approx(rec.theta_out, abs=1e-9)
 
 
+@pytest.mark.parametrize("curve", [geo.regular_polygon(5),
+                                   geo.neumann_oval(0.7)],
+                         ids=["polygon", "nonconvex-oval"])
+def test_pensive_batch_broadcasts_one_launch_arc(curve):
+    # one arc and two angles are two steps, each the scalar step
+    law = delay.constant(0.2)
+    S, Th = bil.pensive_batch(curve, law, 0.5, [1.0, 2.0])
+    steps = [bil._pensive_raw(curve, law, 0.5, th) for th in (1.0, 2.0)]
+    assert S.tolist() == [rec.s_out for rec in steps]
+    assert Th.tolist() == [rec.theta_out for rec in steps]
+
+
 @pytest.mark.parametrize("curve", [
     geo.disk(1.0), geo.ellipse(2.0, 1.0), geo.neumann_oval(0.3),
     geo.regular_polygon(5), geo.neumann_oval(0.7)],

@@ -287,6 +287,102 @@ q = 4
         assert float(rows[1][5]) < 1e-7
 
 
+class TestMapBytes:
+    # orbit searches, phase portraits and a trajectory on convex ovals:
+    # each config with the sha256 of every file it writes
+    PINNED = {
+        "orbit-disk-vortex_pi": ("orbit", """
+[curve]
+kind = disk
+
+[delay]
+kind = vortex
+l = 3.141592653589793
+
+[orbit]
+p = 2
+q = 5
+""", {"orbit.csv":
+      "4a5179be9c49cf3f3553273919bd8b10c937006c7bdc1554b62c2f01d9df9186"}),
+        "orbit-ellipse-vortex": ("orbit", """
+[curve]
+kind = ellipse
+a = 1.2
+b = 1
+
+[delay]
+kind = vortex
+l = 0.5
+
+[orbit]
+p = 1
+q = 3
+""", {"orbit.csv":
+      "893bc6cea6db44aa270847bba9157b513c85b6fafd3431cef92694f4cbfee3f6"}),
+        "phase-ellipse-puck": ("phase", """
+[curve]
+kind = ellipse
+a = 1.2
+b = 1
+
+[delay]
+kind = puck
+h = 0.4
+
+[phase]
+orbits = 2
+steps = 40
+""", {"phase.csv":
+      "b8f4bedef7f742573d684e3982c4e7f5171915c8bcff482d68a4dd941a5be6fa",
+      "phase.svg":
+      "6044cfe8d427e104dfe9734f0277e49607623911cc71f0a6ef503cba55119a54"}),
+        "phase-oval-vortex": ("phase", """
+[curve]
+kind = neumann_oval
+lam = 0.3
+
+[delay]
+kind = vortex
+
+[phase]
+orbits = 2
+steps = 40
+""", {"phase.csv":
+      "f9d86a2702909decf4536b97a7ab5430ea3c61a05242a47f116c79ebdda8a0b4",
+      "phase.svg":
+      "a263827c8875b8249d897a123bb6fdfb11225d570f17da0f364f2de78035df67"}),
+        "simulate-oval-puck": ("simulate", """
+[curve]
+kind = neumann_oval
+lam = 0.3
+
+[delay]
+kind = puck
+h = 0.6
+
+[simulate]
+s0 = 1.3
+theta0 = 0.9
+steps = 26
+""", {"trajectory.csv":
+      "61e4a0ddb496afae5220d0afbe5a40a555a911c3c572992c1e41b8c4efbc7fd2",
+      "trajectory.svg":
+      "1c52ccc18ad5d4ea89a602f352d408b21689673eaea623e606023fe62b25fc5f"}),
+    }
+
+    @pytest.mark.parametrize("name", PINNED)
+    def test_map_bytes_are_pinned(self, tmp_path, name):
+        command, body, digests = self.PINNED[name]
+        out = tmp_path / "out"
+        ini = write_ini(tmp_path / "pin.ini",
+                        "[run]\ncommand = %s\nseed = 1\noutdir = %s\n%s"
+                        % (command, out, body))
+        assert cli.main([command, ini]) == 0
+        for fname, digest in digests.items():
+            data = (out / fname).read_bytes()
+            assert hashlib.sha256(data).hexdigest() == digest, fname
+
+
 class TestTwist:
     def test_sweep_crossing(self, tmp_path):
         out = tmp_path / "out"

@@ -225,6 +225,15 @@ def test_generalized_puck_potential_one_quad_per_momentum(monkeypatch):
     assert len(calls) == 3
 
 
+def test_generalized_puck_keeps_the_shape_of_p():
+    # p_star's scan hands the law a (segments, momenta) array
+    law = delay.generalized_puck(delay.PuckMetric.named("bump", amp=0.5))
+    p = np.array([[-0.6, 0.2], [0.7, 0.1]])
+    for fn in (law.ell, law.dell_dp, law.potential):
+        assert np.array_equal(fn(p), fn(p.ravel()).reshape(p.shape))
+    assert isinstance(law.ell(0.2), float)
+
+
 def test_generalized_puck_law_consistency():
     metric = delay.PuckMetric.named("bump", amp=0.5)
     law = delay.generalized_puck(metric)

@@ -321,6 +321,73 @@ def test_chord_property(name, frac, theta):
         assert abs(geo.wrap_to_half(s3 - s, c.perimeter)) <= max(1e-9, slack)
 
 
+def one_pass_bracket(curve, t0, cd, theta):
+    """The landing cell from all 65 nodes of the window's scan at once."""
+    lo, hi = geo._window(curve, t0, theta)
+    grid = lo[:, None] + np.outer(hi - lo, geo._SCAN)
+    f = geo._chord_residual(curve, grid, t0[:, None], cd[:, None])
+    geo._require_resolved(curve, f[:, [0, -1]])
+    j = np.argmax(f > 0.0, axis=1)
+    if np.any(j == 0):
+        raise InvalidAngle("chord landing not bracketed in its window")
+    rows = np.arange(len(t0))
+    return grid[rows, j - 1], grid[rows, j], f[rows, j - 1], f[rows, j]
+
+
+# convex tables of the bracket and broadcast tests
+CONVEX_TABLES = {name: PROPERTY_TABLES[name]
+                 for name in ("disk", "ellipse", "oval", "thin_ellipse")}
+
+
+def float_hex(arrays):
+    return [[float(x).hex() for x in a] for a in arrays]
+
+
+@pytest.mark.parametrize("name", CONVEX_TABLES)
+@given(rows=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
+                               st.floats(-6.0, math.log10(math.pi / 2)),
+                               st.booleans()), min_size=1, max_size=6))
+def test_two_pass_bracket_is_the_one_pass_scan(name, rows):
+    # launches from near ANGLE_TOL to mid-range at either grazing end
+    c = CONVEX_TABLES[name]
+    frac, exp, backward = (np.array(x) for x in zip(*rows))
+    gap = np.maximum(10.0 ** exp, geo.ANGLE_TOL)
+    theta = np.where(backward, math.pi - gap, gap)
+    t0, cd = geo._launch(c, frac * c.perimeter, theta)
+    try:
+        want = one_pass_bracket(c, t0, cd, theta)
+    except InvalidAngle as e:
+        with pytest.raises(InvalidAngle) as got:
+            geo._convex_bracket(c, t0, cd, theta)
+        assert str(got.value) == str(e)
+        return
+    assert float_hex(geo._convex_bracket(c, t0, cd, theta)) == float_hex(want)
+
+
+@pytest.mark.parametrize("name", CONVEX_TABLES)
+def test_chord_batch_broadcasts_like_the_repeated_rows(name):
+    c = CONVEX_TABLES[name]
+    rng = np.random.default_rng(RNG_SEED + 11)
+    s = rng.uniform(0.0, c.perimeter, 5)
+    th = np.concatenate([[1e-3, 1e-2, math.pi - 1e-2, math.pi - 1e-3],
+                         rng.uniform(0.05, math.pi - 0.05, 8)])
+    grid = geo.chord_batch(c, s[:, None], th[None, :])
+    flat = geo.chord_batch(c, np.repeat(s, len(th)), np.tile(th, len(s)))
+    for g, f in zip(grid, flat):
+        assert g.shape == (len(s), len(th))
+        assert np.array_equal(g.ravel(), f)
+
+
+@pytest.mark.parametrize("curve", [geo.regular_polygon(5),
+                                   geo.neumann_oval(0.7)],
+                         ids=["polygon", "nonconvex_oval"])
+def test_chord_batch_broadcasts_one_launch_arc(curve):
+    # one arc and two angles give two rows, each the scalar chord
+    rows = geo.chord_batch(curve, 0.5, [1.0, 2.0])
+    assert np.array_equal(np.transpose(rows), [geo.chord(curve, 0.5, 1.0),
+                                               geo.chord(curve, 0.5, 2.0)])
+
+
 @pytest.mark.parametrize("name", ["disk2", "ellipse", "oval"])
 def test_ray_hit_from_interior_point(curves, name):
     c = curves[name]

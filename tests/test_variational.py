@@ -388,6 +388,28 @@ def test_orbit_search_p_star_budget(monkeypatch):
     assert len(calls["chord_batch"]) <= 6 * len(calls["_orbit_eval"])
 
 
+def test_p_star_scan_inverts_each_launch_arc_once(monkeypatch):
+    # the scan's chord_batch, the first one, sends q arcs to t_of_s
+    c = geo.ellipse(1.2, 1.0)
+    sizes, spans = [], []
+    t_of_s, chord_batch = c.t_of_s, geo.chord_batch
+    monkeypatch.setattr(c, "t_of_s",
+                        lambda s: sizes.append(np.size(s)) or t_of_s(s))
+
+    def batch(*args):
+        first = len(sizes)
+        out = chord_batch(*args)
+        spans.append(sizes[first:])
+        return out
+
+    monkeypatch.setattr(geo, "chord_batch", batch)
+    q = 3
+    s = np.arange(q) * c.perimeter / q
+    var.p_star(c, delay.vortex(0.5), s, np.roll(s, -1))
+    assert spans[0] == [q]
+    assert q * len(var._P_GRID) not in sizes
+
+
 # -- transit roots against brentq --------------------------------------------
 
 
