@@ -40,10 +40,6 @@ class NotTransitive(PensiveError):
     """No momentum solves the transit equation for the given endpoints."""
 
 
-class Ambiguous(PensiveError):
-    """Several branches satisfy the request and no tie-break was provided."""
-
-
 class NotFound(PensiveError):
     """Search finished without locating the requested object."""
 

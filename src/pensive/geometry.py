@@ -10,6 +10,7 @@ the inward normal is i*tangent in complex form.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -66,8 +67,11 @@ def _periodic_zeros(f, grid, vals, period, direction=0):
     end, and the end is returned. direction -1 keeps only the zeros where
     the scan falls (+ to -), +1 only those where it rises, 0 every zero.
     """
-    nxt = np.roll(vals, -1)
-    on_node = (vals == 0.0) & (direction * (nxt - np.roll(vals, 1)) >= 0.0)
+    # each node's neighbours, read as slices of the scan padded by one
+    # value at each end of the period
+    ext = np.concatenate((vals[-1:], vals, vals[:1]))
+    nxt = ext[2:]
+    on_node = (vals == 0.0) & (direction * (nxt - ext[:-2]) >= 0.0)
     crossing = (vals * nxt < 0.0) & (direction * nxt >= 0.0)
     ends = np.append(grid[1:], grid[0] + period)
     zeros = []
@@ -145,6 +149,14 @@ class BoundaryCurve:
         self._zmax = float(np.abs(z).max())
         # signed area by the periodic trapezoid rule (spectral accuracy)
         self.area = float(0.5 * np.mean(np.imag(np.conj(z) * dz)) * TWO_PI)
+
+    @functools.cached_property
+    def _tangent_scan(self):
+        """The outer map's tangency scan, built on first use: 512
+        equispaced parameters, the points there and the conjugate unit
+        tangents."""
+        ts = np.linspace(0.0, TWO_PI, 512, endpoint=False)
+        return ts, self.zpoint_t(ts), np.conj(self.tangent_t(ts))
 
     # -- parameter-space evaluation ------------------------------------
 

@@ -17,7 +17,7 @@ from scipy.optimize import brentq
 
 from . import geometry as geo
 from .errors import (InvalidParameter, InvalidPoint, NotExterior,
-                     Unsupported)
+                     Unsupported, finite_float)
 
 TWO_PI = 2.0 * math.pi
 
@@ -74,9 +74,10 @@ def tangent_coordinates(curve, X, side="right"):
         return np.imag(np.conj(curve.tangent_t(t)) * (zx - curve.zpoint_t(t)))
 
     # the right tangency is where f falls through zero, the left where it
-    # rises
-    ts = np.linspace(0.0, TWO_PI, 512, endpoint=False)
-    for tstar in geo._periodic_zeros(f, ts, f(ts), TWO_PI, direction=-sgn):
+    # rises; the scan is f at the curve's table of 512 nodes
+    ts, zs, cT = curve._tangent_scan
+    for tstar in geo._periodic_zeros(f, ts, np.imag(cT * (zx - zs)), TWO_PI,
+                                     direction=-sgn):
         tau = complex(curve.tangent_t(tstar))
         p = complex(curve.zpoint_t(tstar))
         r = sgn * float(np.real(np.conj(tau) * (zx - p)))
@@ -106,10 +107,16 @@ class OuterDelay:
     label: str = "custom"
 
     def shift(self, r):
-        return float(self.theta(r))
+        """theta(r); InvalidParameter unless it is finite (a value too
+        large for a float counts as infinite)."""
+        try:
+            turn = self.theta(r)
+        except OverflowError:
+            turn = math.inf
+        return finite_float(turn, "bearing shift theta(%r)" % r)
 
     def area(self, r):
-        return 0.5 * r * r * float(self.theta(r))
+        return 0.5 * r * r * self.shift(r)
 
     @classmethod
     def from_angle(cls, theta_fn, label="angle"):
@@ -177,6 +184,8 @@ def _slide_and_reflect(curve, odelay, op):
 def area_preservation_check(curve, odelay, points):
     """Max |det - 1| of the finite-difference Jacobian of the map."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
+    if pts.ndim != 2 or pts.shape[1] != 2 or not len(pts):
+        raise InvalidPoint("points are a non-empty list of (x, y) pairs")
     h = 1e-6 * max(1.0, curve.perimeter / TWO_PI)
     worst = 0.0
     for p in pts:
@@ -365,7 +374,7 @@ def spherical_outer_step(sigma, area_of_r, X):
             break
     else:
         raise NotExterior("no forward tangent circle through the point")
-    target = float(area_of_r(r))
+    target = finite_float(area_of_r(r), "swept area a(%r)" % r)
     fac = 1.0 - math.cos(r)
     uq = ustar
     if abs(target) >= 1e-15 and fac >= 1e-15:

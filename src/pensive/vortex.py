@@ -373,11 +373,6 @@ class VortexTrajectory:
     momentum: np.ndarray
     drift: float
 
-    @property
-    def final(self):
-        return VortexConfiguration(self.z[-1].copy(), self.gamma.copy(),
-                                   self.domain, t=float(self.t[-1]))
-
 
 GUARD_DISTANCE = 1e-8
 

@@ -570,6 +570,32 @@ steps = 7
         assert cli.main(["outer", ini]) == 0
         assert len(calls) == 8
 
+    @pytest.mark.parametrize("coeff, exponent", [("1e308", "3"),
+                                                 ("1", "2000")])
+    def test_non_finite_shift_exit3(self, tmp_path, capsys, coeff,
+                                    exponent):
+        # a(r) = coeff r^exponent overflows: inf, or OverflowError in the
+        # power itself
+        ini = write_ini(tmp_path / "op.ini", """
+[run]
+command = outer
+outdir = {out}
+
+[curve]
+kind = ellipse
+a = 2
+b = 1
+
+[outer]
+akind = power
+coeff = {coeff}
+exponent = {exponent}
+steps = 3
+""".format(out=tmp_path / "out", coeff=coeff, exponent=exponent))
+        assert cli.main(["outer", ini]) == 3
+        err = capsys.readouterr().err
+        assert "numeric failure" in err and "bearing shift" in err
+
     # planar orbits on two tables and the sphere duality table, each
     # config with the sha256 of the file it writes
     PINNED = {

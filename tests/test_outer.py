@@ -1,6 +1,7 @@
 """Outer billiard tests: tangent coordinates, the pensive step, area
 preservation, and the spherical swept-area duality."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -9,7 +10,8 @@ from scipy.integrate import dblquad, quad
 from scipy.optimize import brentq, minimize_scalar
 
 from pensive import delay, geometry as geo, outer
-from pensive.errors import (InvalidParameter, NotExterior, Unsupported)
+from pensive.errors import (InvalidParameter, InvalidPoint, NotExterior,
+                            Unsupported)
 
 RNG = np.random.default_rng(20240823)
 TWO_PI = 2.0 * math.pi
@@ -257,6 +259,20 @@ class TestOuterDelay:
         assert od.shift(1.7) == 0.0
         assert od.area(1.7) == 0.0
 
+    @pytest.mark.parametrize("theta", [
+        lambda r: math.nan, lambda r: math.inf, lambda r: -math.inf,
+        lambda r: 10.0 ** 400.0], ids=["nan", "inf", "-inf", "overflow"])
+    def test_non_finite_shift_is_typed(self, theta):
+        # checked before any arithmetic: no divmod warning, no scipy
+        # ValueError from a NaN bracket; 10.0 ** 400.0 overflows a float
+        od = outer.OuterDelay.from_angle(theta)
+        with pytest.raises(InvalidParameter, match="bearing shift"):
+            od.shift(1.5)
+        with pytest.raises(InvalidParameter, match="bearing shift"):
+            od.area(1.5)
+        with pytest.raises(InvalidParameter, match="bearing shift"):
+            outer.pensive_outer_step(geo.ellipse(2.0, 1.0), od, (3.0, 0.5))
+
 
 class TestPensiveOuterStep:
     def test_zero_delay_is_classical(self):
@@ -396,6 +412,153 @@ class TestAreaPreservation:
         pts = np.array([[3.0, 1.0], [0.0, 3.2], [-2.9, -0.7]])
         dev = outer.area_preservation_check(ell, od, pts)
         assert np.isfinite(dev)
+
+    @pytest.mark.parametrize("points", [
+        [], np.zeros((0, 2)), [[3.0, 0.0, 1.0]], [3.0, 0.0, 1.0],
+        [[[3.0, 0.0]]]],
+        ids=["empty", "no-rows", "triples", "one-triple", "nested"])
+    def test_points_are_xy_pairs(self, points):
+        with pytest.raises(InvalidPoint):
+            outer.area_preservation_check(
+                geo.ellipse(2.0, 1.0), outer.OuterDelay.zero(), points)
+
+
+def angle_delay():
+    return outer.OuterDelay.from_angle(lambda r: 0.3 / (1.0 + r))
+
+
+def hex_orbit(curve, X, steps):
+    """Float hex of the pensive outer orbit of X under angle_delay."""
+    xs = [np.array(X)]
+    for _ in range(steps):
+        xs.append(outer.pensive_outer_step(curve, angle_delay(), xs[-1]))
+    return [float(v).hex() for x in xs for v in x]
+
+
+class TestOuterBitPins:
+    """Float hex recorded before the planar scan read a per-curve table.
+    Per table: two exterior points, their (alpha, r, t) on the right and
+    left sides; the last point and the sha256 of the hex of a 20-step
+    orbit from the first point; the area check over both points."""
+
+    CURVES = {
+        "ellipse": (lambda: geo.ellipse(2.0, 1.0), [(3.0, 0.5), (-1.0, 2.2)]),
+        "oval": (lambda: geo.neumann_oval(0.3), [(1.8, 0.4), (-0.9, -1.6)]),
+        "thin": (lambda: geo.ellipse(20.0, 0.05),
+                 [(3.0, 0.4), (-20.5, 0.1)]),
+        "sampled": (square_oval, [(1.5, 0.8), (-0.3, -1.6)]),
+    }
+    PINS = {
+        'ellipse': (
+            [
+                ('0x1.564c47fa9105ap-1', '0x1.ab653dabb3726p+0',
+                 '0x1.6e01c8144e5dap+2'),
+                ('0x1.7a1a5a285ebc8p+1', '0x1.2a5853f4f8e85p+1',
+                 '0x1.353431d906c68p+0'),
+                ('0x1.4b8e344f8e0c9p+1', '0x1.7f6fba7e595efp+1',
+                 '0x1.5d89687f4e183p-1'),
+                ('0x1.10ee3da3c8a97p+2', '0x1.173e407db25e4p+1',
+                 '0x1.73f31e59c147bp+1'),
+            ],
+            ('-0x1.af7a7c8c60f20p-1', '-0x1.9794c45b8a573p+0'),
+            '8dd731e6ae1471d0eedbcdce8228961a721fed2e002ee2751f31b6298958eeae',
+            '0x1.a8b5400000000p-33'),
+        'oval': (
+            [
+                ('0x1.9b3a57ee8c8d1p-1', '0x1.607d2d573fe2ep+0',
+                 '0x1.7045926e8fd4dp+2'),
+                ('0x1.6a1c100fc0260p+1', '0x1.704dc987d42c7p+0',
+                 '0x1.055f10b781b97p+0'),
+                ('0x1.353819fa951e8p+2', '0x1.82fa064101690p+0',
+                 '0x1.9be98906d914ap+1'),
+                ('0x1.022c3001ef99bp-1', '0x1.bc7c5ec93118cp+0',
+                 '0x1.5f149fd007bf0p+2'),
+            ],
+            ('-0x1.9207f2f8b6aa0p+0', '-0x1.7b8b19886f922p-1'),
+            'd7454661238d03ba891960668da3ee76835545e76a275ae3667ee1a6ee8cb070',
+            '0x1.20fe780000000p-30'),
+        'thin': (
+            [
+                ('0x1.8f21f9b549e97p+1', '0x1.0e423eef795fcp+4',
+                 '0x1.b4760b1ded3a3p-4'),
+                ('0x1.94546406ce2cdp+1', '0x1.6cbd5aeec95e2p+4',
+                 '0x1.7faf5cf9b83a9p+1'),
+                ('0x1.91e3371136f09p+1', '0x1.030baa0072bebp+5',
+                 '0x1.de9585f8f168bp-1'),
+                ('0x1.8573c3e441f36p+2', '0x1.05e9731932375p-1',
+                 '0x1.93b803d23cba5p+1'),
+            ],
+            ('0x1.14e71bec5de43p+4', '0x1.5c6b7eabf2f41p-1'),
+            'fa2e7c50d1be6c960c216e75633e62310e226c815233d291c1306c12fba13d6c',
+            '0x1.d3984e0000000p-29'),
+        'sampled': (
+            [
+                ('0x1.33e1a94a0db82p+0', '0x1.8f0f3d8b5a19ep+0',
+                 '0x1.6be023f5e56d4p+2'),
+                ('0x1.7b47351347c3ap+1', '0x1.02d6e1835c61dp+0',
+                 '0x1.1cfdb26f49e58p+0'),
+                ('0x1.5487b3b334448p+2', '0x1.03a5396501d32p+0',
+                 '0x1.ed73eb31e404bp+1'),
+                ('0x1.2fd74aadcd5a6p-1', '0x1.47ed2d3a67b07p+0',
+                 '0x1.5ad9c69995edep+2'),
+            ],
+            ('0x1.20a21f102484ep+1', '0x1.3c09e22800edap-2'),
+            '3633cddd057436cbeb44470c38d6c8666e54faa2ef394cd2be7b06fc97dde698',
+            '0x1.274dd00000000p-31'),
+    }
+
+    @pytest.mark.parametrize("name", PINS)
+    def test_outer_bits_are_pinned(self, name):
+        make, pts = self.CURVES[name]
+        coords, last, digest, area = self.PINS[name]
+        curve = make()
+        got = [tuple(float(v).hex() for v in (op.alpha, op.r, op.t))
+               for op in (outer.tangent_coordinates(curve, X, side=side)
+                          for X in pts for side in ("right", "left"))]
+        assert got == coords
+        orbit = hex_orbit(curve, pts[0], 20)
+        assert tuple(orbit[-2:]) == last
+        assert hashlib.sha256(" ".join(orbit).encode()).hexdigest() == digest
+        assert float(outer.area_preservation_check(
+            curve, angle_delay(), np.array(pts))).hex() == area
+
+
+class TestTangentScanTable:
+    def test_fresh_curve_matches_warm_curve(self):
+        warm = geo.neumann_oval(0.3)
+        outer.tangent_coordinates(warm, (-2.0, 0.7))
+        for X in ((1.8, 0.4), (0.2, -1.9)):
+            for side in ("right", "left"):
+                a = outer.tangent_coordinates(geo.neumann_oval(0.3), X,
+                                              side=side)
+                b = outer.tangent_coordinates(warm, X, side=side)
+                assert [float(v).hex() for v in (a.alpha, a.r, a.t)] == \
+                    [float(v).hex() for v in (b.alpha, b.r, b.t)]
+            assert hex_orbit(geo.neumann_oval(0.3), X, 3) == \
+                hex_orbit(warm, X, 3)
+
+    def test_one_scan_evaluation_per_curve(self, monkeypatch):
+        # the 512-node scan is built once per curve, on first use; the
+        # tangency polish still evaluates the tangent at single points
+        scans = []
+        curves = [geo.ellipse(2.0, 1.0), square_oval()]
+        for curve in curves:
+            tangent = curve.tangent_t
+
+            def counted(t, tangent=tangent, curve=curve):
+                if np.size(t) == 512:
+                    scans.append(curve)
+                return tangent(t)
+
+            monkeypatch.setattr(curve, "tangent_t", counted)
+        for curve in curves:
+            for X in ((3.0, 0.5), (-1.0, 2.2), (0.5, -2.5)):
+                for side in ("right", "left"):
+                    outer.tangent_coordinates(curve, X, side=side)
+            outer.pensive_outer_step(curve, angle_delay(), (3.0, 0.5))
+            outer.area_preservation_check(curve, angle_delay(),
+                                          [(3.0, 0.5)])
+        assert scans == curves
 
 
 class TestTangentChart:
@@ -648,6 +811,17 @@ class TestSphereDuality:
                                              samples)
             assert rep["max_error"] < 1e-6
         assert len(calls) == 6
+
+    @pytest.mark.parametrize("area", [math.nan, math.inf],
+                             ids=["nan", "inf"])
+    def test_non_finite_swept_area_is_typed(self, area):
+        # a NaN area used to give the classical image, an infinite one a
+        # NaN point
+        cap = outer.spherical_cap(0.9)
+        X, _ = outer.spherical_pensive_poles(cap, delay.constant(0.35),
+                                             1.0, 1.0)
+        with pytest.raises(InvalidParameter, match="swept area"):
+            outer.spherical_outer_step(cap.dual(), lambda r: area, X)
 
     def test_non_hemispherical_unsupported(self):
         eq = outer.SphericalCurve(
