@@ -483,8 +483,7 @@ def _require_smooth(curve, what):
 
 
 def curvature_bounds(curve):
-    if isinstance(curve, PolygonBoundary):
-        raise Unsupported("polygon has no curvature bounds")
+    _require_smooth(curve, "curvature bounds")
     return curve._kmin, curve._kmax
 
 
@@ -556,9 +555,10 @@ def _convex_bracket(curve, t0, cd, theta):
 
 
 def _launch(curve, s, theta):
-    """Launch parameters t0 and conj of the ray directions."""
+    """Launch parameters t0, z'(t0) and conj of the ray directions."""
     t0 = curve.t_of_s(s)
-    return t0, np.conj(curve.tangent_t(t0) * np.exp(1j * theta))
+    dz = curve._dzf(_wrap(t0))
+    return t0, dz, np.conj(dz / np.abs(dz) * np.exp(1j * theta))
 
 
 def _landing(curve, t, t0, cd):
@@ -573,19 +573,18 @@ def chord(curve, s, theta):
     """First boundary intersection of the ray leaving gamma(s) at angle theta.
 
     Returns (s2, theta2, length) with theta2 the reflected outgoing
-    angle at the landing point, equal to the incidence angle there.
+    angle at the landing point, equal to the incidence angle there; on
+    convex ovals, bit for bit the one-row :func:`chord_batch`.
     """
     if isinstance(curve, PolygonBoundary):
         return _chord_polygon(curve, s, theta)
-    theta = _check_angle(np.float64(theta))
-    t0, cd = _launch(curve, s, theta)
     if curve.is_convex:
-        lo, hi, _, _ = _convex_bracket(curve, *np.atleast_1d(t0, cd, theta))
-        tstar = brentq(lambda t: _chord_residual(curve, t, t0, cd),
-                       lo[0], hi[0], xtol=1e-15, rtol=8.9e-16)
-    else:
-        tstar = _ray_hit(curve, curve.zpoint_t(t0), np.conj(cd),
-                         _window(curve, t0, theta))
+        return tuple(float(x[0]) for x in _convex_chords(
+            curve, np.atleast_1d(float(s)), np.atleast_1d(float(theta))))
+    theta = _check_angle(np.float64(theta))
+    t0, _, cd = _launch(curve, s, theta)
+    tstar = _ray_hit(curve, curve.zpoint_t(t0), np.conj(cd),
+                     _window(curve, t0, theta))
     return tuple(float(x) for x in _landing(curve, tstar, t0, cd))
 
 
@@ -629,24 +628,28 @@ def _ray_hit(curve, z, dhat, window=None):
 
 def chord_batch(curve, s, theta):
     """Vectorized chord: (s2, theta2, length) arrays of the shape s and
-    theta broadcast to, at least 1-d.
-
-    On convex ovals each launch is built at the shape of s, and the rows
-    share the bracket of :func:`chord` and a safeguarded Newton polish;
-    other tables go through :func:`chord` row by row.
-    """
+    theta broadcast to, at least 1-d; rows of tables other than convex
+    ovals go through :func:`chord` one by one."""
     s, theta = np.atleast_1d(np.asarray(s, dtype=float),
                              np.asarray(theta, dtype=float))
     shape = np.broadcast_shapes(s.shape, theta.shape)
     if isinstance(curve, PolygonBoundary) or not curve.is_convex:
-        rows = [chord(curve, float(si), float(thi)) for si, thi
-                in np.broadcast(s, theta)]
-        return tuple(np.reshape(rows, (-1, 3)).T.reshape((3,) + shape))
+        rows = np.reshape([chord(curve, float(si), float(thi)) for si, thi
+                           in np.broadcast(s, theta)], (-1, 3)).T
+    else:
+        rows = _convex_chords(curve, s, theta)
+    return tuple(x.reshape(shape) for x in rows)
+
+
+def _convex_chords(curve, s, theta):
+    """Chords of a convex oval, flat over the broadcast rows of s and theta:
+    launches from one z', z'' evaluation, one bracket, one Newton polish."""
     theta = _check_angle(theta)
-    t0, cd = _launch(curve, s, theta)
-    # start from the osculating circle's landing point 2 sin(theta) / kappa
-    # where it falls in the cell (the grazing ends), else by regula falsi
-    u = 2.0 * np.sin(theta) / (curve.curvature_t(t0) * curve.speed_t(t0))
+    t0, dz, cd = _launch(curve, s, theta)
+    # start at the osculating circle's landing 2 sin(theta) / kappa where it
+    # is in the cell, else by regula falsi; kappa |z'| is curvature_t * speed_t
+    u = 2.0 * np.sin(theta) / (np.imag(np.conj(dz) * curve._d2zf(_wrap(t0)))
+                               / np.abs(dz) ** 3 * np.abs(dz))
     t0, theta, cd, u = (x.ravel() for x in
                         np.broadcast_arrays(t0, theta, cd, u))
     lo, hi, flo, fhi = _convex_bracket(curve, t0, cd, theta)
@@ -654,7 +657,7 @@ def chord_batch(curve, s, theta):
     t = np.where((t > lo) & (t < hi), t, lo - flo * (hi - lo) / (fhi - flo))
     # rows leave the live arrays after their first step under 1e-13: no
     # row sees the others
-    rows, tl, t0l, cdl = np.arange(len(t)), t.copy(), t0, cd
+    rows, tl, t0l, cdl = np.arange(len(t)), t, t0, cd
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(64):
             ft = _chord_residual(curve, tl, t0l, cdl)
@@ -663,12 +666,13 @@ def chord_batch(curve, s, theta):
             tn = tl - ft / np.imag(cdl * curve._dzf(tl))
             tn = np.where((tn >= lo) & (tn <= hi), tn, 0.5 * (lo + hi))
             live = np.abs(tn - tl) > 1e-13
-            t[rows] = tn
-            rows, tl, lo, hi, t0l, cdl = (
-                x[live] for x in (rows, tn, lo, hi, t0l, cdl))
+            t[rows] = tl = tn
+            if not live.all():
+                rows, tl, lo, hi, t0l, cdl = (
+                    x[live] for x in (rows, tn, lo, hi, t0l, cdl))
             if not rows.size:
                 break
-    return tuple(x.reshape(shape) for x in _landing(curve, t, t0, cd))
+    return _landing(curve, t, t0, cd)
 
 
 def _chord_polygon(poly, s, theta):

@@ -283,12 +283,12 @@ class SphericalCurve:
         if self._dus is None:
             raise InvalidParameter("curve has zero speed: arc length does "
                                    "not invert")
-        p, rem = divmod(float(s), self.length)
+        p, rem = divmod(finite_float(s, "arc length s"), self.length)
         return _hermite(self._s_tab, self._us, self._dus, rem) + p * TWO_PI
 
     def s_of_u(self, u):
         """Arc length from u = 0 to u, unwrapped: s_of_u(2 pi) = length."""
-        p, rem = divmod(float(u), TWO_PI)
+        p, rem = divmod(finite_float(u, "parameter u"), TWO_PI)
         return _hermite(self._us, self._s_tab, self._sp, rem) + p * self.length
 
     def hemisphere_axis(self):
@@ -323,7 +323,10 @@ def _hermite(x, y, dy, v):
 
 
 def _unit(v):
-    return v / np.linalg.norm(v)
+    n = np.linalg.norm(v) if np.size(v) == 3 else math.nan
+    if not 0.0 < n < math.inf:
+        raise InvalidPoint("sphere points are finite nonzero 3-vectors")
+    return v / n
 
 
 def _cross(a, b):

@@ -75,20 +75,10 @@ def cb_jacobian(curve, s, theta):
 def pensive_dS_dtheta(curve, law, s, theta):
     """d(arc image)/d(theta) of the slid map; its sign is the twist."""
     geo._require_smooth(curve, "twist analysis")
-    s_arr = np.asarray(s, dtype=float)
-    th_arr = np.asarray(theta, dtype=float)
-    scalar = s_arr.ndim == 0 and th_arr.ndim == 0
-    if scalar:
-        S, Th, d = geo.chord(curve, float(s_arr), float(th_arr))
-        S = np.asarray(S)
-        Th = np.asarray(Th)
-        d = np.asarray(d)
-    else:
-        S, Th, d = geo.chord_batch(curve, s_arr, th_arr)
-    out = _chord_partials(d, np.sin(th_arr), np.sin(Th),
-                          curve.curvature(s_arr), curve.curvature(S),
-                          law.dtheta(Th))[4]
-    return float(out) if scalar else out
+    S, Th, d = geo.chord_batch(curve, s, theta)
+    out = _chord_partials(d, np.sin(theta), np.sin(Th), curve.curvature(s),
+                          curve.curvature(S), law.dtheta(Th))[4]
+    return float(out[0]) if np.ndim(s) == np.ndim(theta) == 0 else out
 
 
 @dataclass

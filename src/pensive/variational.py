@@ -102,6 +102,7 @@ class TransitSolve:
     ambiguous: bool
     p: float
     advance: float
+    chord: tuple        # (S_cl, Theta, d) of the chosen launch p
 
 
 def p_star(curve, law, s, S, hint=None, advance_hint=None):
@@ -144,15 +145,15 @@ def p_star(curve, law, s, S, hint=None, advance_hint=None):
                           _P_GRID[col], _P_GRID[col + 1], ra[cell], rb[cell])
     owner, col = np.nonzero(on_node | cell)
     roots = roots[owner, col]
-    res, adv = (_transit_residual(curve, law, s[owner], S[owner], roots)[:2]
-                if roots.size else (roots, roots))
+    res, *cols = _transit_residual(curve, law, s[owner], S[owner], roots)
+    table = np.column_stack([roots, *cols])   # p, advance, S_cl, Theta, d
     sols = []
     for i in range(n):
         good = []
         mine = owner == i
-        for r, rr, a in zip(roots[mine], res[mine], adv[mine]):
+        for r, rr, row in zip(roots[mine], res[mine], table[mine]):
             if abs(rr) < 1e-10 and all(abs(r - g[0]) > 1e-9 for g in good):
-                good.append((r, a))
+                good.append(row)
         if not good:
             raise NotTransitive(
                 "no transit direction from s=%.6g to S=%.6g" % (s[i], S[i]))
@@ -167,7 +168,8 @@ def p_star(curve, law, s, S, hint=None, advance_hint=None):
             j = int(np.argmin(np.abs(rootv)))
         sols.append(TransitSolve(roots=rootv, advances=advv,
                                  ambiguous=len(rootv) > 1,
-                                 p=float(rootv[j]), advance=float(advv[j])))
+                                 p=float(rootv[j]), advance=float(advv[j]),
+                                 chord=tuple(arr[order[j], 2:].tolist())))
     return sols[0] if scalar else sols
 
 
@@ -251,15 +253,15 @@ def generating_function(curve, law, s, S, hint=None, advance_hint=None):
     slid dS/dtheta and F_s = dS/ds + l~'(Theta) dTheta/ds.
     """
     return _action_partials(curve, law, s, S, p_star(
-        curve, law, s, S, hint=hint, advance_hint=advance_hint).p)
+        curve, law, s, S, hint=hint, advance_hint=advance_hint))
 
 
-def _action_partials(curve, law, s, S, p):
-    """H(s, S) and its partials for the transit s -> S launched at
-    momentum p, a root that `p_star` selected; one scalar chord."""
+def _action_partials(curve, law, s, S, sol):
+    """H(s, S) and its partials for the transit s -> S that the TransitSolve
+    sol of `p_star` selected, from the chord of its launch."""
     s0 = float(s) % curve.perimeter
-    th = math.acos(p)
-    S_cl, Th, d = geo.chord(curve, s0, th)
+    th = math.acos(sol.p)
+    S_cl, Th, d = sol.chord
     P_land = math.cos(Th)
     st, sT = math.sin(th), math.sin(Th)
     slope = float(law.dtheta(Th))
@@ -269,8 +271,8 @@ def _action_partials(curve, law, s, S, p):
     th_S = 1.0 / F_th
     th_s = -(dS_ds + slope * dTh_ds) * th_S
     return GeneratingFunctionEval(
-        s=float(s), S=float(S), p_star=p, H=d + law.potential(P_land),
-        dH_ds=-p, dH_dS=P_land, d2H_ds2=st * th_s, d2H_dsdS=st * th_S,
+        s=float(s), S=float(S), p_star=sol.p, H=d + law.potential(P_land),
+        dH_ds=-sol.p, dH_dS=P_land, d2H_ds2=st * th_s, d2H_dsdS=st * th_S,
         d2H_dS2=-sT * dTh_dth * th_S)
 
 
@@ -320,7 +322,7 @@ def _orbit_eval(curve, law, sv, winding, hints):
     s, S = sv % P, np.roll(sv, -1) % P
     sols = p_star(curve, law, s, S, hint=hints, advance_hint=None
                   if hints is not None else np.full(q, winding * P / q))
-    gfs = [_action_partials(curve, law, a, b, sol.p)
+    gfs = [_action_partials(curve, law, a, b, sol)
            for a, b, sol in zip(s, S, sols)]
     p_launch, P_land, H11, b, H22 = np.array(
         [(gf.p_star, gf.dH_dS, gf.d2H_ds2, gf.d2H_dsdS, gf.d2H_dS2)

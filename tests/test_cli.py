@@ -303,7 +303,7 @@ l = 3.141592653589793
 p = 2
 q = 5
 """, {"orbit.csv":
-      "4a5179be9c49cf3f3553273919bd8b10c937006c7bdc1554b62c2f01d9df9186"}),
+      "7fe1c7517be9efa389287659ce6529df596859aa9cddd74644e64f13ec470724"}),
         "orbit-ellipse-vortex": ("orbit", """
 [curve]
 kind = ellipse
@@ -318,7 +318,7 @@ l = 0.5
 p = 1
 q = 3
 """, {"orbit.csv":
-      "893bc6cea6db44aa270847bba9157b513c85b6fafd3431cef92694f4cbfee3f6"}),
+      "496e895c2104a77e6070d9884cea17aa59b32ca2adcb7b401dfb2cd4ed6d51af"}),
         "phase-ellipse-puck": ("phase", """
 [curve]
 kind = ellipse
@@ -365,7 +365,7 @@ s0 = 1.3
 theta0 = 0.9
 steps = 26
 """, {"trajectory.csv":
-      "61e4a0ddb496afae5220d0afbe5a40a555a911c3c572992c1e41b8c4efbc7fd2",
+      "8f26ed9a16ed2d8faf1d7b0e105015e01948e91063301b8ad84469f6ab97d741",
       "trajectory.svg":
       "1c52ccc18ad5d4ea89a602f352d408b21689673eaea623e606023fe62b25fc5f"}),
     }

@@ -823,6 +823,29 @@ class TestSphereDuality:
         with pytest.raises(InvalidParameter, match="swept area"):
             outer.spherical_outer_step(cap.dual(), lambda r: area, X)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("X", [(0.0, 0.0, 0.0), (1e-200, 0.0, 0.0),
+                                   (math.nan, 0.1, 0.9),
+                                   (math.inf, 0.0, 1.0), (0.1, 0.9)],
+                             ids=["zero", "underflow", "nan", "inf", "2d"])
+    def test_bad_point_is_typed(self, X):
+        # a zero or infinite X used to warn in the normalisation and then
+        # raise NotExterior, a NaN one NotExterior
+        with pytest.raises(InvalidPoint):
+            outer.spherical_outer_step(outer.spherical_cap(0.9).dual(),
+                                       lambda r: 0.1, X)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("v", [math.nan, math.inf, -math.inf],
+                             ids=["nan", "inf", "-inf"])
+    def test_non_finite_arc_parameter_is_typed(self, v):
+        # both used to return NaN
+        dual = outer.spherical_cap(0.9).dual()
+        with pytest.raises(InvalidParameter, match="arc length s"):
+            dual.u_of_s(v)
+        with pytest.raises(InvalidParameter, match="parameter u"):
+            dual.s_of_u(v)
+
     def test_non_hemispherical_unsupported(self):
         eq = outer.SphericalCurve(
             lambda u: np.array([math.cos(u), math.sin(u), 0.0]))

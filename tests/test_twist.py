@@ -95,6 +95,22 @@ def test_pensive_twist_matches_finite_difference():
             fd, rel=1e-4, abs=1e-5)
 
 
+def test_scalar_twist_is_the_array_element():
+    # one code path: a scalar call reads its row of the array call, bit
+    # for bit, on convex and non-convex ovals
+    rng = np.random.default_rng(20261019)
+    law = delay.puck(0.6)
+    for c in (geo.disk(1.0), geo.ellipse(1.2, 1.0), geo.neumann_oval(0.3),
+              geo.ellipse(20.0, 0.05), geo.neumann_oval(0.7)):
+        s = rng.uniform(0, c.perimeter, 8)
+        th = rng.uniform(0.05, math.pi - 0.05, 8)
+        rows = twist.pensive_dS_dtheta(c, law, s, th)
+        one = [twist.pensive_dS_dtheta(c, law, float(a), float(b))
+               for a, b in zip(s, th)]
+        assert all(type(v) is float for v in one)
+        assert np.array_equal(rows, one), c.kind
+
+
 def test_classical_twist_positive():
     c = geo.neumann_oval(0.2)
     s = RNG.uniform(0, c.perimeter, 50)

@@ -388,6 +388,23 @@ def test_orbit_search_p_star_budget(monkeypatch):
     assert len(calls["chord_batch"]) <= 6 * len(calls["_orbit_eval"])
 
 
+def test_orbit_search_makes_no_scalar_chord(monkeypatch):
+    # the action reads the chord that p_star's validation solved at the
+    # chosen root
+    c, law = geo.ellipse(1.2, 1.0), delay.vortex(0.5)
+    chords, chord = [], geo.chord
+    monkeypatch.setattr(geo, "chord",
+                        lambda *args: chords.append(args) or chord(*args))
+    gf = var.generating_function(c, law, 0.4, 2.9)
+    orbit = var.periodic_orbit_search(c, law, (1, 3))
+    assert chords == []
+    assert orbit.residual < 1e-9
+    sol = var.p_star(c, law, 0.4, 2.9)
+    assert gf.p_star == sol.p
+    assert sol.chord == tuple(float(x[0]) for x in geo.chord_batch(
+        c, [0.4], [math.acos(sol.p)]))
+
+
 def test_p_star_scan_inverts_each_launch_arc_once(monkeypatch):
     # the scan's chord_batch, the first one, sends q arcs to t_of_s
     c = geo.ellipse(1.2, 1.0)
