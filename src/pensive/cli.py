@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 config error, 3 numeric failure.
 import argparse
 import configparser
 import csv
+import functools
 import math
 import os
 import sys
@@ -472,7 +473,9 @@ def run(cfg):
     return _DISPATCH[cfg.command](cfg)
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The command-line parser, built once per process."""
     parser = argparse.ArgumentParser(
         prog="pensive",
         description="billiards with boundary slides: simulation, "
@@ -485,7 +488,11 @@ def main(argv=None):
                        help="output directory (overrides config)")
         p.add_argument("--seed", type=int, default=None,
                        help="RNG seed (overrides config)")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
     try:
         cfg = parse_config(args.config, command=args.command,
                            outdir=args.outdir, seed=args.seed)

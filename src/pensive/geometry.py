@@ -496,7 +496,8 @@ def arc_advance(curve, s, delta):
 
 def _check_angle(theta):
     theta = np.asarray(theta, dtype=float)
-    if (theta < ANGLE_TOL).any() or (theta > np.pi - ANGLE_TOL).any():
+    # written so that nan fails it
+    if not ((theta >= ANGLE_TOL) & (theta <= np.pi - ANGLE_TOL)).all():
         raise InvalidAngle("incidence angle must lie in (%g, pi - %g)"
                            % (ANGLE_TOL, ANGLE_TOL))
     return theta
@@ -554,11 +555,19 @@ def _convex_bracket(curve, t0, cd, theta):
     return t[rows, j - 1], t[rows, j], f[rows, j - 1], f[rows, j]
 
 
-def _launch(curve, s, theta):
-    """Launch parameters t0, z'(t0) and conj of the ray directions."""
-    t0 = curve.t_of_s(s)
+def _launch_t(curve, s):
+    """Launch parameters t_of_s(s) of the arcs s, at least 1-d; raises
+    InvalidParameter unless every arc is finite."""
+    s = np.atleast_1d(np.asarray(s, dtype=float))
+    if not np.isfinite(s).all():
+        raise InvalidParameter("arc length must be finite")
+    return curve.t_of_s(s)
+
+
+def _launch(curve, t0, theta):
+    """z'(t0) at the launch parameters t0, and conj of the ray directions."""
     dz = curve._dzf(_wrap(t0))
-    return t0, dz, np.conj(dz / np.abs(dz) * np.exp(1j * theta))
+    return dz, np.conj(dz / np.abs(dz) * np.exp(1j * theta))
 
 
 def _landing(curve, t, t0, cd):
@@ -573,19 +582,38 @@ def chord(curve, s, theta):
     """First boundary intersection of the ray leaving gamma(s) at angle theta.
 
     Returns (s2, theta2, length) with theta2 the reflected outgoing
-    angle at the landing point, equal to the incidence angle there; on
-    convex ovals, bit for bit the one-row :func:`chord_batch`.
+    angle at the landing point, equal to the incidence angle there; bit
+    for bit the one-row :func:`chord_batch`.
     """
+    s = float(s)
+    if not math.isfinite(s):
+        raise InvalidParameter("arc length must be finite")
     if isinstance(curve, PolygonBoundary):
         return _chord_polygon(curve, s, theta)
+    return tuple(float(x[0]) for x in _chords(
+        curve, curve.t_of_s(np.atleast_1d(s)),
+        np.atleast_1d(float(theta)))[:3])
+
+
+def _chords(curve, t0, theta):
+    """Chords of a smooth table from the launch parameters t0 at the
+    angles theta: (s2, theta2, length, t2) arrays of the shape t0 and
+    theta broadcast to, t2 the landing parameter in (t0, t0 + 2 pi).
+
+    Convex ovals solve every row at once; other tables run the polyline
+    ray hit row by row.
+    """
+    theta = _check_angle(theta)
     if curve.is_convex:
-        return tuple(float(x[0]) for x in _convex_chords(
-            curve, np.atleast_1d(float(s)), np.atleast_1d(float(theta))))
-    theta = _check_angle(np.float64(theta))
-    t0, _, cd = _launch(curve, s, theta)
-    tstar = _ray_hit(curve, curve.zpoint_t(t0), np.conj(cd),
-                     _window(curve, t0, theta))
-    return tuple(float(x) for x in _landing(curve, tstar, t0, cd))
+        return _convex_chords(curve, t0, theta)
+    t0, theta = np.broadcast_arrays(t0, theta)
+    rows = np.empty((4,) + t0.shape)
+    for i in np.ndindex(t0.shape):
+        _, cd = _launch(curve, t0[i], theta[i])
+        t = _ray_hit(curve, curve.zpoint_t(t0[i]), np.conj(cd),
+                     _window(curve, t0[i], theta[i]))
+        rows[(slice(None),) + i] = *_landing(curve, t, t0[i], cd), t
+    return tuple(rows)
 
 
 def _ray_hit(curve, z, dhat, window=None):
@@ -628,24 +656,23 @@ def _ray_hit(curve, z, dhat, window=None):
 
 def chord_batch(curve, s, theta):
     """Vectorized chord: (s2, theta2, length) arrays of the shape s and
-    theta broadcast to, at least 1-d; rows of tables other than convex
-    ovals go through :func:`chord` one by one."""
+    theta broadcast to, at least 1-d; rows of polygons go through
+    :func:`chord` one by one."""
+    if not isinstance(curve, PolygonBoundary):
+        return _chords(curve, _launch_t(curve, s), theta)[:3]
     s, theta = np.atleast_1d(np.asarray(s, dtype=float),
                              np.asarray(theta, dtype=float))
     shape = np.broadcast_shapes(s.shape, theta.shape)
-    if isinstance(curve, PolygonBoundary) or not curve.is_convex:
-        rows = np.reshape([chord(curve, float(si), float(thi)) for si, thi
-                           in np.broadcast(s, theta)], (-1, 3)).T
-    else:
-        rows = _convex_chords(curve, s, theta)
+    rows = np.reshape([chord(curve, float(si), float(thi)) for si, thi
+                       in np.broadcast(s, theta)], (-1, 3)).T
     return tuple(x.reshape(shape) for x in rows)
 
 
-def _convex_chords(curve, s, theta):
-    """Chords of a convex oval, flat over the broadcast rows of s and theta:
-    launches from one z', z'' evaluation, one bracket, one Newton polish."""
-    theta = _check_angle(theta)
-    t0, dz, cd = _launch(curve, s, theta)
+def _convex_chords(curve, t0, theta):
+    """Chords of a convex oval, as :func:`_chords` returns them: launches
+    from one z', z'' evaluation, one bracket, one Newton polish."""
+    dz, cd = _launch(curve, t0, theta)
+    shape = cd.shape
     # start at the osculating circle's landing 2 sin(theta) / kappa where it
     # is in the cell, else by regula falsi; kappa |z'| is curvature_t * speed_t
     u = 2.0 * np.sin(theta) / (np.imag(np.conj(dz) * curve._d2zf(_wrap(t0)))
@@ -672,7 +699,7 @@ def _convex_chords(curve, s, theta):
                     x[live] for x in (rows, tn, lo, hi, t0l, cdl))
             if not rows.size:
                 break
-    return _landing(curve, t, t0, cd)
+    return tuple(x.reshape(shape) for x in (*_landing(curve, t, t0, cd), t))
 
 
 def _chord_polygon(poly, s, theta):

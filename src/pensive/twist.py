@@ -61,9 +61,9 @@ def _chord_partials(d, st, sT, k1, k2, slope):
 def cb_jacobian(curve, s, theta):
     """Analytic Jacobian of the classical chord-and-reflect map."""
     geo._require_smooth(curve, "twist analysis")
-    S, Th, d = geo.chord(curve, s, theta)
-    k1 = float(curve.curvature(s))
-    k2 = float(curve.curvature(S))
+    t0 = geo._launch_t(curve, s)
+    S, Th, d, t2 = (float(x[0]) for x in geo._chords(curve, t0, theta))
+    k1, k2 = curve.curvature_t([t0[0], t2]).tolist()
     dS_ds, dS_dth, dTh_ds, dTh_dth, _ = _chord_partials(
         d, math.sin(theta), math.sin(Th), k1, k2, 0.0)
     return CBJacobian(
@@ -75,9 +75,10 @@ def cb_jacobian(curve, s, theta):
 def pensive_dS_dtheta(curve, law, s, theta):
     """d(arc image)/d(theta) of the slid map; its sign is the twist."""
     geo._require_smooth(curve, "twist analysis")
-    S, Th, d = geo.chord_batch(curve, s, theta)
-    out = _chord_partials(d, np.sin(theta), np.sin(Th), curve.curvature(s),
-                          curve.curvature(S), law.dtheta(Th))[4]
+    t0 = geo._launch_t(curve, s)
+    _, Th, d, t2 = geo._chords(curve, t0, theta)
+    out = _chord_partials(d, np.sin(theta), np.sin(Th), curve.curvature_t(t0),
+                          curve.curvature_t(t2), law.dtheta(Th))[4]
     return float(out[0]) if np.ndim(s) == np.ndim(theta) == 0 else out
 
 

@@ -41,13 +41,14 @@ def point_inside(curve, point):
 
 
 def _cos_to_point(curve, s, target):
-    """p(s) = d/ds |gamma(s) - target| and the distance itself."""
+    """p(s) = d/ds |gamma(s) - target| and the distance itself, with the
+    unit tangent, gamma(s) - target and the parameter t at s."""
     t = curve.t_of_s(s)
     z = curve.zpoint_t(t)
     tau = curve.tangent_t(t)
     rel = z - target
     rho = np.abs(rel)
-    return np.real(np.conj(tau) * rel) / rho, rho, tau, rel
+    return np.real(np.conj(tau) * rel) / rho, rho, tau, rel, t
 
 
 def single_bounce_objective(curve, law, A, B, s):
@@ -66,13 +67,13 @@ def single_bounce_objective(curve, law, A, B, s):
     scalar = s.ndim == 0
     sv = np.atleast_1d(s) % curve.perimeter
 
-    p_a, rho_a, tau, rel = _cos_to_point(curve, sv, za)
+    p_a, rho_a, tau, rel, t = _cos_to_point(curve, sv, za)
     slide = law.ell(p_a)
     u = (sv + slide) % curve.perimeter
-    p_b, rho_b, _, _ = _cos_to_point(curve, u, zb)
+    p_b, rho_b = _cos_to_point(curve, u, zb)[:2]
     value = rho_a + law.potential(p_a) + rho_b
 
-    kap = curve.curvature(sv)
+    kap = curve.curvature_t(t)
     dp_a = (1.0 + kap * np.imag(np.conj(tau) * rel) - p_a * p_a) / rho_a
     deriv = (p_a + p_b) * (1.0 + law.dell_dp(p_a) * dp_a)
     if scalar:
@@ -103,6 +104,7 @@ class TransitSolve:
     p: float
     advance: float
     chord: tuple        # (S_cl, Theta, d) of the chosen launch p
+    curvatures: tuple   # (k1, k2) at its launch and landing points
 
 
 def p_star(curve, law, s, S, hint=None, advance_hint=None):
@@ -110,14 +112,16 @@ def p_star(curve, law, s, S, hint=None, advance_hint=None):
 
     Scans a momentum grid, brackets sign changes of the wrapped
     residual, and polishes all bracketed cells together by safeguarded
-    Newton steps in p over one `chord_batch` per pass. Root selection:
+    Newton steps in p over one batch of chords per pass. Each launch arc
+    is inverted to its parameter once, and the curvatures at both ends
+    of a chord are read at its parameters. Root selection:
     nearest `advance_hint` in total arc advance, else nearest `hint` in
     p, else smallest |p|.
 
     s and S may also be equal-length 1-d arrays, one entry per segment,
     with hint and advance_hint each None or an array of that length.
-    Then the scan, every polish pass and the validation are one
-    `chord_batch` each over the rows of all segments, and a list with
+    Then the scan, every polish pass and the validation are one batch
+    of chords each over the rows of all segments, and a list with
     one TransitSolve per segment comes back. No row sees the others, so
     each entry is bit for bit the scalar call on its segment; the first
     segment, in order, without a root raises NotTransitive.
@@ -133,7 +137,9 @@ def p_star(curve, law, s, S, hint=None, advance_hint=None):
     n = len(s)
     hint, advance_hint = ([None] * n if x is None else np.atleast_1d(x)
                           for x in (hint, advance_hint))
-    res = _transit_residual(curve, law, s[:, None], S[:, None],
+    t0 = geo._launch_t(curve, s)
+    k1 = curve.curvature_t(t0)
+    res = _transit_residual(curve, law, s[:, None], t0[:, None], S[:, None],
                             _P_GRID[None, :])[0]
     ra, rb = res[:, :-1], res[:, 1:]
     on_node = ra == 0.0
@@ -141,13 +147,14 @@ def p_star(curve, law, s, S, hint=None, advance_hint=None):
     cell = (ra * rb < 0.0) & (np.abs(ra) + np.abs(rb) <= 0.5 * P)
     roots = np.tile(_P_GRID[:-1], (n, 1))
     seg, col = np.nonzero(cell)
-    roots[cell] = _polish(curve, law, s[seg], S[seg], curve.curvature(s)[seg],
+    roots[cell] = _polish(curve, law, s[seg], t0[seg], S[seg], k1[seg],
                           _P_GRID[col], _P_GRID[col + 1], ra[cell], rb[cell])
     owner, col = np.nonzero(on_node | cell)
     roots = roots[owner, col]
-    res, *cols = _transit_residual(curve, law, s[owner], S[owner], roots)
-    table = np.column_stack([roots, *cols])   # p, advance, S_cl, Theta, d
-    sols = []
+    res, *cols = _transit_residual(curve, law, s[owner], t0[owner],
+                                   S[owner], roots)
+    table = np.column_stack([roots, *cols])   # p, advance, S_cl, Theta, d, t2
+    picks = []
     for i in range(n):
         good = []
         mine = owner == i
@@ -158,18 +165,22 @@ def p_star(curve, law, s, S, hint=None, advance_hint=None):
             raise NotTransitive(
                 "no transit direction from s=%.6g to S=%.6g" % (s[i], S[i]))
         arr = np.array(good)
-        order = np.argsort(arr[:, 0])
-        rootv, advv = arr[order, 0], arr[order, 1]
+        arr = arr[np.argsort(arr[:, 0])]
+        rootv, advv = arr[:, 0], arr[:, 1]
         if advance_hint[i] is not None:
             j = int(np.argmin(np.abs(advv - advance_hint[i])))
         elif hint[i] is not None:
             j = int(np.argmin(np.abs(rootv - hint[i])))
         else:
             j = int(np.argmin(np.abs(rootv)))
-        sols.append(TransitSolve(roots=rootv, advances=advv,
-                                 ambiguous=len(rootv) > 1,
-                                 p=float(rootv[j]), advance=float(advv[j]),
-                                 chord=tuple(arr[order[j], 2:].tolist())))
+        picks.append((rootv, advv, arr[j]))
+    # the landing curvature of each chosen launch only
+    k2 = curve.curvature_t([row[5] for _, _, row in picks])
+    sols = [TransitSolve(roots=rootv, advances=advv, ambiguous=len(rootv) > 1,
+                         p=float(row[0]), advance=float(row[1]),
+                         chord=tuple(row[2:5].tolist()),
+                         curvatures=(float(k1[i]), float(k2[i])))
+            for i, (rootv, advv, row) in enumerate(picks)]
     return sols[0] if scalar else sols
 
 
@@ -183,20 +194,21 @@ def _momentum_grid():
 _P_GRID = _momentum_grid()
 
 
-def _transit_residual(curve, law, s, S, p):
+def _transit_residual(curve, law, s, t0, S, p):
     """Wrapped transit residual and total arc advance of the launches
-    p from the arcs s to the arcs S (one of each per row), by one
-    `chord_batch`, with the chords (S_cl, Theta, d)."""
+    p from the arcs s, at the parameters t0, to the arcs S (one of each
+    per row), by one batch of chords, with the chords (S_cl, Theta, d)
+    and their landing parameters."""
     P = curve.perimeter
-    S_cl, Th, d = geo.chord_batch(curve, s, np.arccos(p))
+    S_cl, Th, d, t2 = geo._chords(curve, t0, np.arccos(p))
     adv = (S_cl - s) % P + law.ell(np.cos(Th))
-    return geo.wrap_to_half(adv + s - S, P), adv, S_cl, Th, d
+    return geo.wrap_to_half(adv + s - S, P), adv, S_cl, Th, d, t2
 
 
-def _polish(curve, law, s, S, k1, a, b, ra, rb):
+def _polish(curve, law, s, t0, S, k1, a, b, ra, rb):
     """Transit roots in the cells [a, b] of p whose ends have residuals
     ra, rb of opposite signs, all cells together; each row has its own
-    launch arc s, target S and launch curvature k1.
+    launch arc s, launch parameter t0, target S and launch curvature k1.
 
     Newton in p from the regula falsi point, with dr/dp =
     -F_theta / sin(theta) where F_theta is the slid dS/dtheta. A step
@@ -211,13 +223,13 @@ def _polish(curve, law, s, S, k1, a, b, ra, rb):
             if not live.any():
                 break
             xl, al, bl = x[live], a[live], b[live]
-            r, _, S_cl, Th, d = _transit_residual(curve, law, s[live],
-                                                  S[live], xl)
+            r, _, _, Th, d, t2 = _transit_residual(curve, law, s[live],
+                                                   t0[live], S[live], xl)
             al = np.where(r * ra[live] > 0.0, xl, al)
             bl = np.where(r * rb[live] > 0.0, xl, bl)
             st = np.sqrt((1.0 - xl) * (1.0 + xl))
             F_th = twist._chord_partials(d, st, np.sin(Th), k1[live],
-                                         curve.curvature(S_cl),
+                                         curve.curvature_t(t2),
                                          law.dtheta(Th))[4]
             xn = xl + r * st / F_th
             xn = np.where((xn >= al) & (xn <= bl), xn, 0.5 * (al + bl))
@@ -252,22 +264,21 @@ def generating_function(curve, law, s, S, hint=None, advance_hint=None):
     theta_S = 1 / F_theta and theta_s = -F_s / F_theta, with F_theta the
     slid dS/dtheta and F_s = dS/ds + l~'(Theta) dTheta/ds.
     """
-    return _action_partials(curve, law, s, S, p_star(
+    return _action_partials(law, s, S, p_star(
         curve, law, s, S, hint=hint, advance_hint=advance_hint))
 
 
-def _action_partials(curve, law, s, S, sol):
+def _action_partials(law, s, S, sol):
     """H(s, S) and its partials for the transit s -> S that the TransitSolve
-    sol of `p_star` selected, from the chord of its launch."""
-    s0 = float(s) % curve.perimeter
+    sol of `p_star` selected, from the chord of its launch and the
+    curvatures at its ends."""
     th = math.acos(sol.p)
-    S_cl, Th, d = sol.chord
+    _, Th, d = sol.chord
     P_land = math.cos(Th)
     st, sT = math.sin(th), math.sin(Th)
     slope = float(law.dtheta(Th))
     dS_ds, _, dTh_ds, dTh_dth, F_th = twist._chord_partials(
-        d, st, sT, float(curve.curvature(s0)), float(curve.curvature(S_cl)),
-        slope)
+        d, st, sT, *sol.curvatures, slope)
     th_S = 1.0 / F_th
     th_s = -(dS_ds + slope * dTh_ds) * th_S
     return GeneratingFunctionEval(
@@ -322,7 +333,7 @@ def _orbit_eval(curve, law, sv, winding, hints):
     s, S = sv % P, np.roll(sv, -1) % P
     sols = p_star(curve, law, s, S, hint=hints, advance_hint=None
                   if hints is not None else np.full(q, winding * P / q))
-    gfs = [_action_partials(curve, law, a, b, sol)
+    gfs = [_action_partials(law, a, b, sol)
            for a, b, sol in zip(s, S, sols)]
     p_launch, P_land, H11, b, H22 = np.array(
         [(gf.p_star, gf.dH_dS, gf.d2H_ds2, gf.d2H_dsdS, gf.d2H_dS2)

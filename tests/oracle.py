@@ -1,4 +1,5 @@
-"""A 30-digit chord reference for the convex test tables, in mpmath.
+"""A 30-digit chord reference for the convex test tables, in mpmath:
+the landing arc, angle and length, and the curvature at the landing.
 
 Each table is rebuilt from its closed form: the disk's chords in closed
 form, the ellipse's arc length from the incomplete elliptic integral
@@ -8,6 +9,7 @@ The landing is the root of Im(conj(d) (z(t) - z(t0))) strictly inside
 (t0, t0 + 2 pi), d the ray direction: on a convex table it is the only
 one there. A scan whose nodes crowd both ends of that window brackets
 it, with one sign change certified, and ``mp.findroot`` polishes it.
+The curvature there is Im(conj(z') z'') / |z'|^3.
 
 Nothing here reads the package under test, so the reference stays
 independent of the float code it checks.
@@ -22,13 +24,13 @@ _WORK = DPS + 10
 
 
 class Table:
-    """One convex table in mpmath: z(t), z'(t), the arc length from t = 0
-    for t in [0, 2 pi], and the perimeter. The factories round their
-    constants at the working precision, not at mpmath's default 15
+    """One convex table in mpmath: z(t), z'(t), z''(t), the arc length
+    from t = 0 for t in [0, 2 pi], and the perimeter. The factories round
+    their constants at the working precision, not at mpmath's default 15
     digits."""
 
-    def __init__(self, z, dz, arclen):
-        self.z, self.dz, self.arclen = z, dz, arclen
+    def __init__(self, z, dz, d2z, arclen):
+        self.z, self.dz, self.d2z, self.arclen = z, dz, d2z, arclen
         with mp.workdps(_WORK):
             self.perimeter = arclen(2 * mp.pi)
 
@@ -36,7 +38,7 @@ class Table:
 def disk(radius=1.0):
     r = mp.mpf(radius)
     tab = Table(lambda t: r * mp.expj(t), lambda t: 1j * r * mp.expj(t),
-                lambda t: r * t)
+                lambda t: -r * mp.expj(t), lambda t: r * t)
     tab.radius = r
     return tab
 
@@ -47,6 +49,7 @@ def ellipse(a, b):
         m = 1 - (a / b) ** 2
     return Table(lambda t: mp.mpc(a * mp.cos(t), b * mp.sin(t)),
                  lambda t: mp.mpc(-a * mp.sin(t), b * mp.cos(t)),
+                 lambda t: mp.mpc(-a * mp.cos(t), -b * mp.sin(t)),
                  lambda t: b * mp.ellipe(t, m))
 
 
@@ -74,7 +77,14 @@ def neumann_oval(lam):
         Z = mp.expj(t)
         return a * (1 + l2 * Z * Z) / (1 - l2 * Z * Z) ** 2 * 1j * Z
 
-    return Table(z, dz, arclen)
+    def d2z(t):
+        # -(F''(Z) Z^2 + F'(Z) Z)
+        Z = mp.expj(t)
+        w = 1 - l2 * Z * Z
+        return -(2 * a * l2 * Z * (3 + l2 * Z * Z) / w ** 3 * Z * Z
+                 + a * (1 + l2 * Z * Z) / w ** 2 * Z)
+
+    return Table(z, dz, d2z, arclen)
 
 
 def _t_of_s(tab, s):
@@ -119,16 +129,17 @@ _FRACTIONS = _scan_fractions()
 
 
 def chord(tab, s, theta):
-    """(s2, Theta, length) of the chord leaving arc s at angle theta, as
-    mpf at 30 digits. s and theta are taken as the exact binary values of
-    the floats given."""
+    """(s2, Theta, length, kappa2) of the chord leaving arc s at angle
+    theta, kappa2 the curvature at the landing, as mpf at 30 digits. s and
+    theta are taken as the exact binary values of the floats given."""
     with mp.workdps(_WORK):
         s, theta = mp.mpf(s), mp.mpf(theta)
         P = tab.perimeter
         s = s % P
         if hasattr(tab, "radius"):      # the disk, in closed form
             r = tab.radius
-            out = ((s + 2 * r * theta) % P, theta, 2 * r * mp.sin(theta))
+            out = ((s + 2 * r * theta) % P, theta, 2 * r * mp.sin(theta),
+                   1 / r)
             return _at_dps(out)
         t0 = _t_of_s(tab, s)
         z0 = tab.z(t0)
@@ -149,9 +160,11 @@ def chord(tab, s, theta):
         ts = mp.findroot(g, (nodes[k], nodes[k + 1]), solver="anderson")
         if not nodes[k] <= ts <= nodes[k + 1]:
             raise ArithmeticError("landing left its bracket")
-        q = tab.dz(ts) / abs(tab.dz(ts)) * cd
+        dz = tab.dz(ts)
+        q = dz / abs(dz) * cd
         out = (tab.arclen(ts % (2 * mp.pi)) % P,
-               mp.atan2(abs(mp.im(q)), mp.re(q)), abs(tab.z(ts) - z0))
+               mp.atan2(abs(mp.im(q)), mp.re(q)), abs(tab.z(ts) - z0),
+               mp.im(mp.conj(dz) * tab.d2z(ts)) / abs(dz) ** 3)
         return _at_dps(out)
 
 
@@ -172,6 +185,11 @@ def error(value, ref):
         return float(abs(mp.mpf(value) - ref))
 
 
+def relative_error(value, ref):
+    with mp.workdps(_WORK):
+        return float(abs(mp.mpf(value) - ref) / abs(ref))
+
+
 def launches(perimeter, seed, n=8):
     """A seeded sample of launches (s, theta): n at each grazing end,
     gaps log-uniform in [1e-5, 1], arcs uniform on [0, perimeter)."""
@@ -184,13 +202,15 @@ def launches(perimeter, seed, n=8):
 def chord_errors(chord_fn, curve, tab, seed, n=8):
     """The errors of chord_fn(curve, s, theta) in (s2 mod P, Theta,
     length) against the table tab, one row per launch of
-    launches(curve.perimeter, seed, n), and the values returned."""
+    launches(curve.perimeter, seed, n), the values returned, and the
+    references' landing curvatures."""
     s, theta = launches(curve.perimeter, seed, n)
-    errs, vals = [], []
+    errs, vals, kappa = [], [], []
     for si, ti in zip(s.tolist(), theta.tolist()):
         got = chord_fn(curve, si, ti)
         want = chord(tab, si, ti)
         errs.append((wrapped_error(got[0], want[0], tab.perimeter),
                      error(got[1], want[1]), error(got[2], want[2])))
         vals.append(got)
-    return np.array(errs), np.array(vals)
+        kappa.append(want[3])
+    return np.array(errs), np.array(vals), kappa

@@ -29,6 +29,11 @@ def test_phase_point():
         bil.PhasePoint(0.0, math.pi)
 
 
+def test_phase_point_rejects_nan_angle():
+    with pytest.raises(InvalidAngle):
+        bil.PhasePoint(0.0, math.nan)
+
+
 def test_classical_disk_rotation():
     c = geo.disk(1.0)
     x = bil.PhasePoint(0.3, math.pi / 2)

@@ -107,6 +107,35 @@ stepz = 7
         assert cli.main(["simulate", ini]) == 2
         assert "stepz" in capsys.readouterr().err
 
+    def test_parser_is_built_once(self, tmp_path, capsys):
+        # a second main call in the process reuses the parser and reports
+        # the same config error with the same exit code
+        bad = write_ini(tmp_path / "bad.ini", """
+[run]
+command = simulate
+
+[curve]
+kind = disk
+
+[simulate]
+stepz = 7
+""")
+        good = write_ini(tmp_path / "sim.ini",
+                         SIM_INI.format(out=tmp_path / "out"))
+        assert cli.main(["simulate", bad]) == 2
+        first = capsys.readouterr().err
+        assert cli.main(["simulate", good]) == 0
+        capsys.readouterr()
+        assert cli.main(["simulate", bad]) == 2
+        assert capsys.readouterr().err == first
+        assert "stepz" in first
+        for _ in range(2):
+            with pytest.raises(SystemExit) as err:
+                cli.main(["simulate"])
+            assert err.value.code == 2
+            assert "required: config" in capsys.readouterr().err
+        assert cli._parser() is cli._parser()
+
     def test_unknown_section(self, tmp_path, capsys):
         ini = write_ini(tmp_path / "bad.ini", """
 [run]
@@ -303,7 +332,7 @@ l = 3.141592653589793
 p = 2
 q = 5
 """, {"orbit.csv":
-      "7fe1c7517be9efa389287659ce6529df596859aa9cddd74644e64f13ec470724"}),
+      "b50db369a9f6b05c745690a3f6a745d708c4002ed22c1a6840bf9c816b72b300"}),
         "orbit-ellipse-vortex": ("orbit", """
 [curve]
 kind = ellipse
@@ -318,7 +347,7 @@ l = 0.5
 p = 1
 q = 3
 """, {"orbit.csv":
-      "496e895c2104a77e6070d9884cea17aa59b32ca2adcb7b401dfb2cd4ed6d51af"}),
+      "71939925b88899452bc3ce76efa4ed99b4ccf5e09dfadf01feaf5fafd0e3f5a6"}),
         "phase-ellipse-puck": ("phase", """
 [curve]
 kind = ellipse

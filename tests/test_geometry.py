@@ -254,6 +254,29 @@ def test_chord_rejects_tangential_angles(curves):
             geo.chord(c, 0.0, bad)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("s,theta,error,match", [
+    (math.nan, 1.0, InvalidParameter, "arc length must be finite"),
+    (0.3, math.nan, InvalidAngle, "incidence angle must lie in"),
+    (math.inf, 1.0, InvalidParameter, "arc length must be finite")],
+    ids=["nan_s", "nan_theta", "inf_s"])
+@pytest.mark.parametrize("batch", [False, True], ids=["chord", "chord_batch"])
+@pytest.mark.parametrize("make", [lambda: geo.disk(1.0),
+                                  lambda: geo.neumann_oval(0.7),
+                                  lambda: geo.regular_polygon(5)],
+                         ids=["disk", "nonconvex_oval", "polygon"])
+def test_non_finite_chord_inputs_raise_typed_errors(make, batch, s, theta,
+                                                    error, match):
+    # no numpy warning first, no untyped error from the ray hit, and no
+    # error that blames the landing
+    c = make()
+    with pytest.raises(error, match=match):
+        if batch:
+            geo.chord_batch(c, [0.5, s], [1.0, theta])
+        else:
+            geo.chord(c, s, theta)
+
+
 def test_backward_grazing_repro_has_its_length():
     # the launch point itself once came back: a length of 2e-16
     s2, th2, d = geo.chord(geo.ellipse(1.2, 1.0), 0.24284207837756880,
@@ -354,7 +377,8 @@ def test_two_pass_bracket_is_the_one_pass_scan(name, rows):
     frac, exp, backward = (np.array(x) for x in zip(*rows))
     gap = np.maximum(10.0 ** exp, geo.ANGLE_TOL)
     theta = np.where(backward, math.pi - gap, gap)
-    t0, _, cd = geo._launch(c, frac * c.perimeter, theta)
+    t0 = c.t_of_s(frac * c.perimeter)
+    _, cd = geo._launch(c, t0, theta)
     try:
         want = one_pass_bracket(c, t0, cd, theta)
     except InvalidAngle as e:
@@ -430,12 +454,20 @@ def test_chord_against_the_30_digit_reference(name):
     # polishes stop at points inside that band, and the nearer one
     # changes from launch to launch (brentq on 8 of the 16, Newton on 4)
     c = CONVEX_TABLES[name]
-    err, got = oracle.chord_errors(geo.chord, c, ORACLE_TABLES[name](),
-                                   RNG_SEED + 12)
+    err, got, kappa = oracle.chord_errors(geo.chord, c, ORACLE_TABLES[name](),
+                                          RNG_SEED + 12)
     scalar, batch = np.array(ORACLE_EARLIER_ERRORS[name])
     bound = batch if name == "oval" else np.minimum(scalar, batch)
     ulp2 = 2.0 * np.spacing(np.abs(got).max(axis=0))
     assert np.all(err.max(axis=0) <= bound + ulp2), (err.max(axis=0), bound)
+    # the landing curvature read at the landing parameter is no farther
+    # from the reference than the one read back through the landing arc
+    s, theta = oracle.launches(c.perimeter, RNG_SEED + 12)
+    t2 = geo._chords(c, c.t_of_s(s), theta)[3]
+    at_t2, round_trip = ([oracle.relative_error(k, ref)
+                          for k, ref in zip(ks, kappa)]
+                         for ks in (c.curvature_t(t2), c.curvature(got[:, 0])))
+    assert max(at_t2) <= 1.5 * max(round_trip), (max(at_t2), max(round_trip))
 
 
 @pytest.mark.parametrize("curve", [geo.regular_polygon(5),

@@ -72,6 +72,26 @@ def test_objective_derivative_matches_fd():
         assert d == pytest.approx((vp - vm) / (2 * h), abs=2e-6)
 
 
+def test_objective_reads_the_launch_curvature_at_its_parameter(monkeypatch):
+    # one t_of_s per arc of the broken path, and the derivative of the
+    # curvature read through a second inversion, bit for bit
+    c = geo.ellipse(1.5, 1.0)
+    law = delay.vortex(0.7)
+    A, B = (0.3, 0.2), (-0.4, -0.1)
+    sv = np.random.default_rng(5).uniform(0, c.perimeter, 9)
+    p_a, rho_a, tau, rel, _ = var._cos_to_point(c, sv, complex(*A))
+    u = (sv + law.ell(p_a)) % c.perimeter
+    p_b = var._cos_to_point(c, u, complex(*B))[0]
+    dp_a = (1.0 + c.curvature(sv) * np.imag(np.conj(tau) * rel)
+            - p_a * p_a) / rho_a
+    want = (p_a + p_b) * (1.0 + law.dell_dp(p_a) * dp_a)
+    calls, t_of_s = [], c.t_of_s
+    monkeypatch.setattr(c, "t_of_s", lambda s: calls.append(s) or t_of_s(s))
+    _, got = var.single_bounce_objective(c, law, A, B, sv)
+    assert len(calls) == 2
+    assert np.array_equal(got, want)
+
+
 def _disk_pensive_shot(law, A, phi):
     """Launch from interior point A of the unit disk at bearing phi,
     apply one pensive bounce, return (impact arc, exit point, exit dir)."""
@@ -121,9 +141,9 @@ def test_critical_point_is_a_pensive_bounce():
         assert gap.min() < 1e-8
     # each critical point satisfies the equal-angle condition
     for sc in crit:
-        p_a, _, _, _ = var._cos_to_point(c, np.atleast_1d(sc), complex(*A))
+        p_a = var._cos_to_point(c, np.atleast_1d(sc), complex(*A))[0]
         u = (sc + law.ell(p_a[0])) % c.perimeter
-        p_b, _, _, _ = var._cos_to_point(c, np.atleast_1d(u), complex(*B))
+        p_b = var._cos_to_point(c, np.atleast_1d(u), complex(*B))[0]
         assert abs(p_a[0] + p_b[0]) < 1e-9
 
 
@@ -365,7 +385,7 @@ def test_residue_vanishes_on_the_disk():
 
 
 def test_orbit_search_p_star_budget(monkeypatch):
-    calls = {"p_star": [], "_orbit_eval": [], "chord_batch": []}
+    calls = {"p_star": [], "_orbit_eval": [], "_chords": []}
 
     def counted(module, name):
         fn = getattr(module, name)
@@ -378,14 +398,14 @@ def test_orbit_search_p_star_budget(monkeypatch):
 
     counted(var, "p_star")
     counted(var, "_orbit_eval")
-    counted(geo, "chord_batch")
+    counted(geo, "_chords")
     orbit = var.periodic_orbit_search(geo.ellipse(1.2, 1.0),
                                       delay.vortex(0.5), (1, 3))
     assert orbit.residual < 1e-9
     # transits solved, one per segment of each action evaluation
     assert sum(np.size(args[2]) for args in calls["p_star"]) <= 75
     # the segments of one evaluation share the scan, polish and validation
-    assert len(calls["chord_batch"]) <= 6 * len(calls["_orbit_eval"])
+    assert len(calls["_chords"]) <= 6 * len(calls["_orbit_eval"])
 
 
 def test_orbit_search_makes_no_scalar_chord(monkeypatch):
@@ -405,26 +425,40 @@ def test_orbit_search_makes_no_scalar_chord(monkeypatch):
         c, [0.4], [math.acos(sol.p)]))
 
 
-def test_p_star_scan_inverts_each_launch_arc_once(monkeypatch):
-    # the scan's chord_batch, the first one, sends q arcs to t_of_s
+def test_p_star_inverts_its_launch_arcs_once(monkeypatch):
+    # one array of the q launch arcs goes to t_of_s; the scan, the polish
+    # passes and the validation all read those parameters
     c = geo.ellipse(1.2, 1.0)
-    sizes, spans = [], []
-    t_of_s, chord_batch = c.t_of_s, geo.chord_batch
+    sizes, t_of_s = [], c.t_of_s
     monkeypatch.setattr(c, "t_of_s",
                         lambda s: sizes.append(np.size(s)) or t_of_s(s))
-
-    def batch(*args):
-        first = len(sizes)
-        out = chord_batch(*args)
-        spans.append(sizes[first:])
-        return out
-
-    monkeypatch.setattr(geo, "chord_batch", batch)
     q = 3
     s = np.arange(q) * c.perimeter / q
     var.p_star(c, delay.vortex(0.5), s, np.roll(s, -1))
-    assert spans[0] == [q]
-    assert q * len(var._P_GRID) not in sizes
+    assert sizes == [q]
+
+
+def test_orbit_search_reads_no_arc_length_curvature(monkeypatch):
+    # both end curvatures of every chord are read at its parameters
+    calls, curvature = [], geo.BoundaryCurve.curvature
+    monkeypatch.setattr(geo.BoundaryCurve, "curvature",
+                        lambda self, s: calls.append(s) or curvature(self, s))
+    for c in (geo.ellipse(1.2, 1.0), geo.neumann_oval(0.3)):
+        var.generating_function(c, delay.vortex(0.5), 0.4, 2.9)
+        orbit = var.periodic_orbit_search(c, delay.vortex(0.5), (1, 3))
+        assert orbit.residual < 1e-9
+    assert calls == []
+
+
+def test_transit_solve_curvatures_are_the_chord_ends():
+    # the launch curvature keeps the bits of the arc-length read, the
+    # landing one agrees with it to rounding
+    c, law = geo.neumann_oval(0.3), delay.vortex(0.5)
+    s = np.array([0.4, 1.7])
+    for sol, k1 in zip(var.p_star(c, law, s, [2.9, 0.2]), c.curvature(s)):
+        assert sol.curvatures[0] == k1
+        assert sol.curvatures[1] == pytest.approx(
+            c.curvature([sol.chord[0]])[0], rel=1e-13)
 
 
 # -- transit roots against brentq --------------------------------------------
