@@ -674,32 +674,47 @@ def _convex_chords(curve, t0, theta):
     dz, cd = _launch(curve, t0, theta)
     shape = cd.shape
     # start at the osculating circle's landing 2 sin(theta) / kappa where it
-    # is in the cell, else by regula falsi; kappa |z'| is curvature_t * speed_t
+    # is in the cell; kappa |z'| is curvature_t * speed_t
     u = 2.0 * np.sin(theta) / (np.imag(np.conj(dz) * curve._d2zf(_wrap(t0)))
                                / np.abs(dz) ** 3 * np.abs(dz))
-    t0, theta, cd, u = (x.ravel() for x in
-                        np.broadcast_arrays(t0, theta, cd, u))
-    lo, hi, flo, fhi = _convex_bracket(curve, t0, cd, theta)
     t = np.where(theta < 0.5 * np.pi, t0 + u, t0 + TWO_PI - u)
-    t = np.where((t > lo) & (t < hi), t, lo - flo * (hi - lo) / (fhi - flo))
-    # rows leave the live arrays after their first step under 1e-13: no
-    # row sees the others
-    rows, tl, t0l, cdl = np.arange(len(t)), t, t0, cd
+    t0, theta, cd, t = (x.ravel() for x in
+                        np.broadcast_arrays(t0, theta, cd, t))
+
+    def step(t, t0, cd):
+        f = _chord_residual(curve, t, t0, cd)
+        return f, -f / np.imag(cd * curve._dzf(t))
+
+    t = _newton_rows(step, t, *_convex_bracket(curve, t0, cd, theta),
+                     (t0, cd), 1e-13)
+    return tuple(x.reshape(shape) for x in (*_landing(curve, t, t0, cd), t))
+
+
+def _newton_rows(step, x, lo, hi, flo, fhi, args, tol):
+    """Safeguarded Newton for one bracketed root per row, all rows at once:
+    row i has the bracket [lo[i], hi[i]], residuals flo[i] < 0 < fhi[i]
+    there and its own data args[k][i], and step(x, *args) gives the signed
+    residuals at x and the Newton increments. A row starts at x if that is
+    strictly inside its bracket, else at the regula falsi point. A step
+    that is not finite or leaves the bracket bisects it; an exact zero
+    closes it. A row stops after a step of at most tol and leaves the live
+    arrays, so no row sees the others; none takes over 64 steps."""
+    x = np.where((x > lo) & (x < hi), x, lo - flo * (hi - lo) / (fhi - flo))
+    rows, xl = np.arange(len(x)), x
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(64):
-            ft = _chord_residual(curve, tl, t0l, cdl)
-            lo = np.where(ft < 0.0, tl, lo)
-            hi = np.where(ft > 0.0, tl, hi)
-            tn = tl - ft / np.imag(cdl * curve._dzf(tl))
-            tn = np.where((tn >= lo) & (tn <= hi), tn, 0.5 * (lo + hi))
-            live = np.abs(tn - tl) > 1e-13
-            t[rows] = tl = tn
-            if not live.all():
-                rows, tl, lo, hi, t0l, cdl = (
-                    x[live] for x in (rows, tn, lo, hi, t0l, cdl))
             if not rows.size:
                 break
-    return tuple(x.reshape(shape) for x in (*_landing(curve, t, t0, cd), t))
+            f, dx = step(xl, *args)
+            lo, hi = np.where(f <= 0.0, xl, lo), np.where(f >= 0.0, xl, hi)
+            xn = xl + dx
+            xn = np.where((xn >= lo) & (xn <= hi), xn, 0.5 * (lo + hi))
+            live = np.abs(xn - xl) > tol
+            x[rows] = xl = xn
+            if not live.all():
+                rows, xl, lo, hi = (v[live] for v in (rows, xn, lo, hi))
+                args = tuple(a[live] for a in args)
+    return x
 
 
 def _chord_polygon(poly, s, theta):

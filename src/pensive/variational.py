@@ -132,8 +132,10 @@ def p_star(curve, law, s, S, hint=None, advance_hint=None):
                              (S, hint, advance_hint) if x is not None):
         raise InvalidParameter("s, S and hints need one entry per segment")
     scalar = np.ndim(s) == 0
-    s = np.atleast_1d(np.asarray(s, dtype=float)) % P
-    S = np.atleast_1d(np.asarray(S, dtype=float)) % P
+    s, S = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (s, S))
+    if not (np.isfinite(s).all() and np.isfinite(S).all()):
+        raise InvalidParameter("arc lengths s and S must be finite")
+    s, S = s % P, S % P
     n = len(s)
     hint, advance_hint = ([None] * n if x is None else np.atleast_1d(x)
                           for x in (hint, advance_hint))
@@ -210,33 +212,18 @@ def _polish(curve, law, s, t0, S, k1, a, b, ra, rb):
     ra, rb of opposite signs, all cells together; each row has its own
     launch arc s, launch parameter t0, target S and launch curvature k1.
 
-    Newton in p from the regula falsi point, with dr/dp =
-    -F_theta / sin(theta) where F_theta is the slid dS/dtheta. A step
-    that is not finite or leaves the bracket bisects it instead; a row
-    stops after a step under 1e-15 or on an exact zero, so no row sees
-    the others.
+    Newton in p from the regula falsi point, with dr/dp = -F_theta /
+    sin(theta) where F_theta is the slid dS/dtheta, by
+    :func:`geometry._newton_rows` on the residual signed negative at a.
     """
-    x = a - ra * (b - a) / (rb - ra)
-    live = np.ones(len(x), dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(64):
-            if not live.any():
-                break
-            xl, al, bl = x[live], a[live], b[live]
-            r, _, _, Th, d, t2 = _transit_residual(curve, law, s[live],
-                                                   t0[live], S[live], xl)
-            al = np.where(r * ra[live] > 0.0, xl, al)
-            bl = np.where(r * rb[live] > 0.0, xl, bl)
-            st = np.sqrt((1.0 - xl) * (1.0 + xl))
-            F_th = twist._chord_partials(d, st, np.sin(Th), k1[live],
-                                         curve.curvature_t(t2),
-                                         law.dtheta(Th))[4]
-            xn = xl + r * st / F_th
-            xn = np.where((xn >= al) & (xn <= bl), xn, 0.5 * (al + bl))
-            xn = np.where(r == 0.0, xl, xn)
-            a[live], b[live], x[live] = al, bl, xn
-            live[live] = (r != 0.0) & (np.abs(xn - xl) >= 1e-15)
-    return x
+    def step(p, s, t0, S, k1, sign):
+        r, _, _, Th, d, t2 = _transit_residual(curve, law, s, t0, S, p)
+        st = np.sqrt((1.0 - p) * (1.0 + p))
+        return -sign * r, r * st / twist._chord_partials(
+            d, st, np.sin(Th), k1, curve.curvature_t(t2), law.dtheta(Th))[4]
+
+    return geo._newton_rows(step, a, a, b, -np.abs(ra), np.abs(rb),
+                            (s, t0, S, k1, np.sign(ra)), 1e-15)
 
 
 @dataclass(frozen=True)

@@ -139,6 +139,25 @@ def test_theta_limits():
     assert hi == pytest.approx(3.1 * (1 + 1 / math.sqrt(2)))
 
 
+@pytest.mark.parametrize("c", [0.6, -1.7])
+def test_custom_law_fallbacks_match_closed_forms(c):
+    """A law given only as l(p) = c p and dl/dp = c takes the generic
+    routes: the chain rule for dl~/dtheta, the sampled dtheta_range, the
+    1e-9 probe for theta_limits and the quadrature for V."""
+    law = delay.DelayFunction(lambda p: c * p, lambda p: c + 0 * p)
+    th = np.linspace(0.0, math.pi, 1026)[1:-1]
+    assert np.allclose(law.dtheta(th), -c * np.sin(th), rtol=0, atol=1e-15)
+    # the sample's extremes sit at the grid nodes nearest 0, pi and pi/2
+    ends = sorted((-c * math.sin(math.pi / 1025),
+                   -c * math.cos(math.pi / 2050)))
+    assert law.dtheta_range() == pytest.approx(ends, rel=1e-14)
+    assert law.theta_limits() == pytest.approx((c, -c), rel=1e-8)
+    p = np.linspace(-1.0, 1.0, 9)
+    assert np.allclose(law.potential(p), 0.5 * c * p * p, rtol=1e-10,
+                       atol=1e-14)
+    assert law.potential(0.3) == pytest.approx(0.045 * c, rel=1e-10)
+
+
 def test_momentum_domain_guard():
     with pytest.raises(OutOfRange):
         LAWS["puck"].ell(1.5)

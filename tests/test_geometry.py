@@ -5,6 +5,7 @@ caster, curvature against finite differences of the tangent, and areas
 against the shoelace value of a fine polygonization.
 """
 
+import hashlib
 import math
 import re
 
@@ -415,6 +416,130 @@ def test_convex_chords_run_no_brentq(monkeypatch):
     assert calls == []
     geo.chord(PROPERTY_TABLES["nonconvex_oval"], 0.3, 1.0)
     assert len(calls) == 1
+
+
+# -- the shared safeguarded Newton -------------------------------------------
+
+
+def _cubic_rows(kind):
+    """A step for the roots of x**3 = c per row, whose increment is the
+    Newton one, nan, inf or a jump far out of any bracket by row kind;
+    it counts the evaluations of each row id."""
+    calls = np.zeros(len(kind), dtype=int)
+
+    def step(x, c, kind, ids):
+        np.add.at(calls, ids, 1)
+        f = x ** 3 - c
+        dx = np.select([kind == 0, kind == 1, kind == 2],
+                       [-f / (3.0 * x * x), np.nan, np.inf], 1e6)
+        return f, dx
+    return step, calls
+
+
+def _newton_corpus():
+    rng = np.random.default_rng(RNG_SEED + 19)
+    n = 40
+    c = rng.uniform(0.1, 8.0, n)
+    root = np.cbrt(c)
+    lo, hi = root - rng.uniform(0.01, 0.5, n), root + rng.uniform(0.01, 0.5, n)
+    # half the rows start inside their bracket, half outside it
+    x = np.where(np.arange(n) % 2 == 0, root + 0.003, hi + 1.0)
+    kind = np.arange(n) % 4
+    return x, lo, hi, lo ** 3 - c, hi ** 3 - c, c, kind
+
+
+def test_newton_rows_alone_as_in_a_mixed_batch():
+    x, lo, hi, flo, fhi, c, kind = _newton_corpus()
+    step, calls = _cubic_rows(kind)
+    ids = np.arange(len(x))
+    got = geo._newton_rows(step, x.copy(), lo, hi, flo, fhi,
+                           (c, kind, ids), 1e-13)
+    batch_calls = calls.copy()
+    for i in range(len(x)):
+        one = slice(i, i + 1)
+        alone = geo._newton_rows(step, x[one].copy(), lo[one], hi[one],
+                                 flo[one], fhi[one],
+                                 (c[one], kind[one], ids[one]), 1e-13)
+        assert alone.tobytes() == got[one].tobytes()
+    # each row took as many passes alone as in the batch
+    assert np.array_equal(calls - batch_calls, batch_calls)
+    assert np.all(np.abs(got ** 3 - c) < 1e-12 * c)
+    # Newton rows converge in a few passes; bisecting rows take ~45
+    assert batch_calls[kind == 0].max() <= 8
+    assert batch_calls[kind > 0].min() >= 30
+
+
+def _bisection(x, lo, hi, flo, fhi, root, tol):
+    """The scalar bisection that the routine runs when no step is taken."""
+    x = x if lo < x < hi else lo - flo * (hi - lo) / (fhi - flo)
+    for _ in range(64):
+        f = x - root
+        lo, hi = (x if f <= 0.0 else lo), (x if f >= 0.0 else hi)
+        x, dx = 0.5 * (lo + hi), 0.5 * (lo + hi) - x
+        if abs(dx) <= tol:
+            break
+    return x
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e6])
+def test_newton_rows_bisect_on_a_step_not_taken(bad):
+    """An increment that is not finite, or leaves the bracket, bisects it."""
+    rng = np.random.default_rng(RNG_SEED + 20)
+    root = rng.uniform(-1.0, 1.0, 16)
+    lo, hi = root - rng.uniform(0.1, 1.0, 16), root + rng.uniform(0.1, 1.0, 16)
+    x = np.where(np.arange(16) < 8, root + 0.01, lo)
+    flo, fhi = lo - root, hi - root
+
+    def step(x, root):
+        return x - root, np.full_like(x, bad)
+
+    got = geo._newton_rows(step, x.copy(), lo, hi, flo, fhi, (root,), 1e-15)
+    want = [_bisection(*row, 1e-15) for row in zip(x, lo, hi, flo, fhi, root)]
+    assert got.tobytes() == np.array(want).tobytes()
+
+
+def test_newton_rows_exact_zero_stops_in_place():
+    # a zero residual with an increment that is not finite keeps its x
+    got = geo._newton_rows(lambda x: (x - 0.25, np.full_like(x, np.nan)),
+                           np.array([0.25]), np.array([0.0]),
+                           np.array([1.0]), np.array([-0.25]),
+                           np.array([0.75]), (), 1e-13)
+    assert got.tolist() == [0.25]
+
+
+def test_newton_rows_empty_batch_calls_no_step():
+    def step(x):
+        raise AssertionError("an empty batch evaluated its residual")
+
+    empty = np.empty(0)
+    got = geo._newton_rows(step, empty, empty, empty, empty, empty, (), 1e-13)
+    assert got.shape == (0,)
+
+
+def test_newton_rows_cap_passes_at_64():
+    # a negative tolerance never stops a row: every row takes the cap
+    x, lo, hi, flo, fhi, c, kind = _newton_corpus()
+    step, calls = _cubic_rows(kind)
+    geo._newton_rows(step, x.copy(), lo, hi, flo, fhi,
+                     (c, kind, np.arange(len(x))), -1.0)
+    assert calls.tolist() == [64] * len(x)
+
+
+def test_grazing_chord_bytes_are_pinned():
+    """sha256 of chord_batch's (s2, theta2, length) on grazing launches,
+    gaps 1e-6 to 1e-2 at both ends, on the four tables of the oracle test.
+    The oracle bounds leave ulps of room; this pin leaves none, so a
+    rewrite of the landing polish keeps every bit or says so here."""
+    gaps = np.geomspace(1e-6, 1e-2, 9)
+    th = np.concatenate([gaps, math.pi - gaps])
+    h = hashlib.sha256()
+    for c in (geo.disk(1.0), geo.ellipse(1.2, 1.0), geo.neumann_oval(0.3),
+              geo.ellipse(20.0, 0.05)):
+        s = (np.arange(16) + 0.5) / 16 * c.perimeter
+        for x in geo.chord_batch(c, s[:, None], th[None, :]):
+            h.update(x.tobytes())
+    assert h.hexdigest() == ("7add94167fd56f190d7a75362565d7a5"
+                             "85223cf457e25000fb5fe323a9bda92b")
 
 
 # the largest errors in (s2 mod P, Theta, length) over the oracle sample

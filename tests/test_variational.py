@@ -1,5 +1,6 @@
 """Generating function, transit solves, and periodic-orbit search."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -663,3 +664,37 @@ def test_p_star_array_shapes():
     with pytest.raises(NotTransitive) as ref:
         var.p_star(thin, law, s[1], S[1])
     assert str(got.value) == str(ref.value)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("which", ["s", "S"])
+@pytest.mark.parametrize("batch", [False, True])
+def test_p_star_rejects_non_finite_arcs(bad, which, batch):
+    """A non-finite s or S is an InvalidParameter before any reduction
+    mod P: no RuntimeWarning, and no NotTransitive naming S=nan."""
+    c, law = geo.ellipse(1.2, 1.0), delay.vortex(0.5)
+    ends = {"s": 0.4, "S": 2.9}
+    ends[which] = bad
+    if batch:
+        ends = {k: np.array([1.0, v]) for k, v in ends.items()}
+    with pytest.raises(InvalidParameter, match="finite"):
+        var.p_star(c, law, ends["s"], ends["S"])
+    if not batch:
+        with pytest.raises(InvalidParameter, match="finite"):
+            var.generating_function(c, law, ends["s"], ends["S"])
+
+
+def test_p_star_root_bytes_are_pinned():
+    """sha256 of every root p_star finds on six segments of two tables
+    under the puck, linear and constant laws; a rewrite of the transit
+    polish keeps every bit or says so here."""
+    h = hashlib.sha256()
+    for c in (geo.ellipse(1.2, 1.0), geo.neumann_oval(0.3)):
+        P = c.perimeter
+        s = np.linspace(0.0, P, 6, endpoint=False)
+        for law in (delay.puck(0.5), delay.linear(0.4), delay.constant(0.3)):
+            for sol in var.p_star(c, law, s, (s + 0.37 * P) % P):
+                h.update(sol.roots.tobytes())
+    assert h.hexdigest() == ("fe732d2d7ee03b8091908f3a497840ca"
+                             "5bd9cafc5943ab3dc822b536dc1e68c4")
