@@ -199,7 +199,11 @@ def measure_jacobian_det(curve, law, s, p):
 
 
 def disk_rotation_angle(law, theta):
-    """Boundary rotation per step on the unit disk: 2*theta + l~(theta)."""
+    """Boundary rotation per step on the unit disk: 2*theta + l~(theta).
+
+    theta must lie in [ANGLE_TOL, pi - ANGLE_TOL], as in PhasePoint;
+    InvalidAngle otherwise."""
+    geo._check_angle(theta)
     return 2.0 * np.asarray(theta, dtype=float) + law.ell_theta(theta)
 
 

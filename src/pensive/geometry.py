@@ -42,6 +42,10 @@ _GL_X, _GL_W = leggauss(12)
 # cells of the convex chord scan, and their ends as window fractions
 _SCAN_CELLS = 64
 _SCAN = np.linspace(0.0, 1.0, _SCAN_CELLS + 1)
+# the nodes of the coarse pass (row 0) and of the fine pass in each coarse
+# cell k (row k)
+_PASS_NODES = np.vstack([np.arange(0, _SCAN_CELLS + 1, 8),
+                         8 * np.arange(1, 9)[:, None] + np.arange(-8, 1)])
 
 
 def _wrap(t):
@@ -295,24 +299,30 @@ class PolygonBoundary:
         return i, s - self.cum_s[i]
 
     def nearest_vertex_gap(self, s):
-        d = np.abs(wrap_to_half(s - self.cum_s[:-1], self.perimeter))
-        j = int(np.argmin(d))
-        return j, float(d[j])
+        """(nearest vertex, arc length to it) per entry of scalar or array s."""
+        d = np.abs(wrap_to_half(np.asarray(s, dtype=float)[..., None]
+                                - self.cum_s[:-1], self.perimeter))
+        j, gap = d.argmin(axis=-1), d.min(axis=-1)
+        return (int(j), float(gap)) if np.ndim(s) == 0 else (j, gap)
 
     def point(self, s):
         i, u = self.edge_of(s)
         return self.vertices[i] + u[..., None] * self.edge_tan[i]
 
     def tangent(self, s):
+        """Unit tangent, shape s.shape + (2,); CornerUndefined if any entry
+        sits on a vertex."""
         j, gap = self.nearest_vertex_gap(s)
-        if gap < 1e-12 * max(1.0, self.perimeter):
-            raise CornerUndefined("tangent undefined at vertex %d" % j)
+        on = np.flatnonzero(np.asarray(gap) < 1e-12 * max(1.0, self.perimeter))
+        if on.size:
+            raise CornerUndefined("tangent undefined at vertex %d"
+                                  % np.ravel(j)[on[0]])
         i, _ = self.edge_of(s)
         return self.edge_tan[i].copy()
 
     def curvature(self, s):
         self.tangent(s)
-        return 0.0
+        return 0.0 if np.ndim(s) == 0 else np.zeros(np.shape(s))
 
 
 # -- factories ---------------------------------------------------------
@@ -467,7 +477,7 @@ def point_tangent_curvature(curve, s):
     """
     if isinstance(curve, PolygonBoundary):
         tau = curve.tangent(s)
-        return curve.point(s), tau, 0.0
+        return curve.point(s), tau, curve.curvature(s)
     t = curve.t_of_s(s)
     z = curve.zpoint_t(t)
     tau = curve.tangent_t(t)
@@ -534,23 +544,49 @@ def _require_resolved(curve, f_ends):
         raise InvalidAngle("chord too close to tangency to resolve")
 
 
-def _convex_bracket(curve, t0, cd, theta):
+def _convex_bracket(curve, t0, cd, theta, launches=None):
     """Per row, the scan cell [lo, hi] of the window that holds the
     landing parameter on a convex oval, with the residuals at its ends,
-    read from every eighth scan node and then the nine of one coarse cell."""
+    read from every eighth scan node and then the nine of one coarse cell.
+
+    launches, when given, is (tl, at): the launch parameters (see
+    :func:`_chords`) and each row's index in tl. The rows whose window is
+    their launch's full window (tl + h, tl + 2 pi - h) then read
+    z(t) - z(t0) at the nodes of both passes from one table of all 65
+    per launch, the same floats each would evaluate; grazing rows
+    evaluate their own nodes."""
     lo, hi = _window(curve, t0, theta)
+    table = None
+    if launches is not None:
+        tl, at = launches
+        h = TWO_PI / _SCAN_CELLS
+        full = (lo == t0 + h) & (hi == t0 + TWO_PI - h)
+        if full.any():
+            own = np.flatnonzero(~full)
+            # the window ends, width and nodes in the rows' own arithmetic
+            tl = tl[:, None]
+            lo_l = tl + h
+            table = curve._zdiff(lo_l + (tl + TWO_PI - h - lo_l) * _SCAN,
+                                 tl)[:, _PASS_NODES]
     lo, w, t0, cd = lo[:, None], (hi - lo)[:, None], t0[:, None], cd[:, None]
 
-    def first_positive(frac):
-        t = lo + w * frac
-        f = _chord_residual(curve, t, t0, cd)
+    def first_positive(cell):
+        """The nodes of the coarse pass (cell 0) or of the coarse cells
+        cell, the residuals there and the first positive one, per row."""
+        t = lo + w * _SCAN[_PASS_NODES[cell]]
+        if table is None:
+            f = _chord_residual(curve, t, t0, cd)
+        else:
+            f = np.imag(cd * table[at, cell])
+            if own.size:
+                f[own] = _chord_residual(curve, t[own], t0[own], cd[own])
         return t, f, np.argmax(f > 0.0, axis=1)
 
-    _, f, k = first_positive(_SCAN[::8])
+    _, f, k = first_positive(0)
     _require_resolved(curve, f[:, [0, -1]])
     if (k == 0).any():
         raise InvalidAngle("chord landing not bracketed in its window")
-    t, f, j = first_positive(_SCAN[8 * k[:, None] + np.arange(-8, 1)])
+    t, f, j = first_positive(k)
     rows = np.arange(len(j))
     return t[rows, j - 1], t[rows, j], f[rows, j - 1], f[rows, j]
 
@@ -600,8 +636,11 @@ def _chords(curve, t0, theta):
     angles theta: (s2, theta2, length, t2) arrays of the shape t0 and
     theta broadcast to, t2 the landing parameter in (t0, t0 + 2 pi).
 
-    Convex ovals solve every row at once; other tables run the polyline
-    ray hit row by row.
+    Convex ovals solve every row at once, and the rows of one launch (an
+    entry of t0 as given, before broadcasting, or all of t0 if its
+    entries are one float) share that launch's scan table
+    (:func:`_convex_bracket`); other tables run the polyline ray hit row
+    by row.
     """
     theta = _check_angle(theta)
     if curve.is_convex:
@@ -678,6 +717,16 @@ def _convex_chords(curve, t0, theta):
     u = 2.0 * np.sin(theta) / (np.imag(np.conj(dz) * curve._d2zf(_wrap(t0)))
                                / np.abs(dz) ** 3 * np.abs(dz))
     t = np.where(theta < 0.5 * np.pi, t0 + u, t0 + TWO_PI - u)
+    # the launches are the entries of t0 as given, before broadcasting, or
+    # one if all are the same float (a sweep from one arc); where they are
+    # fewer than the rows, the rows of each share its scan table
+    tl = np.ravel(t0)
+    launches = None
+    if tl.size > 1 and (tl == tl[0]).all():
+        launches = (tl[:1], np.zeros(cd.size, dtype=int))
+    elif tl.size < cd.size:
+        launches = (tl, np.broadcast_to(
+            np.arange(tl.size).reshape(np.shape(t0)), shape).ravel())
     t0, theta, cd, t = (x.ravel() for x in
                         np.broadcast_arrays(t0, theta, cd, t))
 
@@ -685,8 +734,8 @@ def _convex_chords(curve, t0, theta):
         f = _chord_residual(curve, t, t0, cd)
         return f, -f / np.imag(cd * curve._dzf(t))
 
-    t = _newton_rows(step, t, *_convex_bracket(curve, t0, cd, theta),
-                     (t0, cd), 1e-13)
+    t = _newton_rows(step, t, *_convex_bracket(curve, t0, cd, theta,
+                                               launches), (t0, cd), 1e-13)
     return tuple(x.reshape(shape) for x in (*_landing(curve, t, t0, cd), t))
 
 

@@ -112,7 +112,10 @@ def p_star(curve, law, s, S, hint=None, advance_hint=None):
 
     Scans a momentum grid, brackets sign changes of the wrapped
     residual, and polishes all bracketed cells together by safeguarded
-    Newton steps in p over one batch of chords per pass. Each launch arc
+    Newton steps in p over one batch of chords per pass. The scan is
+    one batch of each launch against the grid, so its non-grazing rows
+    share one table of z(t) - z(t0) per launch in the chord bracket
+    (:func:`geometry._convex_bracket`). Each launch arc
     is inverted to its parameter once, and the curvatures at both ends
     of a chord are read at its parameters. Root selection:
     nearest `advance_hint` in total arc advance, else nearest `hint` in

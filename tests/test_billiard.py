@@ -96,6 +96,18 @@ def test_disk_rotation_angle_examples():
         pytest.approx(math.pi + 2.5))
 
 
+@pytest.mark.parametrize("theta", [0.0, -0.5, math.pi, 4.0, math.nan,
+                                   np.array([1.0, math.pi])])
+def test_disk_rotation_angle_rejects_angles_outside_the_chord_range(theta):
+    # theta = 0 used to give 5e149 from the puck's clamp
+    with pytest.raises(InvalidAngle, match="incidence angle must lie in"):
+        bil.disk_rotation_angle(delay.puck(0.5), theta)
+    # the ends of the accepted range are inclusive
+    assert np.isfinite(bil.disk_rotation_angle(delay.puck(0.5),
+                                               [geo.ANGLE_TOL,
+                                                math.pi - geo.ANGLE_TOL])).all()
+
+
 def test_rotation_number_orbit_closure():
     # rational rotation: orbit closes after q steps
     law = delay.vortex(1.0)

@@ -246,6 +246,27 @@ def test_chord_batch_rows_do_not_depend_on_each_other(curves):
         one = np.array([geo.chord_batch(c, s[i:i + 1], th[i:i + 1])
                         for i in range(len(th))])[:, :, 0].T
         assert np.array_equal(rows, one), name
+    # broadcast launches, and a sweep of one arc given as a repeated-value
+    # array: the grazing rows scan their own windows, the others share one
+    # table of their launch's window
+    for name, c in CONVEX_TABLES.items():
+        s = rng.uniform(0, c.perimeter, 4)
+        grid = np.array(geo.chord_batch(c, s[:, None], th[None, :]))
+        one = np.array([[geo.chord_batch(c, s[i:i + 1], th[j:j + 1])
+                         for j in range(len(th))] for i in range(len(s))])
+        assert np.array_equal(grid, np.moveaxis(one[..., 0], 2, 0)), name
+        sweep = np.array(geo.chord_batch(c, np.full(len(th), s[0]), th))
+        assert np.array_equal(sweep, grid[:, 0]), name
+        empty = geo.chord_batch(c, np.empty((0, 1)), th[None, :])
+        assert [x.shape for x in empty] == [(0, len(th))] * 3, name
+    # a batch holding an unresolvable row raises as that row alone does
+    c = CONVEX_TABLES["thin_ellipse"]
+    with pytest.raises(InvalidAngle) as alone:
+        geo.chord(c, 0.0, geo.ANGLE_TOL)
+    with pytest.raises(InvalidAngle) as batch:
+        geo.chord_batch(c, np.array([1.0, 0.0])[:, None],
+                        np.array([geo.ANGLE_TOL, 1.0, 2.0])[None, :])
+    assert str(batch.value) == str(alone.value)
 
 
 def test_chord_rejects_tangential_angles(curves):
@@ -743,6 +764,25 @@ def test_point_on_grid_matches_scalar_calls(name, tol):
         assert np.array_equal(xy, ref)
     else:
         assert np.max(np.abs(xy - ref)) <= tol
+
+
+def test_polygon_tangent_and_curvature_take_arrays():
+    pent = geo.regular_polygon(5)
+    s = np.array([[0.3, 0.5], [1.9, 4.0]])
+    tau = pent.tangent(s)
+    assert tau.shape == (2, 2, 2)
+    assert np.array_equal(tau, [[pent.tangent(x) for x in row] for row in s])
+    assert np.array_equal(pent.curvature(s), np.zeros((2, 2)))
+    p, tau, kap = geo.point_tangent_curvature(pent, s[0])
+    assert (p.shape, tau.shape, kap.shape) == ((2, 2), (2, 2), (2,))
+    assert pent.curvature(0.3) == 0.0
+    assert pent.tangent(0.3).shape == (2,)
+    # one entry on a vertex fails the whole array
+    vertex = pent.cum_s[2]
+    for f in (pent.tangent, pent.curvature,
+              lambda x: geo.point_tangent_curvature(pent, x)):
+        with pytest.raises(CornerUndefined, match="vertex 2"):
+            f(np.array([0.3, vertex]))
 
 
 def test_polygon_chord_square():

@@ -698,3 +698,19 @@ def test_p_star_root_bytes_are_pinned():
                 h.update(sol.roots.tobytes())
     assert h.hexdigest() == ("fe732d2d7ee03b8091908f3a497840ca"
                              "5bd9cafc5943ab3dc822b536dc1e68c4")
+
+
+def test_momentum_grid_scan_bytes_are_pinned():
+    """sha256 of chord_batch's (s2, theta2, length) over p_star's momentum
+    grid from 8 arcs on four tables, the scan whose rows share one table
+    per launch; the grazing-chord pin covers the rows that scan their own
+    windows, and the p_star root pin the polish."""
+    h = hashlib.sha256()
+    th = np.arccos(var._P_GRID)
+    for c in (geo.disk(1.0), geo.ellipse(1.2, 1.0), geo.neumann_oval(0.3),
+              geo.ellipse(20.0, 0.05)):
+        s = (np.arange(8) + 0.25) / 8 * c.perimeter
+        for x in geo.chord_batch(c, s[:, None], th[None, :]):
+            h.update(x.tobytes())
+    assert h.hexdigest() == ("fed6fc067f7bd3d95559f541d97e538b"
+                             "abf6003238f843a2b7ccfebe368b8e55")
