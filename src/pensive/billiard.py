@@ -16,7 +16,8 @@ import numpy as np
 
 from . import delay as delay_mod
 from . import geometry as geo
-from .errors import (CornerHit, InvalidParameter, PensiveError, Unsupported)
+from .errors import (CornerHit, InvalidParameter, PensiveError, Unsupported,
+                     finite_float)
 
 TWO_PI = 2.0 * math.pi
 
@@ -147,9 +148,14 @@ def pensive_step_record(curve, law, x):
 
 
 def iterate(curve, law, x0, n):
-    """n slid-billiard steps; a failed step re-raises with .partial set."""
+    """n slid-billiard steps; a failed step re-raises with .partial set.
+    InvalidParameter unless n is a whole number of steps, 0 or more."""
+    steps = finite_float(n, "step count n")
+    if steps < 0 or steps != int(steps):
+        raise InvalidParameter("step count n must be a whole number, "
+                               "0 or more, got %r" % (n,))
     traj = Trajectory(curve, law, x0)
-    for _ in range(n):
+    for _ in range(int(steps)):
         x = traj.points[-1]
         try:
             rec = _pensive_raw(curve, law, x.s, x.theta)
@@ -208,8 +214,11 @@ def disk_rotation_angle(law, theta):
 
 
 def caustic_radius(radius, theta):
-    """Distance from the disk center to every chord of a constant-theta orbit."""
-    return radius * np.abs(np.cos(np.asarray(theta, dtype=float)))
+    """Distance from the disk center to every chord of a constant-theta
+    orbit; the radius must be finite and theta lie in [ANGLE_TOL,
+    pi - ANGLE_TOL], as in PhasePoint."""
+    return finite_float(radius, "radius") * np.abs(np.cos(
+        geo._check_angle(theta)))
 
 
 # -- polygon slices as interval exchanges ---------------------------------

@@ -71,12 +71,7 @@ def _periodic_zeros(f, grid, vals, period, direction=0):
     end, and the end is returned. direction -1 keeps only the zeros where
     the scan falls (+ to -), +1 only those where it rises, 0 every zero.
     """
-    # each node's neighbours, read as slices of the scan padded by one
-    # value at each end of the period
-    ext = np.concatenate((vals[-1:], vals, vals[:1]))
-    nxt = ext[2:]
-    on_node = (vals == 0.0) & (direction * (nxt - ext[:-2]) >= 0.0)
-    crossing = (vals * nxt < 0.0) & (direction * nxt >= 0.0)
+    on_node, crossing, _ = _scan_zeros(vals, direction)
     ends = np.append(grid[1:], grid[0] + period)
     zeros = []
     for i in np.flatnonzero(on_node | crossing):
@@ -91,6 +86,20 @@ def _periodic_zeros(f, grid, vals, period, direction=0):
         else:
             zeros.append(b if sa * vals[i] > 0.0 else a)
     return zeros
+
+
+def _scan_zeros(vals, direction=0):
+    """The zeros of periodic scans along the last axis of vals, as masks:
+    the nodes where a scan is zero, and the cells (a node and the next,
+    the last closing the period) where it changes sign; direction as in
+    :func:`_periodic_zeros`. Also the scan at each node's next node."""
+    # each node's neighbours, read as slices of the scan padded by one
+    # value at each end of the period
+    ext = np.concatenate((vals[..., -1:], vals, vals[..., :1]), axis=-1)
+    nxt = ext[..., 2:]
+    on_node = (vals == 0.0) & (direction * (nxt - ext[..., :-2]) >= 0.0)
+    crossing = (vals * nxt < 0.0) & (direction * nxt >= 0.0)
+    return on_node, crossing, nxt
 
 
 class BoundaryCurve:
@@ -597,7 +606,15 @@ def _launch_t(curve, s):
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if not np.isfinite(s).all():
         raise InvalidParameter("arc length must be finite")
+    if _one_float(s):
+        # a sweep from one arc inverts it once, to the scalar call's bits
+        return np.full(s.shape, curve.t_of_s(s.ravel()[:1])[0])
     return curve.t_of_s(s)
+
+
+def _one_float(x):
+    """Whether the array x has more than one entry, all one float."""
+    return x.size > 1 and bool((x == x.flat[0]).all())
 
 
 def _launch(curve, t0, theta):
@@ -722,7 +739,7 @@ def _convex_chords(curve, t0, theta):
     # fewer than the rows, the rows of each share its scan table
     tl = np.ravel(t0)
     launches = None
-    if tl.size > 1 and (tl == tl[0]).all():
+    if _one_float(tl):
         launches = (tl[:1], np.zeros(cd.size, dtype=int))
     elif tl.size < cd.size:
         launches = (tl, np.broadcast_to(

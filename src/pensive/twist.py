@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geometry as geo
-from .errors import HypothesisFailed
+from .errors import HypothesisFailed, InvalidParameter, finite_float
 
 
 @dataclass
@@ -139,8 +139,11 @@ def twist_interval(law, half_perimeter):
     """Rotation-number range spanned as theta runs over (0, pi).
 
     Endpoints come from the boundary limits of the slide: l~(0+)/(2L)
-    and 1 + l~(pi-)/(2L); infinite slides give an infinite range.
+    and 1 + l~(pi-)/(2L); infinite slides give an infinite range. The
+    half perimeter L must be finite and positive.
     """
+    if not finite_float(half_perimeter, "half perimeter") > 0.0:
+        raise InvalidParameter("half perimeter must be positive")
     l0, lpi = law.theta_limits()
     a = l0 / (2.0 * half_perimeter)
     b = 1.0 + lpi / (2.0 * half_perimeter)

@@ -1,5 +1,6 @@
-"""A 30-digit chord reference for the convex test tables, in mpmath:
-the landing arc, angle and length, and the curvature at the landing.
+"""30-digit references for the convex test tables, in mpmath: chords
+(the landing arc, angle and length, and the curvature at the landing),
+and the outer map's right tangencies and bearing slides.
 
 Each table is rebuilt from its closed form: the disk's chords in closed
 form, the ellipse's arc length from the incomplete elliptic integral
@@ -10,6 +11,13 @@ The landing is the root of Im(conj(d) (z(t) - z(t0))) strictly inside
 one there. A scan whose nodes crowd both ends of that window brackets
 it, with one sign change certified, and ``mp.findroot`` polishes it.
 The curvature there is Im(conj(z') z'') / |z'|^3.
+
+The right tangency of an exterior point X is the zero of
+Im(conj z'(t) (X - z(t))) where it falls, and the slide by a turn is
+the parameter where the unit tangent reaches the launch tangent turned
+by that angle, on the period the whole turns give: each is bracketed
+by a 64-node scan with one sign change certified, then polished by
+``mp.findroot``.
 
 Nothing here reads the package under test, so the reference stays
 independent of the float code it checks.
@@ -214,3 +222,56 @@ def chord_errors(chord_fn, curve, tab, seed, n=8):
         vals.append(got)
         kappa.append(want[3])
     return np.array(errs), np.array(vals), kappa
+
+
+def _scan_root(g, nodes, rising, admit=lambda t: True):
+    """The root of g in the one cell of the ascending nodes where it
+    changes sign in the given sense at an admitted node; polished by
+    mp.findroot."""
+    vals = [g(t) for t in nodes]
+    cells = [k for k in range(len(nodes) - 1)
+             if (vals[k] < 0 < vals[k + 1] if rising
+                 else vals[k] > 0 > vals[k + 1]) and admit(nodes[k])]
+    if len(cells) != 1:
+        raise ArithmeticError("root not isolated by the scan")
+    k = cells[0]
+    t = mp.findroot(g, (nodes[k], nodes[k + 1]), solver="anderson")
+    if not nodes[k] <= t <= nodes[k + 1]:
+        raise ArithmeticError("root left its bracket")
+    return t
+
+
+def tangency(tab, x, y):
+    """(t, r) of the right tangency of the exterior point (x, y): t in
+    [0, 2 pi) with (x, y) = z(t) + r T(t), r > 0, as mpf at 30 digits."""
+    with mp.workdps(_WORK):
+        X = mp.mpc(x, y)
+
+        def f(t):
+            return mp.im(mp.conj(tab.dz(t)) * (X - tab.z(t)))
+
+        t = _scan_root(f, [2 * mp.pi * k / 64 for k in range(65)], False)
+        dz = tab.dz(t)
+        r = mp.re(mp.conj(dz) * (X - tab.z(t))) / abs(dz)
+        if r <= 0:
+            raise ArithmeticError("no right tangency at (%s, %s)" % (x, y))
+        return _at_dps((t % (2 * mp.pi), r))
+
+
+def slide(tab, t0, turn):
+    """The parameter, unwrapped, at which the tangent bearing has turned
+    by `turn` from t0, as an mpf at 30 digits. t0 and turn are taken as
+    the exact binary values of the floats given."""
+    with mp.workdps(_WORK):
+        t0, turn = mp.mpf(t0), mp.mpf(turn)
+        p = mp.floor(turn / (2 * mp.pi))
+        # the unit tangent the slide reaches: it passes through it with
+        # Im(conj w z') rising through zero, once in the period from t0
+        w = tab.dz(t0) / abs(tab.dz(t0)) * mp.expj(turn - 2 * mp.pi * p)
+
+        def g(t):
+            return mp.im(mp.conj(w) * tab.dz(t))
+
+        u = _scan_root(g, [t0 + 2 * mp.pi * k / 64 for k in range(65)],
+                       True, lambda t: mp.re(mp.conj(w) * tab.dz(t)) > 0)
+        return _at_dps((u + 2 * mp.pi * p,))[0]

@@ -190,6 +190,25 @@ def test_trajectory_points_match_point_xy(curve, law):
                        rtol=0, atol=1e-15)
 
 
+@pytest.mark.parametrize("radius, theta", [
+    (1.0, math.nan), (1.0, 0.0), (1.0, [1.0, math.inf]), (math.nan, 1.0),
+    (math.inf, 1.0)], ids=["nan-theta", "zero-theta", "inf-in-array",
+                           "nan-radius", "inf-radius"])
+def test_caustic_radius_is_typed(radius, theta):
+    # a nan angle used to come back as a nan radius
+    with pytest.raises((InvalidAngle, InvalidParameter)):
+        bil.caustic_radius(radius, theta)
+
+
+@pytest.mark.parametrize("n", [-1, math.nan, math.inf, 2.5],
+                         ids=["negative", "nan", "inf", "fraction"])
+def test_iterate_step_count_is_typed(n):
+    # n = -1 used to return the start point alone, n = nan to raise a raw
+    # TypeError
+    with pytest.raises(InvalidParameter, match="step count"):
+        bil.iterate(geo.disk(1.0), delay.zero(), bil.PhasePoint(0.1, 1.0), n)
+
+
 def test_iterate_zero_and_partial():
     c = geo.disk(1.0)
     traj = bil.iterate(c, delay.zero(), bil.PhasePoint(0.1, 1.0), 0)

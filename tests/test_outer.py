@@ -9,6 +9,7 @@ import pytest
 from scipy.integrate import dblquad, quad
 from scipy.optimize import brentq, minimize_scalar
 
+import oracle
 from pensive import delay, geometry as geo, outer
 from pensive.errors import (InvalidParameter, InvalidPoint, NotExterior,
                             Unsupported)
@@ -164,6 +165,12 @@ class TestTangentCoordinates:
             outer.tangent_coordinates(c, (0.3, 0.2))
         with pytest.raises(NotExterior):
             outer.tangent_coordinates(c, (1.0, 0.0))
+        # one point inside, in a batch of exterior ones, and one whose
+        # displaced points straddle the circle
+        for pts in ([(2.0, 0.0), (0.3, 0.2), (0.0, -3.0)], [(1.0, 0.0)]):
+            with pytest.raises(NotExterior):
+                outer.area_preservation_check(c, outer.OuterDelay.zero(),
+                                              pts)
 
     # the 512 scan nodes, where the scan sees the point's own tangency,
     # and 64 parameters between them
@@ -205,6 +212,10 @@ class TestTangentCoordinates:
     def test_polygon_unsupported(self):
         with pytest.raises(Unsupported):
             outer.tangent_coordinates(geo.regular_polygon(4), (3.0, 0.0))
+        with pytest.raises(Unsupported):
+            outer.area_preservation_check(geo.regular_polygon(4),
+                                          outer.OuterDelay.zero(),
+                                          [(3.0, 0.0)])
 
 
 class TestOuterStep:
@@ -272,6 +283,9 @@ class TestOuterDelay:
             od.area(1.5)
         with pytest.raises(InvalidParameter, match="bearing shift"):
             outer.pensive_outer_step(geo.ellipse(2.0, 1.0), od, (3.0, 0.5))
+        with pytest.raises(InvalidParameter, match="bearing shift"):
+            outer.area_preservation_check(geo.ellipse(2.0, 1.0), od,
+                                          [(3.0, 0.5), (0.0, 2.0)])
 
 
 class TestPensiveOuterStep:
@@ -386,6 +400,9 @@ class TestBearing:
         with pytest.raises(Unsupported):
             outer.pensive_outer_step(oval, outer.OuterDelay.zero(),
                                      (3.0, 0.5))
+        with pytest.raises(Unsupported):
+            outer.area_preservation_check(oval, outer.OuterDelay.zero(),
+                                          [(3.0, 0.5)])
 
 
 class TestAreaPreservation:
@@ -415,8 +432,9 @@ class TestAreaPreservation:
 
     @pytest.mark.parametrize("points", [
         [], np.zeros((0, 2)), [[3.0, 0.0, 1.0]], [3.0, 0.0, 1.0],
-        [[[3.0, 0.0]]]],
-        ids=["empty", "no-rows", "triples", "one-triple", "nested"])
+        [[[3.0, 0.0]]], [[3.0, 0.0], [math.nan, 2.0]], [[math.inf, 0.0]]],
+        ids=["empty", "no-rows", "triples", "one-triple", "nested", "nan",
+             "inf"])
     def test_points_are_xy_pairs(self, points):
         with pytest.raises(InvalidPoint):
             outer.area_preservation_check(
@@ -439,7 +457,8 @@ class TestOuterBitPins:
     """Float hex recorded before the planar scan read a per-curve table.
     Per table: two exterior points, their (alpha, r, t) on the right and
     left sides; the last point and the sha256 of the hex of a 20-step
-    orbit from the first point; the area check over both points."""
+    orbit from the first point; the area check over both points, recorded
+    when it came to step its displaced points as one batch."""
 
     CURVES = {
         "ellipse": (lambda: geo.ellipse(2.0, 1.0), [(3.0, 0.5), (-1.0, 2.2)]),
@@ -462,7 +481,7 @@ class TestOuterBitPins:
             ],
             ('-0x1.af7a7c8c60f20p-1', '-0x1.9794c45b8a573p+0'),
             '8dd731e6ae1471d0eedbcdce8228961a721fed2e002ee2751f31b6298958eeae',
-            '0x1.a8b5400000000p-33'),
+            '0x1.e47a480000000p-32'),
         'oval': (
             [
                 ('0x1.9b3a57ee8c8d1p-1', '0x1.607d2d573fe2ep+0',
@@ -476,7 +495,7 @@ class TestOuterBitPins:
             ],
             ('-0x1.9207f2f8b6aa0p+0', '-0x1.7b8b19886f922p-1'),
             'd7454661238d03ba891960668da3ee76835545e76a275ae3667ee1a6ee8cb070',
-            '0x1.20fe780000000p-30'),
+            '0x1.5abd940000000p-30'),
         'thin': (
             [
                 ('0x1.8f21f9b549e97p+1', '0x1.0e423eef795fcp+4',
@@ -490,7 +509,7 @@ class TestOuterBitPins:
             ],
             ('0x1.14e71bec5de43p+4', '0x1.5c6b7eabf2f41p-1'),
             'fa2e7c50d1be6c960c216e75633e62310e226c815233d291c1306c12fba13d6c',
-            '0x1.d3984e0000000p-29'),
+            '0x1.079d520000000p-29'),
         'sampled': (
             [
                 ('0x1.33e1a94a0db82p+0', '0x1.8f0f3d8b5a19ep+0',
@@ -504,7 +523,7 @@ class TestOuterBitPins:
             ],
             ('0x1.20a21f102484ep+1', '0x1.3c09e22800edap-2'),
             '3633cddd057436cbeb44470c38d6c8666e54faa2ef394cd2be7b06fc97dde698',
-            '0x1.274dd00000000p-31'),
+            '0x1.40d5f00000000p-31'),
     }
 
     @pytest.mark.parametrize("name", PINS)
@@ -521,6 +540,114 @@ class TestOuterBitPins:
         assert hashlib.sha256(" ".join(orbit).encode()).hexdigest() == digest
         assert float(outer.area_preservation_check(
             curve, angle_delay(), np.array(pts))).hex() == area
+
+
+def corpus(name, n, seed):
+    """The table `name` of OUTER_TABLES, and n seeded exterior points
+    drawn as the outer benchmark draws them: uniform polar angles, radii
+    uniform over the table's range."""
+    make, (lo, hi) = OUTER_TABLES[name]
+    rng = np.random.default_rng(seed)
+    ang, rad = rng.uniform(0.0, TWO_PI, n), rng.uniform(lo, hi, n)
+    return make(), np.c_[rad * np.cos(ang), rad * np.sin(ang)]
+
+
+# each table with the radii of its exterior points
+OUTER_TABLES = {"ellipse": (lambda: geo.ellipse(2.0, 1.0), (2.6, 4.5)),
+                "oval": (lambda: geo.neumann_oval(0.3), (1.5, 3.0)),
+                "thin": (lambda: geo.ellipse(20.0, 0.05), (20.5, 30.0)),
+                "sampled": (square_oval, (1.5, 3.0))}
+DELAYS = {"r^3": lambda: outer.OuterDelay.from_area(lambda r: r ** 3),
+          "angle": angle_delay, "zero": outer.OuterDelay.zero}
+
+
+def scalar_image(curve, odelay, X):
+    """pensive_outer_step's image Y of X, and the scale its digits are
+    read at: |Y| plus the image's first-order change under an error of
+    one unit in the last place of each quantity the step solves. The
+    tangency t0 is read to 2 pi, the bearing to 2 pi + |theta(r)| and the
+    unwrapped landing tq to max(2 pi, |tq|). A bearing error moves the
+    landing by itself over kappa |z'| there, and so the image by
+    sqrt(rho^2 + r^2) per radian, rho the radius of curvature at tq; an
+    error in t0 moves the bearing by kappa |z'| at t0, one in tq the
+    image by |dY/dt| = kappa |z'| sqrt(rho^2 + r^2) at tq."""
+    op = outer.tangent_coordinates(curve, X)
+    theta = odelay.shift(op.r)
+    tq = outer._advance_tangency(curve, op.t, theta)
+    turn_t0 = float(curve.curvature_t(op.t) * curve.speed_t(op.t))
+    kappa = float(curve.curvature_t(tq))
+    turn_tq = kappa * float(curve.speed_t(tq))
+    Y = outer.pensive_outer_step(curve, odelay, X)
+    return Y, math.hypot(*Y) + math.hypot(1.0 / kappa, op.r) * (
+        turn_tq * max(TWO_PI, abs(tq)) + TWO_PI * (turn_t0 + 1.0)
+        + abs(theta))
+
+
+class TestOuterBatch:
+    """The area check's batched step against pensive_outer_step."""
+
+    @pytest.mark.parametrize("name", OUTER_TABLES)
+    def test_images_match_the_scalar_step(self, name):
+        curve, X = corpus(name, 16, 20261019)
+        eps = np.finfo(float).eps
+        for label, make in DELAYS.items():
+            got = outer._outer_images(curve, make(), X)
+            for x, y in zip(X, got):
+                want, scale = scalar_image(curve, make(), x)
+                assert np.hypot(*(y - want)) <= 4.0 * eps * scale, label
+
+    def test_one_point_and_its_batch(self):
+        # a batch of one point is the same solve, and area checks of a
+        # point set and of its rows one by one agree to the last bits
+        curve, X = corpus("oval", 6, 7)
+        od = angle_delay()
+        rows = [outer._outer_images(curve, od, x[None, :])[0] for x in X]
+        assert np.array_equal(np.array(rows), outer._outer_images(curve, od,
+                                                                  X))
+        assert outer.area_preservation_check(curve, od, X) == max(
+            outer.area_preservation_check(curve, od, [x]) for x in X)
+
+
+ORACLE_TABLES = {"ellipse": (lambda: geo.ellipse(2.0, 1.0),
+                             lambda: oracle.ellipse(2, 1)),
+                 "oval": (lambda: geo.neumann_oval(0.3),
+                          lambda: oracle.neumann_oval(0.3))}
+# a few ulps of 2 pi
+ULP_2PI = np.spacing(TWO_PI)
+
+
+class TestOuterOracle:
+    """Tangencies and slides, scalar and batched, against the 30-digit
+    references of tests/oracle.py."""
+
+    @pytest.mark.parametrize("name", ORACLE_TABLES)
+    def test_tangencies(self, name):
+        curve, X = corpus(name, 12, 2026)
+        tab = ORACLE_TABLES[name][1]()
+        tb, rb = outer._right_tangencies(curve, X[:, 0] + 1j * X[:, 1])
+        for x, t_batch, r_batch in zip(X, tb, rb):
+            t_ref, r_ref = oracle.tangency(tab, *x.tolist())
+            op = outer.tangent_coordinates(curve, x)
+            for t, r in ((op.t, op.r), (t_batch, r_batch)):
+                assert oracle.wrapped_error(t, t_ref, TWO_PI) <= 4 * ULP_2PI
+                assert oracle.error(r, r_ref) <= 4 * np.spacing(
+                    math.hypot(*x))
+
+    @pytest.mark.parametrize("name", ORACLE_TABLES)
+    def test_slides(self, name):
+        # turns up to a full period either way: the landing lies within
+        # [-2 pi, 4 pi), and a bearing error of a unit there moves it by
+        # the unit over kappa |z'|, at least 0.48 on both tables
+        curve, tab = (make() for make in ORACLE_TABLES[name])
+        rng = np.random.default_rng(2027)
+        t0, turn = rng.uniform(0.0, TWO_PI, 12), rng.uniform(-TWO_PI,
+                                                              TWO_PI, 12)
+        u, p = outer._advance_tangencies(curve, t0, turn)
+        for i in range(t0.size):
+            ref = oracle.slide(tab, t0[i], turn[i])
+            for got in (outer._advance_tangency(curve, t0[i], turn[i]),
+                        u[i] + TWO_PI * p[i]):
+                assert oracle.error(got, ref) <= 8 * ULP_2PI
 
 
 class TestTangentScanTable:

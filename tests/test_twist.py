@@ -10,7 +10,7 @@ from pensive import billiard as bil
 from pensive import delay
 from pensive import geometry as geo
 from pensive import twist
-from pensive.errors import HypothesisFailed, Unsupported
+from pensive.errors import HypothesisFailed, InvalidParameter, Unsupported
 
 RNG = np.random.default_rng(20240820)
 
@@ -167,6 +167,31 @@ def test_twist_intervals():
     assert hi == pytest.approx(1 + 0.5 * (1 + 1 / math.sqrt(2)))
     lo, hi = twist.twist_interval(delay.linear(-2.0), math.pi)
     assert (lo, hi) == (pytest.approx(0.0), pytest.approx(0.0))
+
+
+@pytest.mark.parametrize("half", [math.nan, math.inf, 0.0, -1.0])
+def test_twist_interval_half_perimeter_is_typed(half):
+    # a nan half perimeter used to give the interval (nan, nan)
+    with pytest.raises(InvalidParameter, match="half perimeter"):
+        twist.twist_interval(delay.puck(0.5), half)
+
+
+# An oval arc whose launch parameter, inverted as one of 2048 equal arcs,
+# came out in other bits than inverted alone (found by a seeded search)
+ODD_ARC = float.fromhex("0x1.b89b92f5164b2p-7")
+
+
+@pytest.mark.parametrize("make, s0", [
+    (lambda: geo.neumann_oval(0.3), ODD_ARC),
+    (lambda: geo.neumann_oval(0.3), 2.5),
+    (lambda: geo.ellipse(1.2, 1.0), 0.7)], ids=["oval-odd", "oval", "ellipse"])
+def test_sweep_rows_equal_the_scalar_call(make, s0):
+    # a sweep of one arc inverts it once, so every row is the scalar call
+    c, law = make(), delay.puck(0.7)
+    th = np.linspace(0.05, math.pi - 0.05, 2048)
+    sweep = twist.pensive_dS_dtheta(c, law, np.full(th.size, s0), th)
+    for k in range(0, th.size, 128):
+        assert sweep[k] == twist.pensive_dS_dtheta(c, law, s0, float(th[k]))
 
 
 def test_flat_table_sign_change():
