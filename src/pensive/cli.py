@@ -253,6 +253,10 @@ def _cmd_orbit(cfg):
     law = _build_delay(cfg, curve)
     p = _parse_int(_need(cfg, "orbit", "p"), "p")
     q = _parse_int(_need(cfg, "orbit", "q"), "q")
+    try:
+        var_mod._check_rotation((p, q))
+    except InvalidParameter as err:
+        raise ConfigError("section [orbit]: %s" % err)
     orb = var_mod.periodic_orbit_search(curve, law, (p, q))
     rows = []
     for i, (sv, tv) in enumerate(zip(orb.s, orb.theta)):

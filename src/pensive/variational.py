@@ -15,6 +15,10 @@ from . import twist
 from .errors import InvalidParameter, InvalidPoint, NotFound, NotTransitive
 
 GRAD_TOL = 1e-9
+# the largest period q periodic_orbit_search takes: each action evaluation
+# scans q transits over the momentum grid, about 270 chords each, and
+# solves a dense q x q Hessian
+MAX_PERIOD = 256
 
 
 def _as_complex(point):
@@ -38,6 +42,13 @@ def point_inside(curve, point):
     vn = np.roll(v, -1)
     turns = np.arctan2(np.imag(np.conj(v) * vn), np.real(np.conj(v) * vn))
     return abs(turns.sum()) > math.pi
+
+
+def _check_finite_arcs(*arcs):
+    """Raise InvalidParameter unless every arc length given is finite,
+    before any reduction mod P."""
+    if not all(np.isfinite(a).all() for a in arcs):
+        raise InvalidParameter("arc lengths must be finite")
 
 
 def _cos_to_point(curve, s, target):
@@ -64,6 +75,7 @@ def single_bounce_objective(curve, law, A, B, s):
         if not point_inside(curve, (z.real, z.imag)):
             raise InvalidPoint("%s must lie strictly inside the table" % name)
     s = np.asarray(s, dtype=float)
+    _check_finite_arcs(s)
     scalar = s.ndim == 0
     sv = np.atleast_1d(s) % curve.perimeter
 
@@ -110,24 +122,44 @@ class TransitSolve:
 def p_star(curve, law, s, S, hint=None, advance_hint=None):
     """Solve the transit equation S_cl(s, p) + l(P_cl(s, p)) = S (mod P).
 
-    Scans a momentum grid, brackets sign changes of the wrapped
-    residual, and polishes all bracketed cells together by safeguarded
-    Newton steps in p over one batch of chords per pass. The scan is
-    one batch of each launch against the grid, so its non-grazing rows
-    share one table of z(t) - z(t0) per launch in the chord bracket
-    (:func:`geometry._convex_bracket`). Each launch arc
-    is inverted to its parameter once, and the curvatures at both ends
-    of a chord are read at its parameters. Root selection:
-    nearest `advance_hint` in total arc advance, else nearest `hint` in
-    p, else smallest |p|.
+    Scans a momentum grid for the total arc advance
+    adv(p) = (S_cl - s) mod P + l(cos Theta), continuous in p on a convex
+    oval. With D = (S - s) mod P, a grid cell [p_a, p_b] brackets one
+    root for each integer k with D + kP strictly between adv(p_a) and
+    adv(p_b); a node whose advance is some D + kP, or whose wrapped
+    residual is 0, is a root there. The scan is one batch of each launch
+    against the grid, so its non-grazing rows share one table of
+    z(t) - z(t0) per launch in the chord bracket
+    (:func:`geometry._convex_bracket`).
+
+    All (cell, k) rows are polished together in two stages by
+    :func:`geometry._newton_rows`. First in the landing parameter t2,
+    which falls as p rises, so the cell's bracket is
+    [t2(p_b), t2(p_a)]: from t2 the chord, its launch momentum and the
+    advance are explicit, so these passes solve no chord. Their step
+    tolerance is 4e-15, a few ulps of t2: t2 reaches t0 + 2 pi, above 8,
+    where a tolerance of 1e-15 is under one ulp and no step can meet it.
+    Then in p on [p_a, p_b], from the momentum of that t2 root, with
+    dr/dp = -F_theta / sin(theta) (F_theta the slid dS/dtheta) over one
+    batch of chords per pass, usually one: p is the root the caller gets,
+    and the chord re-solved from the converted p can miss the validation
+    bound (residuals up to 2e-10 on ellipse(20, 0.05)) where the
+    finished p meets it.
+    Validation re-solves the chord of every root from p and keeps those
+    with wrapped residual under 1e-10, 1e-9 apart; on a non-convex table,
+    where t2 jumps at shadow boundaries, it drops the false roots of
+    those jumps. Each launch arc is inverted to its parameter once, and
+    the curvatures at both ends of a chord are read at its parameters.
+    Root selection: nearest `advance_hint` in total arc advance, else
+    nearest `hint` in p, else smallest |p|.
 
     s and S may also be equal-length 1-d arrays, one entry per segment,
     with hint and advance_hint each None or an array of that length.
     Then the scan, every polish pass and the validation are one batch
-    of chords each over the rows of all segments, and a list with
-    one TransitSolve per segment comes back. No row sees the others, so
-    each entry is bit for bit the scalar call on its segment; the first
-    segment, in order, without a root raises NotTransitive.
+    each over the rows of all segments, and a list with one TransitSolve
+    per segment comes back. No row sees the others, so each entry is bit
+    for bit the scalar call on its segment; the first segment, in order,
+    without a root raises NotTransitive.
     """
     geo._require_smooth(curve, "variational evaluation")
     P = curve.perimeter
@@ -136,26 +168,30 @@ def p_star(curve, law, s, S, hint=None, advance_hint=None):
         raise InvalidParameter("s, S and hints need one entry per segment")
     scalar = np.ndim(s) == 0
     s, S = (np.atleast_1d(np.asarray(x, dtype=float)) for x in (s, S))
-    if not (np.isfinite(s).all() and np.isfinite(S).all()):
-        raise InvalidParameter("arc lengths s and S must be finite")
+    _check_finite_arcs(s, S)
     s, S = s % P, S % P
     n = len(s)
     hint, advance_hint = ([None] * n if x is None else np.atleast_1d(x)
                           for x in (hint, advance_hint))
     t0 = geo._launch_t(curve, s)
     k1 = curve.curvature_t(t0)
-    res = _transit_residual(curve, law, s[:, None], t0[:, None], S[:, None],
-                            _P_GRID[None, :])[0]
-    ra, rb = res[:, :-1], res[:, 1:]
-    on_node = ra == 0.0
-    # a sign change bigger than half a perimeter is a wrap jump, not a root
-    cell = (ra * rb < 0.0) & (np.abs(ra) + np.abs(rb) <= 0.5 * P)
-    roots = np.tile(_P_GRID[:-1], (n, 1))
-    seg, col = np.nonzero(cell)
-    roots[cell] = _polish(curve, law, s[seg], t0[seg], S[seg], k1[seg],
-                          _P_GRID[col], _P_GRID[col + 1], ra[cell], rb[cell])
-    owner, col = np.nonzero(on_node | cell)
-    roots = roots[owner, col]
+    res, adv, _, _, _, t2 = _transit_residual(
+        curve, law, s[:, None], t0[:, None], S[:, None], _P_GRID[None, :])
+    D = (S - s) % P
+    seg, col, target = _advance_cells(adv, D, P)
+    fa, fb = adv[seg, col] - target, adv[seg, col + 1] - target
+    p = _polish_t2(curve, law, s[seg], t0[seg], target,
+                   t2[seg, col], t2[seg, col + 1], fa, fb)
+    p = _polish_p(curve, law, s[seg], t0[seg], S[seg], k1[seg], target, p,
+                  _P_GRID[col], _P_GRID[col + 1], fa, fb)
+    # a node whose advance meets a target, or whose wrapped residual is 0
+    k = np.round((adv - D[:, None]) / P)
+    node_seg, node_col = np.nonzero((adv == D[:, None] + k * P)
+                                    | (res == 0.0))
+    owner = np.concatenate([node_seg, seg])
+    roots = np.concatenate([_P_GRID[node_col], p])
+    order = np.lexsort((roots, owner))
+    owner, roots = owner[order], roots[order]
     res, *cols = _transit_residual(curve, law, s[owner], t0[owner],
                                    S[owner], roots)
     table = np.column_stack([roots, *cols])   # p, advance, S_cl, Theta, d, t2
@@ -210,23 +246,91 @@ def _transit_residual(curve, law, s, t0, S, p):
     return geo.wrap_to_half(adv + s - S, P), adv, S_cl, Th, d, t2
 
 
-def _polish(curve, law, s, t0, S, k1, a, b, ra, rb):
-    """Transit roots in the cells [a, b] of p whose ends have residuals
-    ra, rb of opposite signs, all cells together; each row has its own
-    launch arc s, launch parameter t0, target S and launch curvature k1.
+def _advance_cells(adv, D, P):
+    """The (cell, k) rows of a scan of advances adv, one row of grid
+    values per segment: a row for each segment i, grid cell j and
+    integer k with D[i] + kP strictly between adv[i, j] and adv[i, j + 1].
+    Returns their segments, cells and targets D + kP, ordered by segment,
+    cell and k; cells with a non-finite end give none."""
+    a, b = adv[:, :-1], adv[:, 1:]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    seg, col = np.nonzero(np.isfinite(lo) & np.isfinite(hi))
+    lo, hi, D = lo[seg, col], hi[seg, col], D[seg]
+    # every k the strict test below can pass, with a margin for rounding
+    k0 = np.floor((lo - D) / P)
+    reps = (np.floor((hi - D) / P) - k0 + 2).astype(int)
+    first = np.repeat(np.cumsum(reps) - reps, reps)
+    seg, col, lo, hi, D = (np.repeat(x, reps) for x in (seg, col, lo, hi, D))
+    target = D + (np.repeat(k0, reps) + np.arange(len(first)) - first) * P
+    keep = (lo < target) & (target < hi)
+    return seg[keep], col[keep], target[keep]
 
-    Newton in p from the regula falsi point, with dr/dp = -F_theta /
-    sin(theta) where F_theta is the slid dS/dtheta, by
-    :func:`geometry._newton_rows` on the residual signed negative at a.
+
+def _polish_t2(curve, law, s, t0, target, ta, tb, fa, fb):
+    """Launch momenta of the transit roots bracketed in the landing
+    parameter, all rows together: row i has launch arc s[i] at parameter
+    t0[i], and its advance minus target[i] is fa[i] at ta[i] and fb[i],
+    of the other sign, at tb[i].
+
+    The chord from z(t0) to z(t2) gives the landing angle Theta and the
+    advance adv = (S_cl - s) mod P + l~(Theta), with S_cl the arc at t2,
+    and d adv / d t2 = |z'(t2)| (1 + l~'(Theta) (kappa(t2) -
+    sin(Theta) / d)), d the chord length: Newton in t2 by
+    :func:`geometry._newton_rows` solves no chord. The momentum of the
+    root is the cosine of the launch angle of its chord.
     """
-    def step(p, s, t0, S, k1, sign):
-        r, _, _, Th, d, t2 = _transit_residual(curve, law, s, t0, S, p)
+    P = curve.perimeter
+    last = np.full(len(s), np.nan)     # each row's point of the pass before
+
+    def step(t, s, t0, target, sign, row):
+        c = curve._zdiff(t, t0)
+        tw = geo._wrap(t)
+        dz = curve._dzf(tw)
+        sp = np.abs(dz)
+        q = dz * np.conj(c)
+        Th = np.arctan2(np.abs(q.imag), q.real)
+        r = ((np.mod(curve.arclen_t(tw), P) - s) % P
+             + law.ell(np.cos(Th))) - target
+        kap = np.imag(np.conj(dz) * curve._d2zf(tw)) / sp ** 3
+        sin_d = np.abs(q.imag) / (sp * np.abs(c) ** 2)    # sin(Theta) / d
+        dt = -r / (sp * (1.0 + law.dtheta(Th) * (kap - sin_d)))
+        # a step back to the point before is a 2-cycle on the residual's
+        # rounding (a steep slide law near grazing): the row stops here
+        dt[t + dt == last[row]] = 0.0
+        last[row] = t
+        return sign * r, dt
+
+    # t2 falls as p rises on a convex oval; a shadow jump may reverse it
+    swap = tb > ta
+    lo, hi = np.where(swap, ta, tb), np.where(swap, tb, ta)
+    flo, fhi = np.where(swap, fa, fb), np.where(swap, fb, fa)
+    sign = -np.sign(flo)
+    t = geo._newton_rows(step, lo, lo, hi, sign * flo, sign * fhi,
+                         (s, t0, target, sign, np.arange(len(s))), 4e-15)
+    c, dz0 = curve._zdiff(t, t0), curve._dzf(geo._wrap(t0))
+    return np.real(c * np.conj(dz0)) / (np.abs(c) * np.abs(dz0))
+
+
+def _polish_p(curve, law, s, t0, S, k1, target, p, a, b, fa, fb):
+    """Transit roots in the cells [a, b] of p, each row from its start p:
+    the advance minus target[i] is fa[i] at a[i] and fb[i], of the other
+    sign, at b[i]; each row has its own launch arc s, launch parameter
+    t0, end arc S and launch curvature k1.
+
+    Newton in p with dr/dp = -F_theta / sin(theta), F_theta the slid
+    dS/dtheta, by :func:`geometry._newton_rows` over one batch of chords
+    per pass.
+    """
+    def step(p, s, t0, S, k1, target, sign):
+        _, adv, _, Th, d, t2 = _transit_residual(curve, law, s, t0, S, p)
+        r = adv - target
         st = np.sqrt((1.0 - p) * (1.0 + p))
-        return -sign * r, r * st / twist._chord_partials(
+        return sign * r, r * st / twist._chord_partials(
             d, st, np.sin(Th), k1, curve.curvature_t(t2), law.dtheta(Th))[4]
 
-    return geo._newton_rows(step, a, a, b, -np.abs(ra), np.abs(rb),
-                            (s, t0, S, k1, np.sign(ra)), 1e-15)
+    sign = -np.sign(fa)
+    return geo._newton_rows(step, p, a, b, sign * fa, sign * fb,
+                            (s, t0, S, k1, target, sign), 1e-15)
 
 
 @dataclass(frozen=True)
@@ -344,11 +448,10 @@ def periodic_orbit_search(curve, law, rotation, seeds=None):
     Seeds are rotation-number configurations started at the given base
     arcs (quarter-cell offsets by default). The orbit's residue comes
     from the Hessian at the solution, R = -det(hess) / (4 prod(-H12)).
+    The period q is at most MAX_PERIOD, checked before any work.
     """
     geo._require_smooth(curve, "variational evaluation")
-    winding, q = rotation
-    if q < 2 or winding < 1 or math.gcd(winding, q) != 1:
-        raise InvalidParameter("rotation type needs coprime p >= 1, q >= 2")
+    winding, q = _check_rotation(rotation)
     P = curve.perimeter
     if seeds is None:
         seeds = np.linspace(0.0, P / q, 4, endpoint=False)
@@ -365,6 +468,18 @@ def periodic_orbit_search(curve, law, rotation, seeds=None):
     raise NotFound("no (%d, %d) orbit from the given seeds%s"
                    % (winding, q,
                       "; last error: %s" % last_err if last_err else ""))
+
+
+def _check_rotation(rotation):
+    """(p, q) of a rotation type: coprime p >= 1 and 2 <= q <= MAX_PERIOD,
+    else InvalidParameter."""
+    winding, q = rotation
+    if q < 2 or winding < 1 or math.gcd(winding, q) != 1:
+        raise InvalidParameter("rotation type needs coprime p >= 1, q >= 2")
+    if q > MAX_PERIOD:
+        raise InvalidParameter("period q = %d is over the cap MAX_PERIOD = %d"
+                               % (q, MAX_PERIOD))
+    return winding, q
 
 
 def _newton_orbit(curve, law, sv, winding, q):

@@ -346,14 +346,14 @@ def vortex_rhs(config):
 
 
 def hamiltonian(config_or_domain, z=None, gamma=None):
-    """Interaction energy plus the self (Robin) terms."""
-    if z is None:
-        domain, z, gamma = (config_or_domain.domain, config_or_domain.z,
-                            config_or_domain.gamma)
-    else:
-        domain = config_or_domain
-    return float(domain._energy_rows(np.asarray(z, dtype=complex)[None, :],
-                                     np.asarray(gamma, dtype=float))[0])
+    """Interaction energy plus the self (Robin) terms. Positions given
+    with a domain pass the checks of a VortexConfiguration: inside, and
+    no two coincident."""
+    config = config_or_domain
+    if z is not None:
+        config = VortexConfiguration(z, gamma, config_or_domain)
+    return float(config.domain._energy_rows(config.z[None, :],
+                                            config.gamma)[0])
 
 
 def momentum(config):
@@ -487,10 +487,17 @@ def make_dipole(center, direction, eps, gamma=None, domain=None):
     """Vortex pair traveling along `direction` at speed gamma/(4 pi eps).
 
     The positive vortex sits to the left of the motion. With gamma
-    omitted, it is set to 4 pi eps so the pair moves at unit speed.
+    omitted, it is set to 4 pi eps so the pair moves at unit speed. The
+    half separation eps is finite and nonzero, the direction finite and
+    nonzero.
     """
     zc = _as_z(center)
     d = _as_z(direction)
+    eps = finite_float(eps, "eps")
+    if eps == 0:
+        raise InvalidParameter("eps must be nonzero: the vortices coincide")
+    if not 0.0 < abs(d) < math.inf:
+        raise InvalidParameter("direction must be finite and nonzero")
     d /= abs(d)
     if gamma is None:
         gamma = 4.0 * math.pi * eps

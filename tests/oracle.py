@@ -1,16 +1,23 @@
 """30-digit references for the convex test tables, in mpmath: chords
 (the landing arc, angle and length, and the curvature at the landing),
+the launch momenta of the slid map's transits from one arc to another,
 and the outer map's right tangencies and bearing slides.
 
 Each table is rebuilt from its closed form: the disk's chords in closed
 form, the ellipse's arc length from the incomplete elliptic integral
-``mp.ellipe`` and the Neumann oval's from ``mp.quad`` of |F'(e^{it})|.
+``mp.ellipe`` and the Neumann oval's from the cosine series of
+|F'(e^{it})|, integrated term by term.
 The launch parameter t0 solves arc length = s by safeguarded Newton.
 The landing is the root of Im(conj(d) (z(t) - z(t0))) strictly inside
 (t0, t0 + 2 pi), d the ray direction: on a convex table it is the only
 one there. A scan whose nodes crowd both ends of that window brackets
 it, with one sign change certified, and ``mp.findroot`` polishes it.
 The curvature there is Im(conj(z') z'') / |z'|^3.
+
+A transit solves adv(theta) = D + kP for some integer k, adv the
+chord's arc advance plus the slide in closed form and D = (S - s) mod P:
+a scan in theta brackets each k between neighbouring advances, and
+``mp.findroot`` polishes it on the chord above.
 
 The right tangency of an exterior point X is the zero of
 Im(conj z'(t) (X - z(t))) where it falls, and the slide by a turn is
@@ -71,11 +78,22 @@ def neumann_oval(lam):
         Z = mp.expj(t)
         return abs(a * (1 + l2 * Z * Z) / (1 - l2 * Z * Z) ** 2)
 
+    # the speed is even, of period pi and analytic in w = e^{2it} for
+    # l2 < |w| < 1 / l2, so its cosine coefficients fall like l2^m: M
+    # terms reach the working precision, and the trapezoid rule on 2M
+    # nodes of the period gives each to about l2^M
+    with mp.workdps(_WORK):
+        M = int(_WORK / -mp.log10(l2)) + 4 if l2 > 0 else 0
+        N = 2 * M + 1
+        vals = [speed(mp.pi * j / N) for j in range(N)]
+        coef = [mp.fsum(v * mp.cos(2 * m * mp.pi * j / N)
+                        for j, v in enumerate(vals)) / N
+                for m in range(M + 1)]
+
     def arclen(t):
-        # split at the quarter turns, where the speed peaks and dips
-        ends = [mp.mpf(0)] + [k * mp.pi / 2 for k in range(1, 4)
-                              if k * mp.pi / 2 < t] + [t]
-        return mp.quad(speed, ends)
+        # the speed's cosine series integrated term by term
+        return coef[0] * t + mp.fsum(coef[m] * mp.sin(2 * m * t) / m
+                                     for m in range(1, M + 1))
 
     def z(t):
         Z = mp.expj(t)
@@ -134,6 +152,9 @@ def _scan_fractions():
 
 
 _FRACTIONS = _scan_fractions()
+# a launch at least 1e-5 in momentum off grazing lands over 1e-4 of the
+# window from either end on the transit tables
+_TRANSIT_FRACTIONS = [x for x in _FRACTIONS if 1e-6 <= x <= 1 - 1e-6]
 
 
 def chord(tab, s, theta):
@@ -149,31 +170,36 @@ def chord(tab, s, theta):
             out = ((s + 2 * r * theta) % P, theta, 2 * r * mp.sin(theta),
                    1 / r)
             return _at_dps(out)
-        t0 = _t_of_s(tab, s)
-        z0 = tab.z(t0)
-        tau0 = tab.dz(t0) / abs(tab.dz(t0))
-        cd = mp.conj(tau0 * mp.expj(theta))
+        return _at_dps(_chord_from(tab, _t_of_s(tab, s), theta))
 
-        def g(t):
-            return mp.im(cd * (tab.z(t) - z0))
 
-        nodes = [t0 + 2 * mp.pi * x for x in _FRACTIONS]
-        vals = [g(t) for t in nodes]
-        flips = [k for k in range(len(vals) - 1)
-                 if (vals[k] < 0) != (vals[k + 1] < 0)]
-        if len(flips) != 1 or vals[0] >= 0 or vals[-1] <= 0:
-            raise ArithmeticError("landing not isolated at s=%s theta=%s"
-                                  % (s, theta))
-        k = flips[0]
-        ts = mp.findroot(g, (nodes[k], nodes[k + 1]), solver="anderson")
-        if not nodes[k] <= ts <= nodes[k + 1]:
-            raise ArithmeticError("landing left its bracket")
-        dz = tab.dz(ts)
-        q = dz / abs(dz) * cd
-        out = (tab.arclen(ts % (2 * mp.pi)) % P,
-               mp.atan2(abs(mp.im(q)), mp.re(q)), abs(tab.z(ts) - z0),
-               mp.im(mp.conj(dz) * tab.d2z(ts)) / abs(dz) ** 3)
-        return _at_dps(out)
+def _chord_from(tab, t0, theta, fractions=_FRACTIONS):
+    """chord's (s2, Theta, length, kappa2) from the launch parameter t0,
+    at the working precision, the landing scanned at the fractions of
+    the window given."""
+    z0 = tab.z(t0)
+    tau0 = tab.dz(t0) / abs(tab.dz(t0))
+    cd = mp.conj(tau0 * mp.expj(theta))
+
+    def g(t):
+        return mp.im(cd * (tab.z(t) - z0))
+
+    nodes = [t0 + 2 * mp.pi * x for x in fractions]
+    vals = [g(t) for t in nodes]
+    flips = [k for k in range(len(vals) - 1)
+             if (vals[k] < 0) != (vals[k + 1] < 0)]
+    if len(flips) != 1 or vals[0] >= 0 or vals[-1] <= 0:
+        raise ArithmeticError("landing not isolated at t0=%s theta=%s"
+                              % (t0, theta))
+    k = flips[0]
+    ts = mp.findroot(g, (nodes[k], nodes[k + 1]), solver="anderson")
+    if not nodes[k] <= ts <= nodes[k + 1]:
+        raise ArithmeticError("landing left its bracket")
+    dz = tab.dz(ts)
+    q = dz / abs(dz) * cd
+    return (tab.arclen(ts % (2 * mp.pi)) % tab.perimeter,
+            mp.atan2(abs(mp.im(q)), mp.re(q)), abs(tab.z(ts) - z0),
+            mp.im(mp.conj(dz) * tab.d2z(ts)) / abs(dz) ** 3)
 
 
 def _at_dps(values):
@@ -222,6 +248,104 @@ def chord_errors(chord_fn, curve, tab, seed, n=8):
         vals.append(got)
         kappa.append(want[3])
     return np.array(errs), np.array(vals), kappa
+
+
+def _slide(law, theta):
+    """l~(theta) of the slide law law = (tag, parameter) in closed form:
+    vortex(L), constant(c), linear(slope) or puck(h)."""
+    tag, x = law
+    x = mp.mpf(x)
+    if tag == "vortex":
+        p = mp.cos(theta)
+        return x * (1 - p / mp.sqrt(1 + p * p))
+    if tag == "constant":
+        return x
+    if tag == "linear":
+        return x * theta
+    if tag == "puck":
+        return x * mp.cot(theta)
+    raise ValueError("no closed form for the slide law %r" % (tag,))
+
+
+def _theta_nodes(n):
+    """n + 1 launch angles over the momenta |p| <= 1 - 1e-5 of the float
+    scan, crowded at both grazing ends as 1 - cos does."""
+    with mp.workdps(_WORK):
+        lo = mp.acos(mp.mpf(1.0 - 1e-5))
+        return [lo + (mp.pi - 2 * lo) * (1 - mp.cos(mp.pi * k / n)) / 2
+                for k in range(n + 1)]
+
+
+def transit(tab, law, s, S, n=32):
+    """The launch momenta p = cos(theta), |p| <= 1 - 1e-5, of every transit
+    from arc s to arc S (mod P) in one step of the slid map: the roots of
+    adv(theta) - D - kP, adv = (s2 - s) mod P + l~(Theta) the total arc
+    advance of the chord and D = (S - s) mod P. law is (tag, parameter)
+    as :func:`_slide` takes it; s and S are the exact binary values of
+    the floats given.
+
+    A scan of n + 1 angles brackets one root for each integer k with
+    D + kP strictly between the advances at neighbouring angles, and
+    ``mp.findroot`` polishes it on this module's chord. Returns the
+    momenta ascending, as mpf at 30 digits."""
+    with mp.workdps(_WORK):
+        P = tab.perimeter
+        s, S = mp.mpf(s) % P, mp.mpf(S) % P
+        D = (S - s) % P
+        t0 = None if hasattr(tab, "radius") else _t_of_s(tab, s)
+
+        def advance(theta):
+            if t0 is None:      # the disk: s2 = s + 2 r theta, Theta = theta
+                return 2 * tab.radius * theta + _slide(law, theta)
+            s2, Th = _chord_from(tab, t0, theta, _TRANSIT_FRACTIONS)[:2]
+            return (s2 - s) % P + _slide(law, Th)
+
+        nodes = _theta_nodes(n)
+        vals = [advance(th) for th in nodes]
+        roots = []
+        for a, b, fa, fb in zip(nodes, nodes[1:], vals, vals[1:]):
+            lo, hi = min(fa, fb), max(fa, fb)
+            for k in range(int(mp.floor((lo - D) / P)),
+                           int(mp.floor((hi - D) / P)) + 1):
+                target = D + k * P
+                if not lo < target < hi:
+                    continue
+                th = mp.findroot(lambda x: advance(x) - target, (a, b),
+                                 solver="anderson")
+                if not a <= th <= b:
+                    raise ArithmeticError("transit root left its bracket")
+                roots.append(mp.cos(th))
+        return _at_dps(sorted(roots))
+
+
+def segments(perimeter, seed, n=4):
+    """A seeded sample of n segments (s, S), both uniform on
+    [0, perimeter)."""
+    rng = np.random.default_rng(seed)
+    return rng.uniform(0.0, perimeter, (n, 2)).tolist()
+
+
+def transit_errors(p_star_fn, curve, law, tab, seed, n=4, scan=32):
+    """The errors of the roots of p_star_fn(curve, law, s, S) against
+    :func:`transit` on tab with a scan of scan + 1 angles, over
+    segments(curve.perimeter, seed, n): the distance of each root
+    returned to the nearest reference, in one array over all segments,
+    and per segment the (returned, reference) root counts. law is the
+    package's slide law; its tag and parameter name the closed form. A
+    segment on which p_star_fn raises NotTransitive returned no root."""
+    spec = (law.tag, *law.params.values())
+    errs, counts = [], []
+    for s, S in segments(curve.perimeter, seed, n):
+        try:
+            got = p_star_fn(curve, law, s, S).roots
+        except Exception as err:
+            if type(err).__name__ != "NotTransitive":
+                raise
+            got = np.array([])
+        want = transit(tab, spec, s, S, scan)
+        errs += [min(error(r, ref) for ref in want) for r in got.tolist()]
+        counts.append((len(got), len(want)))
+    return np.array(errs), counts
 
 
 def _scan_root(g, nodes, rising, admit=lambda t: True):

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from pensive import billiard as bil, cli, delay, geometry as geo, outer
+from pensive import variational as var
 
 
 def write_ini(path, text):
@@ -315,6 +316,26 @@ q = 4
         assert rows[1][3] == "1/4"
         assert float(rows[1][5]) < 1e-7
 
+    def test_period_over_the_cap_is_a_config_error(self, tmp_path):
+        ini = write_ini(tmp_path / "cap.ini", """
+[run]
+command = orbit
+outdir = {out}
+
+[curve]
+kind = disk
+
+[delay]
+kind = constant
+c = 0.3
+
+[orbit]
+p = 1
+q = {q}
+""".format(out=tmp_path / "out", q=var.MAX_PERIOD + 1))
+        assert cli.main(["orbit", ini]) == 2
+        assert not (tmp_path / "out" / "orbit.csv").exists()
+
 
 class TestMapBytes:
     # orbit searches, phase portraits and a trajectory on convex ovals:
@@ -332,7 +353,7 @@ l = 3.141592653589793
 p = 2
 q = 5
 """, {"orbit.csv":
-      "b50db369a9f6b05c745690a3f6a745d708c4002ed22c1a6840bf9c816b72b300"}),
+      "dafdd9e233550acd82f5e34536c93f0629da803a74d2f23ce378eaf51d58bf52"}),
         "orbit-ellipse-vortex": ("orbit", """
 [curve]
 kind = ellipse
@@ -347,7 +368,7 @@ l = 0.5
 p = 1
 q = 3
 """, {"orbit.csv":
-      "71939925b88899452bc3ce76efa4ed99b4ccf5e09dfadf01feaf5fafd0e3f5a6"}),
+      "1a3960ed5abdc0b2d6d4b83e66bb264b67723ff42214d6c86b42097d06a1bfa7"}),
         "phase-ellipse-puck": ("phase", """
 [curve]
 kind = ellipse

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+import oracle
 from pensive import billiard as bil
 from pensive import delay
 from pensive import geometry as geo
@@ -40,6 +41,15 @@ def test_objective_requires_interior_points():
     with pytest.raises(Unsupported):
         var.single_bounce_objective(geo.regular_polygon(4), delay.zero(),
                                     (0, 0), (0, 0), 0.1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, [0.3, math.nan]])
+def test_objective_rejects_non_finite_arcs(bad):
+    # p_star's finiteness check, before the reduction mod P warns
+    c, law = geo.ellipse(1.2, 1.0), delay.vortex(0.5)
+    with pytest.raises(InvalidParameter, match="finite"):
+        var.single_bounce_objective(c, law, (0.1, 0.0), (0.0, 0.2), bad)
 
 
 def test_objective_center_is_constant():
@@ -295,6 +305,15 @@ def test_orbit_search_rejects_bad_type():
         var.periodic_orbit_search(c, delay.zero(), (1, 1))
 
 
+def test_orbit_search_caps_the_period(monkeypatch):
+    # one over the cap raises before any transit is solved; uncapped,
+    # this search runs (0.3 s) and q = 10**9 exhausts memory
+    monkeypatch.setattr(var, "p_star", None)
+    with pytest.raises(InvalidParameter, match="MAX_PERIOD"):
+        var.periodic_orbit_search(geo.disk(1.0), delay.constant(0.3),
+                                  (1, var.MAX_PERIOD + 1))
+
+
 def test_ellipse_vortex_orbit_closes():
     c = geo.ellipse(1.2, 1.0)
     law = delay.vortex(0.5)
@@ -437,6 +456,34 @@ def test_p_star_inverts_its_launch_arcs_once(monkeypatch):
     s = np.arange(q) * c.perimeter / q
     var.p_star(c, delay.vortex(0.5), s, np.roll(s, -1))
     assert sizes == [q]
+
+
+@pytest.mark.parametrize("c, law", [
+    (geo.ellipse(1.2, 1.0), delay.vortex(0.5)),
+    (geo.neumann_oval(0.3), delay.puck(0.7)),
+], ids=["ellipse-vortex", "oval-puck"])
+def test_p_star_chord_solves(monkeypatch, c, law):
+    """One batch of chords for the scan, one per pass of the finish in p,
+    one for the validation, and none inside the polish in t2."""
+    log, chords = [], geo._chords
+    monkeypatch.setattr(geo, "_chords",
+                        lambda *args: log.append("chords") or chords(*args))
+    for name in ("_polish_t2", "_polish_p"):
+        def traced(*args, fn=getattr(var, name), name=name):
+            log.append(name)
+            out = fn(*args)
+            log.append("end")
+            return out
+
+        monkeypatch.setattr(var, name, traced)
+    q = 3
+    s = np.arange(q) * c.perimeter / q
+    sols = var.p_star(c, law, s, np.roll(s, -1))
+    assert sum(len(sol.roots) for sol in sols) >= q
+    finish = log[4:-2]
+    assert log[:4] == ["chords", "_polish_t2", "end", "_polish_p"]
+    assert 1 <= len(finish) <= 3 and set(finish) == {"chords"}
+    assert log[-2:] == ["end", "chords"]
 
 
 def test_orbit_search_reads_no_arc_length_curvature(monkeypatch):
@@ -598,6 +645,99 @@ def test_p_star_property_at_the_edges(table, law, s_frac, target):
                 1e-13 + 8 * np.spacing(P) / slope(ref))
 
 
+RULE_TABLES = (geo.disk(1.0),) + EDGE_TABLES + (geo.neumann_oval(0.6),)
+RULE_LAWS = (delay.vortex(0.5), delay.constant(0.3), delay.linear(0.3),
+             delay.linear(-0.3), delay.puck(0.7))
+
+
+@settings(max_examples=25)
+@given(table=st.integers(0, 4), law=st.integers(0, 4),
+       s_frac=st.floats(0.0, 1.0, exclude_max=True),
+       target=st.one_of(
+           st.floats(0.0, 1.0, exclude_max=True),
+           st.tuples(st.sampled_from([-1.0, 1.0]),
+                     st.floats(-5.0, -1.0).map(lambda e: 10.0 ** e))))
+def test_p_star_cells_on_the_unwrapped_advance(table, law, s_frac, target):
+    """The roots bracketed on the unwrapped advance, one per cell and
+    crossing, hold every root that a cell of the wrapped residual holds
+    alone (the last non-convex table included), and each meets the
+    validation bound."""
+    c, law = RULE_TABLES[table], RULE_LAWS[law]
+    P = c.perimeter
+    s = s_frac * P
+    eps = np.finfo(float).eps
+    if isinstance(target, tuple):
+        sign, gap = target
+        try:
+            S = float(bil.pensive_batch(c, law, [s],
+                                        [math.acos(sign * (1.0 - gap))])[0][0])
+        except PensiveError:
+            return
+    else:
+        S = target * P
+    try:
+        roots = var.p_star(c, law, s, S).roots
+    except NotTransitive:
+        roots = np.array([])
+
+    def slope(p):
+        th = math.acos(p)
+        return abs(twist.pensive_dS_dtheta(c, law, s, th)) / math.sin(th)
+
+    for r in roots:
+        assert abs(_transit_residual(c, law, s, S, r)) < (
+            1e-10 + 4 * eps * slope(r))
+    for a, b, single in _scan_cells(c, law, s, S):
+        ref = _brentq_root(c, law, s, S, a, b) if single else None
+        if ref is not None and 4 * eps * slope(ref) < 1e-11:
+            assert roots.size and np.min(np.abs(roots - ref)) < max(
+                1e-12, 8 * np.spacing(P) / slope(ref))
+
+
+# -- transit roots against the 30-digit reference ---------------------------
+
+# (table, reference, law, segments, scan): about 1.5 s of tier-1
+TRANSIT_CASES = {
+    "disk-vortex": (geo.disk(1.0), oracle.disk(1.0), delay.vortex(0.5), 4, 32),
+    "disk-linear": (geo.disk(1.0), oracle.disk(1.0), delay.linear(-0.3), 4,
+                    32),
+    "disk-puck": (geo.disk(1.0), oracle.disk(1.0), delay.puck(0.7), 2, 32),
+    "ellipse-vortex": (geo.ellipse(1.2, 1.0), oracle.ellipse(1.2, 1.0),
+                       delay.vortex(0.5), 2, 16),
+    "ellipse-constant": (geo.ellipse(1.2, 1.0), oracle.ellipse(1.2, 1.0),
+                         delay.constant(0.3), 1, 16),
+    "oval-vortex": (geo.neumann_oval(0.3), oracle.neumann_oval(0.3),
+                    delay.vortex(0.5), 2, 16),
+}
+# the largest distance of a root to the nearest reference, measured on
+# the earlier polish (Newton in p on the cells of the wrapped residual)
+TRANSIT_EARLIER_ERRORS = {
+    "disk-vortex": 1.2933887537999366e-16,
+    "disk-linear": 2.722285947867474e-16,
+    "disk-puck": 1.4873986571416401e-16,
+    "ellipse-vortex": 6.232613262859954e-16,
+    "ellipse-constant": 2.2566309597935133e-16,
+    "oval-vortex": 3.9083449118570415e-16,
+}
+
+
+@pytest.mark.parametrize("name", TRANSIT_CASES)
+def test_p_star_against_the_30_digit_transit_reference(name):
+    """Every root p_star returns lies within the earlier polish's error,
+    plus 2 ulps of 1, of a root of tests/oracle.py's transit; under a
+    bounded law it returns every reference root. Under the puck it may
+    drop a root in the grazing tails, where one ulp of p moves the
+    residual by more than the validation bound 1e-10."""
+    c, tab, law, n, scan = TRANSIT_CASES[name]
+    err, counts = oracle.transit_errors(var.p_star, c, law, tab, 20240823,
+                                        n, scan)
+    assert err.max() <= TRANSIT_EARLIER_ERRORS[name] + 2 * np.spacing(1.0)
+    if law.tag == "puck":
+        assert all(0 < got <= want for got, want in counts)
+    else:
+        assert all(got == want for got, want in counts)
+
+
 # -- p_star on arrays of segments -------------------------------------------
 
 ARRAY_TABLES = (geo.disk(1.0),) + EDGE_TABLES
@@ -696,8 +836,8 @@ def test_p_star_root_bytes_are_pinned():
         for law in (delay.puck(0.5), delay.linear(0.4), delay.constant(0.3)):
             for sol in var.p_star(c, law, s, (s + 0.37 * P) % P):
                 h.update(sol.roots.tobytes())
-    assert h.hexdigest() == ("fe732d2d7ee03b8091908f3a497840ca"
-                             "5bd9cafc5943ab3dc822b536dc1e68c4")
+    assert h.hexdigest() == ("d284369f192158eb69501c77c5f648e4"
+                             "48baab5b7d0fe27f0358094b515f24d6")
 
 
 def test_momentum_grid_scan_bytes_are_pinned():

@@ -391,6 +391,27 @@ def test_integrate_rejects_bad_horizons(kw):
         vx.integrate(vx.VortexConfiguration(z, g, vx.DiskDomain(1.0)), **kw)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("args", [(0, 1, 0.0), (0, 1, math.nan),
+                                  (0, 1, math.inf), (0, 0, 0.05),
+                                  (0, math.nan, 0.05)],
+                         ids=["eps-zero", "eps-nan", "eps-inf",
+                              "direction-zero", "direction-nan"])
+def test_make_dipole_rejects_degenerate_pairs(args):
+    # no coincident pair, no nan positions, no raw ZeroDivisionError
+    with pytest.raises(InvalidParameter):
+        vx.make_dipole(*args)
+
+
+@pytest.mark.filterwarnings("error")
+def test_hamiltonian_rejects_coincident_vortices():
+    # positions given with a domain pass the configuration's checks
+    with pytest.raises(DiagonalSingularity):
+        vx.hamiltonian(vx.DiskDomain(1.0), [0.1, 0.1], [1.0, -1.0])
+    with pytest.raises(BoundarySingularity):
+        vx.hamiltonian(vx.DiskDomain(1.0), [0.1, 1.5], [1.0, -1.0])
+
+
 # -- fission / fusion ------------------------------------------------------
 
 
