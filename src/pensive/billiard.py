@@ -30,7 +30,7 @@ class PhasePoint:
 
     def __post_init__(self):
         geo._check_angle(self.theta)
-        object.__setattr__(self, "s", float(self.s))
+        object.__setattr__(self, "s", finite_float(self.s, "s"))
         object.__setattr__(self, "theta", float(self.theta))
         object.__setattr__(self, "p", math.cos(self.theta))
 

@@ -189,10 +189,30 @@ def vortex_for(curve):
 # -- generalized puck ------------------------------------------------------
 
 
-class PuckMetric:
-    """Cylinder metric f(y) ds^2 + dy^2 on y in [0, 1], f >= 1, f(0)=f(1)=1."""
+# the tanh-sinh rule on (0, 1) (Takahasi & Mori, Publ. RIMS 9, 1974): step
+# 1/32, |k| <= 160; the nodes past the float rounding at 1 fall on 1
+_TS_K = np.arange(-160, 161) / 32.0
+_TS_U = 0.5 * np.pi * np.sinh(_TS_K)
+_TS_X = 1.0 / (1.0 + np.exp(-2.0 * _TS_U))
+_TS_W = np.pi / 128.0 * np.cosh(_TS_K) / np.cosh(_TS_U) ** 2
 
-    def __init__(self, f, name="profile"):
+# an excess f - 1 up to this counts as f = 1 where the rule's panels end
+_FLAT = 1e-12
+
+
+class PuckMetric:
+    """Cylinder metric f(y) ds^2 + dy^2 on y in [0, 1], f >= 1, f(0)=f(1)=1.
+
+    excess, when given, is y -> f(y) - 1 evaluated without the rounding
+    of 1 + (f - 1); near grazing that rounding would set the accuracy of
+    the slide. The crossing integrals run on one fixed tanh-sinh rule,
+    one panel between neighbouring points where f = 1 (the ends, and the
+    interior ones found on a grid of 4097 points), where the integrands
+    peak, and knots, the points where f is not smooth; f - 1 and f are
+    evaluated at its nodes once, here.
+    """
+
+    def __init__(self, f, name="profile", *, excess=None, knots=()):
         self.f = f
         self.name = name
         y = np.linspace(0.0, 1.0, 4097)
@@ -203,32 +223,79 @@ class PuckMetric:
             raise InvalidParameter("profile must satisfy f >= 1")
         if abs(fy[0] - 1.0) > 1e-9 or abs(fy[-1] - 1.0) > 1e-9:
             raise InvalidParameter("profile must have f(0) = f(1) = 1")
+        if excess is None:
+            def excess(t):
+                return np.asarray(f(t), dtype=float) - 1.0
+        # the grid points where f = 1 next to one where it is not: the
+        # interior minima, and the ends of stretches where f stays at 1,
+        # each end moved by bisection to where f leaves 1
+        g = fy - 1.0
+        rises = np.maximum(g[:-2], g[2:]) > _FLAT
+        cuts = []
+        for i in np.flatnonzero((g[1:-1] <= _FLAT) & rises) + 1:
+            if g[i - 1] <= _FLAT:
+                cuts.append(_stretch_end(excess, y[i], y[i + 1]))
+            elif g[i + 1] <= _FLAT:
+                cuts.append(_stretch_end(excess, y[i], y[i - 1]))
+            else:
+                cuts.append(y[i])
+        knots = np.asarray(knots, dtype=float)
+        ends = np.unique(np.concatenate([[0.0], cuts, [1.0], knots[
+            (knots > 0.0) & (knots < 1.0)]]))
+        lo, width = ends[:-1, None], np.diff(ends)[:, None]
+        nodes, at = np.unique(lo + width * _TS_X, return_inverse=True)
+        weights = np.bincount(at.ravel(), (width * _TS_W).ravel())
+        gq = np.maximum(np.asarray(excess(nodes), dtype=float), 0.0)
+        root_f = np.sqrt(1.0 + gq)
+        # per node: f - 1, sqrt(f), and the weight over and times sqrt(f)
+        self._rule = (gq, root_f, weights, weights / root_f,
+                      weights * root_f)
 
     @classmethod
     def from_table(cls, y, fvals, name="table"):
+        """The not-a-knot cubic spline through the samples of f - 1."""
         y = np.asarray(y, dtype=float)
-        fvals = np.asarray(fvals, dtype=float)
-        spl = CubicSpline(y, fvals)
-        return cls(lambda t: np.maximum(spl(np.clip(t, 0, 1)), 1.0), name=name)
+        spl = CubicSpline(y, np.asarray(fvals, dtype=float) - 1.0)
+
+        def excess(t):
+            return np.maximum(spl(np.clip(t, 0, 1)), 0.0)
+
+        return cls(lambda t: 1.0 + excess(t), name=name, excess=excess,
+                   knots=y)
 
     @classmethod
     def named(cls, name, amp=0.5):
         amp = finite_float(amp, "amp")
         if name == "flat":
-            return cls(lambda y: np.ones_like(np.asarray(y, dtype=float)),
-                       name="flat")
-        if name == "bump":
-            return cls(lambda y: 1.0 + amp * np.sin(np.pi * y) ** 2,
-                       name="bump")
-        if name == "double_bump":
-            return cls(lambda y: 1.0 + amp * np.sin(2 * np.pi * y) ** 2,
-                       name="double_bump")
-        if name == "skew":
-            return cls(lambda y: 1.0 + amp * (np.sin(np.pi * y) ** 2
-                                              + 0.5 * np.sin(np.pi * y) ** 4
-                                              * np.cos(np.pi * y)),
-                       name="skew")
-        raise InvalidParameter("unknown profile %r" % name)
+            excess = np.zeros_like
+        elif name == "bump":
+            def excess(y):
+                return amp * np.sin(np.pi * y) ** 2
+        elif name == "double_bump":
+            def excess(y):
+                return amp * np.sin(2 * np.pi * y) ** 2
+        elif name == "skew":
+            def excess(y):
+                return amp * (np.sin(np.pi * y) ** 2
+                              + 0.5 * np.sin(np.pi * y) ** 4
+                              * np.cos(np.pi * y))
+        else:
+            raise InvalidParameter("unknown profile %r" % name)
+        return cls(lambda y: 1.0 + excess(np.asarray(y, dtype=float)),
+                   name=name, excess=excess)
+
+
+def _stretch_end(excess, a, b):
+    """The point between a, where f - 1 <= _FLAT, and b, where it is
+    above, at which f leaves 1, by bisection to the last float."""
+    while True:
+        m = 0.5 * (a + b)
+        if m == a or m == b:
+            return a
+        if excess(np.array([m]))[0] <= _FLAT:
+            a = m
+        else:
+            b = m
 
 
 def _per_momentum(fn, p):
@@ -237,20 +304,25 @@ def _per_momentum(fn, p):
     return float(out) if np.ndim(p) == 0 else out
 
 
-def _gp_quad(metric, p, f_pow, r_pow):
-    """Integral over the strip of f^-f_pow (1 - p^2/f)^(-r_pow/2) dy:
-    l(p)/p at (1, 1), l'(p) at (1, 3), the crossing time at (0, 1)."""
-    f = metric.f
-
-    def integrand(y):
-        fy = float(f(np.asarray(y)))
-        root = 1.0 - p * p / fy
-        if root <= 0:
-            return math.inf
-        return fy ** -f_pow * root ** (-0.5 * r_pow)
-
-    val, _ = quad(integrand, 0.0, 1.0, epsabs=1e-10, epsrel=1e-10, limit=500)
-    return val
+def _gp_rule(metric, p, kind):
+    """The crossing integral of the geodesic with momentum p over the
+    metric's tanh-sinh rule, with f - p^2 written (f - 1) + (1 - p)(1 + p):
+    "ell" l(p) = p int dy / sqrt(f (f - p^2)), "dell" l'(p) =
+    int sqrt(f) (f - p^2)^(-3/2) dy, or "potential" V(p) = T(p) - 1 =
+    p^2 int dy / (sqrt(f - p^2) (sqrt(f) + sqrt(f - p^2))), T the
+    crossing time. Any shape of p; each entry is its own row's sum, a
+    float for a scalar p."""
+    g, root_f, w, w_over, w_times = metric._rule
+    p = np.asarray(p, dtype=float)
+    d = g + ((1.0 - p) * (1.0 + p))[..., None]
+    r = np.sqrt(d)
+    if kind == "ell":
+        out = p * (w_over / r).sum(axis=-1)
+    elif kind == "dell":
+        out = (w_times / (d * r)).sum(axis=-1)
+    else:
+        out = p * p * (w / (r * (root_f + r))).sum(axis=-1)
+    return float(out) if out.ndim == 0 else out
 
 
 def _crossing(p):
@@ -262,29 +334,27 @@ def _crossing(p):
 
 def generalized_puck_delay(metric, p):
     """l(p) for the geodesic crossing of the cylinder with metric f."""
-    return _per_momentum(lambda q: q * _gp_quad(metric, q, 1.0, 1.0),
-                         _crossing(p))
+    return _gp_rule(metric, _crossing(p), "ell")
 
 
 def generalized_puck_potential(metric, p):
     """Crossing time (unnormalized potential) of the same geodesic."""
-    return _per_momentum(lambda q: _gp_quad(metric, q, 0.0, 1.0),
-                         _crossing(p))
+    return 1.0 + _gp_rule(metric, _crossing(p), "potential")
 
 
 def generalized_puck(metric):
-    """DelayFunction backed by the metric quadratures."""
+    """DelayFunction backed by the metric's crossing integrals."""
 
     def clip(p):
         return np.clip(np.asarray(p, dtype=float), -1 + 1e-12, 1 - 1e-12)
 
     return DelayFunction(
-        lambda p: generalized_puck_delay(metric, clip(p)),
-        lambda p: _per_momentum(lambda q: _gp_quad(metric, q, 1.0, 3.0),
-                                clip(p)),
+        lambda p: _gp_rule(metric, clip(p), "ell"),
+        lambda p: _gp_rule(metric, clip(p), "dell"),
         tag="generalized_puck", params={"profile": metric.name},
-        # the p = 0 geodesic crosses the unit-width strip straight, in time 1
-        potential_p=lambda p: generalized_puck_potential(metric, clip(p)) - 1.0)
+        # V = T - 1: the p = 0 geodesic crosses the unit-width strip
+        # straight, in time 1
+        potential_p=lambda p: _gp_rule(metric, clip(p), "potential"))
 
 
 def delay_from_config(cfg, curve=None):

@@ -113,13 +113,23 @@ class BoundaryCurve:
     kind = "generic"
 
     def __init__(self, kind, zfun, dzfun, d2zfun, params=None, nodes=2048,
-                 arclen_exact=None):
+                 arclen_exact=None, speed_series=None):
+        """arclen_exact, when given, is the arc length from 0 in closed
+        form. speed_series, when given, is the cosine series of an even
+        speed of period pi: coefficients c[k] of cos(2kt). Otherwise arc
+        length is integrated by Gauss-Legendre panels."""
         self.kind = kind
         self.params = dict(params or {})
         self._zf = zfun
         self._dzf = dzfun
         self._d2zf = d2zfun
         self._arclen_exact = arclen_exact
+        self._series = None
+        if speed_series is not None:
+            c = np.asarray(speed_series, dtype=float)
+            k = np.arange(1, len(c))
+            # arc length is c[0] t + sum_k amp[k] sin(2kt)
+            self._series = (c[0], k, c[1:] / (2 * k))
         self._build_tables(int(nodes))
 
     # -- construction ------------------------------------------------
@@ -133,6 +143,18 @@ class BoundaryCurve:
         self._z_nodes = self._zf(t)
         if self._arclen_exact is not None:
             s = self._arclen_exact(self._t_closed)
+        elif self._series is not None:
+            # the series integrated term by term, at most 2^20 terms at a
+            # time, each sine read as Im e^{2ikt}: freeing that complex
+            # block lifts glibc's mmap threshold above the per-call arrays
+            # of the outer and orbit solvers, which a smaller one would
+            # leave to a fresh mmap, with page faults, on every call
+            c0, k, amp = self._series
+            tc = self._t_closed
+            rows = 2 ** 20 // max(len(k), 1)
+            s = c0 * tc + np.concatenate([
+                (np.exp(2j * k * tc[i:i + rows, None]).imag * amp).sum(axis=-1)
+                for i in range(0, len(tc), rows)])
         else:
             # cumulative arc length by 12-point Gauss-Legendre per panel
             mid = t + 0.5 * self._h
@@ -195,12 +217,28 @@ class BoundaryCurve:
         return np.imag(np.conj(dz) * d2z) / np.abs(dz) ** 3
 
     def arclen_t(self, t):
-        """Arc length from t=0 to t, vectorized, t in [0, 2*pi]."""
+        """Arc length from t=0 to t, vectorized, t in [0, 2*pi].
+
+        Unless it is in closed form, it is the table at the node t0 below
+        t plus the arc length from t0 to t: the speed series' terms
+        integrated, each difference of sines written as a product, or
+        12-point Gauss-Legendre. The increment is small, so its rounding
+        stays far below an ulp of the sum: arc length then rounds
+        monotonically between neighbouring floats, as the Newton passes
+        of :meth:`t_of_s` need to stop early.
+        """
         t = np.asarray(t, dtype=float)
         if self._arclen_exact is not None:
             return self._arclen_exact(t)
         k = np.minimum(np.maximum((t / self._h).astype(int), 0), self._M - 1)
         t0 = k * self._h
+        if self._series is not None:
+            # sin(2jt) - sin(2jt0) = 2 cos(j(t + t0)) sin(j(t - t0))
+            c0, j, amp = self._series
+            d = t - t0
+            terms = np.cos(j * (t + t0)[..., None]) * np.sin(j * d[..., None])
+            return self._s_nodes[k] + (c0 * d
+                                       + 2.0 * (terms * amp).sum(axis=-1))
         half = 0.5 * (t - t0)
         tq = (t0 + half)[..., None] + half[..., None] * _GL_X
         sp = np.abs(self._dzf(_wrap(tq.reshape(-1)))).reshape(tq.shape)
@@ -436,8 +474,28 @@ def neumann_oval(lam):
         Z = np.exp(1j * np.asarray(t, dtype=float))
         return -(m.Fpp(Z) * Z * Z + m.Fp(Z) * Z)
 
-    return BoundaryCurve("neumann_oval", zf, dzf, d2zf,
-                         params={"lam": m.lam, "a": m.a}, nodes=4096)
+    def zdiff(t, t0):
+        # F(Z) - F(Z0) = a (Z - Z0)(1 + l2 Z Z0) / ((1 - l2 Z^2)(1 - l2 Z0^2)),
+        # Z - Z0 = 2i sin(d/2) w with d = t - t0 and w = e^{i(t + t0)/2};
+        # the denominator, with u = l2 w^2 = l2 Z Z0, is 1 - 2u cos d + u^2
+        d = t - t0
+        w = np.exp(0.5j * (t + t0))
+        u = m.l2 * (w * w)
+        return (2j * m.a * np.sin(0.5 * d) * w * (1.0 + u)
+                / (1.0 + u * (u - 2.0 * np.cos(d))))
+
+    # the speed |F'(e^{it})| is even, of period pi and analytic in
+    # w = e^{2it} for l2 < |w| < 1/l2, so its cosine coefficients fall like
+    # l2^k: K terms reach double precision, read off one rfft
+    K = int(17.0 / -math.log10(m.l2)) + 4 if m.l2 > 0.0 else 0
+    n = 4 * K + 4
+    coef = np.fft.rfft(np.abs(dzf(np.pi * np.arange(n) / n))).real[:K + 1] / n
+    coef[1:] *= 2.0
+    curve = BoundaryCurve("neumann_oval", zf, dzf, d2zf,
+                          params={"lam": m.lam, "a": m.a}, nodes=4096,
+                          speed_series=coef)
+    curve._zdiff = zdiff
+    return curve
 
 
 def curve_from_points(xy):
@@ -445,6 +503,8 @@ def curve_from_points(xy):
     p = np.asarray(xy, dtype=float)
     if p.ndim != 2 or p.shape[1] != 2 or len(p) < 8:
         raise InvalidParameter("need at least 8 sample points of shape (k, 2)")
+    if not np.isfinite(p).all():
+        raise InvalidParameter("sample points must be finite")
     if np.allclose(p[0], p[-1]):
         p = p[:-1]
     area = 0.5 * float(np.sum(p[:, 0] * np.roll(p[:, 1], -1)

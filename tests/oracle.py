@@ -26,12 +26,21 @@ by that angle, on the period the whole turns give: each is bracketed
 by a 64-node scan with one sign change certified, then polished by
 ``mp.findroot``.
 
+The generalized puck's slide l(p), its derivative l'(p) and potential
+V(p) = T(p) - 1 (T the crossing time) are ``mp.quad`` integrals over the
+strip of the cylinder metric's profile f = 1 + g, with f - p^2 written
+g + (1 - p)(1 + p): the profiles are the package's named ones, written
+anew here, and the cubic spline through a table of f - 1.
+
 Nothing here reads the package under test, so the reference stays
 independent of the float code it checks.
 """
 
+import bisect
+
 import mpmath as mp
 import numpy as np
+from scipy.interpolate import CubicSpline
 
 DPS = 30
 # working precision: ten guard digits over the reported 30
@@ -86,9 +95,10 @@ def neumann_oval(lam):
         M = int(_WORK / -mp.log10(l2)) + 4 if l2 > 0 else 0
         N = 2 * M + 1
         vals = [speed(mp.pi * j / N) for j in range(N)]
-        coef = [mp.fsum(v * mp.cos(2 * m * mp.pi * j / N)
-                        for j, v in enumerate(vals)) / N
-                for m in range(M + 1)]
+        # cos(2 pi m j / N) takes N values, read by m j mod N
+        cosines = [mp.cos(2 * mp.pi * j / N) for j in range(N)]
+        coef = [mp.fsum(v * cosines[m * j % N] for j, v in enumerate(vals))
+                / N for m in range(M + 1)]
 
     def arclen(t):
         # the speed's cosine series integrated term by term
@@ -111,6 +121,13 @@ def neumann_oval(lam):
                  + a * (1 + l2 * Z * Z) / w ** 2 * Z)
 
     return Table(z, dz, d2z, arclen)
+
+
+def arclen(tab, t):
+    """The table's arc length from 0 to t in [0, 2 pi], t taken as the
+    exact binary value of the float given; mpf at 30 digits."""
+    with mp.workdps(_WORK):
+        return _at_dps((tab.arclen(mp.mpf(t)),))[0]
 
 
 def _t_of_s(tab, s):
@@ -399,3 +416,74 @@ def slide(tab, t0, turn):
         u = _scan_root(g, [t0 + 2 * mp.pi * k / 64 for k in range(65)],
                        True, lambda t: mp.re(mp.conj(w) * tab.dz(t)) > 0)
         return _at_dps((u + 2 * mp.pi * p,))[0]
+
+
+def puck_profile(name, amp):
+    """(g, zeros): the excess g = f - 1 of the named cylinder profile
+    ("bump", "double_bump" or "skew" at amplitude amp) as an mp callable,
+    and the points of [0, 1] where it vanishes."""
+    A = mp.mpf(amp)
+    if name == "bump":
+        return (lambda y: A * mp.sin(mp.pi * y) ** 2), [0, 1]
+    if name == "double_bump":
+        return (lambda y: A * mp.sin(2 * mp.pi * y) ** 2), [0, 0.5, 1]
+    if name == "skew":
+        return (lambda y: A * (mp.sin(mp.pi * y) ** 2 + mp.sin(mp.pi * y) ** 4
+                               * mp.cos(mp.pi * y) / 2)), [0, 1]
+    raise ValueError("no profile %r" % (name,))
+
+
+def puck_table(y, fvals):
+    """(g, points): the excess of the profile tabulated as (y, f): scipy's
+    not-a-knot cubic spline through (y, f - 1), clamped at 0, evaluated
+    exactly from its float coefficients; the knots and the spline's
+    interior zeros, where the clamp leaves a kink."""
+    spl = CubicSpline(np.asarray(y, dtype=float),
+                      np.asarray(fvals, dtype=float) - 1.0)
+    x = [mp.mpf(v) for v in spl.x.tolist()]
+    zeros = [mp.mpf(r) for r in spl.roots(extrapolate=False).tolist()
+             if x[0] < r < x[-1]]
+    c = [[mp.mpf(v) for v in col] for col in spl.c.T.tolist()]
+
+    def g(t):
+        i = min(max(bisect.bisect_right(x, t) - 1, 0), len(c) - 1)
+        u = t - x[i]
+        return max(((c[i][0] * u + c[i][1]) * u + c[i][2]) * u + c[i][3], 0)
+
+    return g, sorted(x + zeros)
+
+
+def crossing(profile, p):
+    """(l, l', V) at the momentum p, |p| < 1, of the cylinder metric whose
+    profile is (g, points) as :func:`puck_profile` or :func:`puck_table`
+    give it: l = p I(f^-1/2 d^-1/2), l' = I(f^1/2 d^-3/2) and
+    V = p^2 I(d^-1/2 (f^1/2 + d^1/2)^-1), d = f - p^2 and I the integral
+    over [0, 1]. The quadrature intervals end at the points given and
+    shrink geometrically toward each zero of g, where the integrands
+    peak on the scale (1 - p^2)^(1/2). p is taken as the exact binary
+    value of the float given; mpf at 30 digits."""
+    g, points = profile
+    with mp.workdps(_WORK):
+        p = mp.mpf(p)
+        s2 = (1 - p) * (1 + p)
+        pts = set(mp.mpf(x) for x in points)
+        for z in (mp.mpf(x) for x in points if g(mp.mpf(x)) == 0):
+            u = mp.sqrt(s2)
+            while u < 0.25:
+                pts.update(x for x in (z - u, z + u) if 0 < x < 1)
+                u *= 8
+        pts = sorted(pts)
+        memo = {}
+
+        def fd(y):
+            if y not in memo:
+                gy = g(y)
+                memo[y] = (mp.sqrt(1 + gy), mp.sqrt(gy + s2))
+            return memo[y]
+
+        def integral(h):
+            return mp.quad(lambda y: h(*fd(y)), pts)
+
+        return _at_dps((p * integral(lambda rf, r: 1 / (rf * r)),
+                        integral(lambda rf, r: rf / r ** 3),
+                        p * p * integral(lambda rf, r: 1 / (r * (rf + r)))))

@@ -34,6 +34,12 @@ def test_phase_point_rejects_nan_angle():
         bil.PhasePoint(0.0, math.nan)
 
 
+@pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf])
+def test_phase_point_rejects_a_non_finite_arc(s):
+    with pytest.raises(InvalidParameter, match="finite"):
+        bil.PhasePoint(s, 1.0)
+
+
 def test_classical_disk_rotation():
     c = geo.disk(1.0)
     x = bil.PhasePoint(0.3, math.pi / 2)

@@ -398,7 +398,7 @@ kind = vortex
 orbits = 2
 steps = 40
 """, {"phase.csv":
-      "f9d86a2702909decf4536b97a7ab5430ea3c61a05242a47f116c79ebdda8a0b4",
+      "268a66827c8ff0ea5b4abc2b30de60dca66b02473bb724e459b4cfe650287637",
       "phase.svg":
       "a263827c8875b8249d897a123bb6fdfb11225d570f17da0f364f2de78035df67"}),
         "simulate-oval-puck": ("simulate", """
@@ -415,7 +415,7 @@ s0 = 1.3
 theta0 = 0.9
 steps = 26
 """, {"trajectory.csv":
-      "8f26ed9a16ed2d8faf1d7b0e105015e01948e91063301b8ad84469f6ab97d741",
+      "c139a60edf7f246fb3378347be41488b7818df10b908783e2a371c36732c83dc",
       "trajectory.svg":
       "1c52ccc18ad5d4ea89a602f352d408b21689673eaea623e606023fe62b25fc5f"}),
     }

@@ -5,8 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad, solve_ivp
 
+import oracle
 from pensive import delay
 from pensive import geometry as geo
 from pensive import vortex as vx
@@ -230,18 +233,102 @@ def test_quadrature_vs_geodesic_shooting(profile, amp):
             t_exit, abs=1e-6)
 
 
-def test_generalized_puck_potential_one_quad_per_momentum(monkeypatch):
-    # T(0) = 1 needs no quadrature of its own
-    law = delay.generalized_puck(delay.PuckMetric.named("bump", amp=0.5))
-    calls = []
+def test_generalized_puck_calls_no_quad(monkeypatch):
+    # every crossing integral runs on the metric's fixed rule; T(0) = 1,
+    # the straight crossing of the unit-width strip, exactly
+    def refused(*args, **kw):
+        raise AssertionError("quad called")
 
-    def counted(*args, **kw):
-        calls.append(1)
-        return quad(*args, **kw)
+    monkeypatch.setattr(delay, "quad", refused)
+    metric = delay.PuckMetric.named("bump", amp=0.5)
+    law = delay.generalized_puck(metric)
+    p = np.array([-0.6, 0.0, 0.2, 0.7])
+    for fn in (law.ell, law.dell_dp, law.potential):
+        fn(p)
+    law.dtheta(np.array([1e-3, 1.0]))
+    assert delay.generalized_puck_potential(metric, 0.0) == 1.0
+    assert law.potential(0.0) == 0.0
 
-    monkeypatch.setattr(delay, "quad", counted)
-    law.potential(np.array([-0.6, 0.2, 0.7]))
-    assert len(calls) == 3
+
+# the profiles of the oracle test, as (the package's metric, the oracle's
+# profile)
+_TABLE_Y = np.linspace(0.0, 1.0, 7)
+_TABLE_F = 1.0 + 0.5 * np.sin(np.pi * _TABLE_Y) ** 2
+GP_PROFILES = {
+    "bump-0.3": (lambda: delay.PuckMetric.named("bump", amp=0.3),
+                 lambda: oracle.puck_profile("bump", 0.3)),
+    "bump-0.7": (lambda: delay.PuckMetric.named("bump", amp=0.7),
+                 lambda: oracle.puck_profile("bump", 0.7)),
+    "skew-0.6": (lambda: delay.PuckMetric.named("skew", amp=0.6),
+                 lambda: oracle.puck_profile("skew", 0.6)),
+    # a bump sampled at 7 points: the spline dips below f = 1 near each
+    # end and is clamped there, so f stays at 1 up to a kink off the grid
+    "table": (lambda: delay.PuckMetric.from_table(_TABLE_Y, _TABLE_F),
+              lambda: oracle.puck_table(_TABLE_Y, _TABLE_F)),
+}
+GP_THETAS = (1e-3, 1e-2, 0.1, 0.6, 1.3)
+# the largest relative errors in (l, l', V) over GP_THETAS and their
+# mirrors, measured on the earlier per-momentum scipy quad (asked for
+# 1e-10)
+GP_EARLIER_ERRORS = {
+    "bump-0.3": (3.387760887553289e-13, 9.59683397301154e-12,
+                 3.6747087177244293e-13),
+    "bump-0.7": (1.939494154265084e-12, 9.737037428818427e-12,
+                 2.1390523656340864e-12),
+    "skew-0.6": (2.0446268015464467e-13, 1.5685592810159033e-11,
+                 2.2470819647881846e-13),
+    "table": (1.7011412410709187e-11, 4.41294635691784e-11,
+              2.795512284478167e-11),
+}
+
+
+@pytest.mark.parametrize("name", GP_PROFILES)
+def test_generalized_puck_against_the_30_digit_reference(name):
+    # l, l' and V at p = cos(theta) and at -p (theta's mirror), against
+    # mp.quad at 40 digits: within 1e-11 relative, and no farther than
+    # the earlier quad (measured: at most 6.5e-15 on the named profiles,
+    # 4.0e-16 on the table)
+    make, ref = GP_PROFILES[name]
+    law, profile = delay.generalized_puck(make()), ref()
+    worst = np.zeros(3)
+    for theta in GP_THETAS:
+        p = math.cos(theta)
+        ell, dell, pot = oracle.crossing(profile, p)
+        for q, parity in ((p, 1), (-p, -1)):
+            worst = np.maximum(worst, [
+                oracle.relative_error(law.ell(q), parity * ell),
+                oracle.relative_error(law.dell_dp(q), dell),
+                oracle.relative_error(law.potential(q), pot)])
+    bound = np.minimum(1e-11, GP_EARLIER_ERRORS[name])
+    assert np.all(worst <= bound), (worst, bound)
+
+
+def test_generalized_puck_near_grazing_raises_no_warning():
+    # the earlier quad warned of roundoff at these angles; any warning
+    # fails a test here
+    law = delay.generalized_puck(delay.PuckMetric.named("bump", amp=0.7))
+    theta = 10.0 ** -np.arange(1.0, 6.0)
+    for th in np.concatenate([theta, math.pi - theta]).tolist():
+        for value in (law.ell_theta(th), law.dtheta(th),
+                      law.potential(math.cos(th))):
+            assert np.isfinite(value)
+
+
+@settings(max_examples=30)
+@given(st.sampled_from([(1,), (1, 1), (5,), (2, 3), (1, 270), (2, 270)]),
+       st.integers(0, 2 ** 32 - 1))
+def test_generalized_puck_rows_are_their_scalar_calls(shape, seed):
+    # each entry of l, l' and V on an array has the bits of its scalar
+    # call, whatever the array's shape
+    p = np.random.default_rng(seed).uniform(-1.0, 1.0, shape)
+    for fn in (_BUMP.ell, _BUMP.dell_dp, _BUMP.potential):
+        got = fn(p)
+        assert got.shape == shape
+        for i in np.ndindex(shape):
+            assert fn(p[i]) == got[i]
+
+
+_BUMP = delay.generalized_puck(delay.PuckMetric.named("bump", amp=0.5))
 
 
 def test_generalized_puck_keeps_the_shape_of_p():

@@ -11,7 +11,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
@@ -559,13 +559,15 @@ def test_grazing_chord_bytes_are_pinned():
         s = (np.arange(16) + 0.5) / 16 * c.perimeter
         for x in geo.chord_batch(c, s[:, None], th[None, :]):
             h.update(x.tobytes())
-    assert h.hexdigest() == ("7add94167fd56f190d7a75362565d7a5"
-                             "85223cf457e25000fb5fe323a9bda92b")
+    assert h.hexdigest() == ("415dcd56b6c3e52c67a768f374eb2349"
+                             "3e289d89e73c1cf2229e73b947ca78ff")
 
 
 # the largest errors in (s2 mod P, Theta, length) over the oracle sample
 # of each table, measured on the two polishes of the earlier code: brentq
-# in the scalar chord, then safeguarded Newton in chord_batch
+# in the scalar chord, then safeguarded Newton in chord_batch; on the
+# oval, once it wrote z(t) - z(t0) without cancellation (the polish
+# before erred by 7.7e-12, 5.3e-12 and 7.7e-12)
 ORACLE_EARLIER_ERRORS = {
     "disk": ((2.9094646189298464e-15, 3.1086244689504383e-15,
               2.6645439790646498e-15),
@@ -575,10 +577,10 @@ ORACLE_EARLIER_ERRORS = {
                  1.4258290298079247e-15),
                 (1.0932135784574914e-15, 9.80964297756312e-16,
                  1.146391710889486e-15)),
-    "oval": ((5.744287814762173e-12, 4.686957714034179e-12,
-              5.744648729466174e-12),
-             (7.688510375485747e-12, 5.321640070445261e-12,
-              7.688723513433637e-12)),
+    "oval": ((7.90661497279714e-16, 1.4155334687018924e-15,
+              1.3121990005776792e-15),
+             (7.90661497279714e-16, 1.4155334687018924e-15,
+              1.3121990005776792e-15)),
     "thin_ellipse": ((3.215923251332941e-14, 2.3047496772030555e-16,
                       2.8035335056864717e-14),
                      (3.12241187383364e-14, 2.2209286684201536e-16,
@@ -594,16 +596,11 @@ ORACLE_TABLES = {"disk": lambda: oracle.disk(1.0),
 @pytest.mark.parametrize("name", CONVEX_TABLES)
 def test_chord_against_the_30_digit_reference(name):
     # 8 launches at each grazing end, gaps from 1e-5 to 1, against
-    # tests/oracle.py. The bound is the better earlier polish plus 2 ulps,
-    # except on the oval, where it is chord_batch's: there the rounding
-    # of z(t) - z(t0) blurs the landing by about 1e-16 / sin(gap), both
-    # polishes stop at points inside that band, and the nearer one
-    # changes from launch to launch (brentq on 8 of the 16, Newton on 4)
+    # tests/oracle.py. The bound is the better earlier polish plus 2 ulps
     c = CONVEX_TABLES[name]
     err, got, kappa = oracle.chord_errors(geo.chord, c, ORACLE_TABLES[name](),
                                           RNG_SEED + 12)
-    scalar, batch = np.array(ORACLE_EARLIER_ERRORS[name])
-    bound = batch if name == "oval" else np.minimum(scalar, batch)
+    bound = np.min(ORACLE_EARLIER_ERRORS[name], axis=0)
     ulp2 = 2.0 * np.spacing(np.abs(got).max(axis=0))
     assert np.all(err.max(axis=0) <= bound + ulp2), (err.max(axis=0), bound)
     # the landing curvature read at the landing parameter is no farther
@@ -648,6 +645,15 @@ def test_thin_ellipse_chords_are_sane():
         s3, th3, _ = geo.chord(c, s2, math.pi - th2)
         assert geo.wrap_to_half(s3 - s, c.perimeter) == pytest.approx(
             0.0, abs=1e-7)
+
+
+def test_curve_from_points_rejects_a_non_finite_row():
+    t = np.linspace(0, 2 * np.pi, 32, endpoint=False)
+    pts = np.stack([np.cos(t), np.sin(t)], axis=1)
+    for bad in (math.nan, math.inf):
+        pts[5, 1] = bad
+        with pytest.raises(InvalidParameter, match="finite"):
+            geo.curve_from_points(pts)
 
 
 def test_generic_curve_roundtrip():
@@ -718,6 +724,63 @@ def test_t_of_s_two_cycle_exit_keeps_every_bit(monkeypatch):
                 early_cycles += t - f / abs(c._dzf(geo._wrap(t))) != t
             assert np.array_equal(t, t_of_s_eight_passes(c, x))
     assert early_cycles > 0
+
+
+@pytest.mark.parametrize("lam", [0.2, 0.3, 0.6, 0.7])
+def test_oval_arc_length_against_the_30_digit_reference(lam):
+    # the speed's cosine series integrated term by term, against the
+    # oracle's at 40 digits: within 4 ulps of the perimeter over the
+    # parameter (measured: at most 2.8, at lam = 0.7; the 12-point
+    # Gauss-Legendre panels it replaced erred by up to 25.8, at
+    # lam = 0.2), and the perimeter within 4 (measured: at most 3.4,
+    # against 13.0)
+    c, tab = geo.neumann_oval(lam), oracle.neumann_oval(lam)
+    ulp = np.spacing(c.perimeter)
+    t = np.concatenate([[0.0, 1e-9, geo.TWO_PI - 1e-9, geo.TWO_PI],
+                        np.random.default_rng(RNG_SEED + 13).uniform(
+                            0.0, geo.TWO_PI, 24)])
+    err = [oracle.error(c.arclen_t(x), oracle.arclen(tab, x))
+           for x in t.tolist()]
+    assert max(err) <= 4 * ulp, max(err) / ulp
+    assert oracle.error(c.perimeter, tab.perimeter) <= 4 * ulp
+
+
+@pytest.mark.parametrize("lam", [0.3, 0.7])
+def test_t_of_s_stops_early_on_the_oval(monkeypatch, lam):
+    # the series is summed from the node below t, so arc length rounds
+    # monotonically and the Newton passes reach their fixed points or
+    # 2-cycles as soon as the Gauss-Legendre panels' did: 5 passes for
+    # these 624 arcs (a plain series sum takes 6 and 8)
+    c = geo.neumann_oval(lam)
+    s = np.random.default_rng(RNG_SEED + 14).uniform(0.0, c.perimeter, 624)
+    passes, arclen_t = [], c.arclen_t
+    monkeypatch.setattr(c, "arclen_t",
+                        lambda t: passes.append(1) or arclen_t(t))
+    c.t_of_s(s)
+    assert len(passes) <= 5
+
+
+_ROW_SHAPES = st.sampled_from([(1,), (1, 1), (5,), (2, 3), (1, 270),
+                               (2, 270)])
+
+
+@settings(max_examples=30)
+@given(_ROW_SHAPES, st.integers(0, 2 ** 32 - 1))
+def test_oval_arc_length_rows_are_their_scalar_calls(shape, seed):
+    # each entry of arclen_t and t_of_s on an array has the bits of its
+    # scalar call, whatever the array's shape
+    c = _OVAL_03
+    rng = np.random.default_rng(seed)
+    t = rng.uniform(0.0, geo.TWO_PI, shape)
+    s = rng.uniform(-1.0, c.perimeter + 1.0, shape)
+    for fn, x in ((c.arclen_t, t), (c.t_of_s, s)):
+        got = fn(x)
+        assert got.shape == shape
+        for i in np.ndindex(shape):
+            assert fn(x[i]) == got[i]
+
+
+_OVAL_03 = geo.neumann_oval(0.3)
 
 
 def test_polygon_construction_and_angles():

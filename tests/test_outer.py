@@ -495,7 +495,7 @@ class TestOuterBitPins:
             ],
             ('-0x1.9207f2f8b6aa0p+0', '-0x1.7b8b19886f922p-1'),
             'd7454661238d03ba891960668da3ee76835545e76a275ae3667ee1a6ee8cb070',
-            '0x1.5abd940000000p-30'),
+            '0x1.5abd860000000p-30'),
         'thin': (
             [
                 ('0x1.8f21f9b549e97p+1', '0x1.0e423eef795fcp+4',
