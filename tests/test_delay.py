@@ -314,6 +314,9 @@ def test_generalized_puck_near_grazing_raises_no_warning():
             assert np.isfinite(value)
 
 
+_BUMP = delay.generalized_puck(delay.PuckMetric.named("bump", amp=0.5))
+
+
 @settings(max_examples=30)
 @given(st.sampled_from([(1,), (1, 1), (5,), (2, 3), (1, 270), (2, 270)]),
        st.integers(0, 2 ** 32 - 1))
@@ -327,8 +330,6 @@ def test_generalized_puck_rows_are_their_scalar_calls(shape, seed):
         for i in np.ndindex(shape):
             assert fn(p[i]) == got[i]
 
-
-_BUMP = delay.generalized_puck(delay.PuckMetric.named("bump", amp=0.5))
 
 
 def test_generalized_puck_keeps_the_shape_of_p():

@@ -762,6 +762,7 @@ def test_t_of_s_stops_early_on_the_oval(monkeypatch, lam):
 
 _ROW_SHAPES = st.sampled_from([(1,), (1, 1), (5,), (2, 3), (1, 270),
                                (2, 270)])
+_OVAL_03 = geo.neumann_oval(0.3)
 
 
 @settings(max_examples=30)
@@ -779,8 +780,6 @@ def test_oval_arc_length_rows_are_their_scalar_calls(shape, seed):
         for i in np.ndindex(shape):
             assert fn(x[i]) == got[i]
 
-
-_OVAL_03 = geo.neumann_oval(0.3)
 
 
 def test_polygon_construction_and_angles():
