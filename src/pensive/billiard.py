@@ -17,7 +17,7 @@ import numpy as np
 from . import delay as delay_mod
 from . import geometry as geo
 from .errors import (CornerHit, InvalidParameter, PensiveError, Unsupported,
-                     finite_float)
+                     finite_float, whole_count)
 
 TWO_PI = 2.0 * math.pi
 
@@ -150,12 +150,9 @@ def pensive_step_record(curve, law, x):
 def iterate(curve, law, x0, n):
     """n slid-billiard steps; a failed step re-raises with .partial set.
     InvalidParameter unless n is a whole number of steps, 0 or more."""
-    steps = finite_float(n, "step count n")
-    if steps < 0 or steps != int(steps):
-        raise InvalidParameter("step count n must be a whole number, "
-                               "0 or more, got %r" % (n,))
+    steps = whole_count(n, "step count n")
     traj = Trajectory(curve, law, x0)
-    for _ in range(int(steps)):
+    for _ in range(steps):
         x = traj.points[-1]
         try:
             rec = _pensive_raw(curve, law, x.s, x.theta)

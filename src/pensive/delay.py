@@ -15,12 +15,18 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.interpolate import CubicSpline
 
 from .errors import InvalidParameter, OutOfRange, finite_float
 
 _SQRT2 = math.sqrt(2.0)
+
+
+def quad(func, a, b, epsabs, epsrel, limit):
+    """scipy.integrate.quad, imported on the first call, so importing
+    pensive does not import scipy.integrate. Call sites look this name
+    up when they call it, so a wrapper set in its place sees every call."""
+    from scipy.integrate import quad
+    return quad(func, a, b, epsabs=epsabs, epsrel=epsrel, limit=limit)
 
 
 class DelayFunction:
@@ -254,6 +260,8 @@ class PuckMetric:
     @classmethod
     def from_table(cls, y, fvals, name="table"):
         """The not-a-knot cubic spline through the samples of f - 1."""
+        from scipy.interpolate import CubicSpline
+
         y = np.asarray(y, dtype=float)
         spl = CubicSpline(y, np.asarray(fvals, dtype=float) - 1.0)
 

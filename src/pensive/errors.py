@@ -97,3 +97,13 @@ def finite_float(value, name):
         raise InvalidParameter("%s: expected a finite number, got %r"
                                % (name, value))
     return x
+
+
+def whole_count(value, name, least=0):
+    """int(value) of the count `name`; ValueError if it is not a number,
+    InvalidParameter unless it is a whole number, `least` or more."""
+    x = finite_float(value, name)
+    if x < least or x != int(x):
+        raise InvalidParameter("%s must be a whole number, %d or more, "
+                               "got %r" % (name, least, value))
+    return int(x)

@@ -16,9 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
-from scipy.interpolate import CubicSpline
-from scipy.optimize import brentq
-from scipy.special import ellipeinc
 
 from .errors import (
     CornerHit,
@@ -55,6 +52,14 @@ def _wrap(t):
 def wrap_to_half(x, period):
     """Reduce x modulo period into [-period/2, period/2)."""
     return (x + 0.5 * period) % period - 0.5 * period
+
+
+def brentq(f, a, b, xtol, rtol):
+    """scipy.optimize.brentq, imported on the first call, so importing
+    pensive does not import scipy.optimize. Call sites look this name up
+    when they call it, so a wrapper set in its place sees every call."""
+    from scipy.optimize import brentq
+    return brentq(f, a, b, xtol=xtol, rtol=rtol)
 
 
 def _periodic_zeros(f, grid, vals, period, direction=0):
@@ -251,9 +256,14 @@ class BoundaryCurve:
         returns every entry to its value of two passes before: later
         passes would repeat that fixed point or 2-cycle, so the result is
         bit for bit that of all 8 passes, and no entry depends on the
-        others in the array.
+        others in the array. InvalidParameter unless every arc is finite.
         """
-        s = np.mod(np.asarray(s, dtype=float), self.perimeter)
+        s = np.asarray(s, dtype=float)
+        # one arc, the common call, is checked without a ufunc call
+        if not (math.isfinite(s.item()) if s.size == 1
+                else np.isfinite(s).all()):
+            raise InvalidParameter("arc length must be finite")
+        s = np.mod(s, self.perimeter)
         t = np.interp(s, self._s_nodes, self._t_closed)
         prev = None
         for k in range(1, 9):
@@ -403,6 +413,8 @@ def ellipse(a, b):
     a, b = finite_float(a, "a"), finite_float(b, "b")
     if a <= 0 or b <= 0:
         raise InvalidParameter("semi-axes must be positive")
+    from scipy.special import ellipeinc
+
     # arc length in closed form: |z'| = b*sqrt(1 - m sin^2 t), m = 1 - (a/b)^2
     m = 1.0 - (a / b) ** 2
 
@@ -500,6 +512,8 @@ def neumann_oval(lam):
 
 def curve_from_points(xy):
     """Closed generic oval through sample points (k, 2), counterclockwise."""
+    from scipy.interpolate import CubicSpline
+
     p = np.asarray(xy, dtype=float)
     if p.ndim != 2 or p.shape[1] != 2 or len(p) < 8:
         raise InvalidParameter("need at least 8 sample points of shape (k, 2)")
@@ -567,7 +581,12 @@ def curvature_bounds(curve):
 
 
 def arc_advance(curve, s, delta):
-    return float(np.mod(s + delta, curve.perimeter))
+    """The arc s + delta reduced mod the perimeter; InvalidParameter
+    unless it is finite."""
+    s = s + delta
+    if not math.isfinite(s):
+        raise InvalidParameter("arc length must be finite")
+    return float(np.mod(s, curve.perimeter))
 
 
 # -- chords -------------------------------------------------------------
@@ -661,11 +680,8 @@ def _convex_bracket(curve, t0, cd, theta, launches=None):
 
 
 def _launch_t(curve, s):
-    """Launch parameters t_of_s(s) of the arcs s, at least 1-d; raises
-    InvalidParameter unless every arc is finite."""
+    """Launch parameters t_of_s(s) of the arcs s, at least 1-d."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    if not np.isfinite(s).all():
-        raise InvalidParameter("arc length must be finite")
     if _one_float(s):
         # a sweep from one arc inverts it once, to the scalar call's bits
         return np.full(s.shape, curve.t_of_s(s.ravel()[:1])[0])

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import geometry as geo
 from .errors import (InvalidParameter, InvalidPoint, NotExterior,
@@ -160,6 +159,10 @@ def _advance_tangency(curve, t0, turn):
     convex table, so the bracket's ends keep clear signs even when the
     target sits on a node, within the rounding of the table.
     """
+    # scipy's brentq itself: geometry.brentq stands for the periodic zero
+    # scans' root solves alone, and a wrapper set there counts only those
+    from scipy.optimize import brentq
+
     bear = curve._bearing_nodes
     p, rem = divmod(_bearing(curve, t0) + turn - bear[0], bear[-1] - bear[0])
     k = min(int(np.searchsorted(bear, bear[0] + rem, side="right")) - 1,

@@ -15,14 +15,13 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import delay as delay_mod
 from . import geometry as geo
 from .errors import (AmbiguousEvent, BoundarySingularity,
                      DiagonalSingularity, EventStop, InvalidAngle,
                      InvalidParameter, InvalidPoint, ReportIncomplete,
-                     Unsupported, finite_float)
+                     Unsupported, finite_float, whole_count)
 
 TWO_PI = 2.0 * math.pi
 CHI = 1.0 + math.sqrt(2.0)
@@ -377,6 +376,15 @@ class VortexTrajectory:
 GUARD_DISTANCE = 1e-8
 
 
+def solve_ivp(fun, t_span, y0, **options):
+    """scipy.integrate.solve_ivp, imported on the first call, so importing
+    pensive does not import scipy.integrate. :func:`integrate` looks this
+    name up when it calls it, so a wrapper set in its place sees every
+    call."""
+    from scipy.integrate import solve_ivp
+    return solve_ivp(fun, t_span, y0, **options)
+
+
 def integrate(config, T, tol=1e-8, rtol=1e-11, n_eval=600, events=None):
     """Integrate the vortex system to time T with drift control.
 
@@ -386,9 +394,10 @@ def integrate(config, T, tol=1e-8, rtol=1e-11, n_eval=600, events=None):
     approaches to the boundary or between vortices stop the run with
     EventStop carrying the partial trajectory.
     """
-    if not (0 < T < math.inf and 0 < tol < math.inf and n_eval >= 1):
+    n_eval = whole_count(n_eval, "n_eval", least=1)
+    if not (0 < T < math.inf and 0 < tol < math.inf):
         raise InvalidParameter("need a finite positive horizon and "
-                               "tolerance, and n_eval >= 1")
+                               "tolerance")
     domain = config.domain
     gamma = config.gamma.copy()
     gl = gamma.tolist()
@@ -538,6 +547,7 @@ def fission_outcome(v, theta):
     """Monopole speeds and heights for a dipole hitting at angle theta."""
     if not 0.0 < theta < math.pi:
         raise InvalidAngle("incidence angle must lie in (0, pi)")
+    v = finite_float(v, "v")
     y_plus, y_minus, _ = _fission_heights(math.cos(theta))
     return FissionOutcome(v_plus=v * y_plus, v_minus=v * y_minus,
                           y_plus=y_plus, y_minus=y_minus)
@@ -565,6 +575,11 @@ def fusion_outcome(y_plus, y_minus, gamma, x_plus=0.0, x_minus=0.0):
     The merge angle is measured from the boundary normal; the window is
     the open silver interval chi^-2 < y_plus/y_minus < chi^2.
     """
+    y_plus = finite_float(y_plus, "y_plus")
+    y_minus = finite_float(y_minus, "y_minus")
+    gamma = finite_float(gamma, "gamma")
+    x_plus = finite_float(x_plus, "x_plus")
+    x_minus = finite_float(x_minus, "x_minus")
     if y_plus <= 0 or y_minus <= 0:
         raise InvalidParameter("heights must be positive")
     ratio = y_plus / y_minus
@@ -582,13 +597,14 @@ def vortex_delay_from_fission(theta, L):
     """Re-meeting displacement 2L v+ / (v+ + v-) of the split monopoles."""
     if not 0.0 < theta < math.pi:
         raise InvalidAngle("incidence angle must lie in (0, pi)")
+    L = finite_float(L, "L")
     y_plus, _, m = _fission_heights(math.cos(theta))
     return L * y_plus / m
 
 
 def pair_classification(mu, same_sign):
     """Regime label for a two-vortex pair at normalized momentum mu."""
-    mu = abs(float(mu))
+    mu = abs(finite_float(mu, "mu"))
     if not same_sign:
         return "MergeDipole" if mu < CHI else "Pass"
     if abs(mu - PHI) < 1e-12:

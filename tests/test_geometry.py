@@ -299,6 +299,20 @@ def test_non_finite_chord_inputs_raise_typed_errors(make, batch, s, theta,
             geo.chord(c, s, theta)
 
 
+@pytest.mark.parametrize("name", ["disk", "ellipse", "oval"])
+@pytest.mark.parametrize("method", ["t_of_s", "point", "tangent", "normal",
+                                    "curvature"])
+def test_non_finite_arcs_raise(curves, name, method):
+    # a nan or infinite arc is refused, not carried into a nan point
+    c = curves[name]
+    for bad in (math.nan, math.inf, [0.5, math.nan]):
+        with pytest.raises(InvalidParameter, match="arc length must be"):
+            getattr(c, method)(bad)
+    for s, delta in ((math.nan, 1.0), (0.3, math.inf)):
+        with pytest.raises(InvalidParameter, match="arc length must be"):
+            geo.arc_advance(c, s, delta)
+
+
 def test_backward_grazing_repro_has_its_length():
     # the launch point itself once came back: a length of 2e-16
     s2, th2, d = geo.chord(geo.ellipse(1.2, 1.0), 0.24284207837756880,

@@ -383,12 +383,42 @@ def test_eventstop_on_boundary_approach():
 
 @pytest.mark.parametrize("kw", [
     {"T": math.nan}, {"T": math.inf}, {"T": 0.0}, {"T": 1.0, "tol": math.nan},
-    {"T": 1.0, "tol": math.inf}, {"T": 1.0, "n_eval": 0}],
-    ids=["T-nan", "T-inf", "T-zero", "tol-nan", "tol-inf", "n_eval-zero"])
+    {"T": 1.0, "tol": math.inf}, {"T": 1.0, "n_eval": 0},
+    {"T": 1.0, "n_eval": 2.5}],
+    ids=["T-nan", "T-inf", "T-zero", "tol-nan", "tol-inf", "n_eval-zero",
+         "n_eval-fraction"])
 def test_integrate_rejects_bad_horizons(kw):
     z, g = vx.make_dipole(0.2j, 1, 0.05)
     with pytest.raises(InvalidParameter):
         vx.integrate(vx.VortexConfiguration(z, g, vx.DiskDomain(1.0)), **kw)
+
+
+def test_integrate_counts_samples_as_iterate_counts_steps():
+    # n_eval takes billiard.iterate's whole-count check: a numeric string
+    # is its number, a fraction is refused with iterate's message
+    z, g = vx.make_dipole(0.2j, 1, 0.05)
+    cfg = vx.VortexConfiguration(z, g, vx.DiskDomain(1.0))
+    traj = vx.integrate(cfg, 0.1, n_eval="10")
+    assert len(traj.t) == 10
+    np.testing.assert_array_equal(traj.z, vx.integrate(cfg, 0.1, n_eval=10).z)
+    with pytest.raises(InvalidParameter, match="n_eval must be a whole"):
+        vx.integrate(cfg, 0.1, n_eval=2.5)
+
+
+def test_integrate_calls_solve_ivp_by_its_module_name(monkeypatch):
+    # tracing counts integration attempts by wrapping vortex.solve_ivp, so
+    # integrate must look that name up at call time
+    calls = []
+    solve_ivp = vx.solve_ivp
+
+    def counted(*args, **kw):
+        calls.append(1)
+        return solve_ivp(*args, **kw)
+
+    monkeypatch.setattr(vx, "solve_ivp", counted)
+    z, g = vx.make_dipole(0.2j, 1, 0.05)
+    vx.integrate(vx.VortexConfiguration(z, g, vx.DiskDomain(1.0)), 0.5)
+    assert len(calls) == 1
 
 
 @pytest.mark.filterwarnings("error")
@@ -492,6 +522,24 @@ def test_pair_classification_table():
              (-1.0, True, "LeapfrogReversing")]
     for mu, same, want in cases:
         assert vx.pair_classification(mu, same) == want
+
+
+@pytest.mark.parametrize("call", [
+    lambda: vx.fission_outcome(math.nan, 1.0),
+    lambda: vx.fission_outcome(math.inf, 1.0),
+    lambda: vx.fusion_outcome(math.nan, 1.0, 1.0),
+    lambda: vx.fusion_outcome(1.0, 1.1, math.nan),
+    lambda: vx.fusion_outcome(1.0, 1.1, 1.0, x_plus=math.inf),
+    lambda: vx.vortex_delay_from_fission(1.0, math.nan),
+    lambda: vx.pair_classification(math.nan, False),
+    lambda: vx.pair_classification(math.inf, True)],
+    ids=["fission-v-nan", "fission-v-inf", "fusion-height-nan",
+         "fusion-gamma-nan", "fusion-x-inf", "delay-L-nan",
+         "classification-nan", "classification-inf"])
+def test_pair_algebra_rejects_non_finite_numbers(call):
+    # no nan speed, nan ratio or nan-driven verdict
+    with pytest.raises(InvalidParameter, match="expected a finite number"):
+        call()
 
 
 # -- the zero-separation limit --------------------------------------------
