@@ -26,7 +26,7 @@ from . import twist as twist_mod
 from . import variational as var_mod
 from . import vortex as vx
 from .errors import (ConfigError, HypothesisFailed, InvalidParameter,
-                     PensiveError, finite_float)
+                     PensiveError, finite_float, whole_count)
 
 COMMANDS = ("simulate", "phase", "orbit", "twist", "vortex",
             "multidipole", "outer")
@@ -115,17 +115,17 @@ def _parse_int(text, key):
 
 
 def _parse_count(text, key):
-    n = _parse_int(text, key)
-    if n < 1:
-        raise ConfigError("key %r: expected a positive count, got %r"
-                          % (key, text))
-    return n
+    """A whole count from 1 to errors.MAX_COUNT."""
+    try:
+        return whole_count(_parse_int(text, key), key, least=1)
+    except InvalidParameter as err:
+        raise ConfigError("key %r: %s" % (key, err))
 
 
 def _parse_float(text, key):
     try:
         return finite_float(str(text), key)
-    except (ValueError, InvalidParameter):
+    except InvalidParameter:
         raise ConfigError("key %r: expected a finite number, got %r"
                           % (key, text))
 

@@ -1,7 +1,12 @@
-"""Exception types shared across the package, and the check that a
-number given to a constructor or read from a configuration is finite."""
+"""Exception types shared across the package, and the checks that a
+number given to a constructor or read from a configuration is finite,
+and that a count is whole and at most MAX_COUNT."""
 
 import math
+
+# the largest count of steps or output samples a run takes
+# (billiard.iterate's n, vortex.integrate's n_eval, the CLI's counts)
+MAX_COUNT = 1_000_000
 
 
 class PensiveError(Exception):
@@ -90,9 +95,11 @@ class ConfigError(PensiveError):
 
 def finite_float(value, name):
     """float(value) of the parameter or configuration key `name`;
-    ValueError if it is not a number, InvalidParameter unless it is
-    finite."""
-    x = float(value)
+    InvalidParameter, naming it, unless it is a finite number."""
+    try:
+        x = float(value)
+    except (TypeError, ValueError):
+        x = math.nan
     if not math.isfinite(x):
         raise InvalidParameter("%s: expected a finite number, got %r"
                                % (name, value))
@@ -100,10 +107,13 @@ def finite_float(value, name):
 
 
 def whole_count(value, name, least=0):
-    """int(value) of the count `name`; ValueError if it is not a number,
-    InvalidParameter unless it is a whole number, `least` or more."""
+    """int(value) of the count `name`; InvalidParameter, naming it, unless
+    it is a whole number from `least` to MAX_COUNT."""
     x = finite_float(value, name)
     if x < least or x != int(x):
         raise InvalidParameter("%s must be a whole number, %d or more, "
                                "got %r" % (name, least, value))
+    if x > MAX_COUNT:
+        raise InvalidParameter("%s = %d is over the cap MAX_COUNT = %d"
+                               % (name, x, MAX_COUNT))
     return int(x)

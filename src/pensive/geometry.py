@@ -198,6 +198,23 @@ class BoundaryCurve:
         ts = np.linspace(0.0, TWO_PI, 512, endpoint=False)
         return ts, self.zpoint_t(ts), np.conj(self.tangent_t(ts))
 
+    @functools.cached_property
+    def _turning_nodes(self):
+        """The tangent's turning at the closed node table, from 0 at t = 0
+        to 2 pi at t = 2 pi, built on first use. On a convex oval it is
+        the unwrapped bearing less its first node. On a non-convex table
+        it is the cumulative absolute turning, each node cell counting at
+        least half the mean turning per unit arc length, 2 pi / P, so that
+        no nearly straight stretch about an inflection turns by almost
+        nothing, scaled to end at 2 pi; it never falls."""
+        bear = self._bearing_nodes
+        if self.is_convex:
+            return bear - bear[0]
+        floor = 0.5 * TWO_PI / self.perimeter * np.diff(self._s_nodes)
+        turn = np.concatenate([[0.0], np.cumsum(np.maximum(
+            np.abs(np.diff(bear)), floor))])
+        return turn * (TWO_PI / turn[-1])
+
     # -- parameter-space evaluation ------------------------------------
 
     def zpoint_t(self, t):

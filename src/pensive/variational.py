@@ -16,8 +16,8 @@ from .errors import InvalidParameter, InvalidPoint, NotFound, NotTransitive
 
 GRAD_TOL = 1e-9
 # the largest period q periodic_orbit_search takes: each action evaluation
-# scans q transits over the momentum grid, about 270 chords each, and
-# solves a dense q x q Hessian
+# scans q transits, about 270 landing nodes each, and solves a dense
+# q x q Hessian
 MAX_PERIOD = 256
 
 
@@ -122,34 +122,38 @@ class TransitSolve:
 def p_star(curve, law, s, S, hint=None, advance_hint=None):
     """Solve the transit equation S_cl(s, p) + l(P_cl(s, p)) = S (mod P).
 
-    Scans a momentum grid for the total arc advance
-    adv(p) = (S_cl - s) mod P + l(cos Theta), continuous in p on a convex
-    oval. With D = (S - s) mod P, a grid cell [p_a, p_b] brackets one
-    root for each integer k with D + kP strictly between adv(p_a) and
-    adv(p_b); a node whose advance is some D + kP, or whose wrapped
-    residual is 0, is a root there. The scan is one batch of each launch
-    against the grid, so its non-grazing rows share one table of
-    z(t) - z(t0) per launch in the chord bracket
-    (:func:`geometry._convex_bracket`).
+    Scans landing parameters for the total arc advance
+    adv = (S_cl - s) mod P + l(cos Theta): from each launch parameter t0,
+    one row of nodes t2 in (t0, t0 + 2 pi), where the chord
+    z(t0) -> z(t2) gives its launch momentum p, its landing angle Theta
+    and the advance explicitly, so the scan solves no chord
+    (:func:`_scan_nodes`). Its interior nodes sit near the momenta of a
+    grid of 270, and a guard node at each end lies beyond the grid's
+    range |p| <= 1 - 1e-5, so the ends of that range stay bracketed.
+    With D = (S - s) mod P, a node cell brackets one root for each
+    integer k with D + kP strictly between the advances at its ends; a
+    node in range whose wrapped residual is within rounding of 0 is a
+    root there.
 
     All (cell, k) rows are polished together in two stages by
-    :func:`geometry._newton_rows`. First in the landing parameter t2,
-    which falls as p rises, so the cell's bracket is
-    [t2(p_b), t2(p_a)]: from t2 the chord, its launch momentum and the
-    advance are explicit, so these passes solve no chord. Their step
-    tolerance is 4e-15, a few ulps of t2: t2 reaches t0 + 2 pi, above 8,
-    where a tolerance of 1e-15 is under one ulp and no step can meet it.
-    Then in p on [p_a, p_b], from the momentum of that t2 root, with
-    dr/dp = -F_theta / sin(theta) (F_theta the slid dS/dtheta) over one
-    batch of chords per pass, usually one: p is the root the caller gets,
-    and the chord re-solved from the converted p can miss the validation
-    bound (residuals up to 2e-10 on ellipse(20, 0.05)) where the
-    finished p meets it.
+    :func:`geometry._newton_rows`. First in t2 on the node cell, where
+    the chord, its launch momentum and the advance are explicit, so these
+    passes solve no chord either. Their step tolerance is 4e-15, a few
+    ulps of t2: t2 reaches t0 + 2 pi, above 8, where a tolerance of
+    1e-15 is under one ulp and no step can meet it. Roots past the
+    grid's range are dropped there. Then in p, from the momentum of the
+    t2 root, on the momenta of the cell's two nodes cut to that range,
+    with dr/dp = -F_theta / sin(theta) (F_theta the slid dS/dtheta) over
+    one batch of chords per pass, usually one: p is the root the caller
+    gets, and the chord re-solved from the converted p can miss the
+    validation bound (residuals up to 2e-10 on ellipse(20, 0.05)) where
+    the finished p meets it.
     Validation re-solves the chord of every root from p and keeps those
     with wrapped residual under 1e-10, 1e-9 apart; on a non-convex table,
-    where t2 jumps at shadow boundaries, it drops the false roots of
-    those jumps. Each launch arc is inverted to its parameter once, and
-    the curvatures at both ends of a chord are read at its parameters.
+    where the chord z(t0) -> z(t2) may leave the table, it drops the
+    false roots of those nodes. Each launch arc is inverted to its
+    parameter once, and the curvatures at both ends of a chord are read
+    at its parameters.
     Root selection: nearest `advance_hint` in total arc advance, else
     nearest `hint` in p, else smallest |p|.
 
@@ -175,21 +179,30 @@ def p_star(curve, law, s, S, hint=None, advance_hint=None):
                           for x in (hint, advance_hint))
     t0 = geo._launch_t(curve, s)
     k1 = curve.curvature_t(t0)
-    res, adv, _, _, _, t2 = _transit_residual(
-        curve, law, s[:, None], t0[:, None], S[:, None], _P_GRID[None, :])
+    t0c = t0[:, None]
+    t2, chord, pn = _scan_nodes(curve, t0c)
+    adv = _advance_t2(curve, law, s[:, None], chord, t2)[0]
     D = (S - s) % P
     seg, col, target = _advance_cells(adv, D, P)
     fa, fb = adv[seg, col] - target, adv[seg, col + 1] - target
     p = _polish_t2(curve, law, s[seg], t0[seg], target,
                    t2[seg, col], t2[seg, col + 1], fa, fb)
+    # roots beyond the momentum grid's range by more than rounding are
+    # dropped; the finish in p, its brackets cut to the range, keeps the
+    # rest in it
+    keep = _in_range(p)
+    seg, col, target, fa, fb, p = (x[keep] for x in
+                                   (seg, col, target, fa, fb, p))
     p = _polish_p(curve, law, s[seg], t0[seg], S[seg], k1[seg], target, p,
-                  _P_GRID[col], _P_GRID[col + 1], fa, fb)
-    # a node whose advance meets a target, or whose wrapped residual is 0
-    k = np.round((adv - D[:, None]) / P)
-    node_seg, node_col = np.nonzero((adv == D[:, None] + k * P)
-                                    | (res == 0.0))
+                  pn[seg, col], pn[seg, col + 1], fa, fb)
+    # a node in range whose wrapped residual is within rounding of 0: the
+    # cells beside it need not bracket its root
+    node_seg, node_col = np.nonzero(
+        (np.abs(geo.wrap_to_half(adv + s[:, None] - S[:, None], P))
+         <= 8.0 * np.spacing(P)) & _in_range(pn))
     owner = np.concatenate([node_seg, seg])
-    roots = np.concatenate([_P_GRID[node_col], p])
+    roots = np.concatenate(
+        [np.clip(pn[node_seg, node_col], -_P_END, _P_END), p])
     order = np.lexsort((roots, owner))
     owner, roots = owner[order], roots[order]
     res, *cols = _transit_residual(curve, law, s[owner], t0[owner],
@@ -233,6 +246,99 @@ def _momentum_grid():
 
 
 _P_GRID = _momentum_grid()
+# the momentum range of the roots p_star returns, |p| <= 1 - 1e-5
+_P_END = _P_GRID[-1]
+
+
+def _in_range(p):
+    """Whether the momenta p lie in the grid's range |p| <= _P_END, to
+    within rounding."""
+    return np.abs(p) <= _P_END + 1e-14
+
+
+def _node_turns():
+    """The tangent turning from the launch at each scan node: 2 theta for
+    each angle theta = arccos(p) of the momentum grid, where a chord of
+    the disk at angle theta lands, and a guard node at each end, at half
+    the turning of the grid's end. A convex oval's chord makes an angle
+    under the turning it spans, so the guards' momenta lie beyond the
+    grid's ends, which stay bracketed."""
+    th = np.arccos(_P_GRID)
+    return np.concatenate([[2.0 * np.pi - th[-1]], 2.0 * th, [th[-1]]])
+
+
+_NODE_TURNS = _node_turns()
+# the grid's angles, rising: where refinement puts the interior nodes
+_THETA_UP = np.arccos(_P_GRID)[::-1]
+# the widest scan cell in momentum between interior nodes that needs no
+# refinement, and the refinement passes a row may take
+_WIDE = 2.0 * np.diff(_P_GRID)
+_REFINE_PASSES = 4
+# the most periods of advance one scan cell is searched over
+_MAX_SPAN = 1000.0
+
+
+def _scan_nodes(curve, t0):
+    """The scan's landing parameters t2 in (t0, t0 + 2 pi) from the launch
+    parameters t0 (an (n, 1) array), one row per launch, falling along
+    the row, with the chord vectors z(t2) - z(t0) and the launch momenta
+    there, which rise along the row on a convex oval.
+
+    The nodes start where the tangent has turned by _NODE_TURNS, read off
+    the curve's absolute turning table: on the disk, the grid itself. On
+    a convex oval, where two neighbouring interior nodes of a row lie
+    more than twice the momentum grid's cell apart (a thin table seen
+    from its flat side), up to _REFINE_PASSES passes move the interior
+    nodes, the guards kept, to where the row's chord angles, which rise
+    with t2, interpolate the grid's angles arccos(p). A non-convex
+    table, where a chord's angle need not rise with t2, keeps the
+    turning's nodes.
+    """
+    tc, turn = curve._t_closed, curve._turning_nodes
+    u = np.interp(geo._wrap(t0), tc, turn) + _NODE_TURNS
+    lap = u >= geo.TWO_PI
+    t2 = np.interp(np.where(lap, u - geo.TWO_PI, u), turn, tc) + np.where(
+        lap, geo.TWO_PI, 0.0)
+    c, dz0 = curve._zdiff(t2, t0), curve._dzf(geo._wrap(t0))
+    p = _launch_momentum(c, dz0)
+    for i in np.flatnonzero(_coarse(p) & curve.is_convex):
+        for _ in range(_REFINE_PASSES):
+            # the chord angles from the launch tangent with t2 rising, kept
+            # from falling by rounding, and the nodes they put at the grid
+            phi = np.maximum.accumulate(np.angle(c[i, ::-1]
+                                                 * np.conj(dz0[i])))
+            t2[i, -2:0:-1] = np.interp(_THETA_UP, phi, t2[i, ::-1])
+            c[i] = curve._zdiff(t2[i], t0[i])
+            p[i] = _launch_momentum(c[i], dz0[i])
+            if not _coarse(p[i:i + 1])[0]:
+                break
+    return t2, c, p
+
+
+def _coarse(p):
+    """Whether each row of scan momenta p has two neighbouring interior
+    nodes more than twice the momentum grid's cell apart."""
+    return (np.abs(np.diff(p[:, 1:-1], axis=1)) > _WIDE).any(axis=1)
+
+
+def _advance_t2(curve, law, s, c, t2):
+    """The transit advance adv = (S_cl - s) mod P + l~(Theta) of the chords
+    c = z(t2) - z(t0) launched from the arcs s, with no chord solve: S_cl
+    is the arc at t2 and Theta the landing angle. Also t2 wrapped to
+    [0, 2 pi), z'(t2), q = z'(t2) conj(c) and Theta."""
+    P = curve.perimeter
+    tw = geo._wrap(t2)
+    dz = curve._dzf(tw)
+    q = dz * np.conj(c)
+    Th = np.arctan2(np.abs(q.imag), q.real)
+    adv = (np.mod(curve.arclen_t(tw), P) - s) % P + law.ell(np.cos(Th))
+    return adv, tw, dz, q, Th
+
+
+def _launch_momentum(c, dz0):
+    """The launch momenta cos(theta) of the chord vectors c from launch
+    points where the curve's derivative is dz0."""
+    return np.real(c * np.conj(dz0)) / (np.abs(c) * np.abs(dz0))
 
 
 def _transit_residual(curve, law, s, t0, S, p):
@@ -247,14 +353,18 @@ def _transit_residual(curve, law, s, t0, S, p):
 
 
 def _advance_cells(adv, D, P):
-    """The (cell, k) rows of a scan of advances adv, one row of grid
-    values per segment: a row for each segment i, grid cell j and
+    """The (cell, k) rows of a scan of advances adv, one row of node
+    values per segment: a row for each segment i, node cell j and
     integer k with D[i] + kP strictly between adv[i, j] and adv[i, j + 1].
     Returns their segments, cells and targets D + kP, ordered by segment,
-    cell and k; cells with a non-finite end give none."""
+    cell and k. Cells with a non-finite end give none, and so do cells
+    whose advance spans more than _MAX_SPAN periods: beside a landing
+    near grazing under an unbounded slide, where a non-convex table's
+    chord z(t0) -> z(t2) can meet its boundary, a cell may span any
+    number, and this bounds the rows one call takes."""
     a, b = adv[:, :-1], adv[:, 1:]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    seg, col = np.nonzero(np.isfinite(lo) & np.isfinite(hi))
+    seg, col = np.nonzero(np.isfinite(lo) & (hi - lo <= _MAX_SPAN * P))
     lo, hi, D = lo[seg, col], hi[seg, col], D[seg]
     # every k the strict test below can pass, with a margin for rounding
     k0 = np.floor((lo - D) / P)
@@ -266,31 +376,36 @@ def _advance_cells(adv, D, P):
     return seg[keep], col[keep], target[keep]
 
 
+def _ordered(a, b, fa, fb):
+    """Brackets as :func:`geometry._newton_rows` takes them, from ends a
+    and b in either order with residuals fa and fb of opposite signs:
+    (lo, hi, flo, fhi, sign), the residuals times sign so flo < 0 < fhi."""
+    swap = a > b
+    lo, hi = np.where(swap, b, a), np.where(swap, a, b)
+    flo, fhi = np.where(swap, fb, fa), np.where(swap, fa, fb)
+    sign = -np.sign(flo)
+    return lo, hi, sign * flo, sign * fhi, sign
+
+
 def _polish_t2(curve, law, s, t0, target, ta, tb, fa, fb):
     """Launch momenta of the transit roots bracketed in the landing
     parameter, all rows together: row i has launch arc s[i] at parameter
     t0[i], and its advance minus target[i] is fa[i] at ta[i] and fb[i],
     of the other sign, at tb[i].
 
-    The chord from z(t0) to z(t2) gives the landing angle Theta and the
-    advance adv = (S_cl - s) mod P + l~(Theta), with S_cl the arc at t2,
-    and d adv / d t2 = |z'(t2)| (1 + l~'(Theta) (kappa(t2) -
-    sin(Theta) / d)), d the chord length: Newton in t2 by
+    The chord from z(t0) to z(t2) gives the advance
+    (:func:`_advance_t2`), and d adv / d t2 = |z'(t2)| (1 + l~'(Theta)
+    (kappa(t2) - sin(Theta) / d)), d the chord length: Newton in t2 by
     :func:`geometry._newton_rows` solves no chord. The momentum of the
     root is the cosine of the launch angle of its chord.
     """
-    P = curve.perimeter
     last = np.full(len(s), np.nan)     # each row's point of the pass before
 
     def step(t, s, t0, target, sign, row):
         c = curve._zdiff(t, t0)
-        tw = geo._wrap(t)
-        dz = curve._dzf(tw)
+        adv, tw, dz, q, Th = _advance_t2(curve, law, s, c, t)
+        r = adv - target
         sp = np.abs(dz)
-        q = dz * np.conj(c)
-        Th = np.arctan2(np.abs(q.imag), q.real)
-        r = ((np.mod(curve.arclen_t(tw), P) - s) % P
-             + law.ell(np.cos(Th))) - target
         kap = np.imag(np.conj(dz) * curve._d2zf(tw)) / sp ** 3
         sin_d = np.abs(q.imag) / (sp * np.abs(c) ** 2)    # sin(Theta) / d
         dt = -r / (sp * (1.0 + law.dtheta(Th) * (kap - sin_d)))
@@ -301,21 +416,18 @@ def _polish_t2(curve, law, s, t0, target, ta, tb, fa, fb):
         return sign * r, dt
 
     # t2 falls as p rises on a convex oval; a shadow jump may reverse it
-    swap = tb > ta
-    lo, hi = np.where(swap, ta, tb), np.where(swap, tb, ta)
-    flo, fhi = np.where(swap, fa, fb), np.where(swap, fb, fa)
-    sign = -np.sign(flo)
-    t = geo._newton_rows(step, lo, lo, hi, sign * flo, sign * fhi,
+    lo, hi, flo, fhi, sign = _ordered(ta, tb, fa, fb)
+    t = geo._newton_rows(step, lo, lo, hi, flo, fhi,
                          (s, t0, target, sign, np.arange(len(s))), 4e-15)
-    c, dz0 = curve._zdiff(t, t0), curve._dzf(geo._wrap(t0))
-    return np.real(c * np.conj(dz0)) / (np.abs(c) * np.abs(dz0))
+    return _launch_momentum(curve._zdiff(t, t0), curve._dzf(geo._wrap(t0)))
 
 
 def _polish_p(curve, law, s, t0, S, k1, target, p, a, b, fa, fb):
-    """Transit roots in the cells [a, b] of p, each row from its start p:
-    the advance minus target[i] is fa[i] at a[i] and fb[i], of the other
-    sign, at b[i]; each row has its own launch arc s, launch parameter
-    t0, end arc S and launch curvature k1.
+    """Transit roots between the momenta a and b, each row from its start
+    p: the advance minus target[i] is fa[i] at a[i] and fb[i], of the
+    other sign, at b[i]; each row has its own launch arc s, launch
+    parameter t0, end arc S and launch curvature k1. The brackets are cut
+    to the momentum grid's range, so no chord is solved beyond it.
 
     Newton in p with dr/dp = -F_theta / sin(theta), F_theta the slid
     dS/dtheta, by :func:`geometry._newton_rows` over one batch of chords
@@ -328,8 +440,9 @@ def _polish_p(curve, law, s, t0, S, k1, target, p, a, b, fa, fb):
         return sign * r, r * st / twist._chord_partials(
             d, st, np.sin(Th), k1, curve.curvature_t(t2), law.dtheta(Th))[4]
 
-    sign = -np.sign(fa)
-    return geo._newton_rows(step, p, a, b, sign * fa, sign * fb,
+    lo, hi, flo, fhi, sign = _ordered(a, b, fa, fb)
+    lo, hi = (np.clip(x, -_P_END, _P_END) for x in (lo, hi))
+    return geo._newton_rows(step, p, lo, hi, flo, fhi,
                             (s, t0, S, k1, target, sign), 1e-15)
 
 

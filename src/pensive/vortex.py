@@ -248,9 +248,15 @@ class NeumannOvalDomain(_ConformalDomain):
         return abs(self.map.inv(z)) < 1.0
 
     def boundary_distance(self, z):
-        """Distance to the nearest of 4096 boundary nodes; z may be one
-        point or an array of points."""
-        d = np.abs(self._nodes - np.asarray(z)[..., None]).min(axis=-1)
+        """Distance to the wall, read as the smaller of the distance to the
+        nearest of 4096 boundary nodes, which cannot see the wall between
+        them, and the Koebe bound (1 - |Z|^2) |F'(Z)| at Z = F^-1(z), at
+        most twice the distance near the wall; z may be one point or an
+        array of points."""
+        z = np.asarray(z)
+        d = np.abs(self._nodes - z[..., None]).min(axis=-1)
+        Z = self.map.inv(z)
+        d = np.minimum(d, (1.0 - np.abs(Z) ** 2) * np.abs(self.map.Fp(Z)))
         return float(d) if d.ndim == 0 else d
 
     grad_greens = _ConformalDomain.grad_greens
@@ -391,8 +397,9 @@ def integrate(config, T, tol=1e-8, rtol=1e-11, n_eval=600, events=None):
     Steps with the order-8 Dormand-Prince pair (DOP853). The Hamiltonian
     is evaluated at every output sample in one array pass; if its relative
     drift exceeds tol the run is repeated at tighter tolerance. Close
-    approaches to the boundary or between vortices stop the run with
-    EventStop carrying the partial trajectory.
+    approaches to the boundary or between vortices, within
+    GUARD_DISTANCE, stop the run with EventStop carrying the partial
+    trajectory; a start already that close stops at t = 0.
     """
     n_eval = whole_count(n_eval, "n_eval", least=1)
     if not (0 < T < math.inf and 0 < tol < math.inf):
@@ -426,6 +433,16 @@ def integrate(config, T, tol=1e-8, rtol=1e-11, n_eval=600, events=None):
     ev_list = [ev_boundary, ev_collide] + list(events or [])
 
     H0 = hamiltonian(config)
+    # the events fire where their sign changes, so a start already within
+    # a guard distance stops here
+    if min(ev_boundary(0.0, y0), ev_collide(0.0, y0)) <= 0.0:
+        err = EventStop("vortex starts within guard distance", t=0.0,
+                        state=config.z.copy())
+        err.trajectory = VortexTrajectory(
+            t=np.zeros(1), z=config.z[None, :].copy(), gamma=gamma,
+            domain=domain, hamiltonian=np.array([H0]),
+            momentum=np.array([np.sum(config.z.imag * gamma)]), drift=0.0)
+        raise err
     t_eval = np.linspace(0.0, T, n_eval)
     rt = rtol
     for attempt in range(3):

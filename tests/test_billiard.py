@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from pensive import billiard as bil
+from pensive import errors
 from pensive import delay
 from pensive import geometry as geo
 from pensive.errors import (CornerHit, InvalidAngle, InvalidParameter,
@@ -213,6 +214,29 @@ def test_iterate_step_count_is_typed(n):
     # TypeError
     with pytest.raises(InvalidParameter, match="step count"):
         bil.iterate(geo.disk(1.0), delay.zero(), bil.PhasePoint(0.1, 1.0), n)
+
+
+@pytest.mark.parametrize("n", ["abc", None, [1, 2]],
+                         ids=["text", "none", "list"])
+def test_iterate_step_count_that_is_no_number_is_typed(n):
+    # each used to raise float()'s raw ValueError or TypeError
+    with pytest.raises(InvalidParameter, match="step count n"):
+        bil.iterate(geo.disk(1.0), delay.zero(), bil.PhasePoint(0.1, 1.0), n)
+
+
+@pytest.mark.parametrize("value", ["abc", None, [1.0, 2.0], 1j],
+                         ids=["text", "none", "list", "complex"])
+def test_finite_float_names_the_key_of_a_non_number(value):
+    with pytest.raises(InvalidParameter, match="key x"):
+        errors.finite_float(value, "key x")
+
+
+def test_iterate_step_count_is_capped():
+    # refused before the first step: the count is checked, not run
+    x0 = bil.PhasePoint(0.1, 1.0)
+    with pytest.raises(InvalidParameter, match="MAX_COUNT"):
+        bil.iterate(geo.disk(1.0), delay.zero(), x0, errors.MAX_COUNT + 1)
+    assert errors.whole_count(errors.MAX_COUNT, "n") == errors.MAX_COUNT
 
 
 def test_iterate_zero_and_partial():

@@ -11,6 +11,7 @@ import pytest
 
 from pensive import billiard as bil, cli, delay, geometry as geo, outer
 from pensive import variational as var
+from pensive.errors import MAX_COUNT
 
 
 def write_ini(path, text):
@@ -136,6 +137,23 @@ stepz = 7
             assert err.value.code == 2
             assert "required: config" in capsys.readouterr().err
         assert cli._parser() is cli._parser()
+
+    @pytest.mark.parametrize("section, key", [
+        ("simulate", "steps"), ("phase", "steps"), ("phase", "orbits")])
+    def test_counts_over_the_cap(self, tmp_path, capsys, section, key):
+        # exit 2 from the config read, before any step runs
+        ini = write_ini(tmp_path / "big.ini", """
+[run]
+command = %s
+
+[curve]
+kind = disk
+
+[%s]
+%s = %d
+""" % (section, section, key, MAX_COUNT + 1))
+        assert cli.main([section, ini]) == 2
+        assert "MAX_COUNT" in capsys.readouterr().err
 
     def test_unknown_section(self, tmp_path, capsys):
         ini = write_ini(tmp_path / "bad.ini", """
@@ -353,7 +371,7 @@ l = 3.141592653589793
 p = 2
 q = 5
 """, {"orbit.csv":
-      "dafdd9e233550acd82f5e34536c93f0629da803a74d2f23ce378eaf51d58bf52"}),
+      "2d543ecfa9822ebb26a2a4bbf0f2770199cd849f75c9bf7b81cc55ed51391f85"}),
         "orbit-ellipse-vortex": ("orbit", """
 [curve]
 kind = ellipse
@@ -368,7 +386,7 @@ l = 0.5
 p = 1
 q = 3
 """, {"orbit.csv":
-      "1a3960ed5abdc0b2d6d4b83e66bb264b67723ff42214d6c86b42097d06a1bfa7"}),
+      "35a9b54fdd30334fadeeba6d5dabb03e49a00f9516da68df7c6b5bdc3bed9655"}),
         "phase-ellipse-puck": ("phase", """
 [curve]
 kind = ellipse

@@ -1037,3 +1037,19 @@ def test_curve_from_config_kinds(tmp_path):
     assert p.kind == "polygon"
     with pytest.raises(InvalidParameter):
         geo.curve_from_config({"kind": "banana"})
+
+
+@pytest.mark.parametrize("c", [geo.disk(1.0), geo.ellipse(1.2, 1.0),
+                               geo.neumann_oval(0.3), geo.neumann_oval(0.6)],
+                         ids=["disk", "ellipse", "oval", "non-convex"])
+def test_turning_table(c):
+    # built once per curve; the unwrapped bearing on a convex oval, and
+    # never falling on any table, from 0 to 2 pi
+    turn = c._turning_nodes
+    assert c._turning_nodes is turn
+    assert turn[0] == 0.0 and turn[-1] == pytest.approx(2 * math.pi,
+                                                         abs=1e-14)
+    assert np.all(np.diff(turn) >= 0.0)
+    if c.is_convex:
+        np.testing.assert_array_equal(turn, c._bearing_nodes
+                                      - c._bearing_nodes[0])

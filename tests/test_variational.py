@@ -463,8 +463,8 @@ def test_p_star_inverts_its_launch_arcs_once(monkeypatch):
     (geo.neumann_oval(0.3), delay.puck(0.7)),
 ], ids=["ellipse-vortex", "oval-puck"])
 def test_p_star_chord_solves(monkeypatch, c, law):
-    """One batch of chords for the scan, one per pass of the finish in p,
-    one for the validation, and none inside the polish in t2."""
+    """No chord batch for the scan or inside the polish in t2, one per
+    pass of the finish in p, one for the validation."""
     log, chords = [], geo._chords
     monkeypatch.setattr(geo, "_chords",
                         lambda *args: log.append("chords") or chords(*args))
@@ -480,8 +480,8 @@ def test_p_star_chord_solves(monkeypatch, c, law):
     s = np.arange(q) * c.perimeter / q
     sols = var.p_star(c, law, s, np.roll(s, -1))
     assert sum(len(sol.roots) for sol in sols) >= q
-    finish = log[4:-2]
-    assert log[:4] == ["chords", "_polish_t2", "end", "_polish_p"]
+    finish = log[3:-2]
+    assert log[:3] == ["_polish_t2", "end", "_polish_p"]
     assert 1 <= len(finish) <= 3 and set(finish) == {"chords"}
     assert log[-2:] == ["end", "chords"]
 
@@ -520,14 +520,21 @@ def _transit_residual(c, law, s, S, p):
                                   + s - S, P))
 
 
-def _scan_cells(c, law, s, S, n_grid=256):
-    """The cells (a, b) that p_star's scan brackets, in order, a == b for
-    a zero on a node, each with whether 65 samples show it to hold one
-    root and no wrap jump."""
-    P = c.perimeter
+def _momentum_grid(n_grid=256):
+    """n_grid interior momenta and 14 geometric tail momenta down to
+    1 - |p| = 1e-5, ascending."""
     pg = np.linspace(-1.0, 1.0, n_grid + 2)[1:-1]
     tail = 1.0 - np.geomspace(1e-5, 1.0 - pg[-1], 8)[:-1]
-    pg = np.sort(np.concatenate([-tail[::-1], pg, tail]))
+    return np.sort(np.concatenate([-tail[::-1], pg, tail]))
+
+
+def _scan_cells(c, law, s, S, n_grid=256):
+    """The cells (a, b) where a scan of the wrapped residual over the
+    momentum grid changes sign, in order, a == b for a zero on a node,
+    each with whether 65 samples show it to hold one root and no wrap
+    jump."""
+    P = c.perimeter
+    pg = _momentum_grid(n_grid)
 
     def scan(p):
         S_cl, Th, _ = geo.chord_batch(c, np.full(len(p), s), np.arccos(p))
@@ -577,7 +584,10 @@ def _brentq_roots(c, law, s, S):
     (geo.ellipse(1.2, 1.0), delay.vortex(0.5), 5.0, 1.2),
     (geo.neumann_oval(0.3), delay.vortex(0.5), 1.1, 4.0),
     (geo.disk(1.0), delay.vortex(2 * math.pi), 0.0, 3.0),
-], ids=["ellipse", "ellipse-wrapped", "oval", "disk-ambiguous"])
+    (geo.ellipse(20.0, 0.05), delay.vortex(0.5), 69.59165557964762,
+     10.718892745013205),
+], ids=["ellipse", "ellipse-wrapped", "oval", "disk-ambiguous",
+        "thin-flat-side"])
 def test_p_star_polishes_without_scalar_chords(monkeypatch, c, law, s, S):
     chords = []
     chord = geo.chord
@@ -593,6 +603,53 @@ def test_p_star_polishes_without_scalar_chords(monkeypatch, c, law, s, S):
     ref = _brentq_roots(c, law, s, S)
     assert len(sol.roots) == len(ref)
     assert np.max(np.abs(sol.roots - ref)) < 1e-13
+
+
+@pytest.mark.parametrize("c", [geo.disk(1.0), geo.ellipse(1.2, 1.0),
+                               geo.neumann_oval(0.3), geo.ellipse(20.0, 0.05)],
+                         ids=["disk", "ellipse", "oval", "thin"])
+def test_scan_nodes_cover_the_momentum_grid(c):
+    """From every launch the scan's momenta rise along the row, its guards
+    lie beyond the grid's ends, and neighbouring interior nodes lie at
+    most two grid cells apart; on the disk the nodes are the grid."""
+    t0 = np.linspace(0.0, 2 * math.pi, 64, endpoint=False)[:, None]
+    t2, chord, p = var._scan_nodes(c, t0)
+    assert np.all((t2 > t0) & (t2 < t0 + 2 * math.pi))
+    assert np.all(np.diff(p, axis=1) > 0.0)
+    end = var._P_GRID[-1]
+    assert np.all(p[:, 0] < -end) and np.all(p[:, -1] > end)
+    assert np.all(np.diff(p[:, 1:-1], axis=1) <= 2.0 * np.diff(var._P_GRID))
+    if c.kind == "disk":
+        np.testing.assert_allclose(p[:, 1:-1], np.broadcast_to(
+            var._P_GRID, (64, len(var._P_GRID))), rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("law", [delay.vortex(0.5), delay.constant(0.3)],
+                         ids=["vortex", "constant"])
+def test_p_star_keeps_a_root_at_the_grids_end(law):
+    """A transit launched at the momentum grid's end, |p| = 1 - 1e-5, is a
+    root p_star returns: the scan's guard nodes bracket it. No root lies
+    beyond that end."""
+    c, end = geo.disk(1.0), var._P_GRID[-1]
+    for s in np.linspace(0.0, c.perimeter, 40, endpoint=False):
+        for sign in (-1.0, 1.0):
+            S = bil.pensive_batch(c, law, [s], [math.acos(sign * end)])
+            roots = var.p_star(c, law, s, float(S[0][0])).roots
+            assert np.min(np.abs(roots - sign * end)) < 1e-12
+            assert np.all(np.abs(roots) <= end)
+
+
+@pytest.mark.parametrize("lam, s, S, root", [
+    (0.5, 4.352784260600373, 0.08427847228847346, 0.981207322477591),
+    (0.6, 5.4513607354738935, 4.147397619848615, -0.9982528206222745)],
+    ids=["oval-0.5", "oval-0.6"])
+def test_p_star_finds_the_roots_beside_shadow_jumps(lam, s, S, root):
+    """Two puck roots of non-convex ovals whose momentum cells also hold a
+    jump of the advance at a shadow boundary, with both cell ends on one
+    side: the landing-parameter scan, where the advance has no such jump,
+    brackets them."""
+    roots = var.p_star(geo.neumann_oval(lam), delay.puck(0.7), s, S).roots
+    assert np.min(np.abs(roots - root)) < 1e-12
 
 
 EDGE_TABLES = (geo.ellipse(1.2, 1.0), geo.neumann_oval(0.3),
@@ -787,7 +844,8 @@ def test_p_star_array_matches_scalar_calls(table, law, hints, ends):
 
 def test_p_star_array_shapes():
     c, law = geo.ellipse(1.2, 1.0), delay.vortex(0.5)
-    assert var.p_star(c, law, [], []) == []
+    for table in ARRAY_TABLES + (geo.neumann_oval(0.6),):
+        assert var.p_star(table, law, [], []) == []
     for s, S, kw in (([0.1, 0.2], [1.0], {}), ([0.1], 1.0, {}),
                      (0.1, [1.0], {}), ([[0.1]], [[1.0]], {}),
                      ([0.1, 0.2], [1.0, 2.0], {"hint": [0.3]}),
@@ -836,17 +894,17 @@ def test_p_star_root_bytes_are_pinned():
         for law in (delay.puck(0.5), delay.linear(0.4), delay.constant(0.3)):
             for sol in var.p_star(c, law, s, (s + 0.37 * P) % P):
                 h.update(sol.roots.tobytes())
-    assert h.hexdigest() == ("e4ec18ba19a4f70fa4d79b839acc5bcc"
-                             "f27df5ed98bafad30244a706b260bded")
+    assert h.hexdigest() == ("d1269081ac3beae71ba3cf4c3b825659"
+                             "5debb8f257ac96eb57aa5b7854b10e76")
 
 
 def test_momentum_grid_scan_bytes_are_pinned():
-    """sha256 of chord_batch's (s2, theta2, length) over p_star's momentum
-    grid from 8 arcs on four tables, the scan whose rows share one table
-    per launch; the grazing-chord pin covers the rows that scan their own
-    windows, and the p_star root pin the polish."""
+    """sha256 of chord_batch's (s2, theta2, length) over a momentum grid
+    of 256 interior and 14 tail momenta from 8 arcs on four tables, rows
+    that share one table per launch; the grazing-chord pin covers the rows
+    that scan their own windows."""
     h = hashlib.sha256()
-    th = np.arccos(var._P_GRID)
+    th = np.arccos(_momentum_grid())
     for c in (geo.disk(1.0), geo.ellipse(1.2, 1.0), geo.neumann_oval(0.3),
               geo.ellipse(20.0, 0.05)):
         s = (np.arange(8) + 0.25) / 8 * c.perimeter

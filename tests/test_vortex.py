@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from pensive import billiard as bil
 from pensive import delay
 from pensive import geometry as geo
+from pensive import errors
 from pensive import vortex as vx
 from pensive.errors import (AmbiguousEvent, BoundarySingularity,
                             DiagonalSingularity, InvalidAngle,
@@ -369,16 +370,18 @@ def test_integration_succeeds_on_the_first_try(monkeypatch):
 
 
 def test_eventstop_on_boundary_approach():
-    # a head-on dipole tighter than the guard distance descends to a
-    # wall clearance comparable to its own separation and trips the
-    # boundary guard on the way
+    # a head-on dipole whose half separation is under the guard distance
+    # descends to a wall clearance near it and trips the boundary guard
+    # on the way (at half separation 5e-9 its separation was the guard
+    # distance itself, so the collision guard stopped it at t = 0)
     hp = vx.HalfPlane()
-    z, g = vx.make_dipole(complex(0, 0.3), -1j, 5e-9)
+    z, g = vx.make_dipole(complex(0, 0.3), -1j, 6e-9)
     cfg = vx.VortexConfiguration(z, g, hp)
     with pytest.raises(vx.EventStop) as exc:
         vx.integrate(cfg, 1.0, tol=1e-2)
-    assert exc.value.state is not None
-    assert exc.value.t is not None
+    assert exc.value.t == pytest.approx(0.3, abs=1e-3)
+    assert np.all(hp.boundary_distance(exc.value.state)
+                  == pytest.approx(vx.GUARD_DISTANCE, rel=1e-6))
 
 
 @pytest.mark.parametrize("kw", [
@@ -403,6 +406,60 @@ def test_integrate_counts_samples_as_iterate_counts_steps():
     np.testing.assert_array_equal(traj.z, vx.integrate(cfg, 0.1, n_eval=10).z)
     with pytest.raises(InvalidParameter, match="n_eval must be a whole"):
         vx.integrate(cfg, 0.1, n_eval=2.5)
+
+
+@pytest.mark.parametrize("n_eval", [None, "abc", object()],
+                         ids=["none", "text", "object"])
+def test_integrate_sample_count_that_is_no_number_is_typed(n_eval):
+    # n_eval=None used to raise float()'s raw TypeError
+    z, g = vx.make_dipole(0.2j, 1, 0.05)
+    cfg = vx.VortexConfiguration(z, g, vx.DiskDomain(1.0))
+    with pytest.raises(InvalidParameter, match="n_eval"):
+        vx.integrate(cfg, 0.1, n_eval=n_eval)
+
+
+def test_integrate_sample_count_is_capped(monkeypatch):
+    # refused before any integration or sample array
+    monkeypatch.setattr(vx, "solve_ivp", None)
+    z, g = vx.make_dipole(0.2j, 1, 0.05)
+    cfg = vx.VortexConfiguration(z, g, vx.DiskDomain(1.0))
+    with pytest.raises(InvalidParameter, match="MAX_COUNT"):
+        vx.integrate(cfg, 0.1, n_eval=errors.MAX_COUNT + 1)
+
+
+def _points_inside_the_oval_wall(dom, depth, n=50):
+    """n points at the given depth along the inward normal of the wall of
+    a NeumannOvalDomain, between its 4096 nodes."""
+    Z = np.exp(1j * (np.linspace(0.0, 2 * math.pi, n, endpoint=False)
+                     + 0.01))
+    tangent = dom.map.Fp(Z) * 1j * Z
+    return dom.map.F(Z) + depth * 1j * tangent / np.abs(tangent)
+
+
+def test_oval_boundary_distance_sees_the_wall():
+    # the node minimum alone read 1.6e-6 to 9.6e-4 for these points; the
+    # Koebe bound reads under twice their depth
+    dom = vx.NeumannOvalDomain(0.3)
+    d = dom.boundary_distance(_points_inside_the_oval_wall(dom, 1e-9))
+    assert np.all(d >= 0.99e-9) and np.all(d <= 2.01e-9)
+    # away from the wall the node minimum is the smaller term, bit for bit
+    z = 0.5 * _points_inside_the_oval_wall(dom, 0.0)
+    np.testing.assert_array_equal(
+        dom.boundary_distance(z),
+        np.abs(dom._nodes - z[:, None]).min(axis=-1))
+
+
+def test_integrate_stops_a_start_within_the_guard():
+    # a weak vortex 1e-9 inside the oval's wall: the guard's event never
+    # changes sign, so the run used to go on, and here to fail its drift
+    # check
+    dom = vx.NeumannOvalDomain(0.3)
+    z = _points_inside_the_oval_wall(dom, 1e-9, n=1)
+    cfg = vx.VortexConfiguration(z, [1e-12], dom)
+    with pytest.raises(vx.EventStop) as stop:
+        vx.integrate(cfg, 0.1)
+    assert stop.value.t == 0.0
+    np.testing.assert_array_equal(stop.value.trajectory.z[-1], z)
 
 
 def test_integrate_calls_solve_ivp_by_its_module_name(monkeypatch):
