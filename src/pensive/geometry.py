@@ -24,6 +24,7 @@ from .errors import (
     InvalidParameter,
     Unsupported,
     finite_float,
+    whole_count,
 )
 
 TWO_PI = 2.0 * math.pi
@@ -116,6 +117,9 @@ class BoundaryCurve:
     """
 
     kind = "generic"
+    # the landing parameters of chords in closed form, _land_t(t0, theta)
+    # for rays leaving z(t0) at angles theta; factories that have one set it
+    _land_t = None
 
     def __init__(self, kind, zfun, dzfun, d2zfun, params=None, nodes=2048,
                  arclen_exact=None, speed_series=None):
@@ -406,7 +410,7 @@ def disk(radius=1.0):
     r = finite_float(radius, "radius")
     if r <= 0:
         raise InvalidParameter("radius must be positive")
-    return _with_half_angle_diff(BoundaryCurve(
+    return _with_half_angle_diff(r, r, BoundaryCurve(
         "disk",
         lambda t: r * np.exp(1j * t),
         lambda t: 1j * r * np.exp(1j * t),
@@ -417,12 +421,29 @@ def disk(radius=1.0):
     ))
 
 
-def _with_half_angle_diff(curve):
-    """Give a curve made of cos t and sin t terms (disk, ellipse) its
-    exact chord vector z(t) - z(t0) = 2 sin((t - t0)/2) z'((t + t0)/2)."""
+def _with_half_angle_diff(a, b, curve):
+    """Give the ellipse z(t) = a cos t + i b sin t (the disk: a = b = r)
+    its exact chord vector z(t) - z(t0) = 2 sin((t - t0)/2) z'((t + t0)/2)
+    and its landings in closed form, the hook ``_land_t``.
+
+    (x, y) -> (x / a, y / b) takes each chord to a chord of the unit
+    circle, and one that leaves e^{i t0} at angle theta' to the tangent
+    there lands at t0 + 2 theta', theta' = arg(d' (-i) e^{-i t0}) for the
+    pulled-back ray direction d'. With d along z'(t0) e^{i theta}, the
+    tangential parts cancel by hand: tan theta' = |z'(t0)|^2 sin(theta) /
+    (ab cos(theta) + (b^2 - a^2) sin(t0) cos(t0) sin(theta)), which keeps
+    theta' to a few ulps relative at both grazing ends."""
     dzf = curve._dzf
     curve._zdiff = lambda t, t0: (2.0 * np.sin(0.5 * (t - t0)) *
                                   dzf(0.5 * (t + t0)))
+
+    def land_t(t0, theta):
+        s, c, st = np.sin(t0), np.cos(t0), np.sin(theta)
+        return t0 + 2.0 * np.arctan2(st * (a * a * s * s + b * b * c * c),
+                                     a * b * np.cos(theta)
+                                     + (b * b - a * a) * s * c * st)
+
+    curve._land_t = land_t
     return curve
 
 
@@ -439,7 +460,7 @@ def ellipse(a, b):
         return b * ellipeinc(np.asarray(t, dtype=float), m)
 
     aspect = max(a / b, b / a)
-    return _with_half_angle_diff(BoundaryCurve(
+    return _with_half_angle_diff(a, b, BoundaryCurve(
         "ellipse",
         lambda t: a * np.cos(t) + 1j * b * np.sin(t),
         lambda t: -a * np.sin(t) + 1j * b * np.cos(t),
@@ -560,6 +581,7 @@ def curve_from_points(xy):
 
 
 def regular_polygon(k, circumradius=1.0):
+    k = whole_count(k, "sides", least=3)
     ang = TWO_PI * (np.arange(k) + 0.5) / k + np.pi / 2
     v = circumradius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
     g = math.gcd(k - 2, 2 * k)
@@ -746,13 +768,20 @@ def _chords(curve, t0, theta):
     angles theta: (s2, theta2, length, t2) arrays of the shape t0 and
     theta broadcast to, t2 the landing parameter in (t0, t0 + 2 pi).
 
-    Convex ovals solve every row at once, and the rows of one launch (an
-    entry of t0 as given, before broadcasting, or all of t0 if its
-    entries are one float) share that launch's scan table
+    A table whose curve sets the hook ``_land_t`` (the disk and the
+    ellipse, through :func:`_with_half_angle_diff`) lands every row in
+    closed form, with no bracket and no polish. Other convex ovals
+    bracket and polish every row at once, and the rows of one
+    launch (an entry of t0 as given, before broadcasting, or all of t0 if
+    its entries are one float) share that launch's scan table
     (:func:`_convex_bracket`); other tables run the polyline ray hit row
     by row.
     """
     theta = _check_angle(theta)
+    if curve._land_t is not None:
+        _, cd = _launch(curve, t0, theta)
+        t = curve._land_t(t0, theta)
+        return (*_landing(curve, t, t0, cd), t)
     if curve.is_convex:
         return _convex_chords(curve, t0, theta)
     t0, theta = np.broadcast_arrays(t0, theta)
@@ -933,7 +962,7 @@ def curve_from_config(cfg):
             pts = np.loadtxt(cfg["path"], delimiter=",", ndmin=2)
         return PolygonBoundary(pts)
     if kind == "regular_polygon":
-        return regular_polygon(int(cfg["sides"]),
+        return regular_polygon(cfg["sides"],
                                finite_float(cfg.get("circumradius", 1.0),
                                             "circumradius"))
     raise InvalidParameter("unknown curve kind %r" % kind)

@@ -155,6 +155,21 @@ kind = disk
         assert cli.main([section, ini]) == 2
         assert "MAX_COUNT" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("sides", ["2.5", "nan", "x", "2",
+                                       str(MAX_COUNT + 1)])
+    def test_bad_polygon_sides(self, tmp_path, capsys, sides):
+        # exit 2 from the table build, before any vertex is allocated
+        ini = write_ini(tmp_path / "sides.ini", """
+[run]
+command = simulate
+
+[curve]
+kind = regular_polygon
+sides = %s
+""" % sides)
+        assert cli.main(["simulate", ini]) == 2
+        assert "sides" in capsys.readouterr().err
+
     def test_unknown_section(self, tmp_path, capsys):
         ini = write_ini(tmp_path / "bad.ini", """
 [run]
@@ -371,7 +386,7 @@ l = 3.141592653589793
 p = 2
 q = 5
 """, {"orbit.csv":
-      "2d543ecfa9822ebb26a2a4bbf0f2770199cd849f75c9bf7b81cc55ed51391f85"}),
+      "bb101bdf3bea97c160a6c4ff52efcc7d969411187d2db5e7fb2c78e550b4281a"}),
         "orbit-ellipse-vortex": ("orbit", """
 [curve]
 kind = ellipse
@@ -386,7 +401,7 @@ l = 0.5
 p = 1
 q = 3
 """, {"orbit.csv":
-      "35a9b54fdd30334fadeeba6d5dabb03e49a00f9516da68df7c6b5bdc3bed9655"}),
+      "f1f91d64aee0af161e921ad94112f3491e6780c50adc33d870272f95b8df9917"}),
         "phase-ellipse-puck": ("phase", """
 [curve]
 kind = ellipse

@@ -18,6 +18,7 @@ from scipy.optimize import brentq
 import oracle
 from pensive import geometry as geo
 from pensive.errors import (
+    MAX_COUNT,
     CornerHit,
     CornerUndefined,
     InvalidAngle,
@@ -235,6 +236,13 @@ def test_chord_batch_matches_scalar(curves):
         assert np.array_equal(rows, one), name
 
 
+def sampled_thin_ellipse(n=512):
+    """The 20 x 0.05 ellipse through n samples: a convex generic table,
+    whose chords bracket and polish their landings."""
+    t = np.linspace(0.0, 2.0 * math.pi, n, endpoint=False)
+    return geo.curve_from_points(np.c_[20.0 * np.cos(t), 0.05 * np.sin(t)])
+
+
 def test_chord_batch_rows_do_not_depend_on_each_other(curves):
     # grazing and interior rows side by side, against one-row batches
     rng = np.random.default_rng(RNG_SEED + 7)
@@ -259,14 +267,65 @@ def test_chord_batch_rows_do_not_depend_on_each_other(curves):
         assert np.array_equal(sweep, grid[:, 0]), name
         empty = geo.chord_batch(c, np.empty((0, 1)), th[None, :])
         assert [x.shape for x in empty] == [(0, len(th))] * 3, name
-    # a batch holding an unresolvable row raises as that row alone does
-    c = CONVEX_TABLES["thin_ellipse"]
+    # a batch holding an unresolvable row raises as that row alone does, on
+    # a table that brackets its landings: the thin ellipse through samples
+    c = sampled_thin_ellipse()
     with pytest.raises(InvalidAngle) as alone:
         geo.chord(c, 0.0, geo.ANGLE_TOL)
     with pytest.raises(InvalidAngle) as batch:
         geo.chord_batch(c, np.array([1.0, 0.0])[:, None],
                         np.array([geo.ANGLE_TOL, 1.0, 2.0])[None, :])
     assert str(batch.value) == str(alone.value)
+    for s in (1.0, 0.5 * c.perimeter):
+        with pytest.raises(InvalidAngle, match=re.escape(str(alone.value))):
+            geo.chord(c, s, geo.ANGLE_TOL)
+
+
+def test_thin_ellipse_tip_chord_at_the_angle_floor():
+    # the closed-form landing resolves the chord that a bracket scan
+    # refuses: at the tip it is 2 rho sin(theta), rho = b^2 / a the
+    # radius of curvature there
+    a, b = 20.0, 0.05
+    _, th2, d = geo.chord(geo.ellipse(a, b), 0.0, geo.ANGLE_TOL)
+    assert d == pytest.approx(2.0 * b * b / a * math.sin(geo.ANGLE_TOL),
+                              rel=1e-6)
+    assert th2 == pytest.approx(geo.ANGLE_TOL, rel=1e-6)
+
+
+@pytest.mark.parametrize("name, gap_floor", [
+    ("disk", 1e-6), ("ellipse", 1e-6), ("thin_ellipse", 1e-4)])
+def test_conic_landings_match_the_generic_solver(monkeypatch, name,
+                                                 gap_floor):
+    """The disk and the ellipse land in closed form, with no bracket and
+    no polish, where the convex bracket and Newton polish land: t2 in
+    (0, 4 pi) within 2 ulps of 4 pi, over grazing and interior rows. The
+    generic solver refuses the thin ellipse's tip rows closer to grazing
+    than gap_floor, and there the landing angle turns 400 times faster
+    than t."""
+    c = CONVEX_TABLES[name]
+    log = []
+    for fn in ("_convex_bracket", "_newton_rows"):
+        def traced(*args, fn=fn, call=getattr(geo, fn)):
+            log.append(fn)
+            return call(*args)
+
+        monkeypatch.setattr(geo, fn, traced)
+    rng = np.random.default_rng(RNG_SEED + 13)
+    gap = 10.0 ** rng.uniform(math.log10(gap_floor), -2.0, 400)
+    theta = np.concatenate([gap, rng.uniform(0.01, math.pi - 0.01, 400),
+                            math.pi - gap])
+    t0 = rng.uniform(0.0, 2.0 * math.pi, theta.size)
+    got = geo._chords(c, t0, theta)
+    assert log == []
+    want = geo._convex_chords(c, t0, theta)
+    assert log == ["_convex_bracket", "_newton_rows"]
+    s2 = np.abs(geo.wrap_to_half(got[0] - want[0], c.perimeter))
+    th2, length, t2 = (np.abs(x - y) for x, y in zip(got[1:], want[1:]))
+    assert t2.max() <= 2.0 * np.spacing(4.0 * math.pi), t2.max()
+    thin = name == "thin_ellipse"
+    assert s2.max() <= (1e-13 if thin else 5e-15), s2.max()
+    assert length.max() <= (1e-13 if thin else 5e-15), length.max()
+    assert th2.max() <= (1e-12 if thin else 5e-15), th2.max()
 
 
 def test_chord_rejects_tangential_angles(curves):
@@ -573,8 +632,8 @@ def test_grazing_chord_bytes_are_pinned():
         s = (np.arange(16) + 0.5) / 16 * c.perimeter
         for x in geo.chord_batch(c, s[:, None], th[None, :]):
             h.update(x.tobytes())
-    assert h.hexdigest() == ("415dcd56b6c3e52c67a768f374eb2349"
-                             "3e289d89e73c1cf2229e73b947ca78ff")
+    assert h.hexdigest() == ("83ba8e196f8f1fa789fbfc80144973bc"
+                             "610b97c9967d6fe9ace895168c741f61")
 
 
 # the largest errors in (s2 mod P, Theta, length) over the oracle sample
@@ -808,6 +867,19 @@ def test_polygon_construction_and_angles():
     with pytest.raises(InvalidParameter):
         geo.PolygonBoundary(np.array([[0, 0], [1, 0], [0, 1.0]]),
                             rational_angles=[(1, 3)] * 3)
+
+
+@pytest.mark.parametrize("k", [2.5, math.nan, "x", 2, MAX_COUNT + 1],
+                         ids=["fraction", "nan", "text", "two", "over-cap"])
+def test_regular_polygon_checks_its_side_count(k):
+    # the cap refuses before a vertex is allocated
+    with pytest.raises(InvalidParameter, match="sides"):
+        geo.regular_polygon(k)
+
+
+def test_regular_polygon_takes_a_whole_float():
+    assert np.array_equal(geo.regular_polygon(5.0).vertices,
+                          geo.regular_polygon(5).vertices)
 
 
 def test_polygon_point_tangent_and_corners():
