@@ -336,8 +336,11 @@ class PolygonBoundary:
             raise InvalidParameter("polygon needs at least 3 planar vertices")
         if not np.all(np.isfinite(v)):
             raise InvalidParameter("polygon vertices must be finite")
-        area = 0.5 * float(np.sum(v[:, 0] * np.roll(v[:, 1], -1)
-                                  - v[:, 1] * np.roll(v[:, 0], -1)))
+        with np.errstate(over="ignore", invalid="ignore"):
+            area = 0.5 * float(np.sum(v[:, 0] * np.roll(v[:, 1], -1)
+                                      - v[:, 1] * np.roll(v[:, 0], -1)))
+        if not math.isfinite(area):
+            raise InvalidParameter("polygon area overflows")
         if area <= 0:
             raise InvalidParameter("vertices must be counterclockwise")
         self.vertices = v
@@ -582,6 +585,9 @@ def curve_from_points(xy):
 
 def regular_polygon(k, circumradius=1.0):
     k = whole_count(k, "sides", least=3)
+    circumradius = finite_float(circumradius, "circumradius")
+    if circumradius <= 0:
+        raise InvalidParameter("circumradius must be positive")
     ang = TWO_PI * (np.arange(k) + 0.5) / k + np.pi / 2
     v = circumradius * np.stack([np.cos(ang), np.sin(ang)], axis=1)
     g = math.gcd(k - 2, 2 * k)

@@ -83,6 +83,11 @@ class _Domain:
         return np.sum(np.concatenate([self_t, pair_t], axis=-1) * w,
                       axis=-1) / TWO_PI
 
+    def _wall_event(self, z):
+        """The boundary guard of :func:`integrate` at the (n,) complex
+        positions z: the least wall distance less GUARD_DISTANCE."""
+        return float(np.min(self.boundary_distance(z))) - GUARD_DISTANCE
+
 
 class HalfPlane(_Domain):
     """Upper half-plane y > 0 with the x-axis as the wall."""
@@ -259,6 +264,17 @@ class NeumannOvalDomain(_ConformalDomain):
         d = np.minimum(d, (1.0 - np.abs(Z) ** 2) * np.abs(self.map.Fp(Z)))
         return float(d) if d.ndim == 0 else d
 
+    def _wall_event(self, z):
+        # Koebe's quarter theorem puts the wall at least
+        # (1 - |Z|^2) |F'(Z)| / 4 away. While that clears the guard, only
+        # the event's sign matters, and the node minimum is skipped
+        Z = self.map.inv(z)
+        low = float(np.min(0.25 * (1.0 - np.abs(Z) ** 2) *
+                           np.abs(self.map.Fp(Z))))
+        if low > GUARD_DISTANCE:
+            return low - GUARD_DISTANCE
+        return super()._wall_event(z)
+
     grad_greens = _ConformalDomain.grad_greens
     grad_robin = _ConformalDomain.grad_robin
 
@@ -368,7 +384,9 @@ def momentum(config):
 
 @dataclass
 class VortexTrajectory:
-    """Sampled integration output with conserved-quantity logs."""
+    """Sampled integration output with conserved-quantity logs, and how
+    :func:`integrate` got it: its attempts, the rtol of the attempt kept,
+    and the right-hand-side calls over all attempts."""
 
     t: np.ndarray
     z: np.ndarray
@@ -377,29 +395,36 @@ class VortexTrajectory:
     hamiltonian: np.ndarray
     momentum: np.ndarray
     drift: float
+    attempts: int = 0
+    rtol: float = math.nan
+    nfev: int = 0
 
 
 GUARD_DISTANCE = 1e-8
 
 
-def solve_ivp(fun, t_span, y0, **options):
-    """scipy.integrate.solve_ivp, imported on the first call, so importing
-    pensive does not import scipy.integrate. :func:`integrate` looks this
-    name up when it calls it, so a wrapper set in its place sees every
-    call."""
-    from scipy.integrate import solve_ivp
-    return solve_ivp(fun, t_span, y0, **options)
+def solve_ivp(fun, t_span, z0, **options):
+    """:func:`pensive._dop853.solve_ivp`, the DOP853 stepper on complex
+    positions, imported on the first call, so importing pensive does not
+    compile it. :func:`integrate` looks this name up at each attempt, so
+    a wrapper set in its place sees every attempt."""
+    from ._dop853 import solve_ivp
+    return solve_ivp(fun, t_span, z0, **options)
 
 
 def integrate(config, T, tol=1e-8, rtol=1e-11, n_eval=600, events=None):
     """Integrate the vortex system to time T with drift control.
 
-    Steps with the order-8 Dormand-Prince pair (DOP853). The Hamiltonian
-    is evaluated at every output sample in one array pass; if its relative
-    drift exceeds tol the run is repeated at tighter tolerance. Close
-    approaches to the boundary or between vortices, within
-    GUARD_DISTANCE, stop the run with EventStop carrying the partial
-    trajectory; a start already that close stops at t = 0.
+    Steps with the order-8 Dormand-Prince pair (DOP853) of
+    :mod:`pensive._dop853` on the complex positions, at atol = rtol/100.
+    The Hamiltonian is evaluated at every output sample in one array pass;
+    if its relative drift exceeds tol the run is repeated at rtol/100,
+    down to 1e-13, three attempts in all. Close approaches to the boundary
+    or between vortices, within GUARD_DISTANCE, stop the run with
+    EventStop carrying the partial trajectory; a start already that close
+    stops at t = 0. Each of `events` is called as g(t, y), y the positions
+    as interleaved (x, y) reals, and keeps scipy's ``terminal`` and
+    ``direction`` meaning.
     """
     n_eval = whole_count(n_eval, "n_eval", least=1)
     if not (0 < T < math.inf and 0 < tol < math.inf):
@@ -409,33 +434,29 @@ def integrate(config, T, tol=1e-8, rtol=1e-11, n_eval=600, events=None):
     gamma = config.gamma.copy()
     gl = gamma.tolist()
     n = config.n
-    y0 = np.empty(2 * n)
-    y0[0::2] = np.real(config.z)
-    y0[1::2] = np.imag(config.z)
+    velocities = domain._velocities
 
-    def rhs(t, y):
-        v = domain._velocities(
-            list(map(complex, y[0::2].tolist(), y[1::2].tolist())), gl)
-        return np.array(v, dtype=complex).view(float)
+    def rhs(t, z):
+        return velocities(z, gl)
 
-    def ev_boundary(t, y):
-        z = y[0::2] + 1j * y[1::2]
-        return float(np.min(domain.boundary_distance(z))) - GUARD_DISTANCE
+    def ev_boundary(t, z):
+        return domain._wall_event(z)
 
-    def ev_collide(t, y):
-        z = (y[0::2] + 1j * y[1::2]).tolist()
+    def ev_collide(t, z):
+        z = z.tolist()
         return min((abs(z[i] - z[j]) for i in range(n)
                     for j in range(i + 1, n)),
                    default=math.inf) - GUARD_DISTANCE
 
     ev_boundary.terminal = True
     ev_collide.terminal = True
-    ev_list = [ev_boundary, ev_collide] + list(events or [])
+    ev_list = [ev_boundary, ev_collide] + [_on_reals(ev)
+                                           for ev in events or ()]
 
     H0 = hamiltonian(config)
     # the events fire where their sign changes, so a start already within
     # a guard distance stops here
-    if min(ev_boundary(0.0, y0), ev_collide(0.0, y0)) <= 0.0:
+    if min(ev_boundary(0.0, config.z), ev_collide(0.0, config.z)) <= 0.0:
         err = EventStop("vortex starts within guard distance", t=0.0,
                         state=config.z.copy())
         err.trajectory = VortexTrajectory(
@@ -445,23 +466,17 @@ def integrate(config, T, tol=1e-8, rtol=1e-11, n_eval=600, events=None):
         raise err
     t_eval = np.linspace(0.0, T, n_eval)
     rt = rtol
-    for attempt in range(3):
-        sol = solve_ivp(rhs, (0.0, T), y0, method="DOP853", rtol=rt,
-                        atol=rt * 1e-2, t_eval=t_eval, events=ev_list,
-                        dense_output=False)
-        if not sol.success and sol.status != 1:
+    nfev = 0
+    for attempt in range(1, 4):
+        sol = solve_ivp(rhs, (0.0, T), config.z, rtol=rt, atol=rt * 1e-2,
+                        t_eval=t_eval, events=ev_list)
+        nfev += sol.nfev
+        if sol.status < 0:
             raise InvalidParameter("integration failed: %s" % sol.message)
-        tt = sol.t
-        zz = np.ascontiguousarray(sol.y.T).view(complex)
+        tt, zz = sol.t, sol.z
         if sol.status == 1:
-            t_ev = min(float(te[0]) for te in sol.t_events if len(te))
-            y_ev = None
-            for te, ye in zip(sol.t_events, sol.y_events):
-                if len(te) and float(te[0]) == t_ev:
-                    y_ev = ye[0]
-            z_ev = y_ev[0::2] + 1j * y_ev[1::2]
-            tt = np.append(tt, t_ev)
-            zz = np.vstack([zz, z_ev[None, :]])
+            tt = np.append(tt, sol.t_final)
+            zz = np.vstack([zz, sol.z_final[None, :]])
         Hs = domain._energy_rows(zz, gamma)
         mom = np.sum(np.imag(zz) * gamma, axis=-1)
         drift = float(np.max(np.abs(Hs - H0)) / max(abs(H0), 1e-300))
@@ -471,13 +486,25 @@ def integrate(config, T, tol=1e-8, rtol=1e-11, n_eval=600, events=None):
     else:
         raise InvalidParameter("Hamiltonian drift %.3g exceeds tol" % drift)
     traj = VortexTrajectory(t=tt, z=zz, gamma=gamma, domain=domain,
-                            hamiltonian=Hs, momentum=mom, drift=drift)
+                            hamiltonian=Hs, momentum=mom, drift=drift,
+                            attempts=attempt, rtol=rt, nfev=nfev)
     if sol.status == 1 and len(sol.t_events[0]) + len(sol.t_events[1]) > 0:
         err = EventStop("vortex came within guard distance",
                         t=float(tt[-1]), state=zz[-1])
         err.trajectory = traj
         raise err
     return traj
+
+
+def _on_reals(event):
+    """The event g(t, y) of interleaved (x, y) reals as an event of the
+    complex positions, with its terminal and direction."""
+    def on_complex(t, z):
+        return event(t, z.view(float))
+
+    on_complex.terminal = getattr(event, "terminal", None)
+    on_complex.direction = getattr(event, "direction", 0)
+    return on_complex
 
 
 # -- dipole bookkeeping ----------------------------------------------------

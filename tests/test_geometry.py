@@ -877,6 +877,20 @@ def test_regular_polygon_checks_its_side_count(k):
         geo.regular_polygon(k)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("r, match", [
+    (-1.0, "circumradius must be positive"),
+    (0.0, "circumradius must be positive"),
+    (math.nan, "circumradius"), (math.inf, "circumradius"),
+    ("x", "circumradius"), (1e300, "area overflows")],
+    ids=["negative", "zero", "nan", "inf", "text", "area-overflow"])
+def test_regular_polygon_checks_its_radius(r, match):
+    # a negative radius once gave the polygon turned by pi, zero a
+    # complaint about orientation, and 1e300 numpy overflow warnings
+    with pytest.raises(InvalidParameter, match=match):
+        geo.regular_polygon(4, circumradius=r)
+
+
 def test_regular_polygon_takes_a_whole_float():
     assert np.array_equal(geo.regular_polygon(5.0).vertices,
                           geo.regular_polygon(5).vertices)

@@ -478,6 +478,138 @@ def test_integrate_calls_solve_ivp_by_its_module_name(monkeypatch):
     assert len(calls) == 1
 
 
+def _counted_velocities(monkeypatch, dom):
+    """The list of right-hand-side calls on dom from here on."""
+    calls = []
+    velocities = dom._velocities
+
+    def counted(z, gamma):
+        calls.append(1)
+        return velocities(z, gamma)
+
+    monkeypatch.setattr(dom, "_velocities", counted)
+    return calls
+
+
+def test_integrate_reports_attempts_rtol_and_rhs_calls(monkeypatch):
+    dom = vx.DiskDomain(1.0)
+    calls = _counted_velocities(monkeypatch, dom)
+    z, g = vx.make_dipole(0.2j, 1, 0.05)
+    cfg = vx.VortexConfiguration(z, g, dom)
+    tr = vx.integrate(cfg, 0.5)
+    assert (tr.attempts, tr.rtol, tr.nfev) == (1, 1e-11, len(calls))
+    # the drift at rtol 1e-6 exceeds tol, so a second attempt runs at
+    # rtol 1e-8; nfev counts both attempts
+    calls.clear()
+    tr = vx.integrate(cfg, 0.5, tol=1e-8, rtol=1e-6)
+    assert (tr.attempts, tr.rtol, tr.nfev) == (2, 1e-8, len(calls))
+    assert tr.drift <= 1e-8
+    # the partial trajectory of a guard stop reports them too
+    hp = vx.HalfPlane()
+    calls = _counted_velocities(monkeypatch, hp)
+    z, g = vx.make_dipole(complex(0, 0.3), -1j, 6e-9)
+    with pytest.raises(vx.EventStop) as stop:
+        vx.integrate(vx.VortexConfiguration(z, g, hp), 1.0, tol=1e-2)
+    tr = stop.value.trajectory
+    assert (tr.attempts, tr.rtol, tr.nfev) == (1, 1e-11, len(calls))
+    assert len(calls) > 0
+
+
+def test_guard_stop_ends_where_the_run_stopped():
+    # a head-on dipole descends from height 0.3 at unit speed; a user
+    # event that is not terminal fires at height 0.2, and the guard stops
+    # the run near the wall. The stop's time and the trajectory's last
+    # sample are the guard's, not the earlier user root
+    hp = vx.HalfPlane()
+    z, g = vx.make_dipole(complex(0, 0.3), -1j, 6e-9)
+
+    def below(t, y):
+        return y[1] - 0.2
+
+    with pytest.raises(vx.EventStop) as stop:
+        vx.integrate(vx.VortexConfiguration(z, g, hp), 1.0, tol=1e-2,
+                     n_eval=50, events=[below])
+    tr = stop.value.trajectory
+    assert stop.value.t == tr.t[-1] == pytest.approx(0.3, abs=1e-3)
+    assert np.all(np.diff(tr.t) >= 0.0)
+
+
+# -- the DOP853 stepper against scipy's ---------------------------------------
+
+
+def _scipy_dop853(cfg, T, t_eval, events=()):
+    """scipy's DOP853 on the interleaved real positions of cfg."""
+    from scipy.integrate import solve_ivp
+    dom, gamma = cfg.domain, cfg.gamma.tolist()
+
+    def rhs(t, y):
+        return np.array(dom._velocities(y.view(complex).tolist(), gamma),
+                        dtype=complex).view(float)
+
+    return solve_ivp(rhs, (0.0, T), cfg.z.view(float), method="DOP853",
+                     rtol=1e-10, atol=1e-12, t_eval=t_eval, events=events)
+
+
+def _dop853(cfg, T, t_eval, events=()):
+    dom, gamma = cfg.domain, cfg.gamma.tolist()
+    return vx.solve_ivp(lambda t, z: dom._velocities(z, gamma), (0.0, T),
+                        cfg.z, rtol=1e-10, atol=1e-12, t_eval=t_eval,
+                        events=events)
+
+
+@pytest.mark.parametrize("dom", [vx.HalfPlane(), vx.DiskDomain(1.0),
+                                 vx.NeumannOvalDomain(0.3)],
+                         ids=["half_plane", "disk", "oval"])
+@pytest.mark.parametrize("n", [1, 2, 4, 8])
+def test_dop853_repeats_scipys_steps(dom, n):
+    # the same samples from the same number of right-hand-side calls
+    cfg = _random_config(dom, n, np.random.default_rng(100 + n))
+    t_eval = np.linspace(0.0, 0.5, 40)
+    ref = _scipy_dop853(cfg, 0.5, t_eval)
+    sol = _dop853(cfg, 0.5, t_eval)
+    assert sol.status == ref.status == 0
+    np.testing.assert_array_equal(sol.t, ref.t)
+    assert sol.nfev == ref.nfev
+    z_ref = np.ascontiguousarray(ref.y.T).view(complex)
+    assert np.max(np.abs(sol.z - z_ref)) <= 1e-12
+
+
+def test_dop853_event_direction_keeps_scipys_meaning():
+    # a lone vortex circles the disk's center: x = 0 is crossed once
+    # falling and once rising per turn
+    cfg = vx.VortexConfiguration([0.5], [20.0], vx.DiskDomain(1.0))
+
+    def cross(t, z):
+        return z[0].real
+
+    def rising(t, z):
+        return z[0].real
+
+    rising.direction = 1.0
+    sol = _dop853(cfg, 1.5, [0.0], events=[cross, rising])
+    ref = _scipy_dop853(cfg, 1.5, [0.0], events=[lambda t, y: y[0], rising])
+    assert len(sol.t_events[0]) == 2 and len(sol.t_events[1]) == 1
+    # the rising crossing is the second, where the vortex moves to +x
+    assert sol.t_events[1][0] == sol.t_events[0][1]
+    z = sol.z_events[1][0]
+    assert cfg.domain._velocities([complex(z[0])], [20.0])[0].real > 0
+    for te, te_ref in zip(sol.t_events, ref.t_events):
+        np.testing.assert_allclose(te, te_ref, rtol=0, atol=1e-12)
+
+
+def test_dop853_tableau_is_scipys():
+    from scipy.integrate._ivp import dop853_coefficients as ref
+
+    from pensive import _dop853
+    assert ((_dop853.N_STAGES, _dop853.N_STAGES_EXTENDED,
+             _dop853.INTERPOLATOR_POWER)
+            == (ref.N_STAGES, ref.N_STAGES_EXTENDED, ref.INTERPOLATOR_POWER))
+    for name in ("A", "B", "C", "D", "E3", "E5"):
+        ours, theirs = getattr(_dop853, name), getattr(ref, name)
+        assert ours.shape == theirs.shape, name
+        assert ours.tobytes() == theirs.tobytes(), name
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("args", [(0, 1, 0.0), (0, 1, math.nan),
                                   (0, 1, math.inf), (0, 0, 0.05),
