@@ -911,6 +911,29 @@ def _newton_rows(step, x, lo, hi, flo, fhi, args, tol):
     return x
 
 
+def _newton_one(step, x, lo, hi, flo, fhi, args, tol):
+    """:func:`_newton_rows` for one row in Python floats: the same start,
+    bisection, exact-zero close, stop after a step of at most tol, 64-step
+    cap and errstate, without the one-element arrays' overhead."""
+    if not lo < x < hi:
+        x = lo - flo * (hi - lo) / (fhi - flo)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(64):
+            f, dx = step(x, *args)
+            if f <= 0.0:
+                lo = x
+            if f >= 0.0:
+                hi = x
+            xn = x + dx
+            if not lo <= xn <= hi:
+                xn = 0.5 * (lo + hi)
+            live = abs(xn - x) > tol
+            x = xn
+            if not live:
+                break
+    return x
+
+
 def _chord_polygon(poly, s, theta):
     theta = float(_check_angle(theta))
     p0 = poly.point(s)

@@ -11,6 +11,7 @@ the new tangency, preserving the area form mu = r dr ^ dalpha.
 import cmath
 import math
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -63,8 +64,10 @@ def tangent_coordinates(curve, X, side="right"):
     the forward tangent ray); side="left" solves X = gamma(t) - r T(t).
 
     f(t) = Im(conj T(t) (X - gamma(t))) is the signed distance from X to
-    the tangent line at t, positive on the table's side. On a strictly
-    convex table it is positive at every t for an interior point, so a
+    the tangent line at t, positive on the table's side; each sign change
+    of its scan is polished in its cell (:func:`_tangency_in_cell`), the
+    first candidate whose r clears the rounding winning. On a strictly
+    convex table f is positive at every t for an interior point, so a
     scan with no sign change, or no tangency whose r clears the rounding
     of r, means X lies inside the oval or on it, within rounding.
     """
@@ -74,15 +77,19 @@ def tangent_coordinates(curve, X, side="right"):
     X = _as_xy(X)
     zx = complex(X[0], X[1])
     sgn = 1.0 if side == "right" else -1.0
-
-    def f(t):
-        return np.imag(np.conj(curve.tangent_t(t)) * (zx - curve.zpoint_t(t)))
-
     # the right tangency is where f falls through zero, the left where it
     # rises; the scan is f at the curve's table of 512 nodes
     ts, zs, cT = curve._tangent_scan
-    for tstar in geo._periodic_zeros(f, ts, np.imag(cT * (zx - zs)), TWO_PI,
-                                     direction=-sgn):
+    vals = np.imag(cT * (zx - zs))
+    on_node, crossing, nxt = geo._scan_zeros(vals, direction=-sgn)
+    for i in np.flatnonzero(on_node | crossing).tolist():
+        tstar = float(ts[i])
+        if crossing[i]:
+            # the polish's residual -sgn f rises through the root
+            tstar = _tangency_in_cell(
+                curve, zx, sgn, tstar,
+                float(ts[i + 1]) if i + 1 < ts.size else TWO_PI,
+                -sgn * float(vals[i]), -sgn * float(nxt[i]))
         tau = complex(curve.tangent_t(tstar))
         p = complex(curve.zpoint_t(tstar))
         r = sgn * float(np.real(np.conj(tau) * (zx - p)))
@@ -94,6 +101,24 @@ def tangent_coordinates(curve, X, side="right"):
     alpha = math.atan2(tau.imag, tau.real) % TWO_PI
     return OuterPoint(x=float(X[0]), y=float(X[1]), alpha=alpha, r=r,
                       t=tstar % TWO_PI, side=side)
+
+
+def _tangency_in_cell(curve, zx, sgn, a, b, fa, fb):
+    """The side's tangency in the scan cell [a, b], whose scan ends read
+    fa < 0 < fb in the sign of :func:`_tangency_step`'s residual, polished
+    by :func:`geometry._newton_one`. A scan end this close to 0 may
+    differ in sign from its one-point residual (a point on the oval, or
+    a tangency on a cell end), so both ends are read again there: if they
+    do not change sign, the zero lies within rounding of the end whose
+    sign disagrees with the scan, or on the end where it is 0."""
+    if min(-fa, fb) <= 64.0 * _R_ROUND * (abs(zx) + curve._zmax):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ga = _tangency_step(curve, a, zx, sgn)[0]
+            gb = _tangency_step(curve, b, zx, sgn)[0]
+        if ga * gb >= 0.0:
+            return b if ga < 0.0 else a
+    return geo._newton_one(partial(_tangency_step, curve), a, a, b, fa, fb,
+                           (zx, sgn), _STEP_TOL)
 
 
 def outer_step(curve, X, side="right"):
@@ -136,14 +161,17 @@ class OuterDelay:
         return cls(theta=lambda r: 0.0, label="zero")
 
 
-def _bearing(curve, t):
-    """Unwrapped tangent bearing at parameter t: the bearing of the node
-    cell holding t plus the tangent's turn from that node, exact while the
-    tangent turns by less than pi inside one cell."""
+def _bearing(curve, t, dz=None):
+    """Unwrapped tangent bearing at parameter t, given z'(t) there or not:
+    the bearing of the node cell holding t plus the tangent's turn from
+    that node, exact while the tangent turns by less than pi inside one
+    cell."""
     bear = curve._bearing_nodes
     p, k = divmod(math.floor(t / curve._h), curve._M)
-    return bear[k] + p * (bear[-1] - bear[0]) + cmath.phase(
-        complex(curve.tangent_t(t)) * curve._dz_nodes[k].conjugate())
+    if dz is None:
+        dz = complex(curve._dzf(t % TWO_PI))
+    return float(bear[k] + p * (bear[-1] - bear[0])) + cmath.phase(
+        dz * complex(curve._dz_nodes[k]).conjugate())
 
 
 def _turn_integral(curve, t0, t1):
@@ -151,25 +179,41 @@ def _turn_integral(curve, t0, t1):
     return _bearing(curve, t1) - _bearing(curve, t0)
 
 
+def _advance_one(curve, t0, turn):
+    """:func:`_advance_tangencies` for one float t0 and turn, in Python
+    floats: the landing as u and its whole periods p. The bearing
+    increases on a convex table, so the bracket over node cells k - 1 to
+    k + 1 keeps clear signs at its ends even when the target sits on a
+    node, within the rounding of the table."""
+    bear, h, m = curve._bearing_nodes, curve._h, curve._M
+    full = float(bear[-1] - bear[0])
+    p, rem = divmod(_bearing(curve, t0) + turn - float(bear[0]), full)
+    target = float(bear[0]) + rem
+    k = min(int(np.searchsorted(bear, target, side="right")) - 1, m - 1)
+    # the bracket's end residuals, read from the table at nodes k - 1 and
+    # k + 2 of the period unwrapped
+    lo = float(bear[k - 1]) if k else float(bear[-2]) - full
+    hi = float(bear[k + 2]) if k + 2 <= m else float(bear[1]) + full
+    bk, tk = float(bear[k]), float(curve._t_nodes[k])
+    dzf, d2zf = curve._dzf, curve._d2zf
+
+    def step(u):
+        uw = u % TWO_PI
+        dz, d2z = complex(dzf(uw)), complex(d2zf(uw))
+        f = _bearing(curve, u, dz) - target
+        return f, -f * (dz.real ** 2 + dz.imag ** 2) / (
+            dz.real * d2z.imag - dz.imag * d2z.real)
+
+    u = geo._newton_one(
+        step, tk + h * (target - bk) / (float(bear[k + 1]) - bk), tk - h,
+        tk + 2.0 * h, lo - target, hi - target, (), _STEP_TOL)
+    return u, p
+
+
 def _advance_tangency(curve, t0, turn):
-    """Parameter at which the tangent bearing has advanced by `turn`.
-
-    The target bearing falls in one node cell k of one period; brentq
-    solves for it over cells k - 1 to k + 1. The bearing increases on a
-    convex table, so the bracket's ends keep clear signs even when the
-    target sits on a node, within the rounding of the table.
-    """
-    # scipy's brentq itself: geometry.brentq stands for the periodic zero
-    # scans' root solves alone, and a wrapper set there counts only those
-    from scipy.optimize import brentq
-
-    bear = curve._bearing_nodes
-    p, rem = divmod(_bearing(curve, t0) + turn - bear[0], bear[-1] - bear[0])
-    k = min(int(np.searchsorted(bear, bear[0] + rem, side="right")) - 1,
-            curve._M - 1)
-    tk = curve._t_nodes[k]
-    u = brentq(lambda u: _bearing(curve, u) - bear[0] - rem,
-               tk - curve._h, tk + 2.0 * curve._h, xtol=1e-15, rtol=8.9e-16)
+    """Parameter at which the tangent bearing has advanced by `turn`,
+    unwrapped: u + 2 pi p of :func:`_advance_one`."""
+    u, p = _advance_one(curve, t0, turn)
     return u + TWO_PI * p
 
 
@@ -181,13 +225,12 @@ def pensive_outer_step(curve, odelay, X):
 
 def _slide_and_reflect(curve, odelay, op):
     """The pensive outer image of the point with right-tangent
-    coordinates op."""
-    turn = odelay.shift(op.r)
-    tq = _advance_tangency(curve, op.t, turn)
-    q = curve.zpoint_t(tq)
-    tau = curve.tangent_t(tq)
-    y = q - op.r * tau
-    return np.array([float(np.real(y)), float(np.imag(y))])
+    coordinates op. z and T are read at the wrapped landing u, the
+    whole periods of the slide kept apart, as the batch does."""
+    u = _advance_one(curve, op.t, odelay.shift(op.r))[0] % TWO_PI
+    dz = complex(curve._dzf(u))
+    y = complex(curve._zf(u)) - op.r * (dz / abs(dz))
+    return np.array([y.real, y.imag])
 
 
 def _outer_images(curve, odelay, X):
@@ -204,16 +247,14 @@ def _outer_images(curve, odelay, X):
     shift odelay.shift is called per row on a float, since a user's
     callable need not take arrays.
 
-    One point keeps the scalar step on brentq, a duplicate path kept for
-    its cost. Measured on a 2-vCPU x86-64 VM on ellipse(2, 1) and
-    neumann_oval(0.3), the scalar step takes 0.19 ms and a one-row batch
-    0.41-0.61 ms: one evaluation of z, z' and z'' at one point alone
-    takes 14-27 us, and brentq's whole slide 56-63 us. Routing every
-    step through the batch cut the outer benchmark's jobs_per_s from
-    369-447 to 226-237 and doubled its job_p90_ms (9.5-10.1 against
-    4.2-5.2 ms), since its orbit jobs step one point at a time. So
-    pensive_outer_step, tangent_coordinates and the CLI step one point
-    at a time, and area_preservation_check steps its 4n points here.
+    The input size picks the path. One point steps on Python floats
+    (:func:`geometry._newton_one`), many points step here. Measured on a
+    2-vCPU x86-64 VM on ellipse(2, 1) and neumann_oval(0.3) with
+    a(r) = r^3, one point takes 0.10-0.12 ms on the scalar path and
+    0.45-0.84 ms as a one-row batch, and 40 points 4.6-6.0 ms one by one
+    and 0.7-0.9 ms as one batch. So pensive_outer_step,
+    tangent_coordinates and the CLI step one point at a time, and
+    area_preservation_check steps its 4n points here.
     """
     _require_oval(curve)
     t, r = _right_tangencies(curve, X[:, 0] + 1j * X[:, 1])
@@ -240,19 +281,11 @@ def _right_tangencies(curve, zx):
     t = ts[cell]
     pol = np.flatnonzero(crossing[row, cell])
     if pol.size:
-        # the residual -Im(conj z' (X - z)) rises through the root
-
-        def step(t, zx):
-            tw = geo._wrap(t)
-            dz = curve._dzf(tw)
-            w = np.conj(dz) * (zx - curve._zf(tw))
-            return -w.imag, (w.imag / w.real * (dz.real ** 2 + dz.imag ** 2)
-                             / np.imag(np.conj(dz) * curve._d2zf(tw)))
-
         i, j = row[pol], cell[pol]
         t[pol] = geo._newton_rows(
-            step, ts[j], ts[j], np.append(ts[1:], TWO_PI)[j], -vals[i, j],
-            -nxt[i, j], (zx[i],), _STEP_TOL)
+            partial(_tangency_step, curve), ts[j], ts[j],
+            np.append(ts[1:], TWO_PI)[j], -vals[i, j], -nxt[i, j], (zx[i],),
+            _STEP_TOL)
     tw = geo._wrap(t)
     dz = curve._dzf(tw)
     p = curve._zf(tw)
@@ -263,6 +296,18 @@ def _right_tangencies(curve, zx):
         raise NotExterior("point lies inside or on the oval: no tangent "
                           "ray reaches it")
     return tw[ok[first]], r[ok[first]]
+
+
+def _tangency_step(curve, t, zx, sgn=1.0):
+    """The tangency polish's residual -sgn Im(conj z' (X - z)) at t, which
+    rises through the side's root, and its Newton increment from the
+    derivative -kappa |z'| Re(conj T (X - z)) on either side; t and zx are
+    floats or arrays of rows."""
+    tw = geo._wrap(t)
+    dz = curve._dzf(tw)
+    w = np.conj(dz) * (zx - curve._zf(tw))
+    return -sgn * w.imag, (w.imag / w.real * (dz.real ** 2 + dz.imag ** 2)
+                           / np.imag(np.conj(dz) * curve._d2zf(tw)))
 
 
 def _bearings(curve, t, dz):

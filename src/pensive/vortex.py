@@ -419,7 +419,8 @@ def integrate(config, T, tol=1e-8, rtol=1e-11, n_eval=600, events=None):
     :mod:`pensive._dop853` on the complex positions, at atol = rtol/100.
     The Hamiltonian is evaluated at every output sample in one array pass;
     if its relative drift exceeds tol the run is repeated at rtol/100,
-    down to 1e-13, three attempts in all. Close approaches to the boundary
+    floored at 1e-13, at most three attempts in all; an attempt at the
+    floor is the last. Close approaches to the boundary
     or between vortices, within GUARD_DISTANCE, stop the run with
     EventStop carrying the partial trajectory; a start already that close
     stops at t = 0. Each of `events` is called as g(t, y), y the positions
@@ -480,10 +481,10 @@ def integrate(config, T, tol=1e-8, rtol=1e-11, n_eval=600, events=None):
         Hs = domain._energy_rows(zz, gamma)
         mom = np.sum(np.imag(zz) * gamma, axis=-1)
         drift = float(np.max(np.abs(Hs - H0)) / max(abs(H0), 1e-300))
-        if drift <= tol:
+        if drift <= tol or rt <= 1e-13:
             break
         rt = max(rt * 1e-2, 1e-13)
-    else:
+    if not drift <= tol:
         raise InvalidParameter("Hamiltonian drift %.3g exceeds tol" % drift)
     traj = VortexTrajectory(t=tt, z=zz, gamma=gamma, domain=domain,
                             hamiltonian=Hs, momentum=mom, drift=drift,

@@ -696,7 +696,7 @@ x0 = 3
 y0 = 1
 steps = 40
 """, "outer.csv",
-            "1d275ff51a621ae17b7d5d9c5accb3297448a98fcb8ab0b19da1c50ef4b46062"),
+            "36230efc3110ee1e806de969008b4b038231b36fbe4f40f14d77087caa838314"),
         "oval-theta_const": ("""
 [curve]
 kind = neumann_oval
@@ -709,7 +709,7 @@ x0 = 2.5
 y0 = 0.5
 steps = 40
 """, "outer.csv",
-            "1c3fb4b074c22a0243384147d65a264618f31834970f533b733edfdb8abaf049"),
+            "7c81287fc7b297828c82c7c103173bd74301536348ed5b8c48fe8c5a0ee5b3ce"),
         "sphere-constant": ("""
 [delay]
 kind = constant

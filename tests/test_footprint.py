@@ -2,9 +2,8 @@
 ``import pensive`` and for each CLI command.
 
 scipy is imported where it is called, so the map commands on disks and
-ovals and vortex runs without events run on numpy alone, ellipses add
-scipy.special (the arc length), and outer runs import scipy.optimize on
-their first call.
+ovals, vortex runs without events and planar outer runs on disks run on
+numpy alone, and ellipses add scipy.special (the arc length).
 """
 
 import json
@@ -91,9 +90,9 @@ def test_scipy_loads_only_where_it_is_called(tmp_path):
     # scipy share one child, which runs them first
     plain = _start(tmp_path, [
         (command, curve) for curve in ("disk", "oval")
-        for command in ("simulate", "phase")] + [("vortex", "disk")])
-    rest = _start(tmp_path, [
-        ("simulate", "ellipse"), ("phase", "ellipse"), ("outer", "disk")])
+        for command in ("simulate", "phase")] + [("vortex", "disk"),
+                                                 ("outer", "disk")])
+    rest = _start(tmp_path, [("simulate", "ellipse"), ("phase", "ellipse")])
     plain, rest = _report(plain), _report(rest)
 
     assert plain.pop("import") == [0, []]
@@ -101,6 +100,11 @@ def test_scipy_loads_only_where_it_is_called(tmp_path):
     # vortex runs step with the package's own DOP853
     code, modules = plain.pop("vortex-disk")
     assert code == 0 and (tmp_path / "vortex-disk" / "vortex.csv").exists()
+    assert _subpackages(modules) == set()
+    # planar outer runs polish their tangencies and slides by the
+    # package's own Newton
+    code, modules = plain.pop("outer-disk")
+    assert code == 0 and (tmp_path / "outer-disk" / "outer.csv").exists()
     assert _subpackages(modules) == set()
     # map commands on disks and ovals: numpy alone
     for label, (code, modules) in plain.items():
@@ -111,8 +115,3 @@ def test_scipy_loads_only_where_it_is_called(tmp_path):
         code, modules = rest[label]
         assert code == 0, label
         assert _subpackages(modules) == {"special"}, label
-    # outer runs import their root solver on the first call
-    code, modules = rest["outer-disk"]
-    assert code == 0 and (tmp_path / "outer-disk" / "outer.csv").exists()
-    assert "optimize" in _subpackages(modules)
-    assert "integrate" not in _subpackages(modules)

@@ -542,6 +542,18 @@ def _newton_corpus():
     return x, lo, hi, lo ** 3 - c, hi ** 3 - c, c, kind
 
 
+def _newton_each(step, x, lo, hi, flo, fhi, args, tol):
+    """The one-row driver over rows: _newton_one on each row's floats."""
+    return np.array([
+        geo._newton_one(step, *(float(v[i]) for v in (x, lo, hi, flo, fhi)),
+                        tuple(a[i] for a in args), tol)
+        for i in range(len(x))])
+
+
+# the batch, and one row at a time in floats: the same rules
+DRIVERS = (geo._newton_rows, _newton_each)
+
+
 def test_newton_rows_alone_as_in_a_mixed_batch():
     x, lo, hi, flo, fhi, c, kind = _newton_corpus()
     step, calls = _cubic_rows(kind)
@@ -557,6 +569,11 @@ def test_newton_rows_alone_as_in_a_mixed_batch():
         assert alone.tobytes() == got[one].tobytes()
     # each row took as many passes alone as in the batch
     assert np.array_equal(calls - batch_calls, batch_calls)
+    # and as many in floats, to the same bits
+    one_calls = calls.copy()
+    each = _newton_each(step, x, lo, hi, flo, fhi, (c, kind, ids), 1e-13)
+    assert each.tobytes() == got.tobytes()
+    assert np.array_equal(calls - one_calls, batch_calls)
     assert np.all(np.abs(got ** 3 - c) < 1e-12 * c)
     # Newton rows converge in a few passes; bisecting rows take ~45
     assert batch_calls[kind == 0].max() <= 8
@@ -587,18 +604,19 @@ def test_newton_rows_bisect_on_a_step_not_taken(bad):
     def step(x, root):
         return x - root, np.full_like(x, bad)
 
-    got = geo._newton_rows(step, x.copy(), lo, hi, flo, fhi, (root,), 1e-15)
     want = [_bisection(*row, 1e-15) for row in zip(x, lo, hi, flo, fhi, root)]
-    assert got.tobytes() == np.array(want).tobytes()
+    for solve in DRIVERS:
+        got = solve(step, x.copy(), lo, hi, flo, fhi, (root,), 1e-15)
+        assert got.tobytes() == np.array(want).tobytes(), solve
 
 
 def test_newton_rows_exact_zero_stops_in_place():
     # a zero residual with an increment that is not finite keeps its x
-    got = geo._newton_rows(lambda x: (x - 0.25, np.full_like(x, np.nan)),
-                           np.array([0.25]), np.array([0.0]),
-                           np.array([1.0]), np.array([-0.25]),
-                           np.array([0.75]), (), 1e-13)
-    assert got.tolist() == [0.25]
+    for solve in DRIVERS:
+        got = solve(lambda x: (x - 0.25, np.full_like(x, np.nan)),
+                    np.array([0.25]), np.array([0.0]), np.array([1.0]),
+                    np.array([-0.25]), np.array([0.75]), (), 1e-13)
+        assert got.tolist() == [0.25], solve
 
 
 def test_newton_rows_empty_batch_calls_no_step():
@@ -613,10 +631,11 @@ def test_newton_rows_empty_batch_calls_no_step():
 def test_newton_rows_cap_passes_at_64():
     # a negative tolerance never stops a row: every row takes the cap
     x, lo, hi, flo, fhi, c, kind = _newton_corpus()
-    step, calls = _cubic_rows(kind)
-    geo._newton_rows(step, x.copy(), lo, hi, flo, fhi,
-                     (c, kind, np.arange(len(x))), -1.0)
-    assert calls.tolist() == [64] * len(x)
+    for solve in DRIVERS:
+        step, calls = _cubic_rows(kind)
+        solve(step, x.copy(), lo, hi, flo, fhi,
+              (c, kind, np.arange(len(x))), -1.0)
+        assert calls.tolist() == [64] * len(x), solve
 
 
 def test_grazing_chord_bytes_are_pinned():

@@ -103,14 +103,17 @@ class TestTangentCoordinates:
         assert p.imag == pytest.approx(-math.sqrt(3.0) / 2, abs=1e-12)
 
     def test_one_polish_per_side(self, monkeypatch):
-        # the scan's sign direction picks the side: one brentq per call
+        # the scan's sign direction picks the side: one Newton solve per
+        # call, and no brentq
         calls = []
+        solve = geo._newton_one
 
         def counted(*args, **kw):
             calls.append(1)
-            return brentq(*args, **kw)
+            return solve(*args, **kw)
 
-        monkeypatch.setattr(geo, "brentq", counted)
+        monkeypatch.setattr(geo, "_newton_one", counted)
+        monkeypatch.setattr(geo, "brentq", None)
         ell = geo.ellipse(2.0, 1.0)
         for side in ("right", "left"):
             outer.tangent_coordinates(ell, (1.7, 1.9), side=side)
@@ -454,11 +457,12 @@ def hex_orbit(curve, X, steps):
 
 
 class TestOuterBitPins:
-    """Float hex recorded before the planar scan read a per-curve table.
-    Per table: two exterior points, their (alpha, r, t) on the right and
-    left sides; the last point and the sha256 of the hex of a 20-step
-    orbit from the first point; the area check over both points, recorded
-    when it came to step its displaced points as one batch."""
+    """Float hex per table: two exterior points, their (alpha, r, t) on
+    the right and left sides; the last point and the sha256 of the hex of
+    a 20-step orbit from the first point, recorded when one-point steps
+    came to polish by safeguarded Newton; the area check over both
+    points, recorded when it came to step its displaced points as one
+    batch."""
 
     CURVES = {
         "ellipse": (lambda: geo.ellipse(2.0, 1.0), [(3.0, 0.5), (-1.0, 2.2)]),
@@ -474,13 +478,13 @@ class TestOuterBitPins:
                  '0x1.6e01c8144e5dap+2'),
                 ('0x1.7a1a5a285ebc8p+1', '0x1.2a5853f4f8e85p+1',
                  '0x1.353431d906c68p+0'),
-                ('0x1.4b8e344f8e0c9p+1', '0x1.7f6fba7e595efp+1',
-                 '0x1.5d89687f4e183p-1'),
+                ('0x1.4b8e344f8e0c9p+1', '0x1.7f6fba7e595eep+1',
+                 '0x1.5d89687f4e184p-1'),
                 ('0x1.10ee3da3c8a97p+2', '0x1.173e407db25e4p+1',
                  '0x1.73f31e59c147bp+1'),
             ],
-            ('-0x1.af7a7c8c60f20p-1', '-0x1.9794c45b8a573p+0'),
-            '8dd731e6ae1471d0eedbcdce8228961a721fed2e002ee2751f31b6298958eeae',
+            ('-0x1.af7a7c8c6101ep-1', '-0x1.9794c45b8a562p+0'),
+            '2ad293476cde3ef2c85fe915baee803da3dcc1640439fbf69e6313f8ca4fd714',
             '0x1.e47a480000000p-32'),
         'oval': (
             [
@@ -488,41 +492,41 @@ class TestOuterBitPins:
                  '0x1.7045926e8fd4dp+2'),
                 ('0x1.6a1c100fc0260p+1', '0x1.704dc987d42c7p+0',
                  '0x1.055f10b781b97p+0'),
-                ('0x1.353819fa951e8p+2', '0x1.82fa064101690p+0',
-                 '0x1.9be98906d914ap+1'),
+                ('0x1.353819fa951e9p+2', '0x1.82fa06410168dp+0',
+                 '0x1.9be98906d914bp+1'),
                 ('0x1.022c3001ef99bp-1', '0x1.bc7c5ec93118cp+0',
                  '0x1.5f149fd007bf0p+2'),
             ],
-            ('-0x1.9207f2f8b6aa0p+0', '-0x1.7b8b19886f922p-1'),
-            'd7454661238d03ba891960668da3ee76835545e76a275ae3667ee1a6ee8cb070',
+            ('-0x1.9207f2f8b6a42p+0', '-0x1.7b8b19886f9ecp-1'),
+            '8ff1002f6cb69025be68a933c1a52714661355b194e5f40f538bd648e30a39e2',
             '0x1.5abd860000000p-30'),
         'thin': (
             [
                 ('0x1.8f21f9b549e97p+1', '0x1.0e423eef795fcp+4',
-                 '0x1.b4760b1ded3a3p-4'),
-                ('0x1.94546406ce2cdp+1', '0x1.6cbd5aeec95e2p+4',
-                 '0x1.7faf5cf9b83a9p+1'),
-                ('0x1.91e3371136f09p+1', '0x1.030baa0072bebp+5',
-                 '0x1.de9585f8f168bp-1'),
+                 '0x1.b4760b1ded3a0p-4'),
+                ('0x1.94546406ce2cep+1', '0x1.6cbd5aeec95e1p+4',
+                 '0x1.7faf5cf9b83aap+1'),
+                ('0x1.91e3371136f09p+1', '0x1.030baa0072becp+5',
+                 '0x1.de9585f8f1689p-1'),
                 ('0x1.8573c3e441f36p+2', '0x1.05e9731932375p-1',
                  '0x1.93b803d23cba5p+1'),
             ],
-            ('0x1.14e71bec5de43p+4', '0x1.5c6b7eabf2f41p-1'),
-            'fa2e7c50d1be6c960c216e75633e62310e226c815233d291c1306c12fba13d6c',
+            ('0x1.14e71bec547f2p+4', '0x1.5c6b7eabf3de2p-1'),
+            'e227903ec6f0c37aa7181cf272f84d3bb8d42e53bde6b385a58a5400dade58c6',
             '0x1.079d520000000p-29'),
         'sampled': (
             [
                 ('0x1.33e1a94a0db82p+0', '0x1.8f0f3d8b5a19ep+0',
                  '0x1.6be023f5e56d4p+2'),
-                ('0x1.7b47351347c3ap+1', '0x1.02d6e1835c61dp+0',
-                 '0x1.1cfdb26f49e58p+0'),
+                ('0x1.7b47351347c39p+1', '0x1.02d6e1835c61dp+0',
+                 '0x1.1cfdb26f49e57p+0'),
                 ('0x1.5487b3b334448p+2', '0x1.03a5396501d32p+0',
                  '0x1.ed73eb31e404bp+1'),
                 ('0x1.2fd74aadcd5a6p-1', '0x1.47ed2d3a67b07p+0',
                  '0x1.5ad9c69995edep+2'),
             ],
-            ('0x1.20a21f102484ep+1', '0x1.3c09e22800edap-2'),
-            '3633cddd057436cbeb44470c38d6c8666e54faa2ef394cd2be7b06fc97dde698',
+            ('0x1.20a21f1024836p+1', '0x1.3c09e22801220p-2'),
+            '2cbb6613d6b30b4f50fcc722558ea7a572ce95e505974b9a34972c338f8ea735',
             '0x1.40d5f00000000p-31'),
     }
 
@@ -566,7 +570,7 @@ def scalar_image(curve, odelay, X):
     read at: |Y| plus the image's first-order change under an error of
     one unit in the last place of each quantity the step solves. The
     tangency t0 is read to 2 pi, the bearing to 2 pi + |theta(r)| and the
-    unwrapped landing tq to max(2 pi, |tq|). A bearing error moves the
+    landing tq to 2 pi, its whole periods kept apart. A bearing error moves the
     landing by itself over kappa |z'| there, and so the image by
     sqrt(rho^2 + r^2) per radian, rho the radius of curvature at tq; an
     error in t0 moves the bearing by kappa |z'| at t0, one in tq the
@@ -579,7 +583,7 @@ def scalar_image(curve, odelay, X):
     turn_tq = kappa * float(curve.speed_t(tq))
     Y = outer.pensive_outer_step(curve, odelay, X)
     return Y, math.hypot(*Y) + math.hypot(1.0 / kappa, op.r) * (
-        turn_tq * max(TWO_PI, abs(tq)) + TWO_PI * (turn_t0 + 1.0)
+        turn_tq * TWO_PI + TWO_PI * (turn_t0 + 1.0)
         + abs(theta))
 
 
@@ -595,6 +599,30 @@ class TestOuterBatch:
             for x, y in zip(X, got):
                 want, scale = scalar_image(curve, make(), x)
                 assert np.hypot(*(y - want)) <= 4.0 * eps * scale, label
+
+    def test_thin_tips_several_turns_out(self):
+        # tangencies on the flat sides of ellipse(20, 0.05) whose landings
+        # lie 10 to 14 turns out within 2e-3 of a tip, where the tangent
+        # turns at up to 400 per unit t: an unwrapped landing there, near
+        # 94, would carry up to 8 ulps of 2 pi into the image
+        curve, od = OUTER_TABLES["thin"][0](), DELAYS["r^3"]()
+        rng = np.random.default_rng(20261020)
+        n = 16
+        t0 = np.pi / 2 + rng.uniform(0.5, 1.0, n) * np.where(
+            np.arange(n) % 2, 1.0, -1.0)
+        t1 = np.where(np.arange(n) % 3, np.pi, 0.0) + rng.uniform(
+            -2e-3, 2e-3, n)
+        # theta(r) = 2 r under a(r) = r^3: the tangent length whose bearing
+        # shift takes t0's tangent to t1's, whole turns added
+        dz0, dz1 = curve._dzf(t0), curve._dzf(t1)
+        r = 0.5 * (np.angle(dz1 / dz0) % TWO_PI
+                   + TWO_PI * rng.integers(10, 15, n))
+        z = curve._zf(t0) + r * dz0 / np.abs(dz0)
+        X = np.c_[z.real, z.imag]
+        eps = np.finfo(float).eps
+        for x, y in zip(X, outer._outer_images(curve, od, X)):
+            want, scale = scalar_image(curve, od, x)
+            assert np.hypot(*(y - want)) <= 4.0 * eps * scale
 
     def test_one_point_and_its_batch(self):
         # a batch of one point is the same solve, and area checks of a

@@ -515,6 +515,26 @@ def test_integrate_reports_attempts_rtol_and_rhs_calls(monkeypatch):
     assert len(calls) > 0
 
 
+@pytest.mark.parametrize("rtol, tried", [(1e-11, [1e-11, 1e-13]),
+                                         (1e-10, [1e-10, 1e-12, 1e-13])])
+def test_drift_retries_stop_at_the_rtol_floor(monkeypatch, rtol, tried):
+    # a head-on half-plane dipole of half separation 1.2e-8 drifts at
+    # every rtol; an attempt at the floor 1e-13 is not run again
+    rtols = []
+    solve_ivp = vx.solve_ivp
+
+    def counted(*args, **kw):
+        rtols.append(kw["rtol"])
+        return solve_ivp(*args, **kw)
+
+    monkeypatch.setattr(vx, "solve_ivp", counted)
+    z, g = vx.make_dipole(0.1 + 0.3j, -1j, 1.2e-8)
+    with pytest.raises(InvalidParameter, match="drift"):
+        vx.integrate(vx.VortexConfiguration(z, g, vx.HalfPlane()), 2.0,
+                     tol=1e-2, rtol=rtol)
+    assert rtols == tried
+
+
 def test_guard_stop_ends_where_the_run_stopped():
     # a head-on dipole descends from height 0.3 at unit speed; a user
     # event that is not terminal fires at height 0.2, and the guard stops
