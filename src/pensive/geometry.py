@@ -1,10 +1,9 @@
 """Boundary curves and chord geometry.
 
-Smooth ovals are represented by an analytic parametrization z(t), t in
-[0, 2*pi), held as complex-valued callables, plus cumulative arc-length
-tables so every public operation works in arc length s. Orientation is
-counterclockwise with the enclosed region on the left of the tangent;
-the inward normal is i*tangent in complex form.
+Smooth ovals are an analytic parametrization z(t), t in [0, 2*pi), held
+as complex-valued callables, with cumulative arc-length tables, so every
+public operation works in arc length s. Orientation is counterclockwise,
+the enclosed region on the left: the inward normal is i*tangent.
 """
 
 from __future__ import annotations
@@ -44,6 +43,8 @@ _SCAN = np.linspace(0.0, 1.0, _SCAN_CELLS + 1)
 # cell k (row k)
 _PASS_NODES = np.vstack([np.arange(0, _SCAN_CELLS + 1, 8),
                          8 * np.arange(1, 9)[:, None] + np.arange(-8, 1)])
+# (row, node) pairs per chunk of the first-hit scan: its memory bound
+_HIT_PAIRS = 2 ** 18
 
 
 def _wrap(t):
@@ -64,19 +65,14 @@ def brentq(f, a, b, xtol, rtol):
 
 
 def _periodic_zeros(f, grid, vals, period, direction=0):
-    """Zeros of the period-periodic scalar function f, each once, ascending
-    by scan cell.
-
-    grid is one period of ascending scan points and vals = f(grid). A
-    zero on a node is returned as that node; each cell whose ends change
-    sign is polished by brentq. The nodes and cells are picked in one
-    array pass over the scan, so f is evaluated only in the picked cells.
-    Where the scalar f disagrees in sign with the scan at one end of such
-    a cell (vectorized and scalar evaluation, or f at both ends of the
-    period, can differ by an ulp), the zero lies within rounding of that
-    end, and the end is returned. direction -1 keeps only the zeros where
-    the scan falls (+ to -), +1 only those where it rises, 0 every zero.
-    """
+    """Zeros of the period-periodic scalar function f, each once, ascending by
+    scan cell; grid is one period of ascending scan points, vals = f(grid). A
+    zero on a node is that node; each cell whose ends change sign, picked in
+    one array pass, is polished by brentq. Where the scalar f disagrees in sign
+    with the scan at an end of such a cell (vectorized and scalar f, or f at
+    both ends of the period, can differ by an ulp), the zero is within rounding
+    of that end, which is returned. direction -1 keeps only the zeros where the
+    scan falls (+ to -), +1 only those where it rises, 0 every zero."""
     on_node, crossing, _ = _scan_zeros(vals, direction)
     ends = np.append(grid[1:], grid[0] + period)
     zeros = []
@@ -109,12 +105,9 @@ def _scan_zeros(vals, direction=0):
 
 
 class BoundaryCurve:
-    """Closed smooth oval given by an analytic parametrization.
-
-    Use the factory functions :func:`disk`, :func:`ellipse`,
-    :func:`neumann_oval` and :func:`curve_from_points` rather than the
-    constructor.
-    """
+    """Closed smooth oval given by an analytic parametrization; built by
+    :func:`disk`, :func:`ellipse`, :func:`neumann_oval` and
+    :func:`curve_from_points`."""
 
     kind = "generic"
     # the landing parameters of chords in closed form, _land_t(t0, theta)
@@ -123,10 +116,9 @@ class BoundaryCurve:
 
     def __init__(self, kind, zfun, dzfun, d2zfun, params=None, nodes=2048,
                  arclen_exact=None, speed_series=None):
-        """arclen_exact, when given, is the arc length from 0 in closed
-        form. speed_series, when given, is the cosine series of an even
-        speed of period pi: coefficients c[k] of cos(2kt). Otherwise arc
-        length is integrated by Gauss-Legendre panels."""
+        """arclen_exact is the arc length from 0 in closed form, or
+        speed_series the coefficients c[k] of cos(2kt) of an even speed of
+        period pi; else arc length is integrated by Gauss-Legendre panels."""
         self.kind = kind
         self.params = dict(params or {})
         self._zf = zfun
@@ -153,11 +145,10 @@ class BoundaryCurve:
         if self._arclen_exact is not None:
             s = self._arclen_exact(self._t_closed)
         elif self._series is not None:
-            # the series integrated term by term, at most 2^20 terms at a
-            # time, each sine read as Im e^{2ikt}: freeing that complex
-            # block lifts glibc's mmap threshold above the per-call arrays
-            # of the outer and orbit solvers, which a smaller one would
-            # leave to a fresh mmap, with page faults, on every call
+            # the series integrated term by term, 2^20 terms at a time,
+            # sines read as Im e^{2ikt}: freeing that block lifts glibc's
+            # mmap threshold above the outer and orbit solvers' per-call
+            # arrays, else each a fresh mmap, with page faults
             c0, k, amp = self._series
             tc = self._t_closed
             rows = 2 ** 20 // max(len(k), 1)
@@ -196,21 +187,20 @@ class BoundaryCurve:
 
     @functools.cached_property
     def _tangent_scan(self):
-        """The outer map's tangency scan, built on first use: 512
-        equispaced parameters, the points there and the conjugate unit
-        tangents."""
+        """The outer map's tangency scan, built on first use: 512 equispaced
+        parameters, the points there and the conjugate unit tangents."""
         ts = np.linspace(0.0, TWO_PI, 512, endpoint=False)
         return ts, self.zpoint_t(ts), np.conj(self.tangent_t(ts))
 
     @functools.cached_property
     def _turning_nodes(self):
         """The tangent's turning at the closed node table, from 0 at t = 0
-        to 2 pi at t = 2 pi, built on first use. On a convex oval it is
-        the unwrapped bearing less its first node. On a non-convex table
-        it is the cumulative absolute turning, each node cell counting at
-        least half the mean turning per unit arc length, 2 pi / P, so that
-        no nearly straight stretch about an inflection turns by almost
-        nothing, scaled to end at 2 pi; it never falls."""
+        to 2 pi at t = 2 pi, built on first use. On a convex oval it is the
+        unwrapped bearing less its first node. On a non-convex table it is
+        the cumulative absolute turning, each node cell counting at least
+        half the mean turning per unit arc length, 2 pi / P, so that no
+        nearly straight stretch about an inflection turns by almost nothing,
+        scaled to end at 2 pi; it never falls."""
         bear = self._bearing_nodes
         if self.is_convex:
             return bear - bear[0]
@@ -243,16 +233,13 @@ class BoundaryCurve:
         return np.imag(np.conj(dz) * d2z) / np.abs(dz) ** 3
 
     def arclen_t(self, t):
-        """Arc length from t=0 to t, vectorized, t in [0, 2*pi].
-
-        Unless it is in closed form, it is the table at the node t0 below
-        t plus the arc length from t0 to t: the speed series' terms
-        integrated, each difference of sines written as a product, or
-        12-point Gauss-Legendre. The increment is small, so its rounding
-        stays far below an ulp of the sum: arc length then rounds
-        monotonically between neighbouring floats, as the Newton passes
-        of :meth:`t_of_s` need to stop early.
-        """
+        """Arc length from t=0 to t, vectorized, t in [0, 2*pi]. Unless it is
+        in closed form: the table at the node t0 below t plus the arc from t0
+        to t, the speed series' terms integrated (differences of sines written
+        as products) or 12-point Gauss-Legendre. That small increment rounds
+        far below an ulp of the sum, so arc length rounds monotonically between
+        neighbouring floats, as the Newton passes of :meth:`t_of_s` need to
+        stop early."""
         t = np.asarray(t, dtype=float)
         if self._arclen_exact is not None:
             return self._arclen_exact(t)
@@ -271,14 +258,12 @@ class BoundaryCurve:
         return self._s_nodes[k] + (sp @ _GL_W) * half
 
     def t_of_s(self, s):
-        """Invert arc length: up to 8 Newton passes from the table guess.
-
-        The passes stop early once one leaves every entry unchanged, or
-        returns every entry to its value of two passes before: later
-        passes would repeat that fixed point or 2-cycle, so the result is
-        bit for bit that of all 8 passes, and no entry depends on the
-        others in the array. InvalidParameter unless every arc is finite.
-        """
+        """Invert arc length: up to 8 Newton passes from the table guess,
+        stopping early once a pass leaves every entry unchanged or returns it
+        to its value of two passes before: later passes would repeat that fixed
+        point or 2-cycle, so the result is that of all 8 bit for bit, and no
+        entry depends on the others. InvalidParameter unless every arc is
+        finite."""
         s = np.asarray(s, dtype=float)
         # one arc, the common call, is checked without a ufunc call
         if not (math.isfinite(s.item()) if s.size == 1
@@ -320,11 +305,9 @@ class BoundaryCurve:
 
 @dataclass
 class PolygonBoundary:
-    """Closed polygon, counterclockwise vertices.
-
-    rational_angles optionally declares each interior angle as
-    2*pi*m/n; required by the interval-exchange machinery.
-    """
+    """Closed polygon, counterclockwise vertices. rational_angles
+    optionally declares each interior angle as 2*pi*m/n, as the
+    interval-exchange machinery needs."""
 
     vertices: np.ndarray
     rational_angles: list | None = None
@@ -427,8 +410,7 @@ def disk(radius=1.0):
 def _with_half_angle_diff(a, b, curve):
     """Give the ellipse z(t) = a cos t + i b sin t (the disk: a = b = r)
     its exact chord vector z(t) - z(t0) = 2 sin((t - t0)/2) z'((t + t0)/2)
-    and its landings in closed form, the hook ``_land_t``.
-
+    and its landings in closed form, the hook ``_land_t``:
     (x, y) -> (x / a, y / b) takes each chord to a chord of the unit
     circle, and one that leaves e^{i t0} at angle theta' to the tangent
     there lands at t0 + 2 theta', theta' = arg(d' (-i) e^{-i t0}) for the
@@ -476,10 +458,8 @@ def ellipse(a, b):
 
 class NeumannMap:
     """Conformal map z = F(Z) = a Z / (1 - lam^2 Z^2) of the unit disk onto
-    the Neumann oval of area pi, with F', F'' and the inverse.
-
-    F, Fp, Fpp and inv take scalars or arrays.
-    """
+    the Neumann oval of area pi, with F', F'' and the inverse, each taking
+    scalars or arrays."""
 
     def __init__(self, lam):
         if not 0 <= lam < 1:
@@ -509,11 +489,9 @@ class NeumannMap:
 
 
 def neumann_oval(lam):
-    """Image of the unit circle under z = a*Z/(1 - lam^2 Z^2), area pi.
-
-    Convex for small lam, pinched toward an hourglass as lam grows; the
-    map degenerates at lam = 1.
-    """
+    """Image of the unit circle under z = a*Z/(1 - lam^2 Z^2), area pi:
+    convex for small lam, pinched toward an hourglass as lam grows; the
+    map degenerates at lam = 1."""
     m = NeumannMap(lam)
 
     def zf(t):
@@ -599,10 +577,8 @@ def regular_polygon(k, circumradius=1.0):
 
 
 def point_tangent_curvature(curve, s):
-    """Return (point, unit tangent, curvature) at arc length s.
-
-    Raises CornerUndefined on a polygon vertex.
-    """
+    """(point, unit tangent, curvature) at arc length s; CornerUndefined
+    on a polygon vertex."""
     if isinstance(curve, PolygonBoundary):
         tau = curve.tangent(s)
         return curve.point(s), tau, curve.curvature(s)
@@ -646,24 +622,15 @@ def _check_angle(theta):
     return theta
 
 
-def _chord_residual(curve, t, t0, cd):
-    """Signed offset of z(t) from the ray leaving z(t0) along conj(cd):
-    negative before the landing parameter, positive after it."""
-    return np.imag(cd * curve._zdiff(t, t0))
-
-
 def _window(curve, t0, theta):
-    """Open parameter window (lo, hi) holding every boundary crossing of
-    the chord leaving t0 at angle theta, except t0 itself.
-
-    The chord from z(t0) to z(t) points along the mean tangent over
-    [t0, t], so it cannot reach angle theta before the tangent has
-    turned by theta; going back from t0 + 2 pi, by pi - theta. With w
-    bounding the turning rate within one scan cell h of t0, no crossing
-    lies within min(h, theta / w) after t0 or min(h, (pi - theta) / w)
-    before t0 + 2 pi: one rule at either grazing end, and the residual
-    of a convex oval is negative at lo and positive at hi.
-    """
+    """Open parameter window (lo, hi) holding every boundary crossing of the
+    chord leaving t0 at angle theta, except t0 itself. The chord from z(t0)
+    to z(t) points along the mean tangent over [t0, t], so it cannot reach
+    angle theta before the tangent has turned by theta; going back from
+    t0 + 2 pi, by pi - theta. With w bounding the turning rate within one
+    scan cell h of t0, no crossing lies within min(h, theta / w) after t0
+    or min(h, (pi - theta) / w) before t0 + 2 pi, and the residual of a
+    convex oval is negative at lo and positive at hi."""
     h = TWO_PI / _SCAN_CELLS
     w = 2.0 * curve._turn_near[(t0 // h).astype(int) % _SCAN_CELLS]
     return (t0 + np.minimum(h, theta / w),
@@ -678,16 +645,14 @@ def _require_resolved(curve, f_ends):
 
 
 def _convex_bracket(curve, t0, cd, theta, launches=None):
-    """Per row, the scan cell [lo, hi] of the window that holds the
-    landing parameter on a convex oval, with the residuals at its ends,
-    read from every eighth scan node and then the nine of one coarse cell.
-
-    launches, when given, is (tl, at): the launch parameters (see
-    :func:`_chords`) and each row's index in tl. The rows whose window is
-    their launch's full window (tl + h, tl + 2 pi - h) then read
-    z(t) - z(t0) at the nodes of both passes from one table of all 65
-    per launch, the same floats each would evaluate; grazing rows
-    evaluate their own nodes."""
+    """Per row, the scan cell [lo, hi] of the window that holds the landing
+    parameter on a convex oval, with the residuals at its ends, read from every
+    eighth scan node and then the nine of one coarse cell. launches, when
+    given, is (tl, at): the launch parameters (see :func:`_convex_chords`) and
+    each row's index in tl. The rows whose window is their launch's full window
+    (tl + h, tl + 2 pi - h) then read z(t) - z(t0) at the nodes of both passes
+    from one table of all 65 per launch, the floats each would evaluate;
+    grazing rows evaluate theirs."""
     lo, hi = _window(curve, t0, theta)
     table = None
     if launches is not None:
@@ -704,15 +669,15 @@ def _convex_bracket(curve, t0, cd, theta, launches=None):
     lo, w, t0, cd = lo[:, None], (hi - lo)[:, None], t0[:, None], cd[:, None]
 
     def first_positive(cell):
-        """The nodes of the coarse pass (cell 0) or of the coarse cells
-        cell, the residuals there and the first positive one, per row."""
+        # the nodes of the coarse pass (cell 0) or of the coarse cells
+        # cell, the residuals there and the first positive one, per row
         t = lo + w * _SCAN[_PASS_NODES[cell]]
         if table is None:
-            f = _chord_residual(curve, t, t0, cd)
+            f = np.imag(cd * curve._zdiff(t, t0))
         else:
             f = np.imag(cd * table[at, cell])
             if own.size:
-                f[own] = _chord_residual(curve, t[own], t0[own], cd[own])
+                f[own] = np.imag(cd[own] * curve._zdiff(t[own], t0[own]))
         return t, f, np.argmax(f > 0.0, axis=1)
 
     _, f, k = first_positive(0)
@@ -753,103 +718,36 @@ def _landing(curve, t, t0, cd):
 
 
 def chord(curve, s, theta):
-    """First boundary intersection of the ray leaving gamma(s) at angle theta.
-
-    Returns (s2, theta2, length) with theta2 the reflected outgoing
-    angle at the landing point, equal to the incidence angle there; bit
-    for bit the one-row :func:`chord_batch`.
-    """
-    s = float(s)
-    if not math.isfinite(s):
-        raise InvalidParameter("arc length must be finite")
-    if isinstance(curve, PolygonBoundary):
-        return _chord_polygon(curve, s, theta)
-    return tuple(float(x[0]) for x in _chords(
-        curve, curve.t_of_s(np.atleast_1d(s)),
-        np.atleast_1d(float(theta)))[:3])
-
-
-def _chords(curve, t0, theta):
-    """Chords of a smooth table from the launch parameters t0 at the
-    angles theta: (s2, theta2, length, t2) arrays of the shape t0 and
-    theta broadcast to, t2 the landing parameter in (t0, t0 + 2 pi).
-
-    A table whose curve sets the hook ``_land_t`` (the disk and the
-    ellipse, through :func:`_with_half_angle_diff`) lands every row in
-    closed form, with no bracket and no polish. Other convex ovals
-    bracket and polish every row at once, and the rows of one
-    launch (an entry of t0 as given, before broadcasting, or all of t0 if
-    its entries are one float) share that launch's scan table
-    (:func:`_convex_bracket`); other tables run the polyline ray hit row
-    by row.
-    """
-    theta = _check_angle(theta)
-    if curve._land_t is not None:
-        _, cd = _launch(curve, t0, theta)
-        t = curve._land_t(t0, theta)
-        return (*_landing(curve, t, t0, cd), t)
-    if curve.is_convex:
-        return _convex_chords(curve, t0, theta)
-    t0, theta = np.broadcast_arrays(t0, theta)
-    rows = np.empty((4,) + t0.shape)
-    for i in np.ndindex(t0.shape):
-        _, cd = _launch(curve, t0[i], theta[i])
-        t = _ray_hit(curve, curve.zpoint_t(t0[i]), np.conj(cd),
-                     _window(curve, t0[i], theta[i]))
-        rows[(slice(None),) + i] = *_landing(curve, t, t0[i], cd), t
-    return tuple(rows)
-
-
-def _ray_hit(curve, z, dhat, window=None):
-    """Parameter where the ray z + u * dhat, u > 0, first meets the curve.
-
-    Walks the polyline through the curve's nodes; for a chord, through
-    the nodes inside its window (lo, hi) from :func:`_window`, joined to
-    the window ends. In each cell where the curve turns parallel to the
-    ray, the point of tangency joins the polyline, so that no pair of
-    crossings hides in one cell. The crossing nearest along the ray is
-    polished in its cell.
-    """
-    h, m = curve._h, curve._M
-    k = (np.arange(m + 1) if window is None else
-         np.arange(math.floor(window[0] / h) + 1, math.ceil(window[1] / h)))
-    t, zt, dzt = k * h, curve._z_nodes[k % m], curve._dz_nodes[k % m]
-    if window is not None:
-        lo, hi = window
-        t = np.r_[lo, t, hi]
-        zt = np.r_[curve.zpoint_t(lo), zt, curve.zpoint_t(hi)]
-        dzt = np.r_[curve._dzf(lo), dzt, curve._dzf(hi)]
-    cd = np.conj(dhat)
-    g = np.imag(cd * dzt)
-    c = np.nonzero((g[:-1] <= 0.0) != (g[1:] <= 0.0))[0]
-    tc = t[c] + (t[c + 1] - t[c]) * g[c] / (g[c] - g[c + 1])
-    t = np.insert(t, c + 1, tc)
-    v = cd * (np.insert(zt, c + 1, curve.zpoint_t(tc)) - z)
-    if window is not None:
-        _require_resolved(curve, v.imag[[0, -1]])
-    fa, fb = v.imag[:-1], v.imag[1:]
-    cell = np.nonzero((fa <= 0.0) != (fb <= 0.0))[0]
-    w = fa[cell] / (fa[cell] - fb[cell])
-    u = v.real[cell] * (1.0 - w) + v.real[cell + 1] * w
-    if not np.any(u > 0.0):
-        raise InvalidAngle("ray does not meet the boundary")
-    k = cell[u > 0.0][np.argmin(u[u > 0.0])]
-    return brentq(lambda x: np.imag(cd * (curve.zpoint_t([x]) - z))[0],
-                  t[k], t[k + 1], xtol=1e-15, rtol=8.9e-16)
+    """First boundary intersection of the ray leaving gamma(s) at angle theta:
+    (s2, theta2, length), theta2 the incidence angle there; the one-row
+    :func:`chord_batch`, bit for bit, on every table."""
+    return tuple(float(x[0]) for x in chord_batch(curve, [float(s)],
+                                                  [float(theta)]))
 
 
 def chord_batch(curve, s, theta):
     """Vectorized chord: (s2, theta2, length) arrays of the shape s and
-    theta broadcast to, at least 1-d; rows of polygons go through
-    :func:`chord` one by one."""
-    if not isinstance(curve, PolygonBoundary):
-        return _chords(curve, _launch_t(curve, s), theta)[:3]
-    s, theta = np.atleast_1d(np.asarray(s, dtype=float),
-                             np.asarray(theta, dtype=float))
-    shape = np.broadcast_shapes(s.shape, theta.shape)
-    rows = np.reshape([chord(curve, float(si), float(thi)) for si, thi
-                       in np.broadcast(s, theta)], (-1, 3)).T
-    return tuple(x.reshape(shape) for x in rows)
+    theta broadcast to, at least 1-d, all rows in one array pass."""
+    if isinstance(curve, PolygonBoundary):
+        return _polygon_chords(curve, s, theta)
+    return _chords(curve, _launch_t(curve, s), theta)[:3]
+
+
+def _chords(curve, t0, theta):
+    """Chords of a smooth table from launch parameters t0 at angles theta:
+    (s2, theta2, length, t2) arrays of their broadcast shape, t2 the landing
+    parameter in (t0, t0 + 2 pi). The disk and the ellipse land in closed
+    form (``_land_t``); other convex ovals bracket the sign change in the
+    window (:func:`_convex_chords`), non-convex tables the ray's first
+    crossing (:func:`_ray_hit`), and all rows are polished at once."""
+    theta = _check_angle(theta)
+    if curve.is_convex and curve._land_t is None:
+        return _convex_chords(curve, t0, theta)
+    _, cd = _launch(curve, t0, theta)
+    t = (curve._land_t(t0, theta) if curve._land_t is not None else
+         _ray_hit(curve, curve.zpoint_t(t0), np.conj(cd),
+                  _window(curve, t0, theta), t0))
+    return (*_landing(curve, t, t0, cd), t)
 
 
 def _convex_chords(curve, t0, theta):
@@ -857,14 +755,13 @@ def _convex_chords(curve, t0, theta):
     from one z', z'' evaluation, one bracket, one Newton polish."""
     dz, cd = _launch(curve, t0, theta)
     shape = cd.shape
-    # start at the osculating circle's landing 2 sin(theta) / kappa where it
-    # is in the cell; kappa |z'| is curvature_t * speed_t
+    # start at the osculating circle's landing 2 sin(theta) / kappa; kappa
+    # times |z'| is curvature_t * speed_t
     u = 2.0 * np.sin(theta) / (np.imag(np.conj(dz) * curve._d2zf(_wrap(t0)))
                                / np.abs(dz) ** 3 * np.abs(dz))
     t = np.where(theta < 0.5 * np.pi, t0 + u, t0 + TWO_PI - u)
-    # the launches are the entries of t0 as given, before broadcasting, or
-    # one if all are the same float (a sweep from one arc); where they are
-    # fewer than the rows, the rows of each share its scan table
+    # launches are t0's entries before broadcasting, or one if all are one
+    # float (a sweep); where fewer than the rows, each shares its scan table
     tl = np.ravel(t0)
     launches = None
     if _one_float(tl):
@@ -874,25 +771,106 @@ def _convex_chords(curve, t0, theta):
             np.arange(tl.size).reshape(np.shape(t0)), shape).ravel())
     t0, theta, cd, t = (x.ravel() for x in
                         np.broadcast_arrays(t0, theta, cd, t))
-
-    def step(t, t0, cd):
-        f = _chord_residual(curve, t, t0, cd)
-        return f, -f / np.imag(cd * curve._dzf(t))
-
-    t = _newton_rows(step, t, *_convex_bracket(curve, t0, cd, theta,
-                                               launches), (t0, cd), 1e-13)
+    t = _polish(curve, t, _convex_bracket(curve, t0, cd, theta, launches),
+                t0, cd, curve._zdiff)
     return tuple(x.reshape(shape) for x in (*_landing(curve, t, t0, cd), t))
 
 
+def _ray_hit(curve, z, dhat, window=(0.0, TWO_PI), t0=None):
+    """Parameters in the windows (lo, hi) where the rays z + u dhat, u > 0,
+    first meet the curve, for z, dhat, lo and hi broadcast (by default from
+    interior points over the whole table): each row's first crossing cell
+    (:func:`_hit_cells`) polished as a convex chord's. Chords pass their launch
+    parameters t0, and their residual uses ``_zdiff``."""
+    z, cd, lo, hi = np.broadcast_arrays(z, np.conj(dhat), *window)
+    shape = cd.shape
+    z, cd, lo, hi = (x.ravel() for x in (z, cd, lo, hi))
+    rows = max(1, _HIT_PAIRS // (curve._M + 1))
+    ta, tb, fa, fb = (np.concatenate(x) for x in zip((np.empty(0),) * 4, *(
+        _hit_cells(curve, *(x[i:i + rows] for x in (z, cd, lo, hi)),
+                   t0 is not None) for i in range(0, cd.size, rows))))
+    # falling cells are polished on the negated residual
+    sign = np.where(fb > 0.0, 1.0, -1.0)
+    a, offset = ((z, lambda t, z: curve.zpoint_t(t) - z) if t0 is None else
+                 (np.broadcast_to(t0, shape).ravel(), curve._zdiff))
+    return _polish(curve, ta, (ta, tb, sign * fa, sign * fb), a, sign * cd,
+                   offset).reshape(shape)
+
+
+def _hit_cells(curve, z, cd, lo, hi, chords):
+    """Each ray's first crossing cell (ta, tb), with residuals fa, fb =
+    Im(cd (z(t) - z)) of opposite signs, on the polyline through the table
+    nodes inside the window and its ends; a cell where the curve turns
+    parallel to the ray is cut at the tangency, so no pair of crossings
+    hides in it. The first row with no crossing ahead, or a chord whose
+    window ends are not resolved (:func:`_require_resolved`), raises."""
+    h, m, n = curve._h, curve._M, len(cd)
+    k0 = np.floor(lo / h).astype(int) + 1
+    k1 = np.ceil(hi / h).astype(int) - 1
+    # cd (z(t) - z) and Im(cd z') at the closed table and the window ends
+    v = cd[:, None] * (np.append(curve._z_nodes, curve._z_nodes[0])
+                       - z[:, None])
+    g = np.imag(cd[:, None] * np.append(curve._dz_nodes, curve._dz_nodes[0]))
+    ends = np.stack([lo, hi])
+    ve, ge = cd * (curve.zpoint_t(ends) - z), np.imag(cd * curve._dzf(ends))
+    # the crossed or cut cells between nodes of the window, then its ends
+    sv, sg = v.imag <= 0.0, g <= 0.0
+    r, j = np.nonzero((sv[:, 1:] != sv[:, :-1]) | (sg[:, 1:] != sg[:, :-1]))
+    q = (j - k0[r]) % m
+    inside = q < (k1 - k0)[r]
+    r, j, k = r[inside], j[inside], (k0[r] + q)[inside]
+    e = np.arange(n)
+    rows = np.concatenate([r, e, e])
+    ta = np.concatenate([k * h, lo, k1 * h])
+    tb = np.concatenate([(k + 1) * h, k0 * h, hi])
+    va, ga, vb, gb = (np.concatenate([x[r, j + d], *y]) for x, y, d in (
+        (v, (ve[0], v[e, k1 % m]), 0), (g, (ge[0], g[e, k1 % m]), 0),
+        (v, (v[e, k0 % m], ve[1]), 1), (g, (g[e, k0 % m], ge[1]), 1)))
+    # a cut cell is crossed up to its tangency point or from it
+    c = np.flatnonzero((ga <= 0.0) != (gb <= 0.0))
+    tc, vc = tb.copy(), vb.copy()
+    tc[c] = ta[c] + (tb[c] - ta[c]) * ga[c] / (ga[c] - gb[c])
+    vc[c] = cd[rows[c]] * (curve.zpoint_t(tc[c]) - z[rows[c]])
+    rows, ta, tb, va, vb = (np.concatenate(x) for x in (
+        (rows, rows[c]), (ta, tc[c]), (tc, tb[c]), (va, vc[c]), (vc, vb[c])))
+    fa, fb = va.imag, vb.imag
+    x = np.flatnonzero((fa <= 0.0) != (fb <= 0.0))
+    w = fa[x] / (fa[x] - fb[x])
+    u = va.real[x] * (1.0 - w) + vb.real[x] * w
+    # each row's nearest crossing ahead
+    x = x[u > 0.0][np.lexsort((u[u > 0.0], rows[x[u > 0.0]]))]
+    first = x[np.flatnonzero(np.diff(rows[x], prepend=-1))]
+    best = np.full(n, -1)
+    best[rows[first]] = first
+    miss = np.flatnonzero(best < 0)
+    if chords:
+        # the rows up to the first that misses: an unresolved one fails first
+        _require_resolved(curve, ve[:, :miss[0] + 1 if miss.size else n].imag)
+    if miss.size:
+        raise InvalidAngle("ray does not meet the boundary")
+    return ta[best], tb[best], fa[best], fb[best]
+
+
+def _polish(curve, t, bracket, a, cd, offset):
+    """Landing parameters t polished in their brackets (lo, hi, flo, fhi) by
+    :func:`_newton_rows` on z(t)'s signed offset Im(cd (z(t) - z0)) from the
+    ray along conj(cd), z(t) - z0 = offset(t, a); slope Im(cd z'(t))."""
+    def step(t, a, cd):
+        f = np.imag(cd * offset(t, a))
+        return f, -f / np.imag(cd * curve._dzf(t))
+
+    return _newton_rows(step, t, *bracket, (a, cd), 1e-13)
+
+
 def _newton_rows(step, x, lo, hi, flo, fhi, args, tol):
-    """Safeguarded Newton for one bracketed root per row, all rows at once:
-    row i has the bracket [lo[i], hi[i]], residuals flo[i] < 0 < fhi[i]
-    there and its own data args[k][i], and step(x, *args) gives the signed
-    residuals at x and the Newton increments. A row starts at x if that is
-    strictly inside its bracket, else at the regula falsi point. A step
-    that is not finite or leaves the bracket bisects it; an exact zero
-    closes it. A row stops after a step of at most tol and leaves the live
-    arrays, so no row sees the others; none takes over 64 steps."""
+    """Safeguarded Newton for one bracketed root per row, all rows at once: row
+    i has the bracket [lo[i], hi[i]], residuals flo[i] < 0 < fhi[i] there and
+    data args[k][i]; step(x, *args) gives the signed residuals at x and the
+    Newton increments. A row starts at x if strictly inside its bracket, else
+    at the regula falsi point. A step not finite or out of the bracket bisects
+    it; an exact zero closes it. A row stops after a step of at most tol and
+    leaves the live arrays, so no row sees the others; none takes over 64
+    steps."""
     x = np.where((x > lo) & (x < hi), x, lo - flo * (hi - lo) / (fhi - flo))
     rows, xl = np.arange(len(x)), x
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -913,58 +891,78 @@ def _newton_rows(step, x, lo, hi, flo, fhi, args, tol):
 
 def _newton_one(step, x, lo, hi, flo, fhi, args, tol):
     """:func:`_newton_rows` for one row in Python floats: the same start,
-    bisection, exact-zero close, stop after a step of at most tol, 64-step
-    cap and errstate, without the one-element arrays' overhead."""
+    bisection, exact-zero close, stop after a step of at most tol, 64-step cap
+    and errstate, without the one-element arrays' overhead."""
     if not lo < x < hi:
         x = lo - flo * (hi - lo) / (fhi - flo)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(64):
             f, dx = step(x, *args)
-            if f <= 0.0:
-                lo = x
-            if f >= 0.0:
-                hi = x
+            lo, hi = (x if f <= 0.0 else lo), (x if f >= 0.0 else hi)
             xn = x + dx
             if not lo <= xn <= hi:
                 xn = 0.5 * (lo + hi)
-            live = abs(xn - x) > tol
-            x = xn
+            x, live = xn, abs(xn - x) > tol
             if not live:
                 break
     return x
 
 
-def _chord_polygon(poly, s, theta):
-    theta = float(_check_angle(theta))
-    p0 = poly.point(s)
-    tau = poly.tangent(s)  # CornerUndefined at a vertex
-    ct, st = math.cos(theta), math.sin(theta)
-    dhat = np.array([ct * tau[0] - st * tau[1], ct * tau[1] + st * tau[0]])
-    v = poly.vertices
-    e = poly.edge_tan
-    rel = v - p0
-    # solve p0 + u*dhat = v_k + w*e_k per edge (Cramer)
-    den = e[:, 0] * dhat[1] - e[:, 1] * dhat[0]
+def _polygon_chords(poly, s, theta):
+    """:func:`chord_batch` on a polygon: each row's ray p0 + u d against every
+    edge line v_k + w e_k by Cramer's rule. The first failing row raises its
+    first error: a non-finite arc, the angle, a launch on a vertex, no edge
+    ahead, a landing within CORNER_TOL of a vertex."""
+    s, theta = np.atleast_1d(np.asarray(s, dtype=float),
+                             np.asarray(theta, dtype=float))
+    if s.shape != theta.shape:
+        s, theta = np.broadcast_arrays(s, theta)
+    shape, s, theta = s.shape, s.ravel(), theta.ravel()
+    # written so that nan fails it; a failing row computes to nan quietly
+    finite = np.isfinite(s)
+    angle = (theta >= ANGLE_TOL) & (theta <= np.pi - ANGLE_TOL)
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = (e[:, 0] * rel[:, 1] - e[:, 1] * rel[:, 0]) / den
-        w = (dhat[0] * rel[:, 1] - dhat[1] * rel[:, 0]) / den
-    tol = 1e-12 * max(1.0, poly.perimeter)
-    okay = (np.abs(den) > 1e-300) & (u > tol) & (w >= -1e-12) & \
-        (w <= poly.edge_len + 1e-12)
+        i, along = poly.edge_of(s)
+        tau, (e0, e1) = poly.edge_tan[i], poly.edge_tan.T
+        ct, st = np.cos(theta), np.sin(theta)
+        d = np.empty((s.size, 1, 2))
+        d[:, 0, 0] = ct * tau[:, 0] - st * tau[:, 1]
+        d[:, 0, 1] = ct * tau[:, 1] + st * tau[:, 0]
+        rel = poly.vertices - (poly.vertices[i]
+                               + along[:, None] * tau)[:, None]
+        den = e0 * d[..., 1] - e1 * d[..., 0]
+        u = (e0 * rel[..., 1] - e1 * rel[..., 0]) / den
+        w = (d[..., 0] * rel[..., 1] - d[..., 1] * rel[..., 0]) / den
+        gap = poly.nearest_vertex_gap(s)[1]
+    okay = (np.abs(den) > 1e-300) & (u > 1e-12 * max(1.0, poly.perimeter)) \
+        & (w >= -1e-12) & (w <= poly.edge_len + 1e-12)
     # a ray into the table never meets its launch edge again
-    okay[poly.edge_of(s)[0]] = False
-    if not np.any(okay):
-        raise InvalidAngle("ray does not meet the polygon again")
-    cand = np.nonzero(okay)[0]
-    k = cand[np.argmin(u[cand])]
-    wk = float(np.clip(w[k], 0.0, poly.edge_len[k]))
-    if wk < CORNER_TOL:
-        raise CornerHit("chord lands on vertex %d" % k)
-    if poly.edge_len[k] - wk < CORNER_TOL:
-        raise CornerHit("chord lands on vertex %d" % ((k + 1) % len(v)))
-    s2 = float(np.mod(poly.cum_s[k] + wk, poly.perimeter))
-    c2 = float(np.clip(np.dot(dhat, poly.edge_tan[k]), -1.0, 1.0))
-    return s2, math.acos(c2), float(u[k])
+    rows = np.arange(s.size)
+    okay[rows, i] = False
+    k = np.where(okay, u, np.inf).argmin(axis=1)
+    # a row whose candidates all lie infinitely far takes the first
+    k = np.where(okay[rows, k], k, okay.argmax(axis=1))
+    wk = np.minimum(np.maximum(w[rows, k], 0.0), poly.edge_len[k])
+    start, end = wk < CORNER_TOL, poly.edge_len[k] - wk < CORNER_TOL
+    fail = ~finite | ~angle | ~okay.any(axis=1) | start | end | (
+        gap < 1e-12 * max(1.0, poly.perimeter))
+    if fail.any():
+        r = np.argmax(fail)
+        if not finite[r]:
+            raise InvalidParameter("arc length must be finite")
+        _check_angle(theta[r])
+        poly.tangent(s[r])
+        if not okay[r].any():
+            raise InvalidAngle("ray does not meet the polygon again")
+        raise CornerHit("chord lands on vertex %d"
+                        % ((k[r] + 1 - start[r]) % len(poly.vertices)))
+    # matmul and libm's acos keep the one-row solve's np.dot and math.acos
+    c2 = np.matmul(d, poly.edge_tan[k][..., None])[:, 0, 0]
+    return tuple(x.reshape(shape) for x in (
+        np.mod(poly.cum_s[k] + wk, poly.perimeter),
+        np.frompyfunc(math.acos, 1, 1)(
+            np.minimum(np.maximum(c2, -1.0), 1.0)).astype(float),
+        u[rows, k]))
 
 
 # -- configuration ------------------------------------------------------

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import delay as delay_mod
 from . import geometry as geo
-from .errors import (AmbiguousEvent, BoundarySingularity,
+from .errors import (MAX_COUNT, AmbiguousEvent, BoundarySingularity,
                      DiagonalSingularity, EventStop, InvalidAngle,
                      InvalidParameter, InvalidPoint, ReportIncomplete,
                      Unsupported, finite_float, whole_count)
@@ -70,6 +70,14 @@ class _Domain:
     def robin(self, z):
         return float(self._terms(np.array([[z]]))[0][0, 0]) / TWO_PI
 
+    def grad_greens(self, z, w):
+        # i times the velocity at z of a unit vortex at w
+        return 1j * self._velocities([z, w], [0.0, 1.0])[0]
+
+    def grad_robin(self, z):
+        # 2i times the velocity a unit vortex at z induces on itself
+        return 2j * self._velocities([z], [1.0])[0]
+
     def _energy_rows(self, zz, gamma):
         """Hamiltonian of each row of an (m, n) array of positions.
 
@@ -107,13 +115,6 @@ class HalfPlane(_Domain):
         return (np.log(2.0 * zz.imag),
                 _log_abs(zi - np.conj(zj)) - _log_abs(zi - zj))
 
-    def grad_greens(self, z, w):
-        return (1.0 / (z - w.conjugate()).conjugate() -
-                1.0 / (z - w).conjugate()) / TWO_PI
-
-    def grad_robin(self, z):
-        return 1j / (TWO_PI * z.imag)
-
     def _velocities(self, z, gamma):
         """Kirchhoff velocities for lists of complex positions and float
         circulations; each pair is visited once and feeds both ends."""
@@ -131,6 +132,10 @@ class HalfPlane(_Domain):
 
     def curve(self):
         raise Unsupported("the half-plane has no closed boundary curve")
+
+    # bound on the class, as on the other domains, for bench/spans.py
+    grad_greens = _Domain.grad_greens
+    grad_robin = _Domain.grad_robin
 
     def __repr__(self):
         return "HalfPlane()"
@@ -150,16 +155,6 @@ class _ConformalDomain(_Domain):
         Zi, Zj = Z[:, i], Z[:, j]
         return (np.log(1.0 - np.hypot(Z.real, Z.imag) ** 2) - _log_abs(c),
                 _log_abs(1.0 - Zi * np.conj(Zj)) - _log_abs(Zi - Zj))
-
-    def grad_greens(self, z, w):
-        (Z, c, _), W = self._pull(z), self._pull(w)[0]
-        return -c * (1.0 / (Z - W).conjugate() +
-                     W * (1.0 / (1.0 - Z * W.conjugate())).conjugate()
-                     ) / TWO_PI
-
-    def grad_robin(self, z):
-        Z, c, r = self._pull(z)
-        return -(2.0 * c * Z / (1.0 - abs(Z) ** 2) + r) / TWO_PI
 
     def _velocities(self, z, gamma):
         """Kirchhoff velocities for lists of complex positions and float
@@ -217,8 +212,8 @@ class DiskDomain(_ConformalDomain):
 
     # bound on each domain class itself, where method-level tracing
     # (bench/spans.py) looks them up
-    grad_greens = _ConformalDomain.grad_greens
-    grad_robin = _ConformalDomain.grad_robin
+    grad_greens = _Domain.grad_greens
+    grad_robin = _Domain.grad_robin
 
     def _make_curve(self):
         return geo.disk(self.radius)
@@ -275,8 +270,8 @@ class NeumannOvalDomain(_ConformalDomain):
             return low - GUARD_DISTANCE
         return super()._wall_event(z)
 
-    grad_greens = _ConformalDomain.grad_greens
-    grad_robin = _ConformalDomain.grad_robin
+    grad_greens = _Domain.grad_greens
+    grad_robin = _Domain.grad_robin
 
     def _make_curve(self):
         return geo.neumann_oval(self.lam)
@@ -420,13 +415,13 @@ def integrate(config, T, tol=1e-8, rtol=1e-11, n_eval=600, events=None):
     The Hamiltonian is evaluated at every output sample in one array pass;
     if its relative drift exceeds tol the run is repeated at rtol/100,
     floored at 1e-13, at most three attempts in all; an attempt at the
-    floor is the last. Close approaches to the boundary
-    or between vortices, within GUARD_DISTANCE, stop the run with
+    floor is the last. A run over MAX_COUNT right-hand-side calls, all
+    attempts counted, fails with InvalidParameter. Close approaches to the
+    boundary or between vortices, within GUARD_DISTANCE, stop the run with
     EventStop carrying the partial trajectory; a start already that close
     stops at t = 0. Each of `events` is called as g(t, y), y the positions
-    as interleaved (x, y) reals, and keeps scipy's ``terminal`` and
-    ``direction`` meaning.
-    """
+    as interleaved (x, y) reals, with scipy's ``terminal`` and
+    ``direction`` meaning."""
     n_eval = whole_count(n_eval, "n_eval", least=1)
     if not (0 < T < math.inf and 0 < tol < math.inf):
         raise InvalidParameter("need a finite positive horizon and "
@@ -436,8 +431,14 @@ def integrate(config, T, tol=1e-8, rtol=1e-11, n_eval=600, events=None):
     gl = gamma.tolist()
     n = config.n
     velocities = domain._velocities
+    calls = 0
 
     def rhs(t, z):
+        nonlocal calls
+        calls += 1
+        if calls > MAX_COUNT:
+            raise InvalidParameter("integration failed: over %d right-hand-"
+                                   "side calls" % MAX_COUNT)
         return velocities(z, gl)
 
     def ev_boundary(t, z):

@@ -366,20 +366,22 @@ def transit_errors(p_star_fn, curve, law, tab, seed, n=4, scan=32):
 
 
 def _scan_root(g, nodes, rising, admit=lambda t: True):
-    """The root of g in the one cell of the ascending nodes where it
-    changes sign in the given sense at an admitted node; polished by
-    mp.findroot."""
+    """The one admitted root of g among the cells of the ascending nodes
+    where it changes sign in the given sense, each polished by
+    mp.findroot; a root is admitted where it lies, not by its cell's
+    nodes."""
     vals = [g(t) for t in nodes]
-    cells = [k for k in range(len(nodes) - 1)
-             if (vals[k] < 0 < vals[k + 1] if rising
-                 else vals[k] > 0 > vals[k + 1]) and admit(nodes[k])]
-    if len(cells) != 1:
+    roots = []
+    for k in range(len(nodes) - 1):
+        if vals[k] < 0 < vals[k + 1] if rising else vals[k] > 0 > vals[k + 1]:
+            t = mp.findroot(g, (nodes[k], nodes[k + 1]), solver="anderson")
+            if not nodes[k] <= t <= nodes[k + 1]:
+                raise ArithmeticError("root left its bracket")
+            if admit(t):
+                roots.append(t)
+    if len(roots) != 1:
         raise ArithmeticError("root not isolated by the scan")
-    k = cells[0]
-    t = mp.findroot(g, (nodes[k], nodes[k + 1]), solver="anderson")
-    if not nodes[k] <= t <= nodes[k + 1]:
-        raise ArithmeticError("root left its bracket")
-    return t
+    return roots[0]
 
 
 def tangency(tab, x, y):

@@ -1,9 +1,10 @@
 """Import footprint: which scipy modules a fresh interpreter loads for
 ``import pensive`` and for each CLI command.
 
-scipy is imported where it is called, so the map commands on disks and
-ovals, vortex runs without events and planar outer runs on disks run on
-numpy alone, and ellipses add scipy.special (the arc length).
+scipy is imported where it is called, so the map commands on disks,
+ovals (non-convex ones too) and polygons, vortex runs without events and
+planar outer runs on disks run on numpy alone, and ellipses add
+scipy.special (the arc length).
 """
 
 import json
@@ -36,6 +37,8 @@ print(json.dumps(report))
 _CURVES = {
     "disk": "kind = disk\nradius = 1.0",
     "oval": "kind = neumann_oval\nlam = 0.3",
+    "nonconvex": "kind = neumann_oval\nlam = 0.7",
+    "polygon": "kind = regular_polygon\nsides = 5",
     "ellipse": "kind = ellipse\na = 1.2\nb = 1.0",
 }
 
@@ -90,8 +93,9 @@ def test_scipy_loads_only_where_it_is_called(tmp_path):
     # scipy share one child, which runs them first
     plain = _start(tmp_path, [
         (command, curve) for curve in ("disk", "oval")
-        for command in ("simulate", "phase")] + [("vortex", "disk"),
-                                                 ("outer", "disk")])
+        for command in ("simulate", "phase")] + [
+            ("simulate", "nonconvex"), ("simulate", "polygon"),
+            ("vortex", "disk"), ("outer", "disk")])
     rest = _start(tmp_path, [("simulate", "ellipse"), ("phase", "ellipse")])
     plain, rest = _report(plain), _report(rest)
 
@@ -106,7 +110,9 @@ def test_scipy_loads_only_where_it_is_called(tmp_path):
     code, modules = plain.pop("outer-disk")
     assert code == 0 and (tmp_path / "outer-disk" / "outer.csv").exists()
     assert _subpackages(modules) == set()
-    # map commands on disks and ovals: numpy alone
+    # map commands on disks and ovals, and simulate on a non-convex oval
+    # and a polygon, whose chords find their first hits by Newton: numpy
+    # alone
     for label, (code, modules) in plain.items():
         assert code == 0, label
         assert modules == [], label

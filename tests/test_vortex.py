@@ -2,6 +2,8 @@
 and the zero-separation limit against the billiard step."""
 
 import math
+import pathlib
+import sys
 
 import numpy as np
 import pytest
@@ -535,6 +537,19 @@ def test_drift_retries_stop_at_the_rtol_floor(monkeypatch, rtol, tried):
     assert rtols == tried
 
 
+def test_integrate_caps_right_hand_side_calls_over_all_attempts(
+        monkeypatch):
+    # the same drifting dipole makes 59 calls at rtol 1e-11 and 62 at the
+    # floor: a cap of 100 lets the first attempt finish and stops the
+    # second, where the drift check would raise without the cap
+    monkeypatch.setattr(vx, "MAX_COUNT", 100)
+    z, g = vx.make_dipole(0.1 + 0.3j, -1j, 1.2e-8)
+    with pytest.raises(InvalidParameter, match="integration failed: over "
+                       "100 right-hand-side calls"):
+        vx.integrate(vx.VortexConfiguration(z, g, vx.HalfPlane()), 2.0,
+                     tol=1e-2, rtol=1e-11)
+
+
 def test_guard_stop_ends_where_the_run_stopped():
     # a head-on dipole descends from height 0.3 at unit speed; a user
     # event that is not terminal fires at height 0.2, and the guard stops
@@ -766,6 +781,21 @@ def test_limit_check_disk():
                                          math.pi / 3, 0.01)
     assert rep.delta_theta < 0.05
     assert rep.delta_s < 0.05 * TWO_PI
+
+
+def test_limit_check_leaves_brentq_to_the_event_roots(monkeypatch):
+    # the exit ray of the re-merged pair is a first hit polished by Newton;
+    # brentq is called by the integrator alone, for its event roots
+    callers = []
+    brentq = geo.brentq
+
+    def traced(*args, **kw):
+        callers.append(pathlib.Path(sys._getframe(1).f_code.co_filename).name)
+        return brentq(*args, **kw)
+
+    monkeypatch.setattr(geo, "brentq", traced)
+    vx.dipole_billiard_limit_check(vx.DiskDomain(1.0), 0.3, math.pi / 3, 0.01)
+    assert callers and set(callers) == {"_dop853.py"}
 
 
 def test_limit_check_diameter():
