@@ -1,9 +1,10 @@
 """Boundary curves and chord geometry.
 
-Smooth ovals are an analytic parametrization z(t), t in [0, 2*pi), held
-as complex-valued callables, with cumulative arc-length tables, so every
-public operation works in arc length s. Orientation is counterclockwise,
-the enclosed region on the left: the inward normal is i*tangent.
+Smooth ovals are represented by an analytic parametrization z(t), t in
+[0, 2*pi), held as complex-valued callables, plus cumulative arc-length
+tables so every public operation works in arc length s. Orientation is
+counterclockwise with the enclosed region on the left of the tangent;
+the inward normal is i*tangent in complex form.
 """
 
 from __future__ import annotations
@@ -65,14 +66,19 @@ def brentq(f, a, b, xtol, rtol):
 
 
 def _periodic_zeros(f, grid, vals, period, direction=0):
-    """Zeros of the period-periodic scalar function f, each once, ascending by
-    scan cell; grid is one period of ascending scan points, vals = f(grid). A
-    zero on a node is that node; each cell whose ends change sign, picked in
-    one array pass, is polished by brentq. Where the scalar f disagrees in sign
-    with the scan at an end of such a cell (vectorized and scalar f, or f at
-    both ends of the period, can differ by an ulp), the zero is within rounding
-    of that end, which is returned. direction -1 keeps only the zeros where the
-    scan falls (+ to -), +1 only those where it rises, 0 every zero."""
+    """Zeros of the period-periodic scalar function f, each once, ascending
+    by scan cell.
+
+    grid is one period of ascending scan points and vals = f(grid). A
+    zero on a node is returned as that node; each cell whose ends change
+    sign is polished by brentq. The nodes and cells are picked in one
+    array pass over the scan, so f is evaluated only in the picked cells.
+    Where the scalar f disagrees in sign with the scan at one end of such
+    a cell (vectorized and scalar evaluation, or f at both ends of the
+    period, can differ by an ulp), the zero lies within rounding of that
+    end, and the end is returned. direction -1 keeps only the zeros where
+    the scan falls (+ to -), +1 only those where it rises, 0 every zero.
+    """
     on_node, crossing, _ = _scan_zeros(vals, direction)
     ends = np.append(grid[1:], grid[0] + period)
     zeros = []
@@ -105,9 +111,12 @@ def _scan_zeros(vals, direction=0):
 
 
 class BoundaryCurve:
-    """Closed smooth oval given by an analytic parametrization; built by
-    :func:`disk`, :func:`ellipse`, :func:`neumann_oval` and
-    :func:`curve_from_points`."""
+    """Closed smooth oval given by an analytic parametrization.
+
+    Use the factory functions :func:`disk`, :func:`ellipse`,
+    :func:`neumann_oval` and :func:`curve_from_points` rather than the
+    constructor.
+    """
 
     kind = "generic"
     # the landing parameters of chords in closed form, _land_t(t0, theta)
@@ -116,9 +125,10 @@ class BoundaryCurve:
 
     def __init__(self, kind, zfun, dzfun, d2zfun, params=None, nodes=2048,
                  arclen_exact=None, speed_series=None):
-        """arclen_exact is the arc length from 0 in closed form, or
-        speed_series the coefficients c[k] of cos(2kt) of an even speed of
-        period pi; else arc length is integrated by Gauss-Legendre panels."""
+        """arclen_exact, when given, is the arc length from 0 in closed
+        form. speed_series, when given, is the cosine series of an even
+        speed of period pi: coefficients c[k] of cos(2kt). Otherwise arc
+        length is integrated by Gauss-Legendre panels."""
         self.kind = kind
         self.params = dict(params or {})
         self._zf = zfun
@@ -145,10 +155,11 @@ class BoundaryCurve:
         if self._arclen_exact is not None:
             s = self._arclen_exact(self._t_closed)
         elif self._series is not None:
-            # the series integrated term by term, 2^20 terms at a time,
-            # sines read as Im e^{2ikt}: freeing that block lifts glibc's
-            # mmap threshold above the outer and orbit solvers' per-call
-            # arrays, else each a fresh mmap, with page faults
+            # the series integrated term by term, at most 2^20 terms at a
+            # time, each sine read as Im e^{2ikt}: freeing that complex
+            # block lifts glibc's mmap threshold above the per-call arrays
+            # of the outer and orbit solvers, which a smaller one would
+            # leave to a fresh mmap, with page faults, on every call
             c0, k, amp = self._series
             tc = self._t_closed
             rows = 2 ** 20 // max(len(k), 1)
@@ -187,20 +198,21 @@ class BoundaryCurve:
 
     @functools.cached_property
     def _tangent_scan(self):
-        """The outer map's tangency scan, built on first use: 512 equispaced
-        parameters, the points there and the conjugate unit tangents."""
+        """The outer map's tangency scan, built on first use: 512
+        equispaced parameters, the points there and the conjugate unit
+        tangents."""
         ts = np.linspace(0.0, TWO_PI, 512, endpoint=False)
         return ts, self.zpoint_t(ts), np.conj(self.tangent_t(ts))
 
     @functools.cached_property
     def _turning_nodes(self):
         """The tangent's turning at the closed node table, from 0 at t = 0
-        to 2 pi at t = 2 pi, built on first use. On a convex oval it is the
-        unwrapped bearing less its first node. On a non-convex table it is
-        the cumulative absolute turning, each node cell counting at least
-        half the mean turning per unit arc length, 2 pi / P, so that no
-        nearly straight stretch about an inflection turns by almost nothing,
-        scaled to end at 2 pi; it never falls."""
+        to 2 pi at t = 2 pi, built on first use. On a convex oval it is
+        the unwrapped bearing less its first node. On a non-convex table
+        it is the cumulative absolute turning, each node cell counting at
+        least half the mean turning per unit arc length, 2 pi / P, so that
+        no nearly straight stretch about an inflection turns by almost
+        nothing, scaled to end at 2 pi; it never falls."""
         bear = self._bearing_nodes
         if self.is_convex:
             return bear - bear[0]
@@ -233,13 +245,16 @@ class BoundaryCurve:
         return np.imag(np.conj(dz) * d2z) / np.abs(dz) ** 3
 
     def arclen_t(self, t):
-        """Arc length from t=0 to t, vectorized, t in [0, 2*pi]. Unless it is
-        in closed form: the table at the node t0 below t plus the arc from t0
-        to t, the speed series' terms integrated (differences of sines written
-        as products) or 12-point Gauss-Legendre. That small increment rounds
-        far below an ulp of the sum, so arc length rounds monotonically between
-        neighbouring floats, as the Newton passes of :meth:`t_of_s` need to
-        stop early."""
+        """Arc length from t=0 to t, vectorized, t in [0, 2*pi].
+
+        Unless it is in closed form, it is the table at the node t0 below
+        t plus the arc length from t0 to t: the speed series' terms
+        integrated, each difference of sines written as a product, or
+        12-point Gauss-Legendre. The increment is small, so its rounding
+        stays far below an ulp of the sum: arc length then rounds
+        monotonically between neighbouring floats, as the Newton passes
+        of :meth:`t_of_s` need to stop early.
+        """
         t = np.asarray(t, dtype=float)
         if self._arclen_exact is not None:
             return self._arclen_exact(t)
@@ -258,12 +273,14 @@ class BoundaryCurve:
         return self._s_nodes[k] + (sp @ _GL_W) * half
 
     def t_of_s(self, s):
-        """Invert arc length: up to 8 Newton passes from the table guess,
-        stopping early once a pass leaves every entry unchanged or returns it
-        to its value of two passes before: later passes would repeat that fixed
-        point or 2-cycle, so the result is that of all 8 bit for bit, and no
-        entry depends on the others. InvalidParameter unless every arc is
-        finite."""
+        """Invert arc length: up to 8 Newton passes from the table guess.
+
+        The passes stop early once one leaves every entry unchanged, or
+        returns every entry to its value of two passes before: later
+        passes would repeat that fixed point or 2-cycle, so the result is
+        bit for bit that of all 8 passes, and no entry depends on the
+        others in the array. InvalidParameter unless every arc is finite.
+        """
         s = np.asarray(s, dtype=float)
         # one arc, the common call, is checked without a ufunc call
         if not (math.isfinite(s.item()) if s.size == 1
@@ -305,9 +322,11 @@ class BoundaryCurve:
 
 @dataclass
 class PolygonBoundary:
-    """Closed polygon, counterclockwise vertices. rational_angles
-    optionally declares each interior angle as 2*pi*m/n, as the
-    interval-exchange machinery needs."""
+    """Closed polygon, counterclockwise vertices.
+
+    rational_angles optionally declares each interior angle as
+    2*pi*m/n; required by the interval-exchange machinery.
+    """
 
     vertices: np.ndarray
     rational_angles: list | None = None
@@ -410,7 +429,8 @@ def disk(radius=1.0):
 def _with_half_angle_diff(a, b, curve):
     """Give the ellipse z(t) = a cos t + i b sin t (the disk: a = b = r)
     its exact chord vector z(t) - z(t0) = 2 sin((t - t0)/2) z'((t + t0)/2)
-    and its landings in closed form, the hook ``_land_t``:
+    and its landings in closed form, the hook ``_land_t``.
+
     (x, y) -> (x / a, y / b) takes each chord to a chord of the unit
     circle, and one that leaves e^{i t0} at angle theta' to the tangent
     there lands at t0 + 2 theta', theta' = arg(d' (-i) e^{-i t0}) for the
@@ -458,8 +478,10 @@ def ellipse(a, b):
 
 class NeumannMap:
     """Conformal map z = F(Z) = a Z / (1 - lam^2 Z^2) of the unit disk onto
-    the Neumann oval of area pi, with F', F'' and the inverse, each taking
-    scalars or arrays."""
+    the Neumann oval of area pi, with F', F'' and the inverse.
+
+    F, Fp, Fpp and inv take scalars or arrays.
+    """
 
     def __init__(self, lam):
         if not 0 <= lam < 1:
@@ -489,9 +511,11 @@ class NeumannMap:
 
 
 def neumann_oval(lam):
-    """Image of the unit circle under z = a*Z/(1 - lam^2 Z^2), area pi:
-    convex for small lam, pinched toward an hourglass as lam grows; the
-    map degenerates at lam = 1."""
+    """Image of the unit circle under z = a*Z/(1 - lam^2 Z^2), area pi.
+
+    Convex for small lam, pinched toward an hourglass as lam grows; the
+    map degenerates at lam = 1.
+    """
     m = NeumannMap(lam)
 
     def zf(t):
@@ -577,8 +601,10 @@ def regular_polygon(k, circumradius=1.0):
 
 
 def point_tangent_curvature(curve, s):
-    """(point, unit tangent, curvature) at arc length s; CornerUndefined
-    on a polygon vertex."""
+    """Return (point, unit tangent, curvature) at arc length s.
+
+    Raises CornerUndefined on a polygon vertex.
+    """
     if isinstance(curve, PolygonBoundary):
         tau = curve.tangent(s)
         return curve.point(s), tau, curve.curvature(s)
@@ -623,14 +649,17 @@ def _check_angle(theta):
 
 
 def _window(curve, t0, theta):
-    """Open parameter window (lo, hi) holding every boundary crossing of the
-    chord leaving t0 at angle theta, except t0 itself. The chord from z(t0)
-    to z(t) points along the mean tangent over [t0, t], so it cannot reach
-    angle theta before the tangent has turned by theta; going back from
-    t0 + 2 pi, by pi - theta. With w bounding the turning rate within one
-    scan cell h of t0, no crossing lies within min(h, theta / w) after t0
-    or min(h, (pi - theta) / w) before t0 + 2 pi, and the residual of a
-    convex oval is negative at lo and positive at hi."""
+    """Open parameter window (lo, hi) holding every boundary crossing of
+    the chord leaving t0 at angle theta, except t0 itself.
+
+    The chord from z(t0) to z(t) points along the mean tangent over
+    [t0, t], so it cannot reach angle theta before the tangent has
+    turned by theta; going back from t0 + 2 pi, by pi - theta. With w
+    bounding the turning rate within one scan cell h of t0, no crossing
+    lies within min(h, theta / w) after t0 or min(h, (pi - theta) / w)
+    before t0 + 2 pi: one rule at either grazing end, and the residual
+    of a convex oval is negative at lo and positive at hi.
+    """
     h = TWO_PI / _SCAN_CELLS
     w = 2.0 * curve._turn_near[(t0 // h).astype(int) % _SCAN_CELLS]
     return (t0 + np.minimum(h, theta / w),
@@ -645,14 +674,16 @@ def _require_resolved(curve, f_ends):
 
 
 def _convex_bracket(curve, t0, cd, theta, launches=None):
-    """Per row, the scan cell [lo, hi] of the window that holds the landing
-    parameter on a convex oval, with the residuals at its ends, read from every
-    eighth scan node and then the nine of one coarse cell. launches, when
-    given, is (tl, at): the launch parameters (see :func:`_convex_chords`) and
-    each row's index in tl. The rows whose window is their launch's full window
-    (tl + h, tl + 2 pi - h) then read z(t) - z(t0) at the nodes of both passes
-    from one table of all 65 per launch, the floats each would evaluate;
-    grazing rows evaluate theirs."""
+    """Per row, the scan cell [lo, hi] of the window that holds the
+    landing parameter on a convex oval, with the residuals at its ends,
+    read from every eighth scan node and then the nine of one coarse cell.
+
+    launches, when given, is (tl, at): the launch parameters (see
+    :func:`_convex_chords`) and each row's index in tl. The rows whose
+    window is their launch's full window (tl + h, tl + 2 pi - h) then
+    read z(t) - z(t0) at the nodes of both passes from one table of all
+    65 per launch, the same floats each would evaluate; grazing rows
+    evaluate their own nodes."""
     lo, hi = _window(curve, t0, theta)
     table = None
     if launches is not None:
@@ -669,8 +700,8 @@ def _convex_bracket(curve, t0, cd, theta, launches=None):
     lo, w, t0, cd = lo[:, None], (hi - lo)[:, None], t0[:, None], cd[:, None]
 
     def first_positive(cell):
-        # the nodes of the coarse pass (cell 0) or of the coarse cells
-        # cell, the residuals there and the first positive one, per row
+        """The nodes of the coarse pass (cell 0) or of the coarse cells
+        cell, the residuals there and the first positive one, per row."""
         t = lo + w * _SCAN[_PASS_NODES[cell]]
         if table is None:
             f = np.imag(cd * curve._zdiff(t, t0))
@@ -718,9 +749,12 @@ def _landing(curve, t, t0, cd):
 
 
 def chord(curve, s, theta):
-    """First boundary intersection of the ray leaving gamma(s) at angle theta:
-    (s2, theta2, length), theta2 the incidence angle there; the one-row
-    :func:`chord_batch`, bit for bit, on every table."""
+    """First boundary intersection of the ray leaving gamma(s) at angle theta.
+
+    Returns (s2, theta2, length) with theta2 the reflected outgoing
+    angle at the landing point, equal to the incidence angle there; bit
+    for bit the one-row :func:`chord_batch`, on every table.
+    """
     return tuple(float(x[0]) for x in chord_batch(curve, [float(s)],
                                                   [float(theta)]))
 
@@ -755,13 +789,14 @@ def _convex_chords(curve, t0, theta):
     from one z', z'' evaluation, one bracket, one Newton polish."""
     dz, cd = _launch(curve, t0, theta)
     shape = cd.shape
-    # start at the osculating circle's landing 2 sin(theta) / kappa; kappa
-    # times |z'| is curvature_t * speed_t
+    # start at the osculating circle's landing 2 sin(theta) / kappa where it
+    # is in the cell; kappa |z'| is curvature_t * speed_t
     u = 2.0 * np.sin(theta) / (np.imag(np.conj(dz) * curve._d2zf(_wrap(t0)))
                                / np.abs(dz) ** 3 * np.abs(dz))
     t = np.where(theta < 0.5 * np.pi, t0 + u, t0 + TWO_PI - u)
-    # launches are t0's entries before broadcasting, or one if all are one
-    # float (a sweep); where fewer than the rows, each shares its scan table
+    # the launches are the entries of t0 as given, before broadcasting, or
+    # one if all are the same float (a sweep from one arc); where they are
+    # fewer than the rows, the rows of each share its scan table
     tl = np.ravel(t0)
     launches = None
     if _one_float(tl):
@@ -863,14 +898,14 @@ def _polish(curve, t, bracket, a, cd, offset):
 
 
 def _newton_rows(step, x, lo, hi, flo, fhi, args, tol):
-    """Safeguarded Newton for one bracketed root per row, all rows at once: row
-    i has the bracket [lo[i], hi[i]], residuals flo[i] < 0 < fhi[i] there and
-    data args[k][i]; step(x, *args) gives the signed residuals at x and the
-    Newton increments. A row starts at x if strictly inside its bracket, else
-    at the regula falsi point. A step not finite or out of the bracket bisects
-    it; an exact zero closes it. A row stops after a step of at most tol and
-    leaves the live arrays, so no row sees the others; none takes over 64
-    steps."""
+    """Safeguarded Newton for one bracketed root per row, all rows at once:
+    row i has the bracket [lo[i], hi[i]], residuals flo[i] < 0 < fhi[i]
+    there and its own data args[k][i], and step(x, *args) gives the signed
+    residuals at x and the Newton increments. A row starts at x if that is
+    strictly inside its bracket, else at the regula falsi point. A step
+    that is not finite or leaves the bracket bisects it; an exact zero
+    closes it. A row stops after a step of at most tol and leaves the live
+    arrays, so no row sees the others; none takes over 64 steps."""
     x = np.where((x > lo) & (x < hi), x, lo - flo * (hi - lo) / (fhi - flo))
     rows, xl = np.arange(len(x)), x
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -891,18 +926,22 @@ def _newton_rows(step, x, lo, hi, flo, fhi, args, tol):
 
 def _newton_one(step, x, lo, hi, flo, fhi, args, tol):
     """:func:`_newton_rows` for one row in Python floats: the same start,
-    bisection, exact-zero close, stop after a step of at most tol, 64-step cap
-    and errstate, without the one-element arrays' overhead."""
+    bisection, exact-zero close, stop after a step of at most tol, 64-step
+    cap and errstate, without the one-element arrays' overhead."""
     if not lo < x < hi:
         x = lo - flo * (hi - lo) / (fhi - flo)
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(64):
             f, dx = step(x, *args)
-            lo, hi = (x if f <= 0.0 else lo), (x if f >= 0.0 else hi)
+            if f <= 0.0:
+                lo = x
+            if f >= 0.0:
+                hi = x
             xn = x + dx
             if not lo <= xn <= hi:
                 xn = 0.5 * (lo + hi)
-            x, live = xn, abs(xn - x) > tol
+            live = abs(xn - x) > tol
+            x = xn
             if not live:
                 break
     return x
@@ -924,7 +963,7 @@ def _polygon_chords(poly, s, theta):
     with np.errstate(divide="ignore", invalid="ignore"):
         i, along = poly.edge_of(s)
         tau, (e0, e1) = poly.edge_tan[i], poly.edge_tan.T
-        ct, st = np.cos(theta), np.sin(theta)
+        ct, st = _libm(math.cos, theta), _libm(math.sin, theta)
         d = np.empty((s.size, 1, 2))
         d[:, 0, 0] = ct * tau[:, 0] - st * tau[:, 1]
         d[:, 0, 1] = ct * tau[:, 1] + st * tau[:, 0]
@@ -956,13 +995,19 @@ def _polygon_chords(poly, s, theta):
             raise InvalidAngle("ray does not meet the polygon again")
         raise CornerHit("chord lands on vertex %d"
                         % ((k[r] + 1 - start[r]) % len(poly.vertices)))
-    # matmul and libm's acos keep the one-row solve's np.dot and math.acos
+    # matmul keeps the one-row solve's np.dot
     c2 = np.matmul(d, poly.edge_tan[k][..., None])[:, 0, 0]
     return tuple(x.reshape(shape) for x in (
         np.mod(poly.cum_s[k] + wk, poly.perimeter),
-        np.frompyfunc(math.acos, 1, 1)(
-            np.minimum(np.maximum(c2, -1.0), 1.0)).astype(float),
-        u[rows, k]))
+        _libm(math.acos, np.minimum(np.maximum(c2, -1.0), 1.0)), u[rows, k]))
+
+
+def _libm(f, x):
+    """The math function f on each entry of the array x: libm's rounding,
+    as the one-row polygon solve had it, where numpy's cos, sin and arccos
+    may round otherwise (arccos differs on 9% of 200 000 inputs on one
+    x86-64 build)."""
+    return np.frompyfunc(f, 1, 1)(x).astype(float)
 
 
 # -- configuration ------------------------------------------------------

@@ -187,7 +187,11 @@ def _advance_one(curve, t0, turn):
     node, within the rounding of the table."""
     bear, h, m = curve._bearing_nodes, curve._h, curve._M
     full = float(bear[-1] - bear[0])
-    p, rem = divmod(_bearing(curve, t0) + turn - float(bear[0]), full)
+    # the turn's whole periods come off first, fmod being exact, so the
+    # target is rounded at most at two periods, not at the turn's size
+    r = math.fmod(turn, full)
+    p, rem = divmod(_bearing(curve, t0) + r - float(bear[0]), full)
+    p += round((turn - r) / full)
     target = float(bear[0]) + rem
     k = min(int(np.searchsorted(bear, target, side="right")) - 1, m - 1)
     # the bracket's end residuals, read from the table at nodes k - 1 and
@@ -329,8 +333,11 @@ def _advance_tangencies(curve, t0, turn):
     derivative is kappa |z'| = Im(conj z' z'') / |z'|^2."""
     bear, h, m = curve._bearing_nodes, curve._h, curve._M
     full = bear[-1] - bear[0]
-    p, rem = np.divmod(_bearings(curve, t0, curve._dzf(t0)) + turn - bear[0],
+    # the turns' whole periods come off first, as in _advance_one
+    r = np.fmod(turn, full)
+    p, rem = np.divmod(_bearings(curve, t0, curve._dzf(t0)) + r - bear[0],
                        full)
+    p += np.round((turn - r) / full)
     target = bear[0] + rem
     k = np.minimum(np.searchsorted(bear, target, side="right") - 1, m - 1)
     # the bearings at nodes -1 to m + 1, one period unwrapped

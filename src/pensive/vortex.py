@@ -420,8 +420,9 @@ def integrate(config, T, tol=1e-8, rtol=1e-11, n_eval=600, events=None):
     boundary or between vortices, within GUARD_DISTANCE, stop the run with
     EventStop carrying the partial trajectory; a start already that close
     stops at t = 0. Each of `events` is called as g(t, y), y the positions
-    as interleaved (x, y) reals, with scipy's ``terminal`` and
-    ``direction`` meaning."""
+    as interleaved (x, y) reals, and keeps scipy's ``terminal`` and
+    ``direction`` meaning.
+    """
     n_eval = whole_count(n_eval, "n_eval", least=1)
     if not (0 < T < math.inf and 0 < tol < math.inf):
         raise InvalidParameter("need a finite positive horizon and "

@@ -696,7 +696,7 @@ x0 = 3
 y0 = 1
 steps = 40
 """, "outer.csv",
-            "36230efc3110ee1e806de969008b4b038231b36fbe4f40f14d77087caa838314"),
+            "ca560769b936c80ce14cb0ecf53a5679f98bcf3607cdd33163f41d72d89f43d8"),
         "oval-theta_const": ("""
 [curve]
 kind = neumann_oval

@@ -395,6 +395,23 @@ class TestBearing:
                 assert outer._advance_tangency(curve, t0, turn) == \
                     pytest.approx(t1, abs=1e-12)
 
+    def test_whole_periods_leave_the_landing_bits(self):
+        # a turn and its remainder modulo the bearing period land on the
+        # same u, bit for bit, in whole periods apart: the periods come off
+        # the turn before the target is formed, not after
+        curve = geo.ellipse(20.0, 0.05)
+        full = float(curve._bearing_nodes[-1] - curve._bearing_nodes[0])
+        rng = np.random.default_rng(2028)
+        t0, turn = rng.uniform(0.0, TWO_PI, 40), rng.uniform(-60, 60, 40)
+        rem = np.fmod(turn, full)
+        n = np.round((turn - rem) / full)
+        u, p = outer._advance_tangencies(curve, t0, turn)
+        ur, pr = outer._advance_tangencies(curve, t0, rem)
+        assert np.array_equal(u, ur) and np.array_equal(p, pr + n)
+        for i in range(t0.size):
+            assert outer._advance_one(curve, t0[i], turn[i]) == (
+                ur[i], pr[i] + n[i])
+
     def test_nonconvex_unsupported(self):
         oval = geo.neumann_oval(0.7)
         assert not oval.is_convex
@@ -666,9 +683,10 @@ class TestOuterOracle:
         # turns up to a full period either way: the landing lies within
         # [-2 pi, 4 pi), and a bearing error of a unit there moves it by
         # the unit over kappa |z'|, at least 0.48 on both tables. On the
-        # thin ellipse turns reach 60 either way, and the target bearing's
-        # rounding, an ulp of up to 60 + 2 pi, moves a landing off the tips
-        # by that ulp over kappa |z'|, as little as 1/400 on the flat sides
+        # thin ellipse turns reach 60 either way, and kappa |z'| falls to
+        # 1/400 on the flat sides: there the double bearing itself fixes
+        # the landing only to its ulp over kappa |z'|, so a landing is
+        # checked in the parameter or, where kappa |z'| < 1, in the bearing
         thin = name == "thin"
         curve, tab = ((geo.ellipse(20.0, 0.05), oracle.ellipse(20, 0.05))
                       if thin else (make() for make in ORACLE_TABLES[name]))
@@ -678,13 +696,11 @@ class TestOuterOracle:
         u, p = outer._advance_tangencies(curve, t0, turn)
         for i in range(t0.size):
             ref = oracle.slide(tab, t0[i], turn[i])
-            rate = float(curve.curvature_t(float(ref)) *
-                         curve.speed_t(float(ref)))
-            unit = max(ULP_2PI, np.spacing(abs(turn[i]) + TWO_PI) / rate
-                       if thin else 0.0)
+            rate = min(1.0, float(curve.curvature_t(float(ref)) *
+                                  curve.speed_t(float(ref)))) if thin else 1.0
             for got in (outer._advance_tangency(curve, t0[i], turn[i]),
                         u[i] + TWO_PI * p[i]):
-                assert oracle.error(got, ref) <= 8 * unit
+                assert rate * oracle.error(got, ref) <= 8 * ULP_2PI
 
 
 class TestTangentScanTable:
