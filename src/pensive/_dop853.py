@@ -285,10 +285,12 @@ def solve_ivp(fun, t_span, z0, rtol, atol, t_eval, events=()):
     z is a list of n Python complex numbers, and fun returns n complex
     velocities. rtol and atol act on the 2n real components. Each event
     g(t, z) takes an (n,) complex array and is located where its sign
-    changes, by brentq on the dense output; as in scipy, its optional
-    attribute ``terminal`` (True or a count of occurrences) stops the run
-    there, and ``direction`` +1 (-1) keeps only its rising (falling)
-    crossings.
+    changes, on the dense output: :func:`geometry._root_in` polishes the
+    root from g at the step's ends, which the sign test has read, by
+    :func:`geometry._difference_step`, to a step of EVENT_TOL (1 + |t|),
+    scipy's brentq tolerance. As in scipy, its optional attribute
+    ``terminal`` (True or a count of occurrences) stops the run there,
+    and ``direction`` +1 (-1) keeps only its rising (falling) crossings.
     """
     t, t_end = float(t_span[0]), float(t_span[1])
     y = _reals(z0)
@@ -370,9 +372,12 @@ def solve_ivp(fun, t_span, z0, rtol, atol, t_eval, events=()):
                 dense = _dense_output(rhs, K, KT, t_old, y_old, f_old, y, f, h)
                 for k in active:
                     count[k] += 1
-                roots = [geo.brentq(lambda s, ev=events[k]: ev(s, dense(s)),
-                                    t_old, t, xtol=EVENT_TOL, rtol=EVENT_TOL)
-                         for k in active]
+                tol = EVENT_TOL * (1.0 + max(abs(t_old), abs(t)))
+                roots = [geo._root_in(
+                    geo._difference_step(
+                        lambda ts, ev=events[k]: [ev(s, z) for s, z
+                                                  in zip(ts, dense(ts))], h),
+                    t_old, t, g[k], g_new[k], tol) for k in active]
                 if any(count[k] >= terminal[k] for k in active):
                     order = sorted(range(len(active)), key=roots.__getitem__)
                     active = [active[i] for i in order]

@@ -58,39 +58,43 @@ def wrap_to_half(x, period):
 
 
 def brentq(f, a, b, xtol, rtol):
-    """scipy.optimize.brentq, imported on the first call, so importing
-    pensive does not import scipy.optimize. Call sites look this name up
-    when they call it, so a wrapper set in its place sees every call."""
+    """scipy.optimize.brentq, imported on the first call. No pensive code
+    calls it: every bracketed root is polished by :func:`_newton_one`.
+    The name stays only because the benchmark's span tracer looks it up
+    (``bench/spans.py`` FOREIGN), and goes with that entry."""
     from scipy.optimize import brentq
     return brentq(f, a, b, xtol=xtol, rtol=rtol)
 
 
-def _periodic_zeros(f, grid, vals, period, direction=0):
-    """Zeros of the period-periodic scalar function f, each once, ascending
-    by scan cell.
+def _periodic_zeros(step, grid, vals, period, direction=0):
+    """Zeros of a period-periodic scalar residual, each once, ascending by
+    scan cell; step(x) gives the residual at x and its Newton increment.
 
-    grid is one period of ascending scan points and vals = f(grid). A
-    zero on a node is returned as that node; each cell whose ends change
-    sign is polished by brentq. The nodes and cells are picked in one
-    array pass over the scan, so f is evaluated only in the picked cells.
-    Where the scalar f disagrees in sign with the scan at one end of such
-    a cell (vectorized and scalar evaluation, or f at both ends of the
-    period, can differ by an ulp), the zero lies within rounding of that
-    end, and the end is returned. direction -1 keeps only the zeros where
-    the scan falls (+ to -), +1 only those where it rises, 0 every zero.
+    grid is one period of ascending scan points and vals the residual
+    there. A zero on a node is returned as that node. The nodes and cells
+    are picked in one array pass over the scan, so step reads only the
+    ends of the picked cells. A cell whose end residuals change sign is
+    polished from them by :func:`_root_in`, to brentq's xtol + rtol |x|
+    (xtol 1e-15, rtol 8.9e-16). Where the scalar residual disagrees in
+    sign with the scan at one end of such a cell (vectorized and scalar
+    evaluation, or the residual at both ends of the period, can differ by
+    an ulp), the zero lies within rounding of that end, and the end is
+    returned. direction -1 keeps only the zeros where the scan falls
+    (+ to -), +1 only those where it rises, 0 every zero.
     """
     on_node, crossing, _ = _scan_zeros(vals, direction)
     ends = np.append(grid[1:], grid[0] + period)
     zeros = []
     for i in np.flatnonzero(on_node | crossing):
-        a = grid[i]
+        a = float(grid[i])
         if on_node[i]:
             zeros.append(a)
             continue
-        b = ends[i]
-        sa, sb = f(a), f(b)
-        if sa * sb <= 0.0:
-            zeros.append(brentq(f, a, b, xtol=1e-15, rtol=8.9e-16))
+        b = float(ends[i])
+        sa, sb = step(a)[0], step(b)[0]
+        if min(sa, sb) <= 0.0 <= max(sa, sb):
+            zeros.append(_root_in(step, a, b, sa, sb,
+                                  1e-15 + 8.9e-16 * max(abs(a), abs(b))))
         else:
             zeros.append(b if sa * vals[i] > 0.0 else a)
     return zeros
@@ -945,6 +949,39 @@ def _newton_one(step, x, lo, hi, flo, fhi, args, tol):
             if not live:
                 break
     return x
+
+
+def _root_in(step, a, b, fa, fb, tol):
+    """The root in [a, b] of a residual that reads fa at a and fb at b, of
+    opposite signs or 0; step(x) gives the residual at x and its Newton
+    increment. An end where the residual is exactly 0 is the root, as
+    brentq returns it; else :func:`_newton_one` polishes from the regula
+    falsi point, on the residual negated where it falls, to a step of at
+    most tol."""
+    if fa == 0.0 or fb == 0.0:
+        return a if fa == 0.0 else b
+    sign = 1.0 if fa < 0.0 else -1.0
+
+    def rising(x):
+        f, dx = step(x)
+        return sign * f, dx
+
+    return _newton_one(rising, a, a, b, sign * fa, sign * fb, (), tol)
+
+
+def _difference_step(g, width):
+    """The step of :func:`_newton_one` for a residual with no analytic
+    slope: g on the array [x, x + h], h 2**-26 of the bracket width, gives
+    the residual at x and the Newton increment over the forward
+    difference."""
+    h = width * 2.0 ** -26
+
+    def step(x):
+        xh = np.array([x, x + h])
+        f, fh = np.asarray(g(xh), dtype=float)
+        return f, -f * (xh[1] - xh[0]) / (fh - f)
+
+    return step
 
 
 def _polygon_chords(poly, s, theta):

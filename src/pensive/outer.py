@@ -546,9 +546,16 @@ def spherical_outer_step(sigma, area_of_r, X):
     """
     X = _unit(np.asarray(X, dtype=float))
     dual = sigma.dual()
-    for ustar in geo._periodic_zeros(lambda u: float(X @ dual.point(u)),
-                                     dual._us[:-1], dual._pts @ X, TWO_PI,
-                                     direction=+1):
+
+    def step(u):
+        # X . dual(u) and its slope, dual.point and dual.deriv on one
+        # exponential
+        e = np.exp(1j * u * dual._k)
+        f = X @ (e @ dual._c).real
+        return f, -f / (X @ (e @ dual._dc).real)
+
+    for ustar in geo._periodic_zeros(step, dual._us[:-1], dual._pts @ X,
+                                     TWO_PI, direction=+1):
         p = sigma.point(ustar)
         tng = sigma.tangent(ustar)
         r = math.acos(max(-1.0, min(1.0, float(X @ p))))

@@ -98,11 +98,9 @@ def single_bounce_critical_points(curve, law, A, B):
     P = curve.perimeter
     grid = np.linspace(0.0, P, 720, endpoint=False)
     _, d = single_bounce_objective(curve, law, A, B, grid)
-
-    def dfun(x):
-        return single_bounce_objective(curve, law, A, B, x)[1]
-
-    roots = geo._periodic_zeros(dfun, grid, d, P)
+    step = geo._difference_step(
+        lambda x: single_bounce_objective(curve, law, A, B, x)[1], grid[1])
+    roots = geo._periodic_zeros(step, grid, d, P)
     return np.array(sorted(r % P for r in roots))
 
 
@@ -519,13 +517,15 @@ class PeriodicOrbit:
 class _ActionEval:
     """The cyclic action at one configuration, with its gradient and its
     periodic Jacobi Hessian; b holds the couplings H12 of the segments,
-    p_launch their launch momenta (the hints of nearby evaluations)."""
+    p_launch their launch momenta (the hints of nearby evaluations), and
+    advance the sum of their total arc advances."""
 
     grad: np.ndarray
     hess: np.ndarray
     b: np.ndarray
     p_launch: np.ndarray
     action: float
+    advance: float
 
 
 def _orbit_eval(curve, law, sv, winding, hints):
@@ -550,7 +550,8 @@ def _orbit_eval(curve, law, sv, winding, hints):
     hess[i, (i + 1) % q] += b
     hess[(i + 1) % q, i] += b
     return _ActionEval(grad=np.roll(P_land, 1) - p_launch, hess=hess, b=b,
-                       p_launch=p_launch, action=sum(gf.H for gf in gfs))
+                       p_launch=p_launch, action=sum(gf.H for gf in gfs),
+                       advance=sum(sol.advance for sol in sols))
 
 
 def periodic_orbit_search(curve, law, rotation, seeds=None):
@@ -559,9 +560,12 @@ def periodic_orbit_search(curve, law, rotation, seeds=None):
     Newton iteration on the gradient with the analytic cyclic
     tridiagonal Hessian; a damped descent on |grad|^2 is the fallback.
     Seeds are rotation-number configurations started at the given base
-    arcs (quarter-cell offsets by default). The orbit's residue comes
-    from the Hessian at the solution, R = -det(hess) / (4 prod(-H12)).
-    The period q is at most MAX_PERIOD, checked before any work.
+    arcs (quarter-cell offsets by default). A critical point whose q
+    transits do not advance p periods in all, within 1e-9 P, is another
+    rotation type's orbit: the next seed is tried, and NotFound raised
+    when none is left. The orbit's residue comes from the Hessian at the
+    solution, R = -det(hess) / (4 prod(-H12)). The period q is at most
+    MAX_PERIOD, checked before any work.
     """
     geo._require_smooth(curve, "variational evaluation")
     winding, q = _check_rotation(rotation)
@@ -601,6 +605,10 @@ def _newton_orbit(curve, law, sv, winding, q):
     for _ in range(40):
         gn = float(np.max(np.abs(ev.grad)))
         if gn < GRAD_TOL:
+            # q transits that advance other than p periods close an orbit
+            # of another rotation type (a fixed point, say): not this one
+            if abs(ev.advance - winding * P) > 1e-9 * P:
+                return None
             theta = np.arccos(np.clip(ev.p_launch, -1.0, 1.0))
             residue = -np.linalg.det(ev.hess) / (4.0 * np.prod(-ev.b))
             return PeriodicOrbit(s=sv % P, theta=theta,

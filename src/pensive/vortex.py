@@ -418,7 +418,8 @@ def integrate(config, T, tol=1e-8, rtol=1e-11, n_eval=600, events=None):
     floor is the last. A run over MAX_COUNT right-hand-side calls, all
     attempts counted, fails with InvalidParameter. Close approaches to the
     boundary or between vortices, within GUARD_DISTANCE, stop the run with
-    EventStop carrying the partial trajectory; a start already that close
+    EventStop carrying the last attempt's partial trajectory and its
+    drift, even where that drift exceeds tol; a start already that close
     stops at t = 0. Each of `events` is called as g(t, y), y the positions
     as interleaved (x, y) reals, and keeps scipy's ``terminal`` and
     ``direction`` meaning.
@@ -486,16 +487,17 @@ def integrate(config, T, tol=1e-8, rtol=1e-11, n_eval=600, events=None):
         if drift <= tol or rt <= 1e-13:
             break
         rt = max(rt * 1e-2, 1e-13)
-    if not drift <= tol:
-        raise InvalidParameter("Hamiltonian drift %.3g exceeds tol" % drift)
     traj = VortexTrajectory(t=tt, z=zz, gamma=gamma, domain=domain,
                             hamiltonian=Hs, momentum=mom, drift=drift,
                             attempts=attempt, rtol=rt, nfev=nfev)
+    # a guard stop is reported as one, whatever the drift up to it
     if sol.status == 1 and len(sol.t_events[0]) + len(sol.t_events[1]) > 0:
         err = EventStop("vortex came within guard distance",
                         t=float(tt[-1]), state=zz[-1])
         err.trajectory = traj
         raise err
+    if not drift <= tol:
+        raise InvalidParameter("Hamiltonian drift %.3g exceeds tol" % drift)
     return traj
 
 

@@ -720,7 +720,7 @@ mode = sphere
 psi = 0.9
 n_samples = 8
 """, "duality.csv",
-            "0d7d8749d3a0cab5e2ec2b1432e0ed28b81975ee5788102de9ffb014eed782b5"),
+            "37368cf4c457e852a73e127b7827abac63f034bbdc9656282794592b6bcac113"),
     }
 
     @pytest.mark.parametrize("name", PINNED)

@@ -2,9 +2,11 @@
 ``import pensive`` and for each CLI command.
 
 scipy is imported where it is called, so the map commands on disks,
-ovals (non-convex ones too) and polygons, vortex runs without events and
-planar outer runs on disks run on numpy alone, and ellipses add
-scipy.special (the arc length).
+ovals (non-convex ones too) and polygons, vortex runs and limit checks,
+planar and spherical outer runs, and orbit searches and twist sweeps on
+disks run on numpy alone, and ellipses add scipy.special (the arc
+length). Every bracketed root is polished by the package's own Newton:
+no command loads scipy.optimize.
 """
 
 import json
@@ -42,28 +44,36 @@ _CURVES = {
     "ellipse": "kind = ellipse\na = 1.2\nb = 1.0",
 }
 
+# each run's command and its sections
 _SECTIONS = {
-    "simulate": "[delay]\nkind = puck\nh = 0.4\n"
-                "[simulate]\ns0 = 0.3\ntheta0 = 1.0\nsteps = 12\n",
-    "phase": "[delay]\nkind = vortex\nl = 0.7\n"
-             "[phase]\norbits = 2\nsteps = 8\n",
-    "vortex": "[vortex]\nmode = run\n"
-              "positions = 0.28,0.3; 0.32,0.3\ngammas = 0.25, -0.25\n"
-              "t_final = 0.5\nn_eval = 20\n",
-    "outer": "[outer]\nmode = planar\nakind = power\ncoeff = 1.0\n"
-             "exponent = 3\nx0 = 3.0\ny0 = 1.0\nsteps = 4\n",
+    "simulate": ("simulate", "[delay]\nkind = puck\nh = 0.4\n"
+                 "[simulate]\ns0 = 0.3\ntheta0 = 1.0\nsteps = 12\n"),
+    "phase": ("phase", "[delay]\nkind = vortex\nl = 0.7\n"
+              "[phase]\norbits = 2\nsteps = 8\n"),
+    "vortex": ("vortex", "[vortex]\nmode = run\n"
+               "positions = 0.28,0.3; 0.32,0.3\ngammas = 0.25, -0.25\n"
+               "t_final = 0.5\nn_eval = 20\n"),
+    "limit": ("vortex", "[vortex]\nmode = limit\neps_list = 0.02\n"),
+    "outer": ("outer", "[outer]\nmode = planar\nakind = power\n"
+              "coeff = 1.0\nexponent = 3\nx0 = 3.0\ny0 = 1.0\nsteps = 4\n"),
+    "sphere": ("outer", "[delay]\nkind = constant\nc = 0.35\n"
+               "[outer]\nmode = sphere\npsi = 0.9\nn_samples = 4\n"),
+    "orbit": ("orbit", "[delay]\nkind = vortex\nl = 3.14159\n"
+              "[orbit]\np = 2\nq = 5\n"),
+    "twist": ("twist", "[twist]\nh_min = 0.2\nh_max = 0.6\ncount = 3\n"),
 }
 
 
 def _start(tmp_path, steps):
-    """Start one child on the (command, curve) steps."""
+    """Start one child on the (run, curve) steps."""
     plan = []
-    for command, curve in steps:
-        label = "%s-%s" % (command, curve)
+    for run, curve in steps:
+        label = "%s-%s" % (run, curve)
+        command, sections = _SECTIONS[run]
         ini = tmp_path / (label + ".ini")
         ini.write_text("[run]\ncommand = %s\noutdir = %s\n[curve]\n%s\n%s"
                        % (command, tmp_path / label, _CURVES[curve],
-                          _SECTIONS[command]))
+                          sections))
         plan.append((label, command, str(ini)))
     env = dict(os.environ)
     src = str(pathlib.Path(pensive.__file__).resolve().parents[1])
@@ -92,13 +102,17 @@ def test_scipy_loads_only_where_it_is_called(tmp_path):
     # a child reports the modules loaded so far, so the runs that load no
     # scipy share one child, which runs them first
     plain = _start(tmp_path, [
-        (command, curve) for curve in ("disk", "oval")
-        for command in ("simulate", "phase")] + [
+        (run, curve) for curve in ("disk", "oval")
+        for run in ("simulate", "phase", "limit")] + [
             ("simulate", "nonconvex"), ("simulate", "polygon"),
-            ("vortex", "disk"), ("outer", "disk")])
+            ("vortex", "disk"), ("outer", "disk"), ("sphere", "disk"),
+            ("orbit", "disk"), ("twist", "disk")])
     rest = _start(tmp_path, [("simulate", "ellipse"), ("phase", "ellipse")])
     plain, rest = _report(plain), _report(rest)
 
+    # no command of the corpus polishes a root by scipy
+    for label, (code, modules) in {**plain, **rest}.items():
+        assert "scipy.optimize" not in modules, label
     assert plain.pop("import") == [0, []]
     assert rest.pop("import") == [0, []]
     # vortex runs step with the package's own DOP853
@@ -111,8 +125,12 @@ def test_scipy_loads_only_where_it_is_called(tmp_path):
     assert code == 0 and (tmp_path / "outer-disk" / "outer.csv").exists()
     assert _subpackages(modules) == set()
     # map commands on disks and ovals, and simulate on a non-convex oval
-    # and a polygon, whose chords find their first hits by Newton: numpy
-    # alone
+    # and a polygon, whose chords find their first hits by Newton; the
+    # limit check on both, whose re-merge is an event root; the sphere
+    # duality; an orbit search and a twist sweep: numpy alone
+    for label in ("limit-disk", "limit-oval"):
+        assert (tmp_path / label / "limit.csv").exists(), label
+    assert (tmp_path / "sphere-disk" / "duality.csv").exists()
     for label, (code, modules) in plain.items():
         assert code == 0, label
         assert modules == [], label

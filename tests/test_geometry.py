@@ -1055,20 +1055,29 @@ def test_polygon_grazing_chord_leaves_its_edge(k, frac, gap, backward):
     assert d > 1e-9
 
 
+def _sin_step(shift=0.0):
+    """The residual sin(x) - shift and its Newton increment."""
+    def step(x):
+        f = math.sin(x) - shift
+        return f, -f / math.cos(x)
+    return step
+
+
 def test_periodic_zeros_node_zero_once():
     # sin vanishes on the node 0 and just past the node pi (sin(pi) is
     # 1.2e-16 in floating point): each zero comes back once
     grid = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
     assert grid[8] == math.pi
-    zeros = geo._periodic_zeros(math.sin, grid, np.sin(grid), 2.0 * math.pi)
+    zeros = geo._periodic_zeros(_sin_step(), grid, np.sin(grid),
+                                2.0 * math.pi)
     assert len(zeros) == 2
     assert zeros[0] == 0.0
     assert zeros[1] == pytest.approx(math.pi, abs=1e-15)
-    # a scan that disagrees in sign with the scalar function at a node
+    # a scan that disagrees in sign with the scalar residual at a node
     # (here f(0) < 0 < vals[0]) still yields the zero there, once
     vals = np.sin(grid)
     vals[0] = 1e-300
-    zeros = geo._periodic_zeros(lambda x: math.sin(x) - 1e-300, grid, vals,
+    zeros = geo._periodic_zeros(_sin_step(1e-300), grid, vals,
                                 2.0 * math.pi)
     assert len(zeros) == 2
     assert zeros[0] == pytest.approx(math.pi, abs=1e-15)
@@ -1079,16 +1088,30 @@ def test_periodic_zeros_direction():
     # sin rises through the node 0 and falls through pi
     grid = np.linspace(0.0, 2.0 * math.pi, 16, endpoint=False)
     vals = np.sin(grid)
-    rising = geo._periodic_zeros(math.sin, grid, vals, 2.0 * math.pi, 1)
-    falling = geo._periodic_zeros(math.sin, grid, vals, 2.0 * math.pi, -1)
+    rising = geo._periodic_zeros(_sin_step(), grid, vals, 2.0 * math.pi, 1)
+    falling = geo._periodic_zeros(_sin_step(), grid, vals, 2.0 * math.pi,
+                                  -1)
     assert rising == [0.0]
     assert len(falling) == 1
     assert falling[0] == pytest.approx(math.pi, abs=1e-15)
 
 
-def cell_loop_zeros(f, grid, vals, period, direction=0):
+def test_difference_step_polishes_to_rounding():
+    # a root with no analytic slope, falling through its bracket: the
+    # forward-difference step lands within an ulp or two of it
+    step = geo._difference_step(lambda x: np.cos(x), 0.1)
+    root = geo._root_in(step, 1.5, 1.6, math.cos(1.5), math.cos(1.6),
+                        1e-15)
+    assert abs(root - math.pi / 2) <= 4.0 * np.spacing(math.pi / 2)
+    # an end where the residual is exactly 0 is the root, as brentq has it
+    assert geo._root_in(step, 0.0, 1.0, 0.0, -1.0, 1e-15) == 0.0
+    assert geo._root_in(step, 0.0, 1.0, 1.0, 0.0, 1e-15) == 1.0
+
+
+def cell_loop_zeros(step, grid, vals, period, direction=0):
     """The per-cell loop that `_periodic_zeros` replaced, kept as the
-    oracle of its array pass."""
+    oracle of its array pass: each sign change polished by _newton_one on
+    step, the residual negated where it falls."""
     zeros = []
     ends = zip(grid, np.append(grid[1:], grid[0] + period),
                np.roll(vals, 1), vals, np.roll(vals, -1))
@@ -1097,9 +1120,15 @@ def cell_loop_zeros(f, grid, vals, period, direction=0):
             if direction * (fb - fp) >= 0.0:
                 zeros.append(a)
         elif fa * fb < 0.0 and direction * fb >= 0.0:
-            sa, sb = f(a), f(b)
-            if sa * sb <= 0.0:
-                zeros.append(brentq(f, a, b, xtol=1e-15, rtol=8.9e-16))
+            sa, sb = step(a)[0], step(b)[0]
+            if sa == 0.0 or sb == 0.0:
+                zeros.append(a if sa == 0.0 else b)
+            elif (sa < 0.0) != (sb < 0.0):
+                sign = 1.0 if sa < 0.0 else -1.0
+                zeros.append(geo._newton_one(
+                    lambda x: (sign * step(x)[0], step(x)[1]), a, a, b,
+                    sign * sa, sign * sb, (),
+                    1e-15 + 8.9e-16 * max(abs(a), abs(b))))
             else:
                 zeros.append(b if sa * fa > 0.0 else a)
     return zeros
@@ -1148,15 +1177,21 @@ def test_periodic_zeros_matches_cell_loop(vals, ulps, t0, period, seam,
                 else v)
           for v, u in zip(np.append(vals, vals[0]), ulps[:n] + ulps[-1:])]
 
-    def f(t):
+    def step(t):
+        # the residual, and its increment on the line of the piece from
+        # its node (none on a flat piece)
         k = min(int(np.searchsorted(ends, t, side="right")) - 1, n)
+        j = min(k, n - 1)
+        slope = (fe[j + 1] - fe[j]) / (ends[j + 1] - ends[j])
         if t == ends[k]:
-            return fe[k]
-        w = (t - ends[k]) / (ends[k + 1] - ends[k])
-        return fe[k] + w * (fe[k + 1] - fe[k])
+            f = fe[k]
+        else:
+            w = (t - ends[k]) / (ends[k + 1] - ends[k])
+            f = fe[k] + w * (fe[k + 1] - fe[k])
+        return f, -f / slope if slope else 0.0
 
-    got = geo._periodic_zeros(f, grid, vals, period, direction)
-    want = cell_loop_zeros(f, grid, vals, period, direction)
+    got = geo._periodic_zeros(step, grid, vals, period, direction)
+    want = cell_loop_zeros(step, grid, vals, period, direction)
     assert [float(z).hex() for z in got] == [float(z).hex() for z in want]
 
 

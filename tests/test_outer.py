@@ -7,7 +7,7 @@ import math
 import numpy as np
 import pytest
 from scipy.integrate import dblquad, quad
-from scipy.optimize import brentq, minimize_scalar
+from scipy.optimize import minimize_scalar
 
 import oracle
 from pensive import delay, geometry as geo, outer
@@ -977,14 +977,16 @@ class TestSphereDuality:
 
     def test_one_polish_per_step(self, monkeypatch):
         # the scan's rising sign change is the trailing tangency: one
-        # brentq per step
+        # Newton polish per step, and no brentq
         calls = []
+        solve = geo._newton_one
 
         def counted(*args, **kw):
             calls.append(1)
-            return brentq(*args, **kw)
+            return solve(*args, **kw)
 
-        monkeypatch.setattr(geo, "brentq", counted)
+        monkeypatch.setattr(geo, "_newton_one", counted)
+        monkeypatch.setattr(geo, "brentq", None)
         samples = [(1.1, 0.5), (3.3, 0.9), (5.2, 1.3)]
         for crv in (outer.spherical_cap(0.9), wobble_curve()):
             rep = outer.sphere_duality_check(crv, delay.constant(0.35),

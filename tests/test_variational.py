@@ -15,8 +15,8 @@ from pensive import delay
 from pensive import geometry as geo
 from pensive import twist
 from pensive import variational as var
-from pensive.errors import (InvalidParameter, InvalidPoint, NotTransitive,
-                            PensiveError, Unsupported)
+from pensive.errors import (InvalidParameter, InvalidPoint, NotFound,
+                            NotTransitive, PensiveError, Unsupported)
 
 RNG = np.random.default_rng(20240821)
 
@@ -402,6 +402,35 @@ def test_residue_vanishes_on_the_disk():
     orbit = var.periodic_orbit_search(geo.disk(1.0), delay.vortex(math.pi),
                                       (2, 5))
     assert abs(orbit.residue) < 1e-8
+
+
+def test_orbit_of_another_rotation_is_refused():
+    # 1/7 lies below the vortex law's rotation window on the disk: the
+    # critical point the search meets (theta = 1.7476 at every point)
+    # advances 8 periods over its seven transits, an (8, 7) orbit
+    with pytest.raises(NotFound):
+        var.periodic_orbit_search(geo.disk(1.0), delay.vortex(math.pi),
+                                  (1, 7))
+
+
+@pytest.mark.parametrize("c, rotation", [
+    (geo.disk(1.0), (2, 5)),
+    (geo.ellipse(1.2, 1.0), (1, 3)),
+    (geo.ellipse(1.2, 1.0), (2, 3)),
+], ids=["disk-2/5", "ellipse-1/3", "ellipse-2/3"])
+def test_puck_orbits_keep_their_rotation(c, rotation):
+    # puck(0.7) is no twist law: these searches used to return fixed
+    # points labelled (p, q)
+    law = delay.puck(0.7)
+    try:
+        orbit = var.periodic_orbit_search(c, law, rotation)
+    except NotFound:
+        return
+    P = c.perimeter
+    sols = var.p_star(c, law, orbit.s, np.roll(orbit.s, -1),
+                      hint=np.cos(orbit.theta))
+    assert abs(sum(sol.advance for sol in sols) - rotation[0] * P) \
+        <= 1e-9 * P
 
 
 def test_orbit_search_p_star_budget(monkeypatch):

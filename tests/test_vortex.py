@@ -2,8 +2,6 @@
 and the zero-separation limit against the billiard step."""
 
 import math
-import pathlib
-import sys
 
 import numpy as np
 import pytest
@@ -521,7 +519,8 @@ def test_integrate_reports_attempts_rtol_and_rhs_calls(monkeypatch):
                                          (1e-10, [1e-10, 1e-12, 1e-13])])
 def test_drift_retries_stop_at_the_rtol_floor(monkeypatch, rtol, tried):
     # a head-on half-plane dipole of half separation 1.2e-8 drifts at
-    # every rtol; an attempt at the floor 1e-13 is not run again
+    # every rtol on its way to the wall guard; an attempt at the floor
+    # 1e-13 is not run again, and the guard stop is reported
     rtols = []
     solve_ivp = vx.solve_ivp
 
@@ -531,7 +530,7 @@ def test_drift_retries_stop_at_the_rtol_floor(monkeypatch, rtol, tried):
 
     monkeypatch.setattr(vx, "solve_ivp", counted)
     z, g = vx.make_dipole(0.1 + 0.3j, -1j, 1.2e-8)
-    with pytest.raises(InvalidParameter, match="drift"):
+    with pytest.raises(vx.EventStop):
         vx.integrate(vx.VortexConfiguration(z, g, vx.HalfPlane()), 2.0,
                      tol=1e-2, rtol=rtol)
     assert rtols == tried
@@ -630,6 +629,53 @@ def test_dop853_event_direction_keeps_scipys_meaning():
     assert cfg.domain._velocities([complex(z[0])], [20.0])[0].real > 0
     for te, te_ref in zip(sol.t_events, ref.t_events):
         np.testing.assert_allclose(te, te_ref, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("dom", [vx.HalfPlane(), vx.DiskDomain(1.0),
+                                 vx.NeumannOvalDomain(0.3)],
+                         ids=["half_plane", "disk", "oval"])
+@pytest.mark.parametrize("n", [2, 4])
+def test_dop853_event_roots_are_scipys(dom, n):
+    # vortex 0's advance along its mean heading over [0, 0.4], measured
+    # from its position at 0.2 (one event keeps the rising crossings, one
+    # the falling ones, of which there are none) and from its position at
+    # 0.4 (terminal); both runs take the same steps, so their roots
+    # polish the same dense output
+    cfg = _random_config(dom, n, np.random.default_rng(100 + n))
+    z0, zm, z1 = _dop853(cfg, 0.4, [0.0, 0.2, 0.4]).z[:, 0]
+    u = (z1 - z0).conjugate()
+
+    def mid(t, z):
+        return (u * (z[0] - zm)).real
+
+    def rising(t, z):
+        return mid(t, z)
+
+    def falling(t, z):
+        return mid(t, z)
+
+    def end(t, z):
+        return (u * (z[0] - z1)).real
+
+    rising.direction, falling.direction, end.terminal = 1.0, -1.0, True
+    events = [rising, falling, end]
+
+    def on_reals(ev):
+        def real(t, y):
+            return ev(t, y.view(complex))
+        real.direction = getattr(ev, "direction", 0.0)
+        real.terminal = getattr(ev, "terminal", False)
+        return real
+
+    sol = _dop853(cfg, 0.5, [0.0], events=events)
+    ref = _scipy_dop853(cfg, 0.5, [0.0], events=[on_reals(ev)
+                                                 for ev in events])
+    assert sol.status == ref.status == 1
+    assert [len(te) for te in sol.t_events] == [1, 0, 1]
+    assert [len(te) for te in ref.t_events] == [1, 0, 1]
+    for te, te_ref in zip(sol.t_events, ref.t_events):
+        np.testing.assert_allclose(te, te_ref, rtol=0, atol=1e-12)
+    assert sol.t_final == sol.t_events[2][0]
 
 
 def test_dop853_tableau_is_scipys():
@@ -783,19 +829,44 @@ def test_limit_check_disk():
     assert rep.delta_s < 0.05 * TWO_PI
 
 
-def test_limit_check_leaves_brentq_to_the_event_roots(monkeypatch):
-    # the exit ray of the re-merged pair is a first hit polished by Newton;
-    # brentq is called by the integrator alone, for its event roots
-    callers = []
-    brentq = geo.brentq
+def test_bracketed_roots_run_without_brentq(monkeypatch):
+    # every bracketed root is polished by geometry._newton_one: the sphere
+    # step, the one-bounce critical points, and the event roots of the
+    # limit check's re-merge and of a guard stop
+    from pensive import outer
+    from pensive import variational as var
+    monkeypatch.setattr(geo, "brentq", None)
+    rep = outer.sphere_duality_check(outer.spherical_cap(0.9),
+                                     delay.constant(0.35), [(1.1, 0.5)])
+    assert rep["max_error"] < 1e-6
+    assert len(var.single_bounce_critical_points(
+        geo.disk(1.0), delay.vortex(1.0), (0.3, 0.0), (-0.2, 0.1))) >= 1
+    for dom in (vx.DiskDomain(1.0), vx.NeumannOvalDomain(0.3)):
+        rep = vx.dipole_billiard_limit_check(dom, 0.3, math.pi / 3, 0.01)
+        assert rep.delta_theta < 0.05
+    with pytest.raises(vx.EventStop):
+        vx.integrate(_wall_dipole(), 2.0, tol=1e-2)
 
-    def traced(*args, **kw):
-        callers.append(pathlib.Path(sys._getframe(1).f_code.co_filename).name)
-        return brentq(*args, **kw)
 
-    monkeypatch.setattr(geo, "brentq", traced)
-    vx.dipole_billiard_limit_check(vx.DiskDomain(1.0), 0.3, math.pi / 3, 0.01)
-    assert callers and set(callers) == {"_dop853.py"}
+def _wall_dipole():
+    """A dipole of half separation 1.2e-8 headed into the half-plane's
+    wall: the wall guard stops it, and its Hamiltonian drifts by 0.025
+    on the way."""
+    return vx.make_dipole(0.1 + 0.3j, -1j, 1.2e-8, domain=vx.HalfPlane())
+
+
+def test_guard_stop_is_not_a_drift_failure():
+    # every attempt stops at the wall guard with drift 0.0254 over tol:
+    # the stop is reported, with that attempt's trajectory and drift
+    with pytest.raises(vx.EventStop) as stop:
+        vx.integrate(_wall_dipole(), 2.0, tol=1e-2)
+    tr = stop.value.trajectory
+    assert tr.attempts == 2 and tr.rtol == 1e-13
+    assert tr.drift == pytest.approx(0.0254, abs=1e-4)
+    assert stop.value.t == tr.t[-1] < 2.0
+    assert vx.HalfPlane().boundary_distance(complex(
+        stop.value.state[np.argmin(stop.value.state.imag)])) \
+        <= 1.01 * vx.GUARD_DISTANCE
 
 
 def test_limit_check_diameter():
