@@ -37,13 +37,8 @@ CORNER_TOL = 1e-9
 
 _GL_X, _GL_W = leggauss(12)
 
-# cells of the convex chord scan, and their ends as window fractions
+# cells of the chord window's turning table
 _SCAN_CELLS = 64
-_SCAN = np.linspace(0.0, 1.0, _SCAN_CELLS + 1)
-# the nodes of the coarse pass (row 0) and of the fine pass in each coarse
-# cell k (row k)
-_PASS_NODES = np.vstack([np.arange(0, _SCAN_CELLS + 1, 8),
-                         8 * np.arange(1, 9)[:, None] + np.arange(-8, 1)])
 # (row, node) pairs per chunk of the first-hit scan: its memory bound
 _HIT_PAIRS = 2 ** 18
 
@@ -96,7 +91,7 @@ def _periodic_zeros(step, grid, vals, period, direction=0):
             zeros.append(_root_in(step, a, b, sa, sb,
                                   1e-15 + 8.9e-16 * max(abs(a), abs(b))))
         else:
-            zeros.append(b if sa * vals[i] > 0.0 else a)
+            zeros.append(b if (sa < 0.0) == (vals[i] < 0.0) else a)
     return zeros
 
 
@@ -110,7 +105,9 @@ def _scan_zeros(vals, direction=0):
     ext = np.concatenate((vals[..., -1:], vals, vals[..., :1]), axis=-1)
     nxt = ext[..., 2:]
     on_node = (vals == 0.0) & (direction * (nxt - ext[..., :-2]) >= 0.0)
-    crossing = (vals * nxt < 0.0) & (direction * nxt >= 0.0)
+    # signs, not a product, which can underflow to 0 on subnormals
+    crossing = (((vals < 0.0) != (nxt < 0.0)) & (vals != 0.0) & (nxt != 0.0)
+                & (direction * nxt >= 0.0))
     return on_node, crossing, nxt
 
 
@@ -123,8 +120,9 @@ class BoundaryCurve:
     """
 
     kind = "generic"
-    # the landing parameters of chords in closed form, _land_t(t0, theta)
-    # for rays leaving z(t0) at angles theta; factories that have one set it
+    # the landing parameters of chords from a closed form,
+    # _land_t(curve, t0, theta, cd) for rays leaving z(t0) at angles theta,
+    # cd the conjugate ray directions; factories that have one set it
     _land_t = None
 
     def __init__(self, kind, zfun, dzfun, d2zfun, params=None, nodes=2048,
@@ -446,7 +444,7 @@ def _with_half_angle_diff(a, b, curve):
     curve._zdiff = lambda t, t0: (2.0 * np.sin(0.5 * (t - t0)) *
                                   dzf(0.5 * (t + t0)))
 
-    def land_t(t0, theta):
+    def land_t(_curve, t0, theta, _cd):
         s, c, st = np.sin(t0), np.cos(t0), np.sin(theta)
         return t0 + 2.0 * np.arctan2(st * (a * a * s * s + b * b * c * c),
                                      a * b * np.cos(theta)
@@ -518,7 +516,9 @@ def neumann_oval(lam):
     """Image of the unit circle under z = a*Z/(1 - lam^2 Z^2), area pi.
 
     Convex for small lam, pinched toward an hourglass as lam grows; the
-    map degenerates at lam = 1.
+    map degenerates at lam = 1. A convex oval (lam below sqrt(2) - 1)
+    lands its chords by a cubic, the hook ``_land_t``; the others take
+    the ray's first crossing.
     """
     m = NeumannMap(lam)
 
@@ -553,7 +553,48 @@ def neumann_oval(lam):
     curve = BoundaryCurve("neumann_oval", zf, dzf, d2zf,
                           params={"lam": m.lam, "a": m.a}, nodes=4096,
                           speed_series=coef)
+
+    def land_t(curve, t0, theta, cd):
+        # item 20's cubic (ROADMAP) in the real coordinate y = tan(delta/2 -
+        # theta), delta = t2 - t0. With A = l2 e^{2i t0}, sigma = e^{i
+        # delta/2} and C = e^{-i theta} (1 + conj A)(1 - A), a positive
+        # multiple of item 20's, conj(d) (z(t2) - z(t0)) is 2a sin(delta/2)
+        # times a positive multiple of C sigma (1 + A sigma^2) / (1 -
+        # A sigma^4), and the landing makes that real: Im(p3 sigma^3 +
+        # p2 sigma) = 0, p3 = 2 Re(C) A, p2 = C + conj(C) l2^2. With sigma =
+        # e^{i theta} (1 + iy) / |1 + iy| that is a real cubic in y. On a
+        # convex oval its lead coefficient and its depressed form's p are
+        # positive (the disk's is y^3 + y), so its one real root is the
+        # hyperbolic form's; the polish in the window keeps the one landing
+        # there, whatever the start
+        shape = cd.shape
+        t0, theta, cd = (x.ravel() for x in np.broadcast_arrays(t0, theta,
+                                                                cd))
+        A = m.l2 * np.exp(2j * t0)
+        e = np.exp(1j * theta)
+        # (1 + conj A)(1 - A)
+        b = (1.0 - m.l2 * m.l2) - 2j * A.imag
+        # p2 e^{i theta} and p3 e^{3i theta}
+        p2 = b + np.conj(b) * (m.l2 * m.l2) * (e * e)
+        p3 = 2.0 * (b / e).real * A * (e * e * e)
+        a3 = p2.real - p3.real
+        b2, b1, b0 = ((p2.imag - 3.0 * p3.imag) / a3,
+                      (p2.real + 3.0 * p3.real) / a3, (p2.imag + p3.imag) / a3)
+        p = b1 - b2 * b2 / 3.0
+        q = b0 - b2 * (b1 - 2.0 * b2 * b2 / 9.0) / 3.0
+        k = np.sqrt(p / 3.0)
+        y = -2.0 * k * np.sinh(np.arcsinh(0.5 * q / k ** 3) / 3.0) - b2 / 3.0
+        lo, hi = _window(curve, t0, theta)
+        f = np.imag(cd * zdiff(np.stack([lo, hi]), t0))
+        _require_resolved(curve, f)
+        if not ((f[0] < 0.0) & (f[1] > 0.0)).all():
+            raise InvalidAngle("chord landing not bracketed in its window")
+        return _polish(curve, t0 + 2.0 * (theta + np.arctan(y)),
+                       (lo, hi, *f), t0, cd, zdiff).reshape(shape)
+
     curve._zdiff = zdiff
+    if curve.is_convex:
+        curve._land_t = land_t
     return curve
 
 
@@ -677,71 +718,19 @@ def _require_resolved(curve, f_ends):
         raise InvalidAngle("chord too close to tangency to resolve")
 
 
-def _convex_bracket(curve, t0, cd, theta, launches=None):
-    """Per row, the scan cell [lo, hi] of the window that holds the
-    landing parameter on a convex oval, with the residuals at its ends,
-    read from every eighth scan node and then the nine of one coarse cell.
-
-    launches, when given, is (tl, at): the launch parameters (see
-    :func:`_convex_chords`) and each row's index in tl. The rows whose
-    window is their launch's full window (tl + h, tl + 2 pi - h) then
-    read z(t) - z(t0) at the nodes of both passes from one table of all
-    65 per launch, the same floats each would evaluate; grazing rows
-    evaluate their own nodes."""
-    lo, hi = _window(curve, t0, theta)
-    table = None
-    if launches is not None:
-        tl, at = launches
-        h = TWO_PI / _SCAN_CELLS
-        full = (lo == t0 + h) & (hi == t0 + TWO_PI - h)
-        if full.any():
-            own = np.flatnonzero(~full)
-            # the window ends, width and nodes in the rows' own arithmetic
-            tl = tl[:, None]
-            lo_l = tl + h
-            table = curve._zdiff(lo_l + (tl + TWO_PI - h - lo_l) * _SCAN,
-                                 tl)[:, _PASS_NODES]
-    lo, w, t0, cd = lo[:, None], (hi - lo)[:, None], t0[:, None], cd[:, None]
-
-    def first_positive(cell):
-        """The nodes of the coarse pass (cell 0) or of the coarse cells
-        cell, the residuals there and the first positive one, per row."""
-        t = lo + w * _SCAN[_PASS_NODES[cell]]
-        if table is None:
-            f = np.imag(cd * curve._zdiff(t, t0))
-        else:
-            f = np.imag(cd * table[at, cell])
-            if own.size:
-                f[own] = np.imag(cd[own] * curve._zdiff(t[own], t0[own]))
-        return t, f, np.argmax(f > 0.0, axis=1)
-
-    _, f, k = first_positive(0)
-    _require_resolved(curve, f[:, [0, -1]])
-    if (k == 0).any():
-        raise InvalidAngle("chord landing not bracketed in its window")
-    t, f, j = first_positive(k)
-    rows = np.arange(len(j))
-    return t[rows, j - 1], t[rows, j], f[rows, j - 1], f[rows, j]
-
-
 def _launch_t(curve, s):
     """Launch parameters t_of_s(s) of the arcs s, at least 1-d."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
-    if _one_float(s):
+    if s.size > 1 and (s == s.flat[0]).all():
         # a sweep from one arc inverts it once, to the scalar call's bits
         return np.full(s.shape, curve.t_of_s(s.ravel()[:1])[0])
     return curve.t_of_s(s)
 
 
-def _one_float(x):
-    """Whether the array x has more than one entry, all one float."""
-    return x.size > 1 and bool((x == x.flat[0]).all())
-
-
 def _launch(curve, t0, theta):
-    """z'(t0) at the launch parameters t0, and conj of the ray directions."""
+    """conj of the directions of the rays leaving z(t0) at angles theta."""
     dz = curve._dzf(_wrap(t0))
-    return dz, np.conj(dz / np.abs(dz) * np.exp(1j * theta))
+    return np.conj(dz / np.abs(dz) * np.exp(1j * theta))
 
 
 def _landing(curve, t, t0, cd):
@@ -774,52 +763,23 @@ def chord_batch(curve, s, theta):
 def _chords(curve, t0, theta):
     """Chords of a smooth table from launch parameters t0 at angles theta:
     (s2, theta2, length, t2) arrays of their broadcast shape, t2 the landing
-    parameter in (t0, t0 + 2 pi). The disk and the ellipse land in closed
-    form (``_land_t``); other convex ovals bracket the sign change in the
-    window (:func:`_convex_chords`), non-convex tables the ray's first
-    crossing (:func:`_ray_hit`), and all rows are polished at once."""
+    parameter in (t0, t0 + 2 pi). A table with a closed form lands by its
+    hook ``_land_t`` (the disk and the ellipse exactly, a convex Neumann
+    oval by its cubic and one polish); every other table at the ray's first
+    crossing (:func:`_ray_hit`)."""
     theta = _check_angle(theta)
-    if curve.is_convex and curve._land_t is None:
-        return _convex_chords(curve, t0, theta)
-    _, cd = _launch(curve, t0, theta)
-    t = (curve._land_t(t0, theta) if curve._land_t is not None else
-         _ray_hit(curve, curve.zpoint_t(t0), np.conj(cd),
-                  _window(curve, t0, theta), t0))
+    cd = _launch(curve, t0, theta)
+    t = (curve._land_t(curve, t0, theta, cd) if curve._land_t is not None
+         else _ray_hit(curve, curve.zpoint_t(t0), np.conj(cd),
+                       _window(curve, t0, theta), t0))
     return (*_landing(curve, t, t0, cd), t)
-
-
-def _convex_chords(curve, t0, theta):
-    """Chords of a convex oval, as :func:`_chords` returns them: launches
-    from one z', z'' evaluation, one bracket, one Newton polish."""
-    dz, cd = _launch(curve, t0, theta)
-    shape = cd.shape
-    # start at the osculating circle's landing 2 sin(theta) / kappa where it
-    # is in the cell; kappa |z'| is curvature_t * speed_t
-    u = 2.0 * np.sin(theta) / (np.imag(np.conj(dz) * curve._d2zf(_wrap(t0)))
-                               / np.abs(dz) ** 3 * np.abs(dz))
-    t = np.where(theta < 0.5 * np.pi, t0 + u, t0 + TWO_PI - u)
-    # the launches are the entries of t0 as given, before broadcasting, or
-    # one if all are the same float (a sweep from one arc); where they are
-    # fewer than the rows, the rows of each share its scan table
-    tl = np.ravel(t0)
-    launches = None
-    if _one_float(tl):
-        launches = (tl[:1], np.zeros(cd.size, dtype=int))
-    elif tl.size < cd.size:
-        launches = (tl, np.broadcast_to(
-            np.arange(tl.size).reshape(np.shape(t0)), shape).ravel())
-    t0, theta, cd, t = (x.ravel() for x in
-                        np.broadcast_arrays(t0, theta, cd, t))
-    t = _polish(curve, t, _convex_bracket(curve, t0, cd, theta, launches),
-                t0, cd, curve._zdiff)
-    return tuple(x.reshape(shape) for x in (*_landing(curve, t, t0, cd), t))
 
 
 def _ray_hit(curve, z, dhat, window=(0.0, TWO_PI), t0=None):
     """Parameters in the windows (lo, hi) where the rays z + u dhat, u > 0,
     first meet the curve, for z, dhat, lo and hi broadcast (by default from
     interior points over the whole table): each row's first crossing cell
-    (:func:`_hit_cells`) polished as a convex chord's. Chords pass their launch
+    (:func:`_hit_cells`) polished by :func:`_polish`. Chords pass their launch
     parameters t0, and their residual uses ``_zdiff``."""
     z, cd, lo, hi = np.broadcast_arrays(z, np.conj(dhat), *window)
     shape = cd.shape

@@ -141,7 +141,10 @@ def _t_of_s(tab, s):
 def _arc_newton(tab, s, t, tol):
     """Newton steps on arclen(t) = s, bisecting the bracket [0, 2 pi]
     whenever a step leaves it. Returns after a step under tol: the
-    convergence is quadratic, so the error left is about its square."""
+    convergence is quadratic, so the error left is about its square. Or
+    returns once bisection has narrowed the bracket below tol, where the
+    speed varies too much over it for Newton to stay inside (a thin
+    ellipse's tips)."""
     lo, hi = mp.mpf(0), 2 * mp.pi
     for _ in range(200):
         f = tab.arclen(t) - s
@@ -151,6 +154,8 @@ def _arc_newton(tab, s, t, tol):
             lo = t
         else:
             hi = t
+        if hi - lo < tol:
+            return t
         tn = t - f / abs(tab.dz(t))
         if not lo < tn < hi:
             tn = (lo + hi) / 2
@@ -250,12 +255,13 @@ def launches(perimeter, seed, n=8):
     return s, np.concatenate([gap[:n], np.pi - gap[n:]])
 
 
-def chord_errors(chord_fn, curve, tab, seed, n=8):
+def chord_errors(chord_fn, curve, tab, seed, n=8, rows=None):
     """The errors of chord_fn(curve, s, theta) in (s2 mod P, Theta,
-    length) against the table tab, one row per launch of
-    launches(curve.perimeter, seed, n), the values returned, and the
-    references' landing curvatures."""
-    s, theta = launches(curve.perimeter, seed, n)
+    length) against the table tab, one row per launch of rows (s, theta)
+    or else of launches(curve.perimeter, seed, n), the values returned, and
+    the references' landing curvatures."""
+    s, theta = rows if rows is not None else launches(curve.perimeter,
+                                                      seed, n)
     errs, vals, kappa = [], [], []
     for si, ti in zip(s.tolist(), theta.tolist()):
         got = chord_fn(curve, si, ti)

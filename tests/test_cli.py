@@ -431,7 +431,7 @@ kind = vortex
 orbits = 2
 steps = 40
 """, {"phase.csv":
-      "268a66827c8ff0ea5b4abc2b30de60dca66b02473bb724e459b4cfe650287637",
+      "0e089f2b4fb24011f6dade258e64b65803d7a2c4c1de3e514a93447b3882226c",
       "phase.svg":
       "a263827c8875b8249d897a123bb6fdfb11225d570f17da0f364f2de78035df67"}),
         "simulate-oval-puck": ("simulate", """
@@ -448,7 +448,7 @@ s0 = 1.3
 theta0 = 0.9
 steps = 26
 """, {"trajectory.csv":
-      "c139a60edf7f246fb3378347be41488b7818df10b908783e2a371c36732c83dc",
+      "5b0a1dcb2cd99ee8570cdee2270c9c272dc7b5c4c919b782150a5f019e5a40a8",
       "trajectory.svg":
       "1c52ccc18ad5d4ea89a602f352d408b21689673eaea623e606023fe62b25fc5f"}),
     }

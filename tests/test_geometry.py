@@ -292,19 +292,29 @@ def test_thin_ellipse_tip_chord_at_the_angle_floor():
     assert th2 == pytest.approx(geo.ANGLE_TOL, rel=1e-6)
 
 
+def ray_hit_chords(c, t0, theta):
+    """_chords' outputs with the landing at the ray's first crossing."""
+    cd = geo._launch(c, t0, theta)
+    t = geo._ray_hit(c, c.zpoint_t(t0), np.conj(cd),
+                     geo._window(c, t0, theta), t0)
+    return (*geo._landing(c, t, t0, cd), t)
+
+
 @pytest.mark.parametrize("name, gap_floor", [
-    ("disk", 1e-6), ("ellipse", 1e-6), ("thin_ellipse", 1e-4)])
+    ("disk", 1e-6), ("ellipse", 1e-6), ("thin_ellipse", 1e-4),
+    ("oval", 1e-6), ("oval_0.4", 1e-6)])
 def test_conic_landings_match_the_generic_solver(monkeypatch, name,
                                                  gap_floor):
-    """The disk and the ellipse land in closed form, with no bracket and
-    no polish, where the convex bracket and Newton polish land: t2 in
-    (0, 4 pi) within 2 ulps of 4 pi, over grazing and interior rows. The
-    generic solver refuses the thin ellipse's tip rows closer to grazing
-    than gap_floor, and there the landing angle turns 400 times faster
-    than t."""
-    c = CONVEX_TABLES[name]
+    """The disk and the ellipse land in closed form, with no polish, and a
+    convex oval by its cubic and one polish, with no ray scan, where the
+    ray's first crossing lands: t2 in (0, 4 pi) within 2 ulps of 4 pi,
+    over grazing and interior rows. The generic solver refuses the thin
+    ellipse's tip rows closer to grazing than gap_floor, and there the
+    landing angle turns 400 times faster than t."""
+    c = (geo.neumann_oval(0.4) if name == "oval_0.4"
+         else CONVEX_TABLES[name])
     log = []
-    for fn in ("_convex_bracket", "_newton_rows"):
+    for fn in ("_ray_hit", "_newton_rows"):
         def traced(*args, fn=fn, call=getattr(geo, fn)):
             log.append(fn)
             return call(*args)
@@ -316,16 +326,50 @@ def test_conic_landings_match_the_generic_solver(monkeypatch, name,
                             math.pi - gap])
     t0 = rng.uniform(0.0, 2.0 * math.pi, theta.size)
     got = geo._chords(c, t0, theta)
-    assert log == []
-    want = geo._convex_chords(c, t0, theta)
-    assert log == ["_convex_bracket", "_newton_rows"]
+    oval = c.kind == "neumann_oval"
+    assert log == (["_newton_rows"] if oval else [])
+    want = ray_hit_chords(c, t0, theta)
+    assert log[-2:] == ["_ray_hit", "_newton_rows"]
     s2 = np.abs(geo.wrap_to_half(got[0] - want[0], c.perimeter))
     th2, length, t2 = (np.abs(x - y) for x, y in zip(got[1:], want[1:]))
-    assert t2.max() <= 2.0 * np.spacing(4.0 * math.pi), t2.max()
+    # at lam = 0.4 each solver errs by up to 3.0e-15 in t2 (1.7 ulps of
+    # 4 pi) against a 40-digit root, so the two may part by 3 ulps: the
+    # bracket polish the cubic replaced parted from the ray hit here by
+    # 5.3e-15 in t2 and s2 and 6.7e-15 in Theta
+    wide = name == "oval_0.4"
+    assert t2.max() <= (3.0 if wide else 2.0) * np.spacing(4.0 * math.pi), \
+        t2.max()
     thin = name == "thin_ellipse"
-    assert s2.max() <= (1e-13 if thin else 5e-15), s2.max()
-    assert length.max() <= (1e-13 if thin else 5e-15), length.max()
-    assert th2.max() <= (1e-12 if thin else 5e-15), th2.max()
+    near = 8e-15 if wide else 5e-15
+    assert s2.max() <= (1e-13 if thin else near), s2.max()
+    assert length.max() <= (1e-13 if thin else near), length.max()
+    assert th2.max() <= (1e-12 if thin else near), th2.max()
+
+
+@pytest.mark.filterwarnings("error")
+def test_oval_cubic_degenerate_rows_do_not_warn():
+    """In x = e^{i(t2 - t0)} the oval's cubic loses its lead coefficient at
+    lam = 0 and on rows with Re C = 0, such as t0 = 0, theta = pi/2; the
+    real cubic the hook solves keeps it. neumann_oval(0) is the unit disk,
+    and its chords lie within 5e-15 of the disk's closed form (measured:
+    3.6e-15 in each of s2, Theta and length, as for the bracket polish the
+    cubic replaced)."""
+    disk, oval = geo.disk(1.0), geo.neumann_oval(0.0)
+    rng = np.random.default_rng(RNG_SEED + 31)
+    gap = 10.0 ** rng.uniform(-6.0, -2.0, 100)
+    theta = np.concatenate([gap, rng.uniform(0.01, math.pi - 0.01, 100),
+                            math.pi - gap])
+    s = rng.uniform(0.0, disk.perimeter, theta.size)
+    got, want = geo.chord_batch(oval, s, theta), geo.chord_batch(disk, s,
+                                                                 theta)
+    err = [np.abs(geo.wrap_to_half(got[0] - want[0], disk.perimeter)),
+           *(np.abs(x - y) for x, y in zip(got[1:], want[1:]))]
+    assert max(e.max() for e in err) <= 5e-15
+    c = geo.neumann_oval(0.3)
+    t0, theta = np.array([0.0]), np.array([0.5 * math.pi])
+    got, want = geo._chords(c, t0, theta), ray_hit_chords(c, t0, theta)
+    assert got[3][0] == pytest.approx(math.pi, abs=1e-15)
+    assert np.abs(np.subtract(got, want)).max() <= 2.0 * np.spacing(math.pi)
 
 
 def test_chord_rejects_tangential_angles(curves):
@@ -440,48 +484,13 @@ def test_chord_property(name, frac, theta):
         assert abs(geo.wrap_to_half(s3 - s, c.perimeter)) <= max(1e-9, slack)
 
 
-def one_pass_bracket(curve, t0, cd, theta):
-    """The landing cell from all 65 nodes of the window's scan at once."""
-    lo, hi = geo._window(curve, t0, theta)
-    grid = lo[:, None] + np.outer(hi - lo, geo._SCAN)
-    f = np.imag(cd[:, None] * curve._zdiff(grid, t0[:, None]))
-    geo._require_resolved(curve, f[:, [0, -1]])
-    j = np.argmax(f > 0.0, axis=1)
-    if np.any(j == 0):
-        raise InvalidAngle("chord landing not bracketed in its window")
-    rows = np.arange(len(t0))
-    return grid[rows, j - 1], grid[rows, j], f[rows, j - 1], f[rows, j]
-
-
-# convex tables of the bracket and broadcast tests
+# convex tables of the landing and broadcast tests
 CONVEX_TABLES = {name: PROPERTY_TABLES[name]
                  for name in ("disk", "ellipse", "oval", "thin_ellipse")}
 
 
 def float_hex(arrays):
     return [[float(x).hex() for x in a] for a in arrays]
-
-
-@pytest.mark.parametrize("name", CONVEX_TABLES)
-@given(rows=st.lists(st.tuples(st.floats(0.0, 1.0, exclude_max=True),
-                               st.floats(-6.0, math.log10(math.pi / 2)),
-                               st.booleans()), min_size=1, max_size=6))
-def test_two_pass_bracket_is_the_one_pass_scan(name, rows):
-    # launches from near ANGLE_TOL to mid-range at either grazing end
-    c = CONVEX_TABLES[name]
-    frac, exp, backward = (np.array(x) for x in zip(*rows))
-    gap = np.maximum(10.0 ** exp, geo.ANGLE_TOL)
-    theta = np.where(backward, math.pi - gap, gap)
-    t0 = c.t_of_s(frac * c.perimeter)
-    _, cd = geo._launch(c, t0, theta)
-    try:
-        want = one_pass_bracket(c, t0, cd, theta)
-    except InvalidAngle as e:
-        with pytest.raises(InvalidAngle) as got:
-            geo._convex_bracket(c, t0, cd, theta)
-        assert str(got.value) == str(e)
-        return
-    assert float_hex(geo._convex_bracket(c, t0, cd, theta)) == float_hex(want)
 
 
 @pytest.mark.parametrize("name", CONVEX_TABLES)
@@ -651,8 +660,8 @@ def test_grazing_chord_bytes_are_pinned():
         s = (np.arange(16) + 0.5) / 16 * c.perimeter
         for x in geo.chord_batch(c, s[:, None], th[None, :]):
             h.update(x.tobytes())
-    assert h.hexdigest() == ("83ba8e196f8f1fa789fbfc80144973bc"
-                             "610b97c9967d6fe9ace895168c741f61")
+    assert h.hexdigest() == ("db220b6135ee92bfd8ad99fa095e9c8f"
+                             "274aa8f28b87c23697f73fd6b012f662")
 
 
 # the largest errors in (s2 mod P, Theta, length) over the oracle sample
@@ -703,6 +712,27 @@ def test_chord_against_the_30_digit_reference(name):
                           for k, ref in zip(ks, kappa)]
                          for ks in (c.curvature_t(t2), c.curvature(got[:, 0])))
     assert max(at_t2) <= 1.5 * max(round_trip), (max(at_t2), max(round_trip))
+    if name == "thin_ellipse":
+        thin_ellipse_flank_rows(c, ORACLE_TABLES[name]())
+
+
+def thin_ellipse_flank_rows(c, tab):
+    """The thin ellipse's flanks, where |z'| is near 20: the row whose arc
+    the oracle once failed to invert (s = 52.3) and 7 seeded rows, within 4
+    of the chord property test's conditioning units, ds2 = ulp(P) + |z'(t2)|
+    ulp(2 pi) in s2, ulp(pi) + |kappa2| ds2 in Theta and (|z'(t0)| +
+    |z'(t2)|) ulp(2 pi) in length (measured: at most 1.0, 0.16 and 0.55)."""
+    rng = np.random.default_rng(RNG_SEED + 40)
+    s = np.concatenate([[52.3], rng.uniform(0.0, c.perimeter, 7)])
+    theta = np.concatenate([[1.0], rng.uniform(0.05, math.pi - 0.05, 7)])
+    err, got, _ = oracle.chord_errors(geo.chord, c, tab, None,
+                                      rows=(s, theta))
+    sp0, sp2 = c.speed_t(c.t_of_s(s)), c.speed_t(c.t_of_s(got[:, 0]))
+    ds2 = np.spacing(c.perimeter) + sp2 * np.spacing(geo.TWO_PI)
+    units = np.stack([ds2, np.spacing(math.pi) + np.abs(
+        c.curvature(got[:, 0])) * ds2, (sp0 + sp2) * np.spacing(geo.TWO_PI)],
+        axis=1)
+    assert np.all(err <= 4.0 * units), (err / units).max(axis=0)
 
 
 @pytest.mark.parametrize("curve", [geo.regular_polygon(5),
@@ -1119,7 +1149,8 @@ def cell_loop_zeros(step, grid, vals, period, direction=0):
         if fa == 0.0:
             if direction * (fb - fp) >= 0.0:
                 zeros.append(a)
-        elif fa * fb < 0.0 and direction * fb >= 0.0:
+        elif (fb != 0.0 and (fa < 0.0) != (fb < 0.0)
+              and direction * fb >= 0.0):
             sa, sb = step(a)[0], step(b)[0]
             if sa == 0.0 or sb == 0.0:
                 zeros.append(a if sa == 0.0 else b)
@@ -1130,7 +1161,7 @@ def cell_loop_zeros(step, grid, vals, period, direction=0):
                     sign * sa, sign * sb, (),
                     1e-15 + 8.9e-16 * max(abs(a), abs(b))))
             else:
-                zeros.append(b if sa * fa > 0.0 else a)
+                zeros.append(b if (sa < 0.0) == (fa < 0.0) else a)
     return zeros
 
 
@@ -1193,6 +1224,20 @@ def test_periodic_zeros_matches_cell_loop(vals, ulps, t0, period, seam,
     got = geo._periodic_zeros(step, grid, vals, period, direction)
     want = cell_loop_zeros(step, grid, vals, period, direction)
     assert [float(z).hex() for z in got] == [float(z).hex() for z in want]
+
+
+def test_scan_zeros_read_signs_not_products():
+    # a subnormal times a small value of the other sign underflows to -0.0,
+    # and times itself to 0.0: the scan still marks the crossing, and the
+    # end pick still returns the end where the scalar residual and the scan
+    # disagree in sign
+    on_node, crossing, _ = geo._scan_zeros(np.array([5e-324, -1e-10, 1.0]))
+    assert not on_node.any() and crossing.tolist() == [True, True, False]
+    f = {0.0: 5e-324, 1.0: 1e-300, 2.0: 1.0}
+    zeros = geo._periodic_zeros(lambda t: (f[t], 0.0),
+                                np.array([0.0, 1.0, 2.0]),
+                                np.array([5e-324, -1.0, 1.0]), 3.0, -1)
+    assert zeros == [1.0]
 
 
 def test_arc_advance_wraps():

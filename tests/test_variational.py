@@ -923,15 +923,15 @@ def test_p_star_root_bytes_are_pinned():
         for law in (delay.puck(0.5), delay.linear(0.4), delay.constant(0.3)):
             for sol in var.p_star(c, law, s, (s + 0.37 * P) % P):
                 h.update(sol.roots.tobytes())
-    assert h.hexdigest() == ("b91813009c639993b73ae070a9f9f33f"
-                             "4b147e74c7d6e2497a63e825f838192c")
+    assert h.hexdigest() == ("6cb1ebf02637813d13454ae0ba68491b"
+                             "db1cb5873cf5c2880fd5581132a87177")
 
 
 def test_momentum_grid_scan_bytes_are_pinned():
     """sha256 of chord_batch's (s2, theta2, length) over a momentum grid
-    of 256 interior and 14 tail momenta from 8 arcs on four tables, rows
-    that share one table per launch; the grazing-chord pin covers the rows
-    that scan their own windows."""
+    of 256 interior and 14 tail momenta from 8 arcs on four tables, all the
+    rows of each launch in one batch; the grazing-chord pin covers the
+    grazing rows."""
     h = hashlib.sha256()
     th = np.arccos(_momentum_grid())
     for c in (geo.disk(1.0), geo.ellipse(1.2, 1.0), geo.neumann_oval(0.3),
@@ -939,5 +939,5 @@ def test_momentum_grid_scan_bytes_are_pinned():
         s = (np.arange(8) + 0.25) / 8 * c.perimeter
         for x in geo.chord_batch(c, s[:, None], th[None, :]):
             h.update(x.tobytes())
-    assert h.hexdigest() == ("d975fb7855ad92f5647ce99420f0670b"
-                             "62c73f49434a0b0961b9a2feb88a1f04")
+    assert h.hexdigest() == ("fe479b7f997ce5de0daa0b7904b2e7e5"
+                             "625ec2e17c8bef1fb4ec61ab12fcb621")
