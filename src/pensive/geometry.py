@@ -28,6 +28,8 @@ from .errors import (
 )
 
 TWO_PI = 2.0 * math.pi
+# 2 pi - TWO_PI
+_TWO_PI_LO = 2.4492935982947064e-16
 
 # incidence angles closer than this to 0 or pi are rejected as tangential
 ANGLE_TOL = 1e-6
@@ -111,6 +113,50 @@ def _scan_zeros(vals, direction=0):
     return on_node, crossing, nxt
 
 
+def _curvature(dz, d2z):
+    """Curvature Im(conj z' z'') / |z'|^3 from z' and z''."""
+    return np.imag(np.conj(dz) * d2z) / np.abs(dz) ** 3
+
+
+def _series_tables(c, rho, t):
+    """The arc length of an even speed v(t) = sum_k c[k] cos(2kt) of
+    period pi at the m float nodes t, closed by the perimeter 2 pi c[0],
+    and its Taylor table: row j holds v^(o)(t_j) / (o + 1)! for the
+    orders o < M, so the arc length from t_j to t_j + d is d (E0 + d (E1
+    + ...)). v is analytic in the strip |Im t| < rho, so the remainder
+    over a cell h = 2 pi / m falls like (h / rho)^(M + 1); M is the
+    fewest orders that take that below 2^-53.
+
+    Each column is one inverse real FFT over the m / 2 nodes of a period,
+    so every 2k must lie below the Nyquist frequency m / 2. The FFTs read
+    the series at 2 pi j / m; the float t_j lie off those by the rounding
+    of 2 pi and of j h, which the arc length takes times the speed (a few
+    ulps at the steep end of a pinched oval)."""
+    m = t.size
+    h = TWO_PI / m
+    orders = 1
+    while (h / rho) ** (orders + 1) >= 2.0 ** -53:
+        orders += 1
+    n = m // 2
+    # v = sum_k b[k] e^{2ikt} over k = -K..K, read by irfft as n b[k]; the
+    # row of order o is its o-th derivative over (o + 1)!, the first row
+    # its antiderivative with no constant term
+    k = np.arange(len(c))
+    nb = n * np.append(c[0], 0.5 * c[1:])
+    spec = np.zeros((orders + 1, n // 2 + 1), complex)
+    spec[0, 1:k.size] = nb[1:] / (2j * k[1:])
+    for o in range(orders):
+        spec[o + 1, :k.size] = nb * (2j * k) ** o / math.factorial(o + 1)
+    tab = np.fft.irfft(spec, n, axis=-1)
+    sines, taylor = np.tile(tab[0], 2), np.tile(tab[1:].T, (2, 1))
+    # t_j - 2 pi j / m: j (2 pi)_hi is exact, so are both differences
+    j = np.arange(m)
+    hi = float(np.float32(TWO_PI))
+    delta = ((t * m - j * hi) - j * (TWO_PI - hi) - j * _TWO_PI_LO) / m
+    s = c[0] * t + (sines + (taylor[:, 0] - c[0]) * delta)
+    return np.append(s, c[0] * TWO_PI + c[0] * _TWO_PI_LO), taylor
+
+
 class BoundaryCurve:
     """Closed smooth oval given by an analytic parametrization.
 
@@ -128,26 +174,23 @@ class BoundaryCurve:
     def __init__(self, kind, zfun, dzfun, d2zfun, params=None, nodes=2048,
                  arclen_exact=None, speed_series=None):
         """arclen_exact, when given, is the arc length from 0 in closed
-        form. speed_series, when given, is the cosine series of an even
-        speed of period pi: coefficients c[k] of cos(2kt). Otherwise arc
-        length is integrated by Gauss-Legendre panels."""
+        form. speed_series, when given, is (c, rho): the cosine series of
+        an even speed of period pi, coefficients c[k] of cos(2kt), each 2k
+        below the nodes' Nyquist frequency, and the speed analytic in the
+        strip |Im t| < rho (:func:`_series_tables`). Otherwise arc length
+        is integrated by Gauss-Legendre panels."""
         self.kind = kind
         self.params = dict(params or {})
         self._zf = zfun
         self._dzf = dzfun
         self._d2zf = d2zfun
         self._arclen_exact = arclen_exact
-        self._series = None
-        if speed_series is not None:
-            c = np.asarray(speed_series, dtype=float)
-            k = np.arange(1, len(c))
-            # arc length is c[0] t + sum_k amp[k] sin(2kt)
-            self._series = (c[0], k, c[1:] / (2 * k))
-        self._build_tables(int(nodes))
+        self._taylor = None
+        self._build_tables(int(nodes), speed_series)
 
     # -- construction ------------------------------------------------
 
-    def _build_tables(self, m):
+    def _build_tables(self, m, series):
         self._M = m
         self._h = TWO_PI / m
         t = np.arange(m) * self._h
@@ -156,18 +199,8 @@ class BoundaryCurve:
         self._z_nodes = self._zf(t)
         if self._arclen_exact is not None:
             s = self._arclen_exact(self._t_closed)
-        elif self._series is not None:
-            # the series integrated term by term, at most 2^20 terms at a
-            # time, each sine read as Im e^{2ikt}: freeing that complex
-            # block lifts glibc's mmap threshold above the per-call arrays
-            # of the outer and orbit solvers, which a smaller one would
-            # leave to a fresh mmap, with page faults, on every call
-            c0, k, amp = self._series
-            tc = self._t_closed
-            rows = 2 ** 20 // max(len(k), 1)
-            s = c0 * tc + np.concatenate([
-                (np.exp(2j * k * tc[i:i + rows, None]).imag * amp).sum(axis=-1)
-                for i in range(0, len(tc), rows)])
+        elif series is not None:
+            s, self._taylor = _series_tables(*series, t)
         else:
             # cumulative arc length by 12-point Gauss-Legendre per panel
             mid = t + 0.5 * self._h
@@ -177,12 +210,12 @@ class BoundaryCurve:
             s = np.concatenate([[0.0], np.cumsum(panel)])
         self._s_nodes = s
         self.perimeter = float(s[-1])
-        kap = self.curvature_t(t)
+        z = self._z_nodes
+        dz = self._dz_nodes = self._dzf(t)
+        kap = _curvature(dz, self._d2zf(t))
         self._kmin = float(kap.min())
         self._kmax = float(kap.max())
         self.is_convex = self._kmin > 1e-12
-        z = self._z_nodes
-        dz = self._dz_nodes = self._dzf(t)
         # per scan cell: the tangent's largest turning rate (per unit of
         # parameter) at the nodes of the cell and of its two neighbours
         cell = np.maximum.reduceat(np.abs(kap * dz),
@@ -242,33 +275,31 @@ class BoundaryCurve:
 
     def curvature_t(self, t):
         t = _wrap(np.asarray(t, dtype=float))
-        dz = self._dzf(t)
-        d2z = self._d2zf(t)
-        return np.imag(np.conj(dz) * d2z) / np.abs(dz) ** 3
+        return _curvature(self._dzf(t), self._d2zf(t))
 
     def arclen_t(self, t):
         """Arc length from t=0 to t, vectorized, t in [0, 2*pi].
 
         Unless it is in closed form, it is the table at the node t0 below
-        t plus the arc length from t0 to t: the speed series' terms
-        integrated, each difference of sines written as a product, or
-        12-point Gauss-Legendre. The increment is small, so its rounding
-        stays far below an ulp of the sum: arc length then rounds
-        monotonically between neighbouring floats, as the Newton passes
-        of :meth:`t_of_s` need to stop early.
+        t plus the arc length from t0 to t: the speed's Taylor series at
+        t0 integrated, d (E0 + d (E1 + ...)) with d = t - t0 and E the
+        node's row of the Taylor table, or 12-point Gauss-Legendre. The
+        increment is small, so its rounding stays far below an ulp of the
+        sum: arc length then rounds monotonically between neighbouring
+        floats, as the Newton passes of :meth:`t_of_s` need to stop early.
         """
         t = np.asarray(t, dtype=float)
         if self._arclen_exact is not None:
             return self._arclen_exact(t)
         k = np.minimum(np.maximum((t / self._h).astype(int), 0), self._M - 1)
         t0 = k * self._h
-        if self._series is not None:
-            # sin(2jt) - sin(2jt0) = 2 cos(j(t + t0)) sin(j(t - t0))
-            c0, j, amp = self._series
+        if self._taylor is not None:
+            e = self._taylor[k]
             d = t - t0
-            terms = np.cos(j * (t + t0)[..., None]) * np.sin(j * d[..., None])
-            return self._s_nodes[k] + (c0 * d
-                                       + 2.0 * (terms * amp).sum(axis=-1))
+            acc = e[..., -1]
+            for o in range(e.shape[-1] - 2, -1, -1):
+                acc = e[..., o] + d * acc
+            return self._s_nodes[k] + d * acc
         half = 0.5 * (t - t0)
         tq = (t0 + half)[..., None] + half[..., None] * _GL_X
         sp = np.abs(self._dzf(_wrap(tq.reshape(-1)))).reshape(tq.shape)
@@ -544,15 +575,18 @@ def neumann_oval(lam):
                 / (1.0 + u * (u - 2.0 * np.cos(d))))
 
     # the speed |F'(e^{it})| is even, of period pi and analytic in
-    # w = e^{2it} for l2 < |w| < 1/l2, so its cosine coefficients fall like
-    # l2^k: K terms reach double precision, read off one rfft
+    # w = e^{2it} for l2 < |w| < 1/l2, that is in the strip |Im t| < -ln lam,
+    # so its cosine coefficients fall like l2^k: K terms reach double
+    # precision, read off one rfft. The nodes keep every frequency 2K below
+    # their Nyquist frequency
     K = int(17.0 / -math.log10(m.l2)) + 4 if m.l2 > 0.0 else 0
     n = 4 * K + 4
     coef = np.fft.rfft(np.abs(dzf(np.pi * np.arange(n) / n))).real[:K + 1] / n
     coef[1:] *= 2.0
-    curve = BoundaryCurve("neumann_oval", zf, dzf, d2zf,
-                          params={"lam": m.lam, "a": m.a}, nodes=4096,
-                          speed_series=coef)
+    curve = BoundaryCurve(
+        "neumann_oval", zf, dzf, d2zf, params={"lam": m.lam, "a": m.a},
+        nodes=max(4096, 1 << (n - 1).bit_length()),
+        speed_series=(coef, -math.log(m.lam) if m.lam > 0.0 else math.inf))
 
     def land_t(curve, t0, theta, cd):
         # item 20's cubic (ROADMAP) in the real coordinate y = tan(delta/2 -

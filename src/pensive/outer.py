@@ -26,6 +26,11 @@ TWO_PI = 2.0 * math.pi
 _R_ROUND = 4.0 * np.finfo(float).eps
 # the batched Newton polishes stop after a step under a few ulps of 2 pi
 _STEP_TOL = 4e-15
+# rows of the 512-node tangency scan per block: a block's complex
+# temporaries, 15 * 512 * 16 bytes, stay under 128 KiB, glibc's default
+# mmap threshold, so each comes from the heap and not from a fresh
+# mapping, page faults included, on every call
+_SCAN_ROWS = 15
 
 
 def _as_xy(point):
@@ -272,23 +277,23 @@ def _outer_images(curve, odelay, X):
 def _right_tangencies(curve, zx):
     """Right tangencies (t, r) of the exterior points zx, an array.
 
-    The candidates are the falling sign changes of each row's scan,
-    their bracket ends the scan values, polished at once with the
-    derivative -kappa |z'| Re(conj T (X - z)); as in
-    :func:`tangent_coordinates`, a zero on a node is that node, and the
-    first candidate by cell whose r clears the rounding wins.
-    NotExterior if a row has none."""
-    ts, zs, cT = curve._tangent_scan
-    vals = np.imag(cT * (zx[:, None] - zs))
-    on_node, crossing, nxt = geo._scan_zeros(vals, direction=-1)
-    row, cell = np.nonzero(on_node | crossing)
+    The candidates are the falling sign changes of each row's scan
+    (:func:`_falling_cells`, _SCAN_ROWS rows at a time), their bracket
+    ends the scan values, polished at once with the derivative
+    -kappa |z'| Re(conj T (X - z)); as in :func:`tangent_coordinates`, a
+    zero on a node is that node, and the first candidate by cell whose r
+    clears the rounding wins. NotExterior if a row has none."""
+    ts = curve._tangent_scan[0]
+    row, cell, crossing, fa, fb = (np.concatenate(x) for x in zip(*(
+        _falling_cells(curve, zx[i:i + _SCAN_ROWS], i)
+        for i in range(0, zx.size, _SCAN_ROWS))))
     t = ts[cell]
-    pol = np.flatnonzero(crossing[row, cell])
+    pol = np.flatnonzero(crossing)
     if pol.size:
-        i, j = row[pol], cell[pol]
+        j = cell[pol]
         t[pol] = geo._newton_rows(
             partial(_tangency_step, curve), ts[j], ts[j],
-            np.append(ts[1:], TWO_PI)[j], -vals[i, j], -nxt[i, j], (zx[i],),
+            np.append(ts[1:], TWO_PI)[j], fa[pol], fb[pol], (zx[row[pol]],),
             _STEP_TOL)
     tw = geo._wrap(t)
     dz = curve._dzf(tw)
@@ -300,6 +305,22 @@ def _right_tangencies(curve, zx):
         raise NotExterior("point lies inside or on the oval: no tangent "
                           "ray reaches it")
     return tw[ok[first]], r[ok[first]]
+
+
+def _falling_cells(curve, zx, first):
+    """The falling zeros of the tangency scans of the rows zx, numbered
+    from first: each one's row, scan cell, whether it crosses in the cell
+    (else it sits on the node), and the polish's residuals -f at the
+    cell's ends."""
+    ts, zs, cT = curve._tangent_scan
+    # copied out of the products' strided imaginary parts, and the zeros
+    # found by their flat index: the scan's comparisons and the search
+    # then run two to three times as fast
+    vals = np.imag(cT * (zx[:, None] - zs)).copy()
+    on_node, crossing, nxt = geo._scan_zeros(vals, direction=-1)
+    row, cell = np.divmod(np.flatnonzero(on_node | crossing), ts.size)
+    return (row + first, cell, crossing[row, cell], -vals[row, cell],
+            -nxt[row, cell])
 
 
 def _tangency_step(curve, t, zx, sgn=1.0):

@@ -660,8 +660,8 @@ def test_grazing_chord_bytes_are_pinned():
         s = (np.arange(16) + 0.5) / 16 * c.perimeter
         for x in geo.chord_batch(c, s[:, None], th[None, :]):
             h.update(x.tobytes())
-    assert h.hexdigest() == ("db220b6135ee92bfd8ad99fa095e9c8f"
-                             "274aa8f28b87c23697f73fd6b012f662")
+    assert h.hexdigest() == ("ab6432307458fa6883dc90a623db2294"
+                             "1777ed94d29eb550a58c6eb191cf70c2")
 
 
 # the largest errors in (s2 mod P, Theta, length) over the oracle sample
@@ -892,17 +892,19 @@ def test_t_of_s_two_cycle_exit_keeps_every_bit(monkeypatch):
     assert early_cycles > 0
 
 
-@pytest.mark.parametrize("lam", [0.2, 0.3, 0.6, 0.7])
+@pytest.mark.parametrize("lam", [0.2, 0.3, 0.6, 0.7, 0.9])
 def test_oval_arc_length_against_the_30_digit_reference(lam):
-    # the speed's cosine series integrated term by term, against the
-    # oracle's at 40 digits: within 4 ulps of the perimeter over the
-    # parameter (measured: at most 2.8, at lam = 0.7; the 12-point
-    # Gauss-Legendre panels it replaced erred by up to 25.8, at
-    # lam = 0.2), and the perimeter within 4 (measured: at most 3.4,
-    # against 13.0)
+    # the node table plus the speed's Taylor series from the node below
+    # t, against the oracle's series at 40 digits: within 4 ulps of the
+    # perimeter over the parameter, at random points and at the last
+    # float below a node, where the Taylor remainder peaks (measured: at
+    # most 2.8, at lam = 0.7; the 12-point Gauss-Legendre panels of the
+    # first arc-length tables erred by up to 25.8, at lam = 0.2), and the
+    # perimeter within 4 (measured: at most 2.4, at lam = 0.7)
     c, tab = geo.neumann_oval(lam), oracle.neumann_oval(lam)
     ulp = np.spacing(c.perimeter)
-    t = np.concatenate([[0.0, 1e-9, geo.TWO_PI - 1e-9, geo.TWO_PI],
+    below = np.nextafter(np.linspace(1, c._M, 12).astype(int) * c._h, 0.0)
+    t = np.concatenate([[0.0, 1e-9, geo.TWO_PI - 1e-9, geo.TWO_PI], below,
                         np.random.default_rng(RNG_SEED + 13).uniform(
                             0.0, geo.TWO_PI, 24)])
     err = [oracle.error(c.arclen_t(x), oracle.arclen(tab, x))
@@ -911,11 +913,11 @@ def test_oval_arc_length_against_the_30_digit_reference(lam):
     assert oracle.error(c.perimeter, tab.perimeter) <= 4 * ulp
 
 
-@pytest.mark.parametrize("lam", [0.3, 0.7])
+@pytest.mark.parametrize("lam", [0.3, 0.7, 0.9])
 def test_t_of_s_stops_early_on_the_oval(monkeypatch, lam):
-    # the series is summed from the node below t, so arc length rounds
-    # monotonically and the Newton passes reach their fixed points or
-    # 2-cycles as soon as the Gauss-Legendre panels' did: 5 passes for
+    # the Taylor increment is summed from the node below t, so arc length
+    # rounds monotonically and the Newton passes reach their fixed points
+    # or 2-cycles as soon as the Gauss-Legendre panels' did: 5 passes for
     # these 624 arcs (a plain series sum takes 6 and 8)
     c = geo.neumann_oval(lam)
     s = np.random.default_rng(RNG_SEED + 14).uniform(0.0, c.perimeter, 624)
@@ -924,6 +926,32 @@ def test_t_of_s_stops_early_on_the_oval(monkeypatch, lam):
                         lambda t: passes.append(1) or arclen_t(t))
     c.t_of_s(s)
     assert len(passes) <= 5
+
+
+def test_pinched_oval_takes_more_nodes():
+    # at lam = 0.99 the speed takes K = 1951 cosine terms, so the table
+    # takes 8192 nodes to keep every frequency 2K below their Nyquist
+    # frequency, and 14 Taylor orders. Its node table against the series
+    # summed directly in floats at every 7th node: within 8 ulps of the
+    # perimeter (measured: 5.0, most of it the direct sum's own rounding
+    # of 2kt times the steep end's speed). t_of_s inverts arclen_t to
+    # within the rounding of arc length over the speed and of t
+    # (measured: half a unit)
+    c = geo.neumann_oval(0.99)
+    m = geo.NeumannMap(0.99)
+    K = int(17.0 / -math.log10(m.l2)) + 4
+    assert (K, c._M, c._taylor.shape) == (1951, 8192, (8192, 14))
+    n = 4 * K + 4
+    coef = np.fft.rfft(c.speed_t(np.pi * np.arange(n) / n)).real / n
+    k = np.arange(1, K + 1)
+    t = c._t_closed[::7]
+    direct = coef[0] * t + (np.sin(2 * k * t[:, None])
+                            * (coef[1:K + 1] / k)).sum(axis=-1)
+    ulp = np.spacing(c.perimeter)
+    assert np.abs(c._s_nodes[::7] - direct).max() <= 8 * ulp
+    t = np.random.default_rng(RNG_SEED + 15).uniform(0.0, geo.TWO_PI, 2000)
+    unit = ulp / c.speed_t(t) + np.spacing(geo.TWO_PI)
+    assert (np.abs(c.t_of_s(c.arclen_t(t)) - t) <= 2 * unit).all()
 
 
 _ROW_SHAPES = st.sampled_from([(1,), (1, 1), (5,), (2, 3), (1, 270),

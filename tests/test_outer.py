@@ -652,6 +652,20 @@ class TestOuterBatch:
         assert outer.area_preservation_check(curve, od, X) == max(
             outer.area_preservation_check(curve, od, [x]) for x in X)
 
+    @pytest.mark.parametrize("name", OUTER_TABLES)
+    def test_scan_blocks_keep_each_rows_bits(self, name):
+        # the tangency scans run outer._SCAN_ROWS = 15 rows at a time: on
+        # one block, a full one, one row over and several blocks, every
+        # row has the bits of its one-row call
+        assert outer._SCAN_ROWS == 15
+        curve, X = corpus(name, 40, 2028)
+        zx = X[:, 0] + 1j * X[:, 1]
+        rows = [outer._right_tangencies(curve, z[None]) for z in zx]
+        for n in (1, 15, 16, 40):
+            t, r = outer._right_tangencies(curve, zx[:n])
+            assert np.array_equal(t, [x[0][0] for x in rows[:n]])
+            assert np.array_equal(r, [x[1][0] for x in rows[:n]])
+
 
 ORACLE_TABLES = {"ellipse": (lambda: geo.ellipse(2.0, 1.0),
                              lambda: oracle.ellipse(2, 1)),

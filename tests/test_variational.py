@@ -923,8 +923,8 @@ def test_p_star_root_bytes_are_pinned():
         for law in (delay.puck(0.5), delay.linear(0.4), delay.constant(0.3)):
             for sol in var.p_star(c, law, s, (s + 0.37 * P) % P):
                 h.update(sol.roots.tobytes())
-    assert h.hexdigest() == ("6cb1ebf02637813d13454ae0ba68491b"
-                             "db1cb5873cf5c2880fd5581132a87177")
+    assert h.hexdigest() == ("ea396ef05386d6db00778be1c1d6e27d"
+                             "0a1203310b24cb20c7db974f8f61e14d")
 
 
 def test_momentum_grid_scan_bytes_are_pinned():
@@ -939,5 +939,5 @@ def test_momentum_grid_scan_bytes_are_pinned():
         s = (np.arange(8) + 0.25) / 8 * c.perimeter
         for x in geo.chord_batch(c, s[:, None], th[None, :]):
             h.update(x.tobytes())
-    assert h.hexdigest() == ("fe479b7f997ce5de0daa0b7904b2e7e5"
-                             "625ec2e17c8bef1fb4ec61ab12fcb621")
+    assert h.hexdigest() == ("d9c8dbdf75bd63e7f195dfac520d4fe1"
+                             "c16d1813001edc3dfe52178de4c7b26e")
