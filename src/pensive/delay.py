@@ -74,7 +74,9 @@ class DelayFunction:
         return -np.sin(theta) * self.dell_dp(np.cos(theta))
 
     def theta_limits(self):
-        """(limit of l~ at theta -> 0+, at theta -> pi-); may be infinite."""
+        """(limit of l~ at theta -> 0+, at theta -> pi-); may be infinite.
+        A law without limits of its own (a custom law, a tabulated puck
+        profile) reads l at p = +-(1 - 1e-9), which misses a divergence."""
         if self._theta_limits is not None:
             return self._theta_limits
         eps = 1e-9
@@ -218,6 +220,10 @@ class PuckMetric:
     evaluated at its nodes once, here.
     """
 
+    # the slide's limits at theta -> 0+ and pi-, where the profile fixes
+    # them; None has them probed near grazing
+    _theta_limits = None
+
     def __init__(self, f, name="profile", *, excess=None, knots=()):
         self.f = f
         self.name = name
@@ -289,8 +295,12 @@ class PuckMetric:
                               * np.cos(np.pi * y))
         else:
             raise InvalidParameter("unknown profile %r" % name)
-        return cls(lambda y: 1.0 + excess(np.asarray(y, dtype=float)),
-                   name=name, excess=excess)
+        metric = cls(lambda y: 1.0 + excess(np.asarray(y, dtype=float)),
+                     name=name, excess=excess)
+        # f - 1 vanishes at least quadratically at both walls (identically
+        # on flat), so l(p) grows like ln(1 / (1 - |p|)) or faster
+        metric._theta_limits = (math.inf, -math.inf)
+        return metric
 
 
 def _stretch_end(excess, a, b):
@@ -360,6 +370,7 @@ def generalized_puck(metric):
         lambda p: _gp_rule(metric, clip(p), "ell"),
         lambda p: _gp_rule(metric, clip(p), "dell"),
         tag="generalized_puck", params={"profile": metric.name},
+        theta_limits=metric._theta_limits,
         # V = T - 1: the p = 0 geodesic crosses the unit-width strip
         # straight, in time 1
         potential_p=lambda p: _gp_rule(metric, clip(p), "potential"))

@@ -13,6 +13,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -43,6 +44,13 @@ _GL_X, _GL_W = leggauss(12)
 _SCAN_CELLS = 64
 # (row, node) pairs per chunk of the first-hit scan: its memory bound
 _HIT_PAIRS = 2 ** 18
+
+# numpy's names for the math and cmath functions: a formula that takes
+# its functions from xp serves arrays (xp=np) and one point in Python
+# floats (xp=_ONE), which builds no array; exp is the complex one
+_ONE = SimpleNamespace(exp=cmath.exp, sin=math.sin, cos=math.cos,
+                       sqrt=math.sqrt, sinh=math.sinh, arcsinh=math.asinh,
+                       arctan=math.atan, arctan2=math.atan2)
 
 
 def _wrap(t):
@@ -167,8 +175,10 @@ class BoundaryCurve:
 
     kind = "generic"
     # the landing parameters of chords from a closed form,
-    # _land_t(curve, t0, theta, cd) for rays leaving z(t0) at angles theta,
-    # cd the conjugate ray directions; factories that have one set it
+    # _land_t(curve, t0, theta, cd, xp=np) for rays leaving z(t0) at angles
+    # theta, cd the conjugate ray directions; factories that have one set
+    # it, and with it _dzf(t, xp) and _zdiff(t, t0, xp), so that one chord
+    # runs on Python floats (xp=_ONE, :func:`_chord_one`)
     _land_t = None
 
     def __init__(self, kind, zfun, dzfun, d2zfun, params=None, nodes=2048,
@@ -305,6 +315,20 @@ class BoundaryCurve:
         sp = np.abs(self._dzf(_wrap(tq.reshape(-1)))).reshape(tq.shape)
         return self._s_nodes[k] + (sp @ _GL_W) * half
 
+    def _arclen_one(self, t):
+        """:meth:`arclen_t` at one float t in Python floats, to its bits, on
+        a table whose arc length is in closed form or in Taylor rows; the
+        node's row is read when it is needed."""
+        if self._arclen_exact is not None:
+            return float(self._arclen_exact(t))
+        k = min(max(int(t / self._h), 0), self._M - 1)
+        d = t - k * self._h
+        e = self._taylor[k].tolist()
+        acc = e.pop()
+        while e:
+            acc = e.pop() + d * acc
+        return self._s_nodes.item(k) + d * acc
+
     def t_of_s(self, s):
         """Invert arc length: up to 8 Newton passes from the table guess.
 
@@ -330,6 +354,26 @@ class BoundaryCurve:
                 return tn
             if prev is not None and (tn == prev).all():
                 # a 2-cycle: pass 8 lands on tn when 8 - k is even
+                return tn if k % 2 == 0 else t
+            prev, t = t, tn
+        return t
+
+    def _t_of_s_one(self, s):
+        """:meth:`t_of_s` of one float arc in Python floats, on a table with
+        a closed-form landing: the same table start, passes and early stop
+        on :meth:`_arclen_one`, so the same float, and the same error."""
+        if not math.isfinite(s):
+            raise InvalidParameter("arc length must be finite")
+        s %= self.perimeter
+        t = float(np.interp(s, self._s_nodes, self._t_closed))
+        prev = None
+        for k in range(1, 9):
+            f = self._arclen_one(t) - s
+            tn = min(max(t - f / abs(self._dzf(t % TWO_PI, _ONE)), 0.0),
+                     TWO_PI)
+            if tn == t:
+                return tn
+            if tn == prev:
                 return tn if k % 2 == 0 else t
             prev, t = t, tn
         return t
@@ -451,7 +495,7 @@ def disk(radius=1.0):
     return _with_half_angle_diff(r, r, BoundaryCurve(
         "disk",
         lambda t: r * np.exp(1j * t),
-        lambda t: 1j * r * np.exp(1j * t),
+        lambda t, xp=np: 1j * r * xp.exp(1j * t),
         lambda t: -r * np.exp(1j * t),
         params={"radius": r},
         nodes=1024,
@@ -472,13 +516,13 @@ def _with_half_angle_diff(a, b, curve):
     (ab cos(theta) + (b^2 - a^2) sin(t0) cos(t0) sin(theta)), which keeps
     theta' to a few ulps relative at both grazing ends."""
     dzf = curve._dzf
-    curve._zdiff = lambda t, t0: (2.0 * np.sin(0.5 * (t - t0)) *
-                                  dzf(0.5 * (t + t0)))
+    curve._zdiff = lambda t, t0, xp=np: (2.0 * xp.sin(0.5 * (t - t0)) *
+                                         dzf(0.5 * (t + t0), xp))
 
-    def land_t(_curve, t0, theta, _cd):
-        s, c, st = np.sin(t0), np.cos(t0), np.sin(theta)
-        return t0 + 2.0 * np.arctan2(st * (a * a * s * s + b * b * c * c),
-                                     a * b * np.cos(theta)
+    def land_t(_curve, t0, theta, _cd, xp=np):
+        s, c, st = xp.sin(t0), xp.cos(t0), xp.sin(theta)
+        return t0 + 2.0 * xp.arctan2(st * (a * a * s * s + b * b * c * c),
+                                     a * b * xp.cos(theta)
                                      + (b * b - a * a) * s * c * st)
 
     curve._land_t = land_t
@@ -501,7 +545,7 @@ def ellipse(a, b):
     return _with_half_angle_diff(a, b, BoundaryCurve(
         "ellipse",
         lambda t: a * np.cos(t) + 1j * b * np.sin(t),
-        lambda t: -a * np.sin(t) + 1j * b * np.cos(t),
+        lambda t, xp=np: -a * xp.sin(t) + 1j * b * xp.cos(t),
         lambda t: -a * np.cos(t) - 1j * b * np.sin(t),
         params={"a": a, "b": b},
         nodes=int(min(2 ** 18, max(2048, 64 * aspect))),
@@ -556,23 +600,23 @@ def neumann_oval(lam):
     def zf(t):
         return m.F(np.exp(1j * np.asarray(t, dtype=float)))
 
-    def dzf(t):
-        Z = np.exp(1j * np.asarray(t, dtype=float))
+    def dzf(t, xp=np):
+        Z = xp.exp(1j * (np.asarray(t, dtype=float) if xp is np else t))
         return m.Fp(Z) * 1j * Z
 
     def d2zf(t):
         Z = np.exp(1j * np.asarray(t, dtype=float))
         return -(m.Fpp(Z) * Z * Z + m.Fp(Z) * Z)
 
-    def zdiff(t, t0):
+    def zdiff(t, t0, xp=np):
         # F(Z) - F(Z0) = a (Z - Z0)(1 + l2 Z Z0) / ((1 - l2 Z^2)(1 - l2 Z0^2)),
         # Z - Z0 = 2i sin(d/2) w with d = t - t0 and w = e^{i(t + t0)/2};
         # the denominator, with u = l2 w^2 = l2 Z Z0, is 1 - 2u cos d + u^2
         d = t - t0
-        w = np.exp(0.5j * (t + t0))
+        w = xp.exp(0.5j * (t + t0))
         u = m.l2 * (w * w)
-        return (2j * m.a * np.sin(0.5 * d) * w * (1.0 + u)
-                / (1.0 + u * (u - 2.0 * np.cos(d))))
+        return (2j * m.a * xp.sin(0.5 * d) * w * (1.0 + u)
+                / (1.0 + u * (u - 2.0 * xp.cos(d))))
 
     # the speed |F'(e^{it})| is even, of period pi and analytic in
     # w = e^{2it} for l2 < |w| < 1/l2, that is in the strip |Im t| < -ln lam,
@@ -588,7 +632,7 @@ def neumann_oval(lam):
         nodes=max(4096, 1 << (n - 1).bit_length()),
         speed_series=(coef, -math.log(m.lam) if m.lam > 0.0 else math.inf))
 
-    def land_t(curve, t0, theta, cd):
+    def land_t(curve, t0, theta, cd, xp=np):
         # item 20's cubic (ROADMAP) in the real coordinate y = tan(delta/2 -
         # theta), delta = t2 - t0. With A = l2 e^{2i t0}, sigma = e^{i
         # delta/2} and C = e^{-i theta} (1 + conj A)(1 - A), a positive
@@ -600,31 +644,33 @@ def neumann_oval(lam):
         # convex oval its lead coefficient and its depressed form's p are
         # positive (the disk's is y^3 + y), so its one real root is the
         # hyperbolic form's; the polish in the window keeps the one landing
-        # there, whatever the start
-        shape = cd.shape
-        t0, theta, cd = (x.ravel() for x in np.broadcast_arrays(t0, theta,
-                                                                cd))
-        A = m.l2 * np.exp(2j * t0)
-        e = np.exp(1j * theta)
+        # there, whatever the start. One point (xp=_ONE) is refused and
+        # polished as the rows are, by _newton_one
+        if xp is np:
+            shape = cd.shape
+            t0, theta, cd = (x.ravel() for x in np.broadcast_arrays(
+                t0, theta, cd))
+        lo, hi = _window(curve, t0, theta)
+        f = (cd * zdiff(lo, t0, xp)).imag, (cd * zdiff(hi, t0, xp)).imag
+        _require_bracket(curve, *f)
+        A = m.l2 * xp.exp(2j * t0)
+        e = xp.exp(1j * theta)
         # (1 + conj A)(1 - A)
         b = (1.0 - m.l2 * m.l2) - 2j * A.imag
         # p2 e^{i theta} and p3 e^{3i theta}
-        p2 = b + np.conj(b) * (m.l2 * m.l2) * (e * e)
+        p2 = b + b.conjugate() * (m.l2 * m.l2) * (e * e)
         p3 = 2.0 * (b / e).real * A * (e * e * e)
         a3 = p2.real - p3.real
         b2, b1, b0 = ((p2.imag - 3.0 * p3.imag) / a3,
                       (p2.real + 3.0 * p3.real) / a3, (p2.imag + p3.imag) / a3)
         p = b1 - b2 * b2 / 3.0
         q = b0 - b2 * (b1 - 2.0 * b2 * b2 / 9.0) / 3.0
-        k = np.sqrt(p / 3.0)
-        y = -2.0 * k * np.sinh(np.arcsinh(0.5 * q / k ** 3) / 3.0) - b2 / 3.0
-        lo, hi = _window(curve, t0, theta)
-        f = np.imag(cd * zdiff(np.stack([lo, hi]), t0))
-        _require_resolved(curve, f)
-        if not ((f[0] < 0.0) & (f[1] > 0.0)).all():
-            raise InvalidAngle("chord landing not bracketed in its window")
-        return _polish(curve, t0 + 2.0 * (theta + np.arctan(y)),
-                       (lo, hi, *f), t0, cd, zdiff).reshape(shape)
+        k = xp.sqrt(p / 3.0)
+        y = -2.0 * k * xp.sinh(xp.arcsinh(0.5 * q / k ** 3) / 3.0) - b2 / 3.0
+        t = t0 + 2.0 * (theta + xp.arctan(y))
+        if xp is np:
+            return _polish(curve, t, (lo, hi, *f), t0, cd, zdiff).reshape(shape)
+        return _polish_one(curve, t, (lo, hi, *f), t0, cd)
 
     curve._zdiff = zdiff
     if curve.is_convex:
@@ -719,9 +765,15 @@ def arc_advance(curve, s, delta):
 
 
 def _check_angle(theta):
-    theta = np.asarray(theta, dtype=float)
+    """theta, a Python float as it is, else as a float array; InvalidAngle
+    unless every entry lies in [ANGLE_TOL, pi - ANGLE_TOL]."""
     # written so that nan fails it
-    if not ((theta >= ANGLE_TOL) & (theta <= np.pi - ANGLE_TOL)).all():
+    if type(theta) is float:
+        inside = ANGLE_TOL <= theta <= math.pi - ANGLE_TOL
+    else:
+        theta = np.asarray(theta, dtype=float)
+        inside = ((theta >= ANGLE_TOL) & (theta <= np.pi - ANGLE_TOL)).all()
+    if not inside:
         raise InvalidAngle("incidence angle must lie in (%g, pi - %g)"
                            % (ANGLE_TOL, ANGLE_TOL))
     return theta
@@ -740,6 +792,11 @@ def _window(curve, t0, theta):
     of a convex oval is negative at lo and positive at hi.
     """
     h = TWO_PI / _SCAN_CELLS
+    if type(t0) is float:
+        # one launch in Python floats, to the same bits
+        w = 2.0 * curve._turn_near.item(int(t0 // h) % _SCAN_CELLS)
+        return (t0 + min(h, theta / w),
+                t0 + TWO_PI - min(h, (math.pi - theta) / w))
     w = 2.0 * curve._turn_near[(t0 // h).astype(int) % _SCAN_CELLS]
     return (t0 + np.minimum(h, theta / w),
             t0 + TWO_PI - np.minimum(h, (np.pi - theta) / w))
@@ -752,6 +809,17 @@ def _require_resolved(curve, f_ends):
         raise InvalidAngle("chord too close to tangency to resolve")
 
 
+def _require_bracket(curve, flo, fhi):
+    """Raise InvalidAngle unless the chord residuals flo, fhi at the ends
+    of each row's window (arrays, or one chord's floats) are resolved
+    (:func:`_require_resolved`) and bracket the landing, flo < 0 < fhi."""
+    one, tol = type(flo) is float, 1e-14 * curve._zmax
+    if not one or abs(flo) <= tol or abs(fhi) <= tol:
+        _require_resolved(curve, (flo, fhi))
+    if not (flo < 0.0 < fhi if one else ((flo < 0.0) & (fhi > 0.0)).all()):
+        raise InvalidAngle("chord landing not bracketed in its window")
+
+
 def _launch_t(curve, s):
     """Launch parameters t_of_s(s) of the arcs s, at least 1-d."""
     s = np.atleast_1d(np.asarray(s, dtype=float))
@@ -761,29 +829,59 @@ def _launch_t(curve, s):
     return curve.t_of_s(s)
 
 
-def _launch(curve, t0, theta):
-    """conj of the directions of the rays leaving z(t0) at angles theta."""
-    dz = curve._dzf(_wrap(t0))
-    return np.conj(dz / np.abs(dz) * np.exp(1j * theta))
+def _launch(curve, t0, theta, xp=np):
+    """conj of the directions of the rays leaving z(t0) at angles theta;
+    one launch in Python floats at xp=_ONE."""
+    dz = curve._dzf(_wrap(t0)) if xp is np else curve._dzf(t0 % TWO_PI, xp)
+    return (dz / abs(dz) * xp.exp(1j * theta)).conjugate()
 
 
-def _landing(curve, t, t0, cd):
-    """(s2, theta2, length) of chords from t0 landing at parameters t."""
-    q = curve.tangent_t(t) * cd
-    s2 = np.mod(curve.arclen_t(_wrap(t)), curve.perimeter)
-    return (s2, np.arctan2(np.abs(q.imag), q.real),
-            np.abs(curve._zdiff(t, t0)))
+def _landing(curve, t, t0, cd, xp=np):
+    """(s2, theta2, length) of chords from t0 landing at parameters t; one
+    chord in Python floats at xp=_ONE."""
+    if xp is np:
+        tau = curve.tangent_t(t)
+        s2 = curve.arclen_t(_wrap(t))
+        d = curve._zdiff(t, t0)
+    else:
+        dz = curve._dzf(t % TWO_PI, xp)
+        tau, s2 = dz / abs(dz), curve._arclen_one(t % TWO_PI)
+        d = curve._zdiff(t, t0, xp)
+    q = tau * cd
+    return (s2 % curve.perimeter, xp.arctan2(abs(q.imag), q.real), abs(d))
 
 
 def chord(curve, s, theta):
     """First boundary intersection of the ray leaving gamma(s) at angle theta.
 
     Returns (s2, theta2, length) with theta2 the reflected outgoing
-    angle at the landing point, equal to the incidence angle there; bit
-    for bit the one-row :func:`chord_batch`, on every table.
+    angle at the landing point, equal to the incidence angle there.
+
+    On a table with a closed-form landing (the disk, an ellipse, a convex
+    Neumann oval) the chord runs on Python floats (:func:`_chord_one`),
+    the same formulas and polish as :func:`chord_batch` without building
+    an array. numpy's vector loops round exp, arctan2, arccos and complex
+    products, quotients and abs differently from libm and CPython, so its
+    bits may differ from the one-row batch's in the last places; both
+    meet the same accuracy and raise the same errors. On every other
+    table it is the one-row :func:`chord_batch`, bit for bit.
     """
+    if getattr(curve, "_land_t", None) is not None:
+        return _chord_one(curve, float(s), float(theta))
     return tuple(float(x[0]) for x in chord_batch(curve, [float(s)],
                                                   [float(theta)]))
+
+
+def _chord_one(curve, s, theta):
+    """:func:`_chords` of one float launch on a table with ``_land_t``,
+    in Python floats: the launch by :meth:`BoundaryCurve._t_of_s_one`, the
+    landing and the record (s2, theta2, length) by the formulas of
+    :func:`_launch`, ``_land_t`` and :func:`_landing` at xp=_ONE."""
+    t0 = curve._t_of_s_one(s)
+    _check_angle(theta)
+    cd = _launch(curve, t0, theta, _ONE)
+    t = curve._land_t(curve, t0, theta, cd, _ONE)
+    return _landing(curve, t, t0, cd, _ONE)
 
 
 def chord_batch(curve, s, theta):
@@ -848,7 +946,9 @@ def _hit_cells(curve, z, cd, lo, hi, chords):
     ve, ge = cd * (curve.zpoint_t(ends) - z), np.imag(cd * curve._dzf(ends))
     # the crossed or cut cells between nodes of the window, then its ends
     sv, sg = v.imag <= 0.0, g <= 0.0
-    r, j = np.nonzero((sv[:, 1:] != sv[:, :-1]) | (sg[:, 1:] != sg[:, :-1]))
+    cut = (sv[:, 1:] != sv[:, :-1]) | (sg[:, 1:] != sg[:, :-1])
+    # np.nonzero's (row, node) pairs in its order, at a tenth of its cost
+    r, j = np.divmod(np.flatnonzero(cut), cut.shape[1])
     q = (j - k0[r]) % m
     inside = q < (k1 - k0)[r]
     r, j, k = r[inside], j[inside], (k0[r] + q)[inside]
@@ -893,6 +993,18 @@ def _polish(curve, t, bracket, a, cd, offset):
         return f, -f / np.imag(cd * curve._dzf(t))
 
     return _newton_rows(step, t, *bracket, (a, cd), 1e-13)
+
+
+def _polish_one(curve, t, bracket, t0, cd):
+    """:func:`_polish` of one chord landing in Python floats, by
+    :func:`_newton_one` on ``_zdiff`` and z' at xp=_ONE. A zero slope
+    steps to inf, out of the bracket, which bisects it."""
+    def step(t, t0, cd):
+        f = (cd * curve._zdiff(t, t0, _ONE)).imag
+        g = (cd * curve._dzf(t, _ONE)).imag
+        return f, -f / g if g else math.inf
+
+    return _newton_one(step, t, *bracket, (t0, cd), 1e-13)
 
 
 def _newton_rows(step, x, lo, hi, flo, fhi, args, tol):

@@ -12,6 +12,7 @@ from scipy.integrate import quad, solve_ivp
 import oracle
 from pensive import delay
 from pensive import geometry as geo
+from pensive import twist
 from pensive import vortex as vx
 from pensive.errors import InvalidParameter, OutOfRange
 
@@ -353,8 +354,16 @@ def test_generalized_puck_law_consistency():
     fd = (delay.generalized_puck_potential(metric, p + h)
           - delay.generalized_puck_potential(metric, p - h)) / (2 * h)
     assert fd == pytest.approx(p * float(law.dell_dp(p)), rel=1e-5)
-    lo, hi = law.theta_limits()
-    assert lo > 0 and hi < 0  # slide diverges toward grazing, odd law
+
+
+@pytest.mark.parametrize("name", ["bump", "skew", "double_bump", "flat"])
+def test_named_profiles_slide_without_limit_at_grazing(name):
+    # f - 1 vanishes at least quadratically at both walls, so l(p) diverges
+    # as p -> +-1 (like ln(1 / eps) on bump, where a probe at p = 1 - 1e-9
+    # read 9.770), and the rotation interval is the whole line
+    law = delay.generalized_puck(delay.PuckMetric.named(name))
+    assert law.theta_limits() == (math.inf, -math.inf)
+    assert twist.twist_interval(law, math.pi) == (-math.inf, math.inf)
 
 
 def test_config_factory(tmp_path):

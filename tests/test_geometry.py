@@ -5,6 +5,7 @@ caster, curvature against finite differences of the tangent, and areas
 against the shoelace value of a fine polygonization.
 """
 
+import functools
 import hashlib
 import math
 import re
@@ -224,16 +225,51 @@ def test_chord_reversibility(curves):
 
 
 def test_chord_batch_matches_scalar(curves):
-    # every table here is convex, where the scalar chord is the batch's
-    # one-row case
+    # every table here lands in closed form, where the scalar chord runs on
+    # Python floats: it agrees with the batch within the conditioning units
     rng = np.random.default_rng(RNG_SEED + 4)
     for name, c in curves.items():
         s = rng.uniform(0, c.perimeter, 60)
         th = rng.uniform(0.02, math.pi - 0.02, 60)
-        rows = np.array(geo.chord_batch(c, s, th))
+        rows = np.transpose(geo.chord_batch(c, s, th))
         one = np.array([geo.chord(c, float(a), float(b))
-                        for a, b in zip(s, th)]).T
-        assert np.array_equal(rows, one), name
+                        for a, b in zip(s, th)])
+        assert_within_units(c, s, th, one, rows, 4.0)
+
+
+def chord_units(c, s, theta, chords):
+    """The chord property test's conditioning units per launch (s, theta)
+    and its chord (s2, Theta, length), an (n, 3) array: ds2 = ulp(P) +
+    |z'(t2)| ulp(2 pi) in s2, ulp(pi) + |kappa2| ds2 in Theta and (|z'(t0)|
+    + |z'(t2)|) ulp(2 pi) in length, each plus the chord's change when the
+    launch moves by its own rounding, ds0 as ds2 (by a central difference
+    of chord_batch over 1e-7 of the perimeter). That last term is far above
+    the rest only near the thin ellipse's tips, where the curvature turns
+    the launch direction by kappa0 ds0."""
+    s, theta = np.atleast_1d(s, theta)
+    s2 = np.atleast_2d(chords)[:, 0]
+    sp0, sp2 = c.speed_t(c.t_of_s(s)), c.speed_t(c.t_of_s(s2))
+    ds0, ds2 = (np.spacing(c.perimeter) + sp * np.spacing(geo.TWO_PI)
+                for sp in (sp0, sp2))
+    h = 1e-7 * c.perimeter
+    ahead, back = (np.transpose(geo.chord_batch(c, s + x, theta))
+                   for x in (h, -h))
+    slope = np.abs(ahead - back) / (2.0 * h)
+    slope[:, 0] = np.abs(geo.wrap_to_half(ahead[:, 0] - back[:, 0],
+                                          c.perimeter)) / (2.0 * h)
+    return np.stack([ds2, np.spacing(math.pi) + np.abs(c.curvature(s2)) * ds2,
+                     (sp0 + sp2) * np.spacing(geo.TWO_PI)],
+                    axis=-1) + slope * ds0[:, None]
+
+
+def assert_within_units(c, s, theta, got, want, k):
+    """Rows got of (s2, Theta, length) from launches (s, theta) lie within k
+    conditioning units (:func:`chord_units`) of the rows want, s2 mod P."""
+    got, want = np.atleast_2d(got), np.atleast_2d(want)
+    err = np.abs(got - want)
+    err[:, 0] = np.abs(geo.wrap_to_half(got[:, 0] - want[:, 0], c.perimeter))
+    units = chord_units(c, s, theta, want)
+    assert np.all(err <= k * units), (err / units).max(axis=0)
 
 
 def sampled_thin_ellipse(n=512):
@@ -462,10 +498,13 @@ def test_chord_property(name, frac, theta):
             geo.chord_batch(c, [s], [theta])
         return
     assert d > 0.0
-    # the scalar chord is the one-row batch, bit for bit: one routine on
-    # convex ovals, and chord_batch runs chord row by row elsewhere
-    assert float_hex(np.transpose(geo.chord_batch(c, [s], [theta]))) == \
-        float_hex([(s2, th2, d)])
+    # the scalar chord is the one-row batch: bit for bit on the non-convex
+    # oval, within 4 conditioning units where it runs on Python floats
+    rows = np.transpose(geo.chord_batch(c, [s], [theta]))
+    if name == "nonconvex_oval":
+        assert float_hex(rows) == float_hex([(s2, th2, d)])
+    else:
+        assert_within_units(c, s, theta, (s2, th2, d), rows, 4.0)
     gap = min(theta, math.pi - theta)
     # the osculating circle misses by up to 13x on the thin ellipse
     if name in ("disk", "ellipse", "oval") and gap <= 1e-3:
@@ -706,11 +745,13 @@ def test_chord_against_the_30_digit_reference(name):
     assert np.all(err.max(axis=0) <= bound + ulp2), (err.max(axis=0), bound)
     # the landing curvature read at the landing parameter is no farther
     # from the reference than the one read back through the landing arc
+    # (both from the batch: the scalar chord's landing arc may differ from
+    # it in the last places)
     s, theta = oracle.launches(c.perimeter, RNG_SEED + 12)
-    t2 = geo._chords(c, c.t_of_s(s), theta)[3]
+    s2, _, _, t2 = geo._chords(c, c.t_of_s(s), theta)
     at_t2, round_trip = ([oracle.relative_error(k, ref)
                           for k, ref in zip(ks, kappa)]
-                         for ks in (c.curvature_t(t2), c.curvature(got[:, 0])))
+                         for ks in (c.curvature_t(t2), c.curvature(s2)))
     assert max(at_t2) <= 1.5 * max(round_trip), (max(at_t2), max(round_trip))
     if name == "thin_ellipse":
         thin_ellipse_flank_rows(c, ORACLE_TABLES[name]())
@@ -719,20 +760,85 @@ def test_chord_against_the_30_digit_reference(name):
 def thin_ellipse_flank_rows(c, tab):
     """The thin ellipse's flanks, where |z'| is near 20: the row whose arc
     the oracle once failed to invert (s = 52.3) and 7 seeded rows, within 4
-    of the chord property test's conditioning units, ds2 = ulp(P) + |z'(t2)|
-    ulp(2 pi) in s2, ulp(pi) + |kappa2| ds2 in Theta and (|z'(t0)| +
-    |z'(t2)|) ulp(2 pi) in length (measured: at most 1.0, 0.16 and 0.55)."""
+    conditioning units (:func:`chord_units`; measured: at most 0.50, 0.15
+    and 0.55)."""
     rng = np.random.default_rng(RNG_SEED + 40)
     s = np.concatenate([[52.3], rng.uniform(0.0, c.perimeter, 7)])
     theta = np.concatenate([[1.0], rng.uniform(0.05, math.pi - 0.05, 7)])
     err, got, _ = oracle.chord_errors(geo.chord, c, tab, None,
                                       rows=(s, theta))
-    sp0, sp2 = c.speed_t(c.t_of_s(s)), c.speed_t(c.t_of_s(got[:, 0]))
-    ds2 = np.spacing(c.perimeter) + sp2 * np.spacing(geo.TWO_PI)
-    units = np.stack([ds2, np.spacing(math.pi) + np.abs(
-        c.curvature(got[:, 0])) * ds2, (sp0 + sp2) * np.spacing(geo.TWO_PI)],
-        axis=1)
+    units = chord_units(c, s, theta, got)
     assert np.all(err <= 4.0 * units), (err / units).max(axis=0)
+
+
+# tables whose scalar chord runs on Python floats, and their references
+ONE_POINT_TABLES = {"disk": (geo.disk(1.0), lambda: oracle.disk(1.0)),
+                    "ellipse": (geo.ellipse(1.2, 1.0),
+                                lambda: oracle.ellipse(1.2, 1.0)),
+                    "thin_ellipse": (geo.ellipse(20.0, 0.05),
+                                     lambda: oracle.ellipse(20.0, 0.05)),
+                    "oval": (geo.neumann_oval(0.3),
+                             lambda: oracle.neumann_oval(0.3)),
+                    "oval_04": (geo.neumann_oval(0.4),
+                                lambda: oracle.neumann_oval(0.4))}
+
+# gaps from 0 or pi log-uniform down to ANGLE_TOL
+GRAZING_ANGLES = st.floats(-6.0, 0.0).map(lambda e: 10.0 ** e).flatmap(
+    lambda gap: st.sampled_from([gap, math.pi - gap]))
+
+
+@functools.lru_cache(maxsize=None)
+def one_point_reference(name):
+    return ONE_POINT_TABLES[name][1]()
+
+
+@pytest.mark.parametrize("name", ONE_POINT_TABLES)
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(frac=st.floats(0.0, 1.0, exclude_max=True), theta=GRAZING_ANGLES)
+def test_one_point_chord_against_the_30_digit_reference(name, frac, theta):
+    # the scalar chord on Python floats, grazing at either end down to
+    # ANGLE_TOL: within 4 conditioning units of the oracle, or the one-row
+    # batch's error
+    c = ONE_POINT_TABLES[name][0]
+    s = frac * c.perimeter
+    try:
+        got = geo.chord(c, s, theta)
+    except PensiveError as e:
+        with pytest.raises(type(e), match=re.escape(str(e))):
+            geo.chord_batch(c, [s], [theta])
+        return
+    want = [float(x) for x in oracle.chord(one_point_reference(name), s,
+                                           theta)[:3]]
+    assert_within_units(c, s, theta, got, want, 4.0)
+
+
+@pytest.mark.parametrize("name", ONE_POINT_TABLES)
+def test_one_point_inversion_is_the_array_inversion(name):
+    # t_of_s of one arc on Python floats keeps every bit of the array's
+    c = ONE_POINT_TABLES[name][0]
+    P = c.perimeter
+    s = np.concatenate([np.random.default_rng(RNG_SEED + 41).uniform(
+        0.0, P, 3000), [0.0, P, np.nextafter(P, 0.0), 5e-324]])
+    one = np.array([c._t_of_s_one(x) for x in s.tolist()])
+    assert float_hex([one]) == float_hex([c.t_of_s(s)])
+    with pytest.raises(InvalidParameter, match="arc length must be finite"):
+        c._t_of_s_one(math.inf)
+
+
+def test_one_point_chord_builds_no_batch(monkeypatch):
+    # on the tables with a closed-form landing the scalar chord calls no
+    # batch routine; on a non-convex oval it is still the one-row batch
+    calls = []
+    for fn in ("chord_batch", "_chords", "_newton_rows", "_ray_hit"):
+        real = getattr(geo, fn)
+        monkeypatch.setattr(geo, fn, lambda *a, _real=real, _fn=fn, **kw:
+                            calls.append(_fn) or _real(*a, **kw))
+    for c, _ in ONE_POINT_TABLES.values():
+        geo.chord(c, 0.3, 1.0)
+        geo.chord(c, 1.1, math.pi - 1e-4)
+    assert calls == []
+    geo.chord(geo.neumann_oval(0.7), 0.3, 1.0)
+    assert "_ray_hit" in calls and "chord_batch" in calls
 
 
 @pytest.mark.parametrize("curve", [geo.regular_polygon(5),
