@@ -175,11 +175,13 @@ class BoundaryCurve:
 
     kind = "generic"
     # the landing parameters of chords from a closed form,
-    # _land_t(curve, t0, theta, cd, xp=np) for rays leaving z(t0) at angles
-    # theta, cd the conjugate ray directions; factories that have one set
-    # it, and with it _dzf(t, xp) and _zdiff(t, t0, xp), so that one chord
-    # runs on Python floats (xp=_ONE, :func:`_chord_one`)
+    # _land_t(curve, t0, theta, cd) for rays leaving z(t0) at angles theta,
+    # cd the conjugate ray directions, and _land_one(curve, t0, theta, cd)
+    # for one ray in Python floats (:func:`_chord_one`); factories that have
+    # them set both, and give _dzf(t, xp) and _zdiff(t, t0, xp) that take
+    # xp=_ONE
     _land_t = None
+    _land_one = None
 
     def __init__(self, kind, zfun, dzfun, d2zfun, params=None, nodes=2048,
                  arclen_exact=None, speed_series=None):
@@ -506,7 +508,8 @@ def disk(radius=1.0):
 def _with_half_angle_diff(a, b, curve):
     """Give the ellipse z(t) = a cos t + i b sin t (the disk: a = b = r)
     its exact chord vector z(t) - z(t0) = 2 sin((t - t0)/2) z'((t + t0)/2)
-    and its landings in closed form, the hook ``_land_t``.
+    and its landings in closed form, the hooks ``_land_t`` and
+    ``_land_one``.
 
     (x, y) -> (x / a, y / b) takes each chord to a chord of the unit
     circle, and one that leaves e^{i t0} at angle theta' to the tangent
@@ -526,6 +529,7 @@ def _with_half_angle_diff(a, b, curve):
                                      + (b * b - a * a) * s * c * st)
 
     curve._land_t = land_t
+    curve._land_one = functools.partial(land_t, xp=_ONE)
     return curve
 
 
@@ -592,8 +596,8 @@ def neumann_oval(lam):
 
     Convex for small lam, pinched toward an hourglass as lam grows; the
     map degenerates at lam = 1. A convex oval (lam below sqrt(2) - 1)
-    lands its chords by a cubic, the hook ``_land_t``; the others take
-    the ray's first crossing.
+    lands its chords by a cubic, the hooks ``_land_t`` and ``_land_one``;
+    the others take the ray's first crossing.
     """
     m = NeumannMap(lam)
 
@@ -601,7 +605,7 @@ def neumann_oval(lam):
         return m.F(np.exp(1j * np.asarray(t, dtype=float)))
 
     def dzf(t, xp=np):
-        Z = xp.exp(1j * (np.asarray(t, dtype=float) if xp is np else t))
+        Z = xp.exp(1j * t)
         return m.Fp(Z) * 1j * Z
 
     def d2zf(t):
@@ -632,7 +636,7 @@ def neumann_oval(lam):
         nodes=max(4096, 1 << (n - 1).bit_length()),
         speed_series=(coef, -math.log(m.lam) if m.lam > 0.0 else math.inf))
 
-    def land_t(curve, t0, theta, cd, xp=np):
+    def start(t0, theta, xp):
         # item 20's cubic (ROADMAP) in the real coordinate y = tan(delta/2 -
         # theta), delta = t2 - t0. With A = l2 e^{2i t0}, sigma = e^{i
         # delta/2} and C = e^{-i theta} (1 + conj A)(1 - A), a positive
@@ -644,15 +648,7 @@ def neumann_oval(lam):
         # convex oval its lead coefficient and its depressed form's p are
         # positive (the disk's is y^3 + y), so its one real root is the
         # hyperbolic form's; the polish in the window keeps the one landing
-        # there, whatever the start. One point (xp=_ONE) is refused and
-        # polished as the rows are, by _newton_one
-        if xp is np:
-            shape = cd.shape
-            t0, theta, cd = (x.ravel() for x in np.broadcast_arrays(
-                t0, theta, cd))
-        lo, hi = _window(curve, t0, theta)
-        f = (cd * zdiff(lo, t0, xp)).imag, (cd * zdiff(hi, t0, xp)).imag
-        _require_bracket(curve, *f)
+        # there, whatever the start
         A = m.l2 * xp.exp(2j * t0)
         e = xp.exp(1j * theta)
         # (1 + conj A)(1 - A)
@@ -667,14 +663,37 @@ def neumann_oval(lam):
         q = b0 - b2 * (b1 - 2.0 * b2 * b2 / 9.0) / 3.0
         k = xp.sqrt(p / 3.0)
         y = -2.0 * k * xp.sinh(xp.arcsinh(0.5 * q / k ** 3) / 3.0) - b2 / 3.0
-        t = t0 + 2.0 * (theta + xp.arctan(y))
-        if xp is np:
-            return _polish(curve, t, (lo, hi, *f), t0, cd, zdiff).reshape(shape)
+        return t0 + 2.0 * (theta + xp.arctan(y))
+
+    def land_t(curve, t0, theta, cd):
+        shape = cd.shape
+        t0, theta, cd = (x.ravel() for x in np.broadcast_arrays(t0, theta,
+                                                                cd))
+        lo, hi = _window(curve, t0, theta)
+        f = np.imag(cd * zdiff(np.stack([lo, hi]), t0))
+        _require_resolved(curve, f)
+        if not ((f[0] < 0.0) & (f[1] > 0.0)).all():
+            raise InvalidAngle("chord landing not bracketed in its window")
+        return _polish(curve, start(t0, theta, np), (lo, hi, *f), t0, cd,
+                       zdiff).reshape(shape)
+
+    def land_one(curve, t0, theta, cd):
+        # land_t of one ray in Python floats, refused as its rows are. z is
+        # 2 pi-periodic, so a start past 2 pi polishes 2 pi lower, on floats
+        # up to 4x finer than those near t0 + 2 pi
+        lo, hi = _window(curve, t0, theta)
+        f = (cd * zdiff(lo, t0, _ONE)).imag, (cd * zdiff(hi, t0, _ONE)).imag
+        _require_resolved(curve, f)
+        if not f[0] < 0.0 < f[1]:
+            raise InvalidAngle("chord landing not bracketed in its window")
+        t = start(t0, theta, _ONE)
+        if t >= TWO_PI:
+            t, lo, hi = t - TWO_PI, lo - TWO_PI, hi - TWO_PI
         return _polish_one(curve, t, (lo, hi, *f), t0, cd)
 
     curve._zdiff = zdiff
     if curve.is_convex:
-        curve._land_t = land_t
+        curve._land_t, curve._land_one = land_t, land_one
     return curve
 
 
@@ -803,21 +822,13 @@ def _window(curve, t0, theta):
 
 
 def _require_resolved(curve, f_ends):
-    """Raise InvalidAngle unless the residuals at the window ends stand
-    clear of roundoff, so no cell next to them shows a false crossing."""
-    if (np.abs(f_ends) <= 1e-14 * curve._zmax).any():
+    """Raise InvalidAngle unless the residuals at the window ends (an array,
+    or one chord's tuple of floats) stand clear of roundoff, so no cell
+    next to them shows a false crossing."""
+    tol = 1e-14 * curve._zmax
+    if (any(abs(f) <= tol for f in f_ends) if type(f_ends) is tuple
+            else (np.abs(f_ends) <= tol).any()):
         raise InvalidAngle("chord too close to tangency to resolve")
-
-
-def _require_bracket(curve, flo, fhi):
-    """Raise InvalidAngle unless the chord residuals flo, fhi at the ends
-    of each row's window (arrays, or one chord's floats) are resolved
-    (:func:`_require_resolved`) and bracket the landing, flo < 0 < fhi."""
-    one, tol = type(flo) is float, 1e-14 * curve._zmax
-    if not one or abs(flo) <= tol or abs(fhi) <= tol:
-        _require_resolved(curve, (flo, fhi))
-    if not (flo < 0.0 < fhi if one else ((flo < 0.0) & (fhi > 0.0)).all()):
-        raise InvalidAngle("chord landing not bracketed in its window")
 
 
 def _launch_t(curve, s):
@@ -829,26 +840,18 @@ def _launch_t(curve, s):
     return curve.t_of_s(s)
 
 
-def _launch(curve, t0, theta, xp=np):
-    """conj of the directions of the rays leaving z(t0) at angles theta;
-    one launch in Python floats at xp=_ONE."""
-    dz = curve._dzf(_wrap(t0)) if xp is np else curve._dzf(t0 % TWO_PI, xp)
-    return (dz / abs(dz) * xp.exp(1j * theta)).conjugate()
+def _launch(curve, t0, theta):
+    """conj of the directions of the rays leaving z(t0) at angles theta."""
+    dz = curve._dzf(_wrap(t0))
+    return np.conj(dz / np.abs(dz) * np.exp(1j * theta))
 
 
-def _landing(curve, t, t0, cd, xp=np):
-    """(s2, theta2, length) of chords from t0 landing at parameters t; one
-    chord in Python floats at xp=_ONE."""
-    if xp is np:
-        tau = curve.tangent_t(t)
-        s2 = curve.arclen_t(_wrap(t))
-        d = curve._zdiff(t, t0)
-    else:
-        dz = curve._dzf(t % TWO_PI, xp)
-        tau, s2 = dz / abs(dz), curve._arclen_one(t % TWO_PI)
-        d = curve._zdiff(t, t0, xp)
-    q = tau * cd
-    return (s2 % curve.perimeter, xp.arctan2(abs(q.imag), q.real), abs(d))
+def _landing(curve, t, t0, cd):
+    """(s2, theta2, length) of chords from t0 landing at parameters t."""
+    q = curve.tangent_t(t) * cd
+    s2 = np.mod(curve.arclen_t(_wrap(t)), curve.perimeter)
+    return (s2, np.arctan2(np.abs(q.imag), q.real),
+            np.abs(curve._zdiff(t, t0)))
 
 
 def chord(curve, s, theta):
@@ -858,30 +861,36 @@ def chord(curve, s, theta):
     angle at the landing point, equal to the incidence angle there.
 
     On a table with a closed-form landing (the disk, an ellipse, a convex
-    Neumann oval) the chord runs on Python floats (:func:`_chord_one`),
-    the same formulas and polish as :func:`chord_batch` without building
-    an array. numpy's vector loops round exp, arctan2, arccos and complex
-    products, quotients and abs differently from libm and CPython, so its
-    bits may differ from the one-row batch's in the last places; both
-    meet the same accuracy and raise the same errors. On every other
-    table it is the one-row :func:`chord_batch`, bit for bit.
+    Neumann oval) the chord runs on Python floats (:func:`_chord_one`):
+    the formulas of :func:`chord_batch` without building an array, the
+    oval's polish on the finer floats below 2 pi. numpy's vector loops
+    round exp, arctan2, arccos and complex products, quotients and abs
+    differently from libm and CPython, so its bits may differ from the
+    one-row batch's in the last places; both meet the same accuracy
+    bounds, agree within a few units of their conditioning and raise the
+    same errors. On every other table it is the one-row
+    :func:`chord_batch`, bit for bit.
     """
-    if getattr(curve, "_land_t", None) is not None:
+    if getattr(curve, "_land_one", None) is not None:
         return _chord_one(curve, float(s), float(theta))
     return tuple(float(x[0]) for x in chord_batch(curve, [float(s)],
                                                   [float(theta)]))
 
 
 def _chord_one(curve, s, theta):
-    """:func:`_chords` of one float launch on a table with ``_land_t``,
+    """:func:`_chords` of one float launch on a table with ``_land_one``,
     in Python floats: the launch by :meth:`BoundaryCurve._t_of_s_one`, the
-    landing and the record (s2, theta2, length) by the formulas of
-    :func:`_launch`, ``_land_t`` and :func:`_landing` at xp=_ONE."""
+    landing by ``_land_one`` and the record (s2, theta2, length) by the
+    formulas of :func:`_launch` and :func:`_landing`."""
     t0 = curve._t_of_s_one(s)
     _check_angle(theta)
-    cd = _launch(curve, t0, theta, _ONE)
-    t = curve._land_t(curve, t0, theta, cd, _ONE)
-    return _landing(curve, t, t0, cd, _ONE)
+    dz = curve._dzf(t0 % TWO_PI, _ONE)
+    cd = (dz / abs(dz) * cmath.exp(1j * theta)).conjugate()
+    t = curve._land_one(curve, t0, theta, cd)
+    dz = curve._dzf(t % TWO_PI, _ONE)
+    q = dz / abs(dz) * cd
+    return (curve._arclen_one(t % TWO_PI) % curve.perimeter,
+            math.atan2(abs(q.imag), q.real), abs(curve._zdiff(t, t0, _ONE)))
 
 
 def chord_batch(curve, s, theta):

@@ -448,7 +448,7 @@ s0 = 1.3
 theta0 = 0.9
 steps = 26
 """, {"trajectory.csv":
-      "f3537d05c892ceb41a01084f0cc1d9936c809fabe0d5f6c0bb182051944c6eae",
+      "69ef6ddde0f9af428a5208271679f87eb393598791dc9109b77477d088de43cf",
       "trajectory.svg":
       "1c52ccc18ad5d4ea89a602f352d408b21689673eaea623e606023fe62b25fc5f"}),
     }

@@ -234,42 +234,28 @@ def test_chord_batch_matches_scalar(curves):
         rows = np.transpose(geo.chord_batch(c, s, th))
         one = np.array([geo.chord(c, float(a), float(b))
                         for a, b in zip(s, th)])
-        assert_within_units(c, s, th, one, rows, 4.0)
+        assert_within_units(c, one, rows, 4.0 * chord_units(c, s, rows))
 
 
-def chord_units(c, s, theta, chords):
-    """The chord property test's conditioning units per launch (s, theta)
-    and its chord (s2, Theta, length), an (n, 3) array: ds2 = ulp(P) +
-    |z'(t2)| ulp(2 pi) in s2, ulp(pi) + |kappa2| ds2 in Theta and (|z'(t0)|
-    + |z'(t2)|) ulp(2 pi) in length, each plus the chord's change when the
-    launch moves by its own rounding, ds0 as ds2 (by a central difference
-    of chord_batch over 1e-7 of the perimeter). That last term is far above
-    the rest only near the thin ellipse's tips, where the curvature turns
-    the launch direction by kappa0 ds0."""
-    s, theta = np.atleast_1d(s, theta)
+def chord_units(c, s, chords):
+    """The chord property test's conditioning units of the chords (s2,
+    Theta, length), an (n, 3) array, launched from the arcs s: ds2 = ulp(P)
+    + |z'(t2)| ulp(2 pi) in s2, ulp(pi) + |kappa2| ds2 in Theta and
+    (|z'(t0)| + |z'(t2)|) ulp(2 pi) in length."""
     s2 = np.atleast_2d(chords)[:, 0]
     sp0, sp2 = c.speed_t(c.t_of_s(s)), c.speed_t(c.t_of_s(s2))
-    ds0, ds2 = (np.spacing(c.perimeter) + sp * np.spacing(geo.TWO_PI)
-                for sp in (sp0, sp2))
-    h = 1e-7 * c.perimeter
-    ahead, back = (np.transpose(geo.chord_batch(c, s + x, theta))
-                   for x in (h, -h))
-    slope = np.abs(ahead - back) / (2.0 * h)
-    slope[:, 0] = np.abs(geo.wrap_to_half(ahead[:, 0] - back[:, 0],
-                                          c.perimeter)) / (2.0 * h)
+    ds2 = np.spacing(c.perimeter) + sp2 * np.spacing(geo.TWO_PI)
     return np.stack([ds2, np.spacing(math.pi) + np.abs(c.curvature(s2)) * ds2,
-                     (sp0 + sp2) * np.spacing(geo.TWO_PI)],
-                    axis=-1) + slope * ds0[:, None]
+                     (sp0 + sp2) * np.spacing(geo.TWO_PI)], axis=-1)
 
 
-def assert_within_units(c, s, theta, got, want, k):
-    """Rows got of (s2, Theta, length) from launches (s, theta) lie within k
-    conditioning units (:func:`chord_units`) of the rows want, s2 mod P."""
+def assert_within_units(c, got, want, bound):
+    """Rows got of (s2, Theta, length) lie within bound, an array of the
+    same shape, of the rows want, s2 mod P."""
     got, want = np.atleast_2d(got), np.atleast_2d(want)
     err = np.abs(got - want)
     err[:, 0] = np.abs(geo.wrap_to_half(got[:, 0] - want[:, 0], c.perimeter))
-    units = chord_units(c, s, theta, want)
-    assert np.all(err <= k * units), (err / units).max(axis=0)
+    assert np.all(err <= bound), (err / bound).max(axis=0)
 
 
 def sampled_thin_ellipse(n=512):
@@ -504,7 +490,8 @@ def test_chord_property(name, frac, theta):
     if name == "nonconvex_oval":
         assert float_hex(rows) == float_hex([(s2, th2, d)])
     else:
-        assert_within_units(c, s, theta, (s2, th2, d), rows, 4.0)
+        assert_within_units(c, (s2, th2, d), rows,
+                            4.0 * chord_units(c, s, rows))
     gap = min(theta, math.pi - theta)
     # the osculating circle misses by up to 13x on the thin ellipse
     if name in ("disk", "ellipse", "oval") and gap <= 1e-3:
@@ -760,14 +747,14 @@ def test_chord_against_the_30_digit_reference(name):
 def thin_ellipse_flank_rows(c, tab):
     """The thin ellipse's flanks, where |z'| is near 20: the row whose arc
     the oracle once failed to invert (s = 52.3) and 7 seeded rows, within 4
-    conditioning units (:func:`chord_units`; measured: at most 0.50, 0.15
-    and 0.55)."""
+    of the chord property test's conditioning units (:func:`chord_units`;
+    measured: at most 1.0, 0.16 and 0.55)."""
     rng = np.random.default_rng(RNG_SEED + 40)
     s = np.concatenate([[52.3], rng.uniform(0.0, c.perimeter, 7)])
     theta = np.concatenate([[1.0], rng.uniform(0.05, math.pi - 0.05, 7)])
     err, got, _ = oracle.chord_errors(geo.chord, c, tab, None,
                                       rows=(s, theta))
-    units = chord_units(c, s, theta, got)
+    units = chord_units(c, s, got)
     assert np.all(err <= 4.0 * units), (err / units).max(axis=0)
 
 
@@ -809,7 +796,27 @@ def test_one_point_chord_against_the_30_digit_reference(name, frac, theta):
         return
     want = [float(x) for x in oracle.chord(one_point_reference(name), s,
                                            theta)[:3]]
-    assert_within_units(c, s, theta, got, want, 4.0)
+    units = chord_units(c, s, [want]) + launch_units(c, s, theta)
+    assert_within_units(c, got, want, 4.0 * units)
+
+
+def launch_units(c, s, theta):
+    """The chord's change, per column (s2, Theta, length), when the launch
+    moves by its own rounding ds0 = ulp(P) + |z'(t0)| ulp(2 pi), by a
+    central difference of chord_batch over 1e-7 of the perimeter. Against
+    the oracle, which launches from s itself, it is far above the units of
+    :func:`chord_units` only near the thin ellipse's tips, where the
+    curvature turns the launch direction by kappa0 ds0."""
+    s = np.atleast_1d(s)
+    ds0 = (np.spacing(c.perimeter)
+           + c.speed_t(c.t_of_s(s)) * np.spacing(geo.TWO_PI))
+    h = 1e-7 * c.perimeter
+    ahead, back = (np.transpose(geo.chord_batch(c, s + x, theta))
+                   for x in (h, -h))
+    slope = np.abs(ahead - back) / (2.0 * h)
+    slope[:, 0] = np.abs(geo.wrap_to_half(ahead[:, 0] - back[:, 0],
+                                          c.perimeter)) / (2.0 * h)
+    return slope * ds0[:, None]
 
 
 @pytest.mark.parametrize("name", ONE_POINT_TABLES)
